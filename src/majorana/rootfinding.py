@@ -1,12 +1,29 @@
-"""Simultaneous polynomial root solving with multiplicity recovery.
+"""Batched polynomial root solving with multiplicity recovery.
 
 The solver is tuned for the polynomials that arise from spin states: degree
 up to a few dozen, coefficients normalized to max modulus 1, and physically
 meaningful root collisions (a coherent state is one root repeated to full
-degree).  Plain iteration scatters an m-fold root over a circle of radius
-about eps**(1/m), so after the simultaneous pass we detect tight root
-clusters and re-solve each candidate multiple root on a derivative of the
-polynomial, where it is simple and recoverable to machine precision.
+degree).  Every call solves a stack of same-degree polynomials; find_roots
+is a stack of one.
+
+1. Seeds: the eigenvalues of each row's companion matrix, from one LAPACK
+   call on the whole stack (geev balances every matrix first).  They are
+   backward stable (Edelman & Murakami, Math. Comp. 64 (1995) 763).
+2. Polish: a few guarded Newton steps over the whole stack.  A point whose
+   residual is already at the rounding floor takes only rounding-size
+   steps, so noise cannot scramble an ill-conditioned set of estimates.
+3. Finishing gates, evaluated for the whole stack at once: the worst
+   residual against the contract, a simple-root test on |p'| and a pairwise
+   separation test at the clustering radius.  A row that passes all three
+   is returned sorted.  A row that is an n-th power up to rounding (a
+   coherent state) is returned as n copies of its root.  Only the others
+   take the per-row path.
+4. Certified cluster walk: an m-fold root scatters over a circle of radius
+   about eps**(1/m).  The walk descends the single-linkage tree of a row's
+   estimates and re-solves each tight cluster on the (m-1)-th derivative,
+   where the root is simple and recoverable to machine precision; it keeps
+   the multiple root only if every lower derivative vanishes there.  What
+   is still within the clustering radius is then merged.
 
 Coefficient arrays are ordered low to high: coeffs[k] multiplies z**k.
 """
@@ -33,13 +50,18 @@ def polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _eval_floor(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Rounding-noise scale of Horner evaluation at z (running error bound)."""
-    az = np.abs(np.asarray(z))
-    acc = np.full_like(az, abs(coeffs[-1]))
-    for c in coeffs[-2::-1]:
-        acc = acc * az + abs(c)
-    return _EPS * (2.0 * len(coeffs)) * acc
+def _abs_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k |coeffs[..., k]| |z|**k, the natural magnitude of p near z.
+
+    coeffs is one row with z any 1-d array of points, or a stack of rows
+    with one row of points per coefficient row.
+    """
+    a = np.abs(coeffs)[..., None]
+    az = np.abs(z)
+    acc = a[..., -1, :]
+    for k in range(a.shape[-2] - 2, -1, -1):
+        acc = acc * az + a[..., k, :]
+    return acc
 
 
 def derivative(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
@@ -49,71 +71,6 @@ def derivative(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
             return np.zeros(1, dtype=complex)
         c = c[1:] * np.arange(1, len(c))
     return c
-
-
-def _initial_points(coeffs: np.ndarray) -> np.ndarray:
-    """Perturbed circle inside the Fujiwara root bound."""
-    n = len(coeffs) - 1
-    cn = abs(coeffs[-1])
-    radius = 2.0 * max(
-        (abs(coeffs[n - k]) / cn) ** (1.0 / k) for k in range(1, n + 1)
-    )
-    k = np.arange(n)
-    # Irrational angle step and a small radial stagger break every symmetry
-    # a structured polynomial could otherwise get stuck on.
-    ang = 2.0 * np.pi * k / n + 0.43
-    rad = 0.8 * radius * (1.0 + 0.05 * np.sin(2.39996 * k))
-    return rad * np.exp(1j * ang)
-
-
-def _aberth(coeffs: np.ndarray, z: np.ndarray, max_iter: int = 400) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous iteration from the given start points."""
-    dcoeffs = derivative(coeffs)
-    n = len(z)
-    frozen = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
-        p = polyval_many(coeffs, z)
-        frozen |= np.abs(p) <= _eval_floor(coeffs, z)
-        if frozen.all():
-            break
-        dp = polyval_many(dcoeffs, z)
-        dp = np.where(dp == 0, _EPS, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = np.where(frozen, 0.0, newton / denom)
-        z = z - step
-        frozen |= np.abs(step) <= 1e-14 * (1.0 + np.abs(z))
-        if frozen.all():
-            break
-    return z
-
-
-def _newton_polish(coeffs: np.ndarray, z: np.ndarray, iters: int = 3) -> np.ndarray:
-    """A few guarded Newton steps; a point only moves if its residual drops."""
-    d = derivative(coeffs)
-    p = polyval_many(coeffs, z)
-    for _ in range(iters):
-        dp = polyval_many(d, z)
-        dp = np.where(dp == 0, np.inf, dp)
-        znew = z - p / dp
-        pnew = polyval_many(coeffs, znew)
-        take = np.abs(pnew) < np.abs(p)
-        z = np.where(take, znew, z)
-        p = np.where(take, pnew, p)
-    return z
-
-
-# -- batched path -----------------------------------------------------------------
-#
-# Solving many same-degree polynomials (one per spin state) is dominated by
-# Python-level Horner loops when done one at a time; stacking the
-# coefficient rows turns every iteration into a handful of array ops over
-# the whole batch.  Results feed the identical per-polynomial finishing
-# stage as the scalar path.
 
 
 def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,123 +84,111 @@ def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return p, dp
 
 
-def _initial_points_batch(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.shape[1] - 1
-    k = np.arange(1, n + 1)
-    ratios = np.abs(coeffs[:, -2::-1]) / np.abs(coeffs[:, -1, None])
-    radius = 2.0 * (ratios ** (1.0 / k)).max(axis=1)
-    j = np.arange(n)
-    ang = np.exp(1j * (2.0 * np.pi * j / n + 0.43))
-    rad = 0.8 * radius[:, None] * (1.0 + 0.05 * np.sin(2.39996 * j))
-    return rad * ang
+def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every row's companion matrix, one LAPACK call."""
+    rows, n = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((rows, n, n), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1, None]
+    sub = np.arange(n - 1)
+    comp[:, sub + 1, sub] = 1.0
+    return np.linalg.eigvals(comp)
 
 
-def _aberth_batch(coeffs: np.ndarray, z: np.ndarray, max_iter: int = 250) -> np.ndarray:
-    n = z.shape[1]
-    diag = np.arange(n)
-    frozen = np.zeros(z.shape, dtype=bool)
-    checkpoint = np.inf
-    for it in range(max_iter):
-        p, dp = _horner_batch(coeffs, z)
-        dp = np.where(dp == 0, _EPS, dp)
-        newton = p / dp
-        diff = z[:, :, None] - z[:, None, :]
-        diff[:, diag, diag] = np.inf
-        repulsion = (1.0 / diff).sum(axis=2)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = np.where(frozen, 0.0, newton / denom)
-        z = z - step
-        frozen |= np.abs(step) <= 1e-14 * (1.0 + np.abs(z))
-        if frozen.all():
-            break
-        if (it + 1) % 8 == 0:
-            # Multiple roots never freeze (the step hovers near eps**(1/m));
-            # once the largest live step stops shrinking and is already
-            # tiny, further sweeps are churn and polishing takes over.
-            live = float(np.abs(step).max())
-            if live < 1e-6 and live > 0.5 * checkpoint:
-                break
-            checkpoint = live
-    return z
+def _newton_polish(
+    coeffs: np.ndarray, z: np.ndarray, iters: int = 3
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A few guarded Newton steps; a point only moves if its residual drops.
 
+    Where |p| at the starting estimate is already down to the rounding
+    floor of evaluating it there, the step is driven by that noise.  Such a
+    point takes only steps of rounding size: in an ill-conditioned set (a
+    coherent state's ring of roots after trimming, say) larger noise-driven
+    steps move each estimate on its own and the set stops reproducing the
+    polynomial.
 
-def _newton_polish_batch(coeffs: np.ndarray, z: np.ndarray, iters: int = 3) -> np.ndarray:
+    Returns the points and the values of p and p' there.
+    """
     p, dp = _horner_batch(coeffs, z)
+    floor = 2.0 * coeffs.shape[1] * _EPS * _abs_horner(coeffs, z)
     for _ in range(iters):
-        dp = np.where(dp == 0, np.inf, dp)
-        znew = z - p / dp
+        step = p / np.where(dp == 0, np.inf, dp)
+        znew = z - step
         pnew, dpnew = _horner_batch(coeffs, znew)
-        take = np.abs(pnew) < np.abs(p)
+        tiny = np.abs(step) <= 10.0 * _EPS * np.abs(z)
+        take = (np.abs(pnew) < np.abs(p)) & ((np.abs(p) > floor) | tiny)
         z = np.where(take, znew, z)
         p = np.where(take, pnew, p)
         dp = np.where(take, dpnew, dp)
-    return z
+    return z, p, dp
 
 
-def _worst_residual(coeffs: np.ndarray, z: np.ndarray) -> float:
-    n = len(coeffs) - 1
-    p = np.abs(polyval_many(coeffs, z))
-    lim = np.maximum(1.0, np.abs(z)) ** n
-    with np.errstate(invalid="ignore"):
-        ratio = p / lim
-    ratio = np.where(np.isfinite(ratio), ratio, np.inf)
-    return float(ratio.max()) if len(ratio) else 0.0
+def _worst_residual(p: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Largest |p(z)| / max(1, |z|)**n along the last axis."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.abs(p) / np.maximum(1.0, np.abs(z)) ** n
+    return np.where(np.isfinite(ratio), ratio, np.inf).max(axis=-1, initial=0.0)
 
 
-def _coef_scale(coeffs: np.ndarray, z: complex) -> float:
-    """sum_k |coeffs[k]| |z|**k, the natural magnitude of p near z."""
-    az = abs(z)
-    acc = abs(coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * az + abs(c)
-    return acc
+def _full_powers(
+    coeffs: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the root z0 of p^(n-1), and whether the row is the n-th
+    power c_n (z - z0)**n up to rounding, with n copies of z0 meeting the
+    residual contract.
 
-
-def _coef_scale_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    az = np.abs(np.asarray(z))
-    acc = np.full_like(az, abs(coeffs[-1]))
-    for c in coeffs[-2::-1]:
-        acc = acc * az + abs(c)
-    return acc
-
-
-def _all_simple(coeffs: np.ndarray, roots: np.ndarray) -> bool:
-    """True when every estimate is confidently a simple root.
-
-    An m-fold root pushes |p'| down to order eps**((m-1)/m) of its
-    coefficient scale (about 1e-8 for a double root), far below this gate,
-    so skipping the cluster stage on a pass can never hide a multiple.
+    A coherent state's root polynomial is such a power.  At high degree its
+    n-fold root scatters the companion eigenvalues over a circle about as
+    wide as |z0|; every estimate then looks simple, and the cluster walk
+    never sees the cluster.  "Up to rounding" is the cluster walk's test of
+    p itself at an n-fold root, applied coefficient by coefficient:
+    sum_k |c_k - power_k| |z0|**k <= _CLUSTER_C * eps * sum_k |c_k| |z0|**k.
     """
-    if len(roots) < 2:
-        return True
-    dc = derivative(coeffs)
-    dp = np.abs(polyval_many(dc, roots))
-    return bool((dp > 1e-5 * _coef_scale_many(dc, roots)).all())
+    n = coeffs.shape[1] - 1
+    z0 = -coeffs[:, n - 1] / (n * coeffs[:, n])
+    k = np.arange(n + 1)
+    binom = np.concatenate([[1.0], np.cumprod((n + 1 - k[1:]) / k[1:])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        zk = z0[:, None] ** k
+        power = coeffs[:, n, None] * binom * (-z0[:, None]) ** (n - k)
+        gap = (np.abs(coeffs - power) * np.abs(zk)).sum(axis=1)
+        fits = gap <= _CLUSTER_C * _EPS * (np.abs(coeffs) * np.abs(zk)).sum(axis=1)
+        resid = _worst_residual((coeffs * zk).sum(axis=1, keepdims=True), z0[:, None], n)
+    return z0, fits & (resid <= tol)
+
+
+def _close_pairs(z: np.ndarray, radius: float) -> np.ndarray:
+    """close[..., i, j]: estimates i != j lie within radius*(1 + max|z|)."""
+    az = np.abs(z)
+    gap = np.abs(z[..., :, None] - z[..., None, :])
+    reach = radius * (1.0 + np.maximum(az[..., :, None], az[..., None, :]))
+    close = gap <= reach
+    diag = np.arange(z.shape[-1])
+    close[..., diag, diag] = False
+    return close
 
 
 def _refine_multiple(
-    coeffs: np.ndarray,
-    derivs: list[np.ndarray],
-    center: complex,
-    m: int,
-    spread: float,
+    table: np.ndarray, center: complex, m: int, spread: float
 ) -> complex | None:
     """Try to certify an m-fold root near center; return it or None.
 
-    An m-fold root of p is a simple root of p^(m-1), so Newton on that
-    derivative converges quadratically to full precision.  The candidate is
-    accepted only if every lower derivative of p vanishes there to within the
-    perturbation theory of an m-fold root (|p^(j)| of order eps**((m-j)/m)
-    relative to its coefficient-magnitude scale).
+    table[j] holds the coefficients of p^(j), zero-padded to a common
+    length.  An m-fold root of p is a simple root of p^(m-1), so Newton on
+    that derivative converges quadratically to full precision.  The
+    candidate is accepted only if every lower derivative of p vanishes there
+    to within the perturbation theory of an m-fold root (|p^(j)| of order
+    eps**((m-j)/m) relative to its coefficient-magnitude scale).
     """
-    g = derivs[m - 1]
-    dg = derivs[m]
+    # Python scalars: one Newton step on a single point costs less than a
+    # numpy call per coefficient.
+    g = table[m - 1, : len(table) - m + 1].tolist()
     z = center
     leash = max(4.0 * spread, 1e-7 * (1.0 + abs(center)))
     for _ in range(60):
-        gv = complex(polyval_many(g, np.array([z]))[0])
-        dgv = complex(polyval_many(dg, np.array([z]))[0])
+        gv, dgv = g[-1], 0j
+        for c in g[-2::-1]:
+            dgv = dgv * z + gv
+            gv = gv * z + c
         if dgv == 0:
             return None
         step = gv / dgv
@@ -254,25 +199,25 @@ def _refine_multiple(
             break
     else:
         return None
-    for j in range(m):
-        mag = abs(complex(polyval_many(derivs[j], np.array([z]))[0]))
-        scale = _coef_scale(derivs[j], z)
-        if mag > _CLUSTER_C * scale * _EPS ** ((m - j) / m):
-            return None
+    at = np.full((m, 1), z)
+    mag = np.abs(_horner_batch(table[:m], at)[0][:, 0])
+    scale = _abs_horner(table[:m], at)[:, 0]
+    if (mag > _CLUSTER_C * scale * _EPS ** ((m - np.arange(m)) / m)).any():
+        return None
     return z
 
 
 def _validated_clusters(
     coeffs: np.ndarray, roots: np.ndarray
-) -> list[tuple[complex, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Walk the single-linkage merge tree of the root estimates top-down,
-    replacing every certifiable tight cluster by one exact multiple root."""
-    n = len(roots)
-    if n == 1:
-        return [(complex(roots[0]), 1)]
-    derivs = [np.asarray(coeffs, dtype=complex)]
-    for _ in range(len(coeffs) - 1):
-        derivs.append(derivative(derivs[-1]))
+    replacing every certifiable tight cluster by one exact multiple root.
+    Returns the distinct roots and their multiplicities."""
+    n = len(coeffs) - 1
+    table = np.zeros((n + 1, n + 1), dtype=complex)
+    table[0] = coeffs
+    for j in range(1, n + 1):
+        table[j, : n + 1 - j] = derivative(table[j - 1, : n + 2 - j])
     pts = np.column_stack([roots.real, roots.imag])
     tree = to_tree(linkage(pts, method="single"))
     out: list[tuple[complex, int]] = []
@@ -290,7 +235,7 @@ def _validated_clusters(
         # refinement attempt.
         limit = 10.0 * _EPS ** (1.0 / len(idx)) * (1.0 + abs(center))
         if spread <= min(0.5 * (1.0 + abs(center)), limit):
-            z = _refine_multiple(coeffs, derivs, center, len(idx), spread)
+            z = _refine_multiple(table, center, len(idx), spread)
             if z is not None:
                 out.append((z, len(idx)))
                 return
@@ -298,30 +243,42 @@ def _validated_clusters(
         visit(node.right)
 
     visit(tree)
-    return out
+    return (np.array([z for z, _ in out], dtype=complex),
+            np.array([m for _, m in out]))
 
 
 def _merge_by_radius(
-    clusters: list[tuple[complex, int]], radius: float
-) -> list[tuple[complex, int]]:
-    """Greedy single-linkage merge of points closer than radius*(1+|z|)."""
-    items = [[z, m] for z, m in clusters]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                zi, mi = items[i]
-                zj, mj = items[j]
-                if abs(zi - zj) <= radius * (1.0 + max(abs(zi), abs(zj))):
-                    w = (mi * zi + mj * zj) / (mi + mj)
-                    items[i] = [w, mi + mj]
-                    del items[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return [(z, m) for z, m in items]
+    z: np.ndarray, m: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy single-linkage merge of points closer than radius*(1+|z|):
+    the first close pair in row-major order becomes its weighted mean,
+    until no pair is close."""
+    z, m = z.copy(), m.copy()
+    while True:
+        close = np.triu(_close_pairs(z, radius))
+        if not close.any():
+            return z, m
+        i, j = divmod(int(np.argmax(close)), len(z))
+        z[i] = (m[i] * z[i] + m[j] * z[j]) / (m[i] + m[j])
+        m[i] += m[j]
+        z, m = np.delete(z, j), np.delete(m, j)
+
+
+def _finish(
+    c: np.ndarray, roots: np.ndarray, simple: bool, cluster_radius: float, tol: float
+) -> np.ndarray:
+    """Per-row path: multiplicity recovery, merge, contract, canonical order."""
+    if simple:
+        z, m = roots, np.ones(len(roots), dtype=int)
+    else:
+        z, m = _validated_clusters(c, roots)
+    expanded = np.repeat(*_merge_by_radius(z, m, cluster_radius))
+    worst = _worst_residual(polyval_many(c, expanded), expanded, len(c) - 1)
+    if worst > tol:
+        raise NonConvergence(
+            f"clustered roots violate the residual contract ({worst:.3e} > {tol:.3e})"
+        )
+    return expanded[np.lexsort((expanded.imag, expanded.real))]
 
 
 def find_roots(
@@ -330,59 +287,20 @@ def find_roots(
     """All roots of the polynomial, multiplicities expanded, sorted.
 
     coeffs must have nonzero first and last entries (no roots at zero or
-    infinity; the caller strips those).  Raises NonConvergence when no
-    candidate set meets the backward-error contract
+    infinity; the caller strips those).  Raises NonConvergence when the
+    roots miss the backward-error contract
     |p(z)| <= tol * max|coeffs| * max(1, |z|)**degree.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    if n < 1:
-        return np.zeros(0, dtype=complex)
-    scale = np.abs(c).max()
-    if scale == 0 or c[0] == 0 or c[-1] == 0:
-        raise ValueError("coefficients must be trimmed and nonzero")
-    c = c / scale
-    if n == 1:
-        return np.array([-c[0] / c[1]])
-    roots = _newton_polish(c, _aberth(c, _initial_points(c)))
-    return _finish(c, roots, tol, cluster_radius)
-
-
-def _finish(
-    c: np.ndarray, roots: np.ndarray, tol: float, cluster_radius: float
-) -> np.ndarray:
-    """Residual contract, multiplicity recovery, canonical order."""
-    n = len(c) - 1
-    if _worst_residual(c, roots) > tol:
-        alt = _newton_polish(c, np.roots(c[::-1]))
-        if _worst_residual(c, alt) < _worst_residual(c, roots):
-            roots = alt
-        if _worst_residual(c, roots) > tol:
-            raise NonConvergence(
-                f"root residual {_worst_residual(c, roots):.3e} exceeds "
-                f"tolerance {tol:.3e} for degree {n}"
-            )
-    if _all_simple(c, roots):
-        clusters = [(complex(z), 1) for z in roots]
-    else:
-        clusters = _validated_clusters(c, roots)
-    clusters = _merge_by_radius(clusters, cluster_radius)
-    expanded = np.array(
-        [z for z, m in clusters for _ in range(m)], dtype=complex
-    )
-    if _worst_residual(c, expanded) > tol:
-        raise NonConvergence(
-            "clustered roots violate the residual contract "
-            f"({_worst_residual(c, expanded):.3e} > {tol:.3e})"
-        )
-    order = np.lexsort((expanded.imag, expanded.real))
-    return expanded[order]
+    return find_roots_batch(np.asarray(coeffs, dtype=complex)[None], tol, cluster_radius)[0]
 
 
 def find_roots_batch(
     coeffs: np.ndarray, tol: float = 1e-10, cluster_radius: float = 1e-7
 ) -> list[np.ndarray]:
-    """find_roots over a stack of same-degree coefficient rows."""
+    """find_roots over a stack of same-degree coefficient rows.
+
+    A row's result does not depend on the other rows of the stack.
+    """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2:
         raise ValueError("expected a 2-d coefficient stack")
@@ -391,9 +309,33 @@ def find_roots_batch(
         return [np.zeros(0, dtype=complex) for _ in range(c.shape[0])]
     scale = np.abs(c).max(axis=1, keepdims=True)
     if (scale == 0).any() or (c[:, 0] == 0).any() or (c[:, -1] == 0).any():
-        raise ValueError("coefficient rows must be trimmed and nonzero")
+        raise ValueError("coefficients must be trimmed and nonzero")
     c = c / scale
     if n == 1:
         return [np.array([-row[0] / row[1]]) for row in c]
-    z = _newton_polish_batch(c, _aberth_batch(c, _initial_points_batch(c)))
-    return [_finish(c[b], z[b], tol, cluster_radius) for b in range(c.shape[0])]
+    z0, power = _full_powers(c, tol)
+    z, p, dp = _newton_polish(c, _companion_eigvals(c))
+    worst = _worst_residual(p, z, n)
+    miss = np.flatnonzero((worst > tol) & ~power)
+    if len(miss):
+        raise NonConvergence(
+            f"root residual {worst[miss[0]]:.3e} exceeds tolerance {tol:.3e} for degree {n}"
+        )
+    # An m-fold root pushes |p'| at its estimates down to order
+    # eps**((m-1)/m) of the coefficient scale (about 1e-8 for a double
+    # root), far below this gate, as long as the estimates stay close to it.
+    # A full-degree root at high degree scatters them too far; _full_powers
+    # catches that case.
+    dc = c[:, 1:] * np.arange(1, n + 1)
+    simple = (np.abs(dp) > 1e-5 * _abs_horner(dc, z)).all(axis=1)
+    separated = ~_close_pairs(z, cluster_radius).any(axis=(1, 2))
+    order = np.lexsort((z.imag, z.real), axis=-1)
+    out = []
+    for b in range(c.shape[0]):
+        if power[b]:
+            out.append(np.full(n, z0[b]))
+        elif simple[b] and separated[b]:
+            out.append(z[b, order[b]])
+        else:
+            out.append(_finish(c[b], z[b], bool(simple[b]), cluster_radius, tol))
+    return out

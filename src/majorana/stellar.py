@@ -373,9 +373,12 @@ def _check_contract(
 ) -> None:
     residual = np.abs(polyval_many(f, roots))
     bound = tol * scale * np.maximum(1.0, np.abs(roots)) ** twoS
-    if np.any(residual > bound):
+    miss = residual > bound
+    if np.any(miss):
+        ratio = float((residual[miss] / bound[miss]).max())
         raise NonConvergence(
-            f"stellar root residual {residual.max():.3e} exceeds contract"
+            f"stellar root residual exceeds the contract by a factor {ratio:.4g} "
+            f"at 2S={twoS}"
         )
 
 

@@ -23,7 +23,7 @@ from majorana.dynamics import (
 )
 from majorana.kings import SearchConfig, minimize
 from majorana.multipoles import husimi_q, multipoles, multipoles_integral
-from majorana.serialize import emit_kings
+from majorana.serialize import emit_kings, parse_constellation
 from majorana.stellar import constellations_from_states
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
@@ -135,8 +135,7 @@ def test_criterion_05_coherent_states_maximize_quantumness():
     assert violations == 0
 
 
-def test_criterion_06_king_searches():
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
+def test_criterion_06_king_searches(tmp_path):
     # Exact tier: orders 1..3 are fully suppressible at 2S = 2, 4, 6, each
     # search finishing under 60 seconds with 64 restarts.
     for twoS in (2, 4, 6):
@@ -148,7 +147,8 @@ def test_criterion_06_king_searches():
         assert result.restarts_converged > 0
     # Archive tier: larger spins are searched upward in M with fewer
     # restarts; the maximal order is whatever the search discovers, and the
-    # record at that order must be numerically unpolarized to 1e-6.
+    # record at that order must be numerically unpolarized to 1e-6.  Fresh
+    # records go to a temporary directory, never over the committed archive.
     for twoS, restarts in ((10, 10), (12, 8), (20, 6)):
         discovered = None
         best = None
@@ -161,9 +161,25 @@ def test_criterion_06_king_searches():
         assert best.objective <= 1e-6
         payload = json.loads(emit_kings(best))
         payload["restarts"] = restarts
-        path = os.path.join(ARTIFACT_DIR, f"kings_S{twoS // 2}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+        path = tmp_path / f"kings_S{twoS // 2}.json"
+        path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    # The committed archive: each record's stars rebuild a state whose
+    # multipole weights reproduce the recorded A_M, vanish through the
+    # recorded order and sum to the purity of a pure state.
+    names = sorted(n for n in os.listdir(ARTIFACT_DIR) if n.startswith("kings_S"))
+    assert names, "no committed king records"
+    for name in names:
+        with open(os.path.join(ARTIFACT_DIR, name), encoding="utf-8") as fh:
+            record = json.load(fh)
+        stars = parse_constellation(json.dumps(record["constellation"]))
+        spec = multipoles(mj.state_from_constellation(stars))
+        M = record["M"]
+        assert stars.label.twoS == record["twoS"], name
+        assert record["unpolarized_order"] == M, name
+        assert spec.A[M] == pytest.approx(record["objective"], rel=1e-6, abs=1e-15), name
+        assert spec.A[M] <= 1e-6, f"{name}: A_M={spec.A[M]:.2e}"
+        assert np.all(spec.w[1 : M + 1] <= 1e-6), name
+        assert math.isclose(float(spec.w.sum()), 1.0, rel_tol=1e-12), name
 
 
 def test_criterion_07_integration_matches_exact_propagator():

@@ -1,0 +1,155 @@
+"""Root solver on the hard shapes of spin-state polynomials.
+
+Shapes: random amplitudes, a coherent state (one star repeated 2S times),
+a double star among random ones, one star near the pole (|z| ~ 1e6) and
+stars spread over |z| in [e^-7, e^7], at 2S up to 40.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import majorana as mj
+from majorana.errors import NonConvergence
+from majorana.rootfinding import find_roots
+from majorana.stellar import constellation_from_state, constellations_from_states
+
+SHAPES = ("random", "coherent", "double", "near_pole", "spread")
+
+
+def _gaussian(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _stars(shape, twoS, rng):
+    """Finite stars of the shape; None for random amplitudes."""
+    w = complex(_gaussian(rng, 1)[0])
+    if shape == "random":
+        return None
+    if shape == "coherent":
+        return np.full(twoS, w)
+    if shape == "double":
+        return np.concatenate([_gaussian(rng, twoS - 2), [w, w]])
+    if shape == "near_pole":
+        far = 1e6 * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        return np.concatenate([_gaussian(rng, twoS - 1), [far]])
+    return np.exp(rng.uniform(-7.0, 7.0, twoS) + 2j * np.pi * rng.uniform(size=twoS))
+
+
+def _state(shape, twoS, seed):
+    rng = np.random.default_rng(seed)
+    stars = _stars(shape, twoS, rng)
+    if stars is None:
+        return mj.SpinState(twoS, _gaussian(rng, twoS + 1))
+    coeffs = np.poly(stars)[::-1]  # Vieta by numpy, low to high
+    binom = np.array([math.sqrt(math.comb(twoS, k)) for k in range(twoS + 1)])
+    return mj.SpinState(twoS, coeffs / binom)
+
+
+def _bits(c):
+    return (c.label, c.infinity_count, c.finite_roots.tobytes())
+
+
+_member = st.tuples(
+    st.sampled_from(SHAPES),
+    st.one_of(st.sampled_from((5, 20, 40)), st.integers(1, 40)),
+    st.integers(0, 2**32 - 1),
+).filter(lambda m: m[0] != "double" or m[1] >= 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_member, min_size=1, max_size=8))
+def test_batch_is_bitwise_the_scalar_path(members):
+    # The scalar path is a batch of one, and a row's result does not depend
+    # on its batch-mates: the bulk conversion equals the one-by-one loop
+    # bit for bit, or both raise.
+    states = [_state(shape, twoS, seed) for shape, twoS, seed in members]
+    try:
+        singles = [constellation_from_state(s) for s in states]
+    except NonConvergence:
+        with pytest.raises(NonConvergence):
+            constellations_from_states(states)
+        return
+    bulk = constellations_from_states(states)
+    assert [_bits(c) for c in bulk] == [_bits(c) for c in singles]
+
+
+def _oracle_roots(coeffs):
+    """Roots of the float polynomial at 50 digits."""
+    with mpmath.workdps(50):
+        mp = [mpmath.mpc(c.real, c.imag) for c in coeffs[::-1]]
+        roots = mpmath.polyroots(mp, maxsteps=400, extraprec=400)
+        return np.array([complex(r) for r in roots])
+
+
+def _match(got, want):
+    """Pair each wanted root with the nearest unused found root."""
+    got = list(got)
+    pairs = []
+    for w in sorted(want, key=abs):
+        k = int(np.argmin([abs(g - w) for g in got]))
+        pairs.append((got.pop(k), w))
+    return pairs
+
+
+def _hard_polynomial(shape, degree):
+    rng = np.random.default_rng(1000 * degree + SHAPES.index(shape))
+    stars = _stars(shape, degree, rng)
+    return np.poly(stars)[::-1], stars
+
+
+# A known defect, kept visible: at high degree a double star can split
+# wider than the cluster walk's 10*sqrt(eps) refinement window, and its two
+# roots stay distinct.
+_DOUBLE_KNOWN = pytest.mark.xfail(
+    strict=True, reason="double star split wider than the refinement window")
+
+
+@pytest.mark.parametrize("shape,degree", [
+    ("double", 20), pytest.param("double", 30, marks=_DOUBLE_KNOWN), ("double", 40),
+    ("near_pole", 20), ("near_pole", 30), ("near_pole", 40),
+    ("spread", 20), ("spread", 30), ("spread", 40),
+])
+def test_separated_roots_match_mpmath(shape, degree):
+    coeffs, stars = _hard_polynomial(shape, degree)
+    got = find_roots(coeffs)
+    oracle = _oracle_roots(coeffs)
+    if shape == "double":
+        # Rounding the coefficients splits the double star into a pair of
+        # nearby roots; the solver certifies two equal entries inside it.
+        w = stars[-1]
+        pair = np.argsort(np.abs(got - w))[:2]
+        assert got[pair[0]] == got[pair[1]]
+        near = np.argsort(np.abs(oracle - w))[:2]
+        split = abs(oracle[near[0]] - oracle[near[1]])
+        assert abs(got[pair[0]] - oracle[near].mean()) <= split
+        got = np.delete(got, pair)
+        oracle = np.delete(oracle, near)
+    for g, w in _match(got, oracle):
+        assert abs(g - w) <= 1e-8 * abs(w), (g, w)
+
+
+@pytest.mark.parametrize("degree", [20, 30, 40])
+def test_coherent_multiplicity_matches_mpmath(degree):
+    # The float polynomial of a coherent state has its roots scattered
+    # around the star; their 50-digit mean is the star to within rounding,
+    # and the solver must return it degree times.
+    coeffs, _ = _hard_polynomial("coherent", degree)
+    roots = find_roots(coeffs)
+    assert len(roots) == degree and np.all(roots == roots[0])
+    center = _oracle_roots(coeffs).mean()
+    assert abs(roots[0] - center) <= 1e-8 * abs(center)
+
+
+def test_coherent_states_at_2s40_round_trip():
+    # At 2S = 40 a coherent state's end coefficients fall below the trimming
+    # threshold and its remaining roots form an ill-conditioned ring; the
+    # rebuilt state must still reach fidelity 1 - 1e-10.
+    for seed in range(20):
+        state = _state("coherent", 40, seed)
+        back = mj.state_from_constellation(constellation_from_state(state))
+        assert abs(np.vdot(state.amplitudes, back.amplitudes)) >= 1.0 - 1e-10, seed

@@ -1,9 +1,12 @@
 """Polynomial solver checks against factored-form oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from majorana.rootfinding import (
+    _merge_by_radius,
     derivative,
     find_roots,
     find_roots_batch,
@@ -112,3 +115,49 @@ def test_residuals_meet_contract(rng):
         res = np.abs(polyval_many(c, roots))
         bound = 1e-10 * scale * np.maximum(1.0, np.abs(roots)) ** 12
         assert np.all(res <= bound)
+
+
+def test_power_shortcut_needs_the_power_up_to_rounding():
+    # (z - 2)^40 comes back as one 40-fold root, although its companion
+    # eigenvalues scatter over a circle wider than 2.  (z - 0.01)^10 + 1e-13
+    # is not a power up to rounding at |z| ~ 0.01, where its constant term
+    # dominates: its roots circle 0.01 at radius 1e-13**(1/10) ~ 0.05.
+    k = np.arange(41)
+    power = np.array([math.comb(40, j) for j in k]) * (-2.0) ** (40 - k)
+    roots = find_roots(power.astype(complex))
+    assert np.all(roots == roots[0]) and abs(roots[0] - 2.0) < 1e-12
+    k = np.arange(11)
+    near = np.array([math.comb(10, j) for j in k]) * (-0.01) ** (10 - k)
+    near[0] += 1e-13
+    roots = find_roots(near.astype(complex))
+    assert np.allclose(np.abs(roots - 0.01), 1e-13 ** 0.1, rtol=1e-6)
+
+
+def _merge_by_radius_loop(clusters, radius):
+    """Reference: the plain-loop greedy merge the array version replaced."""
+    items = [[z, m] for z, m in clusters]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                (zi, mi), (zj, mj) = items[i], items[j]
+                if abs(zi - zj) <= radius * (1.0 + max(abs(zi), abs(zj))):
+                    items[i] = [(mi * zi + mj * zj) / (mi + mj), mi + mj]
+                    del items[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return items
+
+
+def test_merge_by_radius_matches_loop_reference(rng):
+    for _ in range(50):
+        centers = rng.normal(size=4) + 1j * rng.normal(size=4)
+        z = rng.choice(centers, size=12) + 1e-8 * (rng.normal(size=12) + 1j * rng.normal(size=12))
+        m = rng.integers(1, 4, size=12)
+        got_z, got_m = _merge_by_radius(z, m, 1e-7)
+        want = _merge_by_radius_loop(list(zip(z, m)), 1e-7)
+        assert list(got_m) == [k for _, k in want]
+        assert np.allclose(got_z, [w for w, _ in want], rtol=1e-15, atol=0)

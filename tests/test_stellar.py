@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import majorana as mj
-from majorana.errors import LabelMismatch
+from majorana import stellar
+from majorana.errors import LabelMismatch, NonConvergence
+from majorana.rootfinding import find_roots, polyval_many
 
 
 def _random_state(rng, twoS):
@@ -251,3 +253,21 @@ def test_constellation_roots_sorted():
     c = mj.Constellation(3, np.array([1.0 + 0j, -1.0 + 0j, 0.5j]), 0)
     r = c.finite_roots
     assert np.all(np.diff(r.real) >= 0)
+
+
+def test_contract_error_reports_ratio_and_spin(monkeypatch, rng):
+    # A solver answer that misses the residual contract is reported by how
+    # far it misses the bound, not by the raw residual, whose size follows
+    # max(1, |z|)**2S.
+    state = _random_state(rng, 20)
+    monkeypatch.setattr(
+        stellar, "find_roots", lambda core, tol: find_roots(core, tol=tol) * (1 + 1e-7))
+    with pytest.raises(NonConvergence, match=r"at 2S=20$") as err:
+        mj.constellation_from_state(state)
+    f = stellar.stellar_polynomial(state).coefficients
+    roots = find_roots(f) * (1 + 1e-7)
+    bound = 1e-10 * np.abs(f).max() * np.maximum(1.0, np.abs(roots)) ** 20
+    want = float((np.abs(polyval_many(f, roots)) / bound).max())
+    got = float(str(err.value).split("factor ")[1].split()[0])
+    assert want > 1.0
+    assert got == pytest.approx(want, rel=1e-3)
