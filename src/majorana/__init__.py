@@ -28,7 +28,6 @@ from .stellar import (
     coherent_state,
     constellation_from_state,
     constellations_from_states,
-    elementary_symmetric,
     is_infinite,
     noon_state,
     overlap,
@@ -64,7 +63,6 @@ from .dynamics import (
     HamiltonianSpec,
     StarTrajectory,
     builtin_hamiltonian,
-    differential_symbol,
     equilibrium_residual,
     evolve,
     evolve_exact,
@@ -96,7 +94,6 @@ __all__ = [
     "noon_state",
     "overlap",
     "rotate",
-    "elementary_symmetric",
     "stellar_polynomial",
     "constellation_from_state",
     "constellations_from_states",
@@ -125,7 +122,6 @@ __all__ = [
     "StarTrajectory",
     "hamiltonian",
     "builtin_hamiltonian",
-    "differential_symbol",
     "star_velocities",
     "evolve",
     "evolve_exact",

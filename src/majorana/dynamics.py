@@ -1,13 +1,16 @@
 """Star equations of motion under a spin Hamiltonian.
 
-A Hermitian H acts on root polynomials as a differential operator
-sum_n h_n(z) d^n/dz^n of order at most 2S.  Each root z_k of the evolving
-polynomial then obeys a closed ODE driven by the symbol values h_n(z_k) and
-the elementary symmetric functions of the reciprocal separations
-1/(z_k - z_j).  That system is integrated with an embedded Dormand-Prince
-5(4) pair; whenever stars collide or run off the chart the integrator
-bridges the episode with the exact unitary evolution of the underlying
-state, re-solves for the roots, and resumes, recording the bridged window.
+Differentiating f(z_k(t), t) = 0 along the Schroedinger flow gives each
+star's velocity straight from the stellar polynomial f of the state:
+
+    dz_k/dt = i (Hf)(z_k) / f'(z_k),
+
+where Hf is the stellar polynomial of H|psi> and f'(z_k) is the product of
+the star's separations from the others.  The velocity field is integrated
+with an embedded Dormand-Prince 5(4) pair; whenever stars collide or run off
+the chart the integrator bridges the episode with the exact unitary
+evolution of the underlying state, re-solves for the roots, and resumes,
+recording the bridged window.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from .stellar import (
     SpinState,
     _as_label,
     _binom_sqrt,
+    _chord_matrix,
+    _root_coefficients,
     chordal_distance,
     constellation_from_state,
-    elementary_symmetric,
     spin_matrices,
 )
 
@@ -36,7 +40,6 @@ __all__ = [
     "StarTrajectory",
     "hamiltonian",
     "builtin_hamiltonian",
-    "differential_symbol",
     "star_velocities",
     "evolve",
     "evolve_exact",
@@ -51,6 +54,8 @@ __all__ = [
 _COLLIDE_CHORD = 1e-6
 _RESUME_CHORD = 3e-6
 _MIN_VELOCITY_CHORD = 1e-9
+_BLOWUP_MAG = 1e8
+_RESUME_MAG = 1e7
 _MAX_SEGMENTS = 64
 
 # A pole crossing in a multi-star constellation starves the step controller:
@@ -65,36 +70,15 @@ _CALM_CHORD = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
-    """Hermitian generator plus its derived differential symbol.
+    """Hermitian generator in the |S, m> basis.
 
-    symbol[n] holds the coefficients (low to high) of h_n(z); the arrays are
-    length 4S+1 because solving the triangular monomial system produces
-    degree up to 2n.  evals/evecs cache the eigendecomposition used by the
-    exact propagator.
+    evals/evecs cache the eigendecomposition used by the exact propagator.
     """
 
     label: SpinLabel
     matrix: np.ndarray
-    symbol: tuple[np.ndarray, ...]
-    symbol_matrix: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
-
-
-def _derive_symbol(matrix: np.ndarray, twoS: int) -> list[np.ndarray]:
-    d = twoS + 1
-    width = 2 * twoS + 1
-    binom = _binom_sqrt(twoS)
-    action = (binom[:, None] / binom[None, :]) * matrix
-    coeffs: list[np.ndarray] = []
-    for n in range(d):
-        acc = np.zeros(width, dtype=complex)
-        acc[:d] = action[:, n]
-        for j, hj in enumerate(coeffs):
-            lo = n - j
-            acc[lo:] -= math.perm(n, j) * hj[: width - lo]
-        coeffs.append(acc / math.factorial(n))
-    return coeffs
 
 
 def hamiltonian(label: SpinLabel | int, matrix: np.ndarray) -> HamiltonianSpec:
@@ -110,11 +94,9 @@ def hamiltonian(label: SpinLabel | int, matrix: np.ndarray) -> HamiltonianSpec:
         raise ValueError("matrix must be Hermitian")
     m = (m + m.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(m)
-    symbol = _derive_symbol(m, label.twoS)
-    symbol_matrix = np.array(symbol)
-    for a in (m, symbol_matrix, evals, evecs, *symbol):
+    for a in (m, evals, evecs):
         a.flags.writeable = False
-    return HamiltonianSpec(label, m, tuple(symbol), symbol_matrix, evals, evecs)
+    return HamiltonianSpec(label, m, evals, evecs)
 
 
 _BUILTIN_NAMES = ("Sz", "Sz2", "Sx", "Sy")
@@ -139,42 +121,43 @@ def builtin_hamiltonian(
     return hamiltonian(label, float(coupling) * base)
 
 
-def differential_symbol(h: HamiltonianSpec) -> tuple[np.ndarray, ...]:
-    """Coefficient arrays of h_n(z), n = 0..2S, low to high powers."""
-    return h.symbol
-
-
 # -- velocity field ---------------------------------------------------------------
 
 
-def _raw_velocities(w: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
-    """dz_k/dt for finite pairwise-distinct roots; no validation."""
-    n = len(w)
-    diff = w[:, None] - w[None, :]
-    np.fill_diagonal(diff, 1.0)
-    recip = 1.0 / diff
-    np.fill_diagonal(recip, 0.0)
-    # Row k accumulates e_j of its reciprocal separations; the zeroed
-    # diagonal entry is inert because e_j ignores zeros in the multiset.
-    esym = np.zeros((n, n), dtype=complex)
-    esym[:, 0] = 1.0
-    for j in range(n):
-        esym[:, 1:] = esym[:, 1:] + recip[:, j, None] * esym[:, :-1]
-    width = h.symbol_matrix.shape[1]
-    powers = np.empty((width, n), dtype=complex)
-    powers[0] = 1.0
-    for i in range(1, width):
-        powers[i] = powers[i - 1] * w
-    values = h.symbol_matrix @ powers            # values[n', k] = h_n'(w_k)
-    fact = np.array([math.factorial(o) for o in range(1, n + 1)], dtype=float)
-    return 1j * np.einsum("ok,ko->k", values[1:] * fact[:, None], esym)
+def _raw_velocities(
+    w: np.ndarray, h: HamiltonianSpec, count: int | None = None
+) -> np.ndarray:
+    """i (Hf)(z_k) / f'(z_k) at the first `count` (default: all) of the
+    finite roots w of f, the missing 2S - len(w) roots sitting at infinity.
+    Those roots must be simple; no validation.
+
+    A star with |z_k| > 1 is evaluated in the reciprocal chart, as
+    (Hf)(z_k) / z_k**2S and f'(z_k) / z_k**(r-1), so huge stars cannot
+    overflow the powers.
+    """
+    twoS = h.label.twoS
+    r = len(w)
+    at = w[:count]
+    c = _root_coefficients(w, twoS)
+    b = _binom_sqrt(twoS)
+    g = b * (h.matrix @ (c / b))             # stellar polynomial of H|psi>
+    big = np.abs(at) > 1.0
+    x = at.copy()
+    x[big] = 1.0 / at[big]
+    powers = x[:, None] ** np.arange(twoS + 1)
+    # g in powers of 1/z_k, reversed, is (Hf)(z_k) / z_k**2S.
+    gval = np.where(big, powers @ g[::-1], powers @ g)
+    sep = (at[:, None] - w) * np.where(big, x, 1.0)[:, None]
+    own = np.arange(len(at))
+    sep[own, own] = c[r]                     # leading coefficient of f
+    scale = np.where(big, at ** (twoS - r + 1), 1.0)
+    return 1j * gval / np.prod(sep, axis=1) * scale
 
 
 def _min_chord(w: np.ndarray) -> float:
     if len(w) < 2:
         return math.inf
-    inv = 1.0 / np.sqrt(1.0 + np.abs(w) ** 2)
-    chord = 2.0 * np.abs(w[:, None] - w[None, :]) * np.outer(inv, inv)
+    chord = _chord_matrix(w)
     np.fill_diagonal(chord, math.inf)
     return float(chord.min())
 
@@ -193,9 +176,11 @@ def star_velocities(c: Constellation, h: HamiltonianSpec) -> np.ndarray:
 def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     """max_k |dz_k/dt|, with coincident stars treated as one multiple star.
 
-    Each cluster's velocity is evaluated at its centroid with only the other
-    clusters' reciprocal separations contributing (weighted by multiplicity),
-    which is the finite limit of the equations of motion at coincidence.
+    An m-fold cluster's velocity is the velocity field at its centroid for
+    the constellation in which the cluster keeps one star, its other m - 1
+    copies go to infinity, and every other cluster keeps its multiplicity.
+    Only the other clusters' separations then enter f', which is the finite
+    limit of the equations of motion at coincidence.
     """
     if c.label != h.label:
         raise LabelMismatch("constellation and Hamiltonian labels differ")
@@ -214,23 +199,13 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
             groups.append([complex(z)])
     centers = [sum(g) / len(g) for g in groups]
     counts = [len(g) for g in groups]
-    width = h.symbol_matrix.shape[1]
     worst = 0.0
     for k, ck in enumerate(centers):
-        recips = [
-            1.0 / (ck - cj)
-            for j, cj in enumerate(centers)
-            if j != k
-            for _ in range(counts[j])
+        reduced = [ck] + [
+            cj for j, cj in enumerate(centers) if j != k for _ in range(counts[j])
         ]
-        esym = elementary_symmetric(np.array(recips, dtype=complex))
-        powers = ck ** np.arange(width)
-        values = h.symbol_matrix @ powers
-        v = 0j
-        for n in range(1, h.label.twoS + 1):
-            if n - 1 < len(esym):
-                v += math.factorial(n) * values[n] * esym[n - 1]
-        worst = max(worst, abs(1j * v))
+        v = _raw_velocities(np.array(reduced, dtype=complex), h, count=1)
+        worst = max(worst, float(abs(v[0])))
     return worst
 
 
@@ -329,10 +304,6 @@ def evolve(
         forced.append(t_final)
 
     twoS = h.label.twoS
-    # Large |z| overflows the symbol's power table before 1e8; cap the safe
-    # region accordingly so the bridge takes over first.
-    blowup = min(1e8, 10.0 ** (250.0 / max(1, 2 * twoS)))
-    resume_mag = blowup / 10.0
     floor = 1e-14 * t_final if t_final > 0 else 0.0
 
     start = constellation_from_state(state)
@@ -359,7 +330,7 @@ def evolve(
         if c.infinity_count > 0:
             return False
         w = c.finite_roots
-        if float(np.abs(w).max()) > resume_mag:
+        if float(np.abs(w).max()) > _RESUME_MAG:
             return False
         return _min_chord(w) >= _RESUME_CHORD
 
@@ -370,7 +341,7 @@ def evolve(
     def looks_degenerate(w: np.ndarray) -> bool:
         if not np.all(np.isfinite(w)):
             return True
-        return _min_chord(w) < 1e-4 or float(np.abs(w).max()) > blowup / 100.0
+        return _min_chord(w) < 1e-4 or float(np.abs(w).max()) > _BLOWUP_MAG / 100.0
 
     def velocity(w: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -379,7 +350,7 @@ def evolve(
     def triggered(w: np.ndarray) -> bool:
         if not np.all(np.isfinite(w)):
             return True
-        if float(np.abs(w).max()) > blowup:
+        if float(np.abs(w).max()) > _BLOWUP_MAG:
             return True
         return _min_chord(w) < _COLLIDE_CHORD
 

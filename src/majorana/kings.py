@@ -9,13 +9,10 @@ manifold.
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
-MAJORANA_NUM_THREADS caps how many restarts run concurrently.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +25,8 @@ from .stellar import (
     SpinLabel,
     _as_label,
     _binom_sqrt,
-    _elementary_symmetric_scaled,
+    _chord_matrix,
+    _root_coefficients,
     state_from_constellation,
 )
 
@@ -101,10 +99,7 @@ def _angles_to_roots(x: np.ndarray) -> np.ndarray:
 
 
 def _roots_to_amplitudes(roots: np.ndarray, twoS: int) -> np.ndarray:
-    e = _elementary_symmetric_scaled(roots)
-    signs = (-1.0) ** np.arange(len(roots), -1, -1)
-    coeffs = signs * e[::-1]
-    amps = coeffs / _binom_sqrt(twoS)
+    amps = _root_coefficients(roots, twoS) / _binom_sqrt(twoS)
     amps = amps / np.abs(amps).max()
     return amps / np.linalg.norm(amps)
 
@@ -117,10 +112,8 @@ def _quantumness_of_roots(roots: np.ndarray, twoS: int, M: int) -> float:
 
 
 def _collision_penalty(roots: np.ndarray) -> float:
-    inv = 1.0 / np.sqrt(1.0 + np.abs(roots) ** 2)
-    chord = 2.0 * np.abs(roots[:, None] - roots[None, :]) * np.outer(inv, inv)
     iu = np.triu_indices(len(roots), k=1)
-    gap = np.clip(_COLLISION_CHORD - chord[iu], 0.0, None)
+    gap = np.clip(_COLLISION_CHORD - _chord_matrix(roots)[iu], 0.0, None)
     return float(np.sum(gap ** 2))
 
 
@@ -223,13 +216,7 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     if not (1 <= config.M <= label.twoS):
         raise ValueError(f"M={config.M} outside 1..{label.twoS}")
 
-    workers = int(os.environ.get("MAJORANA_NUM_THREADS", "1") or "1")
-    indices = range(config.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda i: _run_restart(label, config, i), indices))
-    else:
-        outcomes = [_run_restart(label, config, i) for i in indices]
+    outcomes = [_run_restart(label, config, i) for i in range(config.restarts)]
 
     fixed = [
         (value, _gauge_fix(label, _angles_to_roots(x)), converged)

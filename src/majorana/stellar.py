@@ -38,7 +38,6 @@ __all__ = [
     "noon_state",
     "overlap",
     "rotate",
-    "elementary_symmetric",
     "stellar_polynomial",
     "constellation_from_state",
     "constellations_from_states",
@@ -226,6 +225,12 @@ def chordal_distance(a: complex, b: complex) -> float:
     return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
 
 
+def _chord_matrix(roots: np.ndarray) -> np.ndarray:
+    """chordal_distance between every pair of finite roots, as a matrix."""
+    inv = 1.0 / np.sqrt(1.0 + np.abs(roots) ** 2)
+    return 2.0 * np.abs(roots[:, None] - roots[None, :]) * np.outer(inv, inv)
+
+
 # -- operators ----------------------------------------------------------------
 
 
@@ -329,28 +334,34 @@ def rotate(state: SpinState, theta: float, phi: float) -> SpinState:
 # -- state <-> constellation ---------------------------------------------------
 
 
-def elementary_symmetric(roots: np.ndarray) -> np.ndarray:
-    """e_0 .. e_r of the given values (e_0 = 1)."""
-    roots = np.asarray(roots, dtype=complex).reshape(-1)
-    e = np.zeros(len(roots) + 1, dtype=complex)
-    e[0] = 1.0
-    for j, w in enumerate(roots):
-        e[1 : j + 2] = e[1 : j + 2] + w * e[0 : j + 1]
-    return e
-
-
 def _elementary_symmetric_scaled(roots: np.ndarray) -> np.ndarray:
-    """Like elementary_symmetric but renormalized along the way; the result
+    """e_0 .. e_r of the given values, renormalized along the way: the result
     is a common positive multiple of the true values (safe for huge roots)."""
     roots = np.asarray(roots, dtype=complex).reshape(-1)
     e = np.zeros(len(roots) + 1, dtype=complex)
     e[0] = 1.0
-    for j, w in enumerate(roots):
-        e[1 : j + 2] = e[1 : j + 2] + w * e[0 : j + 1]
-        peak = np.abs(e).max()
-        if peak > 1e200:
-            e /= peak
+    # bound >= max|e| up to rounding, so the true peak is only taken (and
+    # the renormalization decided) once it may be near 1e200.
+    bound = 1.0
+    for j, w in enumerate(roots.tolist()):
+        e[1 : j + 2] += w * e[0 : j + 1]
+        bound *= 1.0 + abs(w)
+        if bound > 1e199:
+            bound = np.abs(e).max()
+            if bound > 1e200:
+                e /= bound
+                bound = 1.0
     return e
+
+
+def _root_coefficients(roots: np.ndarray, twoS: int) -> np.ndarray:
+    """Coefficients (low to high, length 2S + 1) of a positive multiple of
+    prod_j (z - roots_j); the top 2S - r entries, the stars at infinity, are 0."""
+    r = len(roots)
+    e = _elementary_symmetric_scaled(roots)
+    coeffs = np.zeros(twoS + 1, dtype=complex)
+    coeffs[: r + 1] = (-1.0) ** np.arange(r, -1, -1) * e[::-1]
+    return coeffs
 
 
 def stellar_polynomial(state: SpinState) -> StellarPolynomial:
@@ -451,10 +462,5 @@ def state_from_constellation(c: Constellation) -> SpinState:
     twoS = c.label.twoS
     if twoS == 0:
         return SpinState(c.label, np.ones(1, dtype=complex))
-    r = len(c.finite_roots)
-    e = _elementary_symmetric_scaled(c.finite_roots)
-    coeffs = np.zeros(twoS + 1, dtype=complex)
-    signs = (-1.0) ** np.arange(r, -1, -1)
-    coeffs[: r + 1] = signs * e[::-1]
-    amps = coeffs / _binom_sqrt(twoS)
+    amps = _root_coefficients(c.finite_roots, twoS) / _binom_sqrt(twoS)
     return SpinState(c.label, amps)

@@ -1,14 +1,14 @@
-"""Hamiltonian symbols, star velocities, and trajectory integration."""
+"""Hamiltonians, star velocities, equilibria, and trajectory integration."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import majorana as mj
 from majorana.dynamics import (
     builtin_hamiltonian,
-    differential_symbol,
     equilibrium_residual,
     evolve,
     evolve_exact,
@@ -18,7 +18,6 @@ from majorana.dynamics import (
     star_velocities,
 )
 from majorana.errors import DegenerateConstellation, LabelMismatch
-from majorana.stellar import elementary_symmetric
 
 
 def _random_state(rng, twoS):
@@ -29,6 +28,72 @@ def _random_state(rng, twoS):
 def _random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2.0
+
+
+def _unit_hamiltonian(rng, twoS):
+    m = _random_hermitian(rng, twoS + 1)
+    return hamiltonian(twoS, m / np.abs(np.linalg.eigvalsh(m)).max())
+
+
+def _mp(z):
+    return mpmath.mpc(complex(z).real, complex(z).imag)
+
+
+def _mp_velocities(roots, h):
+    """i (Hf)(z_k) / f'(z_k) at 50 digits, taking the float roots as exact."""
+    twoS = h.label.twoS
+    with mpmath.workdps(50):
+        zs = [_mp(z) for z in roots]
+        f = [mpmath.mpc(1)]  # prod (z - z_j), low to high
+        for z in zs:
+            f = [mpmath.mpc(0)] + f
+            for i in range(len(f) - 1):
+                f[i] -= z * f[i + 1]
+        b = [mpmath.sqrt(math.comb(twoS, k)) for k in range(twoS + 1)]
+        g = [
+            b[i] * mpmath.fsum(_mp(h.matrix[i, j]) * f[j] / b[j] for j in range(twoS + 1))
+            for i in range(twoS + 1)
+        ]
+        out = []
+        for k, zk in enumerate(zs):
+            fprime = mpmath.fprod(zk - zj for j, zj in enumerate(zs) if j != k)
+            out.append(complex(1j * mpmath.polyval(g[::-1], zk) / fprime))
+    return np.array(out)
+
+
+def _mp_symbol_residual(centers, counts, h):
+    """Equilibrium residual from the differential symbol at 50 digits.
+
+    H acts on stellar polynomials as sum_n h_n(z) d^n/dz^n; an m-fold star at
+    z0 moves with i sum_{n>=1} n! h_n(z0) e_{n-1}, e over the reciprocal
+    separations 1/(z0 - z_j) from the other clusters, with multiplicity.
+    """
+    twoS = h.label.twoS
+    with mpmath.workdps(50):
+        b = [mpmath.sqrt(math.comb(twoS, k)) for k in range(twoS + 1)]
+        symbol = []
+        for n in range(twoS + 1):
+            # H z^n = sum_{j<=n} h_j(z) n!/(n-j)! z^(n-j) fixes h_n.
+            acc = [b[i] / b[n] * _mp(h.matrix[i, n]) for i in range(twoS + 1)]
+            acc += [mpmath.mpc(0)] * twoS
+            for j, hj in enumerate(symbol):
+                lo = n - j
+                for i in range(len(acc) - lo):
+                    acc[lo + i] -= math.perm(n, j) * hj[i]
+            symbol.append([a / math.factorial(n) for a in acc])
+        worst = mpmath.mpf(0)
+        for k, z0 in enumerate(centers):
+            e = [mpmath.mpc(1)]
+            for j, zj in enumerate(centers):
+                for _ in range(counts[j] if j != k else 0):
+                    u = 1 / (_mp(z0) - _mp(zj))
+                    e = [e[0]] + [e[i] + u * e[i - 1] for i in range(1, len(e))] + [u * e[-1]]
+            v = mpmath.fsum(
+                math.factorial(n) * mpmath.polyval(symbol[n][::-1], _mp(z0)) * e[n - 1]
+                for n in range(1, min(twoS, len(e)) + 1)
+            )
+            worst = max(worst, abs(v))
+    return float(worst)
 
 
 # -- construction -------------------------------------------------------------------
@@ -52,52 +117,6 @@ def test_builtin_matrices_match_spin_operators():
     assert np.allclose(builtin_hamiltonian(3, "Sx").matrix, sx)
     assert np.allclose(builtin_hamiltonian(3, "Sy", 2.0).matrix, 2.0 * sy)
     assert np.allclose(builtin_hamiltonian(3, "Sz2", 0.5).matrix, 0.5 * sz @ sz)
-
-
-# -- differential symbol -------------------------------------------------------------
-
-
-def test_symbol_of_sz_frozen():
-    omega = 1.3
-    h = builtin_hamiltonian(2, "Sz", omega)
-    sym = differential_symbol(h)
-    assert len(sym) == 3
-    # h_0 = -omega S = -omega, h_1 = omega z, h_2 = 0 for 2S = 2
-    assert np.allclose(sym[0], [-omega, 0, 0, 0, 0], atol=1e-13)
-    assert np.allclose(sym[1], [0, omega, 0, 0, 0], atol=1e-13)
-    assert np.allclose(sym[2], 0.0, atol=1e-13)
-
-
-def test_symbol_of_sz2_frozen():
-    chi = 1.0
-    h = builtin_hamiltonian(4, "Sz2", chi)
-    sym = differential_symbol(h)
-    # S = 2: h_0 = 4, h_1 = -3 z, h_2 = z^2 reproduce (m^2 on each monomial)
-    assert sym[0][0] == pytest.approx(4.0 * chi, abs=1e-12)
-    assert sym[1][1] == pytest.approx(-3.0 * chi, abs=1e-12)
-    assert sym[2][2] == pytest.approx(chi, abs=1e-12)
-    assert np.allclose(sym[3], 0.0, atol=1e-12)
-    assert np.allclose(sym[4], 0.0, atol=1e-12)
-
-
-def test_symbol_reconstructs_matrix_action(rng):
-    # Sum_n h_n(z) f^(n)(z) must equal the polynomial of H|psi> at any z.
-    for twoS in (1, 2, 3, 5):
-        st = _random_state(rng, twoS)
-        h = hamiltonian(twoS, _random_hermitian(rng, twoS + 1))
-        sym = differential_symbol(h)
-        weights = np.array([math.sqrt(math.comb(twoS, k)) for k in range(twoS + 1)])
-        f = weights * st.amplitudes
-        target = weights * (h.matrix @ st.amplitudes)
-        zs = rng.normal(size=6) + 1j * rng.normal(size=6)
-        for z in zs:
-            lhs = 0.0 + 0.0j
-            df = f
-            for n in range(twoS + 1):
-                lhs += np.polyval(sym[n][::-1], z) * np.polyval(df[::-1], z)
-                df = np.polyder(df[::-1])[::-1]
-            rhs = np.polyval(target[::-1], z)
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
 # -- velocities ----------------------------------------------------------------------
@@ -144,6 +163,31 @@ def test_velocity_against_finite_difference(rng):
     assert np.allclose(moved, v, atol=2e-5)
 
 
+@pytest.mark.parametrize("twoS", [10, 12, 16, 20])
+def test_velocity_matches_mpmath_at_high_spin(twoS):
+    rng = np.random.default_rng(1000 + twoS)
+    h = _unit_hamiltonian(rng, twoS)
+    c = mj.constellation_from_state(_random_state(rng, twoS))
+    want = _mp_velocities(c.finite_roots, h)
+    got = star_velocities(c, h)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_velocity_of_far_stars_does_not_overflow():
+    # 2S = 40 with half or all of the stars near |z| = 1e7: (Hf)(z_k)
+    # overflows at the far stars unless they are evaluated in the reciprocal
+    # chart.
+    rng = np.random.default_rng(4040)
+    near = rng.normal(size=20) + 1j * rng.normal(size=20)
+    far = 1e7 * (1.0 + 0.5 * (rng.normal(size=40) + 1j * rng.normal(size=40)))
+    for roots in (np.concatenate([near, far[:20]]), far):
+        h = _unit_hamiltonian(rng, 40)
+        c = mj.Constellation(40, roots, 0)
+        want = _mp_velocities(c.finite_roots, h)
+        got = star_velocities(c, h)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_velocity_rejects_degenerate():
     h = builtin_hamiltonian(4, "Sz")
     with pytest.raises(DegenerateConstellation):
@@ -186,6 +230,19 @@ def test_eigenstate_is_equilibrium(rng):
     vec = h.evecs[:, 1]
     c = mj.constellation_from_state(mj.SpinState(twoS, vec))
     assert equilibrium_residual(c, h) <= 1e-8
+
+
+@pytest.mark.parametrize("multiplicity", [2, 3])
+def test_equilibrium_residual_matches_symbol_oracle(multiplicity):
+    twoS = 16
+    rng = np.random.default_rng(2000 + multiplicity)
+    z0 = 2.5 - 1.5j  # exact in binary, so the cluster centroid is z0
+    for _ in range(4):
+        h = _unit_hamiltonian(rng, twoS)
+        others = list(rng.normal(size=twoS - multiplicity) + 1j * rng.normal(size=twoS - multiplicity))
+        c = mj.Constellation(twoS, [z0] * multiplicity + others, 0)
+        want = _mp_symbol_residual([z0] + others, [multiplicity] + [1] * len(others), h)
+        assert equilibrium_residual(c, h) == pytest.approx(want, rel=1e-12)
 
 
 # -- exact propagator ----------------------------------------------------------------
@@ -305,6 +362,19 @@ def test_checkpoints_are_landed_exactly(rng):
     traj = evolve(st, h, 1.0, checkpoints=pts)
     for t in pts + [0.0, 1.0]:
         assert np.min(np.abs(traj.times - t)) == 0.0
+
+
+@pytest.mark.parametrize("twoS", [12, 16])
+def test_high_spin_evolve_matches_exact(twoS):
+    rng = np.random.default_rng(3000 + twoS)
+    h = _unit_hamiltonian(rng, twoS)
+    st = _random_state(rng, twoS)
+    checkpoints = np.linspace(0.1, 1.0, 10)
+    traj = evolve(st, h, 1.0, checkpoints=checkpoints)
+    assert traj.fallback_intervals == ()
+    for t in checkpoints:
+        want = mj.constellation_from_state(evolve_exact(st, h, t))
+        assert matched_distance(traj.at(t), want) <= 1e-6
 
 
 def test_kerr_coherent_ignition():
