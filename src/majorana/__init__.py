@@ -54,6 +54,7 @@ from .multipoles import (
 )
 from .kings import (
     KingResult,
+    RestartRecord,
     SearchConfig,
     max_unpolarized_order,
     minimize,
@@ -115,6 +116,7 @@ __all__ = [
     "quadrupole",
     "SearchConfig",
     "KingResult",
+    "RestartRecord",
     "objective",
     "minimize",
     "max_unpolarized_order",

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import majorana as mj
+from majorana import kings
 from majorana.kings import KingResult, SearchConfig, max_unpolarized_order, minimize, objective
 from majorana.multipoles import cumulative_quantumness, multipoles
+from majorana.serialize import emit_kings
 
 
 def _chart_points(constellation):
@@ -132,3 +134,116 @@ def test_repeated_search_is_bitwise_identical():
     same = minimize(4, cfg)
     assert np.array_equal(base.constellation.finite_roots, same.constellation.finite_roots)
     assert base.objective == same.objective
+
+
+# -- the search in spinor pairs -------------------------------------------------------
+
+
+def _pair_vector(alpha, beta):
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    return np.concatenate([alpha.real, alpha.imag, beta.real, beta.imag])
+
+
+def _rebuilt(twoS, x):
+    """The constellation of search point x, built straight from -beta/alpha."""
+    alpha, beta = kings._pairs(x)
+    finite = alpha != 0
+    return mj.Constellation(twoS, -beta[finite] / alpha[finite], int(np.sum(~finite)))
+
+
+@pytest.mark.parametrize("twoS", [1, 4, 12, 20])
+def test_search_gradient_matches_central_differences(twoS):
+    rng = np.random.default_rng(twoS)
+    alpha = rng.normal(size=twoS) + 1j * rng.normal(size=twoS)
+    beta = rng.normal(size=twoS) + 1j * rng.normal(size=twoS)
+    alpha[0] = 0.0  # a star at the theta = pi pole
+    if twoS > 1:
+        beta[1] = 0.0  # a star at the theta = 0 pole
+    if twoS > 3:
+        alpha[3], beta[3] = 0.7j * alpha[2], 0.7j * beta[2]  # a coincident pair
+    x = _pair_vector(alpha, beta)
+    M = (twoS + 1) // 2
+    value, grad = kings._value_and_grad(x, twoS, M)
+    assert value == pytest.approx(objective(_rebuilt(twoS, x), M), abs=1e-14)
+    h = 1e-6
+    central = np.array([
+        (kings._value_and_grad(x + h * e, twoS, M)[0]
+         - kings._value_and_grad(x - h * e, twoS, M)[0]) / (2.0 * h)
+        for e in np.eye(len(x))
+    ])
+    assert np.all(np.isfinite(grad))
+    assert np.abs(central - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+
+
+def test_collision_penalty_gradient():
+    # Two pairs of stars closer than the 1e-9 chord where the penalty acts,
+    # one pair of them at the theta = pi pole; steps must stay inside that range.
+    rng = np.random.default_rng(3)
+    alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
+    beta = rng.normal(size=5) + 1j * rng.normal(size=5)
+    alpha[1], beta[1] = (1.3 - 0.2j) * alpha[0], (1.3 - 0.2j) * beta[0] + 3e-10 * (1 + 1j)
+    alpha[3], beta[3], alpha[4], beta[4] = 0.0, 2.0, 1e-10, 1.5j
+    x = _pair_vector(alpha, beta)
+
+    def penalty(y):
+        return kings._collision(*kings._pairs(y), with_grad=False)
+
+    value, g_alpha, g_beta = kings._collision(*kings._pairs(x), with_grad=True)
+    assert value > 0.0
+    grad = np.concatenate([g_alpha.real, -g_alpha.imag, g_beta.real, -g_beta.imag])
+    h = 1e-13
+    central = np.array([(penalty(x + h * e) - penalty(x - h * e)) / (2.0 * h) for e in np.eye(len(x))])
+    assert np.abs(central - grad).max() <= 1e-3 * np.abs(grad).max()
+
+
+def test_screening_matches_single_evaluations(rng):
+    x = kings._random_pairs(rng, 10, 8)
+    stacked = kings._screen_values(x, 10, 3)
+    single = [kings._value_and_grad(row, 10, 3)[0] for row in x]
+    assert np.allclose(stacked, single, rtol=1e-12, atol=1e-15)
+
+
+def test_single_restarts_are_reliable():
+    for (twoS, M), seeds in (((4, 2), 200), ((6, 3), 50), ((10, 3), 50),
+                             ((12, 5), 50), ((20, 2), 50)):
+        for seed in range(seeds):
+            result = minimize(twoS, SearchConfig(M=M, restarts=1, seed=seed))
+            assert result.objective <= 1e-8, (twoS, M, seed, result.objective)
+            assert result.restarts_converged == 1, (twoS, M, seed)
+
+
+def test_twelve_stars_form_icosahedron():
+    result = minimize(12, SearchConfig(M=5, restarts=8))
+    chords = _chord_multiset(result.constellation)
+    edge = 4.0 / math.sqrt(10.0 + 2.0 * math.sqrt(5.0))
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    want = [edge] * 30 + [edge * golden] * 30 + [2.0] * 6
+    assert len(chords) == 66
+    assert np.abs(np.array(chords) - np.array(want)).max() <= 1e-6
+
+
+def test_restart_ending_at_south_pole(monkeypatch):
+    # An exact octahedron with a star at each pole, the south one as alpha = 0.
+    alpha = [1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    beta = [0.0, 1.0, -1.0, 1.0, -1j, 1j]
+    x = _pair_vector(alpha, beta)
+    monkeypatch.setattr(kings, "_random_pairs", lambda rng, n, count: np.tile(x, (count, 1)))
+    result = minimize(6, SearchConfig(M=3, restarts=1))
+    assert result.constellation.infinity_count == 1
+    assert np.all(np.isfinite(result.constellation.finite_roots))
+    assert np.isfinite(result.objective) and result.objective <= 1e-20
+    assert all(np.isfinite(v) for v in result.history)
+    assert result.restarts_converged == 1
+
+
+def test_restart_records():
+    result = minimize(6, SearchConfig(M=3, restarts=3, seed=2))
+    records = result.restart_records
+    assert len(records) == 3
+    assert sum(r.converged for r in records) == result.restarts_converged
+    for r in records:
+        assert r.evaluations >= r.iterations >= 1
+        assert r.stop_reason
+        assert r.seconds > 0.0
+    # The records are not part of the serialized result.
+    assert "evaluations" not in emit_kings(result)
