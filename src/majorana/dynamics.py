@@ -7,10 +7,10 @@ star's velocity straight from the stellar polynomial f of the state:
 
 where Hf is the stellar polynomial of H|psi> and f'(z_k) is the product of
 the star's separations from the others.  The velocity field is integrated
-with an embedded Dormand-Prince 5(4) pair; whenever stars collide or run off
-the chart the integrator bridges the episode with the exact unitary
-evolution of the underlying state, re-solves for the roots, and resumes,
-recording the bridged window.
+with scipy's RK45, the embedded Dormand-Prince 5(4) pair; whenever stars
+collide or run off the chart the integrator bridges the episode with the
+exact unitary evolution of the underlying state, re-solves for the roots,
+and resumes, recording the bridged window.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .stellar import (
     _root_coefficients,
     chordal_distance,
     constellation_from_state,
+    constellations_from_states,
     spin_matrices,
 )
 
@@ -243,27 +244,24 @@ class StarTrajectory:
         return self.snapshots[int(np.argmin(np.abs(self.times - t)))]
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_ERR = (
-    35 / 384 - 5179 / 57600,
-    0.0,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 + 92097 / 339200,
-    11 / 84 - 187 / 2100,
-    -1 / 40,
-)
 _RTOL = 1e-9
 _ATOL = 1e-12
+
+
+def _within(w: np.ndarray, mag: float, chord: float) -> bool:
+    """Every star finite, none beyond |z| = mag, and no two closer than chord."""
+    return (
+        bool(np.all(np.isfinite(w)))
+        and float(np.abs(w).max()) <= mag
+        and _min_chord(w) >= chord
+    )
+
+
+def _integrable_stars(c: Constellation) -> np.ndarray | None:
+    """c's stars if the ODE can resume from them, else None."""
+    if c.infinity_count == 0 and _within(c.finite_roots, _RESUME_MAG, _RESUME_CHORD):
+        return np.array(c.finite_roots)
+    return None
 
 
 def evolve(
@@ -280,6 +278,9 @@ def evolve(
     checkpoint time (landed on exactly), and across exact-evolution bridges.
     t_final = 0 yields the single initial snapshot.
     """
+    # scipy.integrate is imported here so that `import majorana` does not pay for it.
+    from scipy.integrate import RK45
+
     if state.label != h.label:
         raise LabelMismatch("state and Hamiltonian labels differ")
     t_final = float(t_final)
@@ -304,7 +305,9 @@ def evolve(
         forced.append(t_final)
 
     twoS = h.label.twoS
-    floor = 1e-14 * t_final if t_final > 0 else 0.0
+    # Time resolution: a step shorter than this is an underflow, and a step
+    # ending this close to a forced time lands on it.
+    floor = 1e-14 * t_final
 
     start = constellation_from_state(state)
     times = [0.0]
@@ -321,47 +324,13 @@ def evolve(
             h.label, np.array(times), tuple(snaps), tuple(intervals), tuple(flags)
         )
 
-    eig_amp0 = h.evecs.conj().T @ state.amplitudes
-
-    def exact_state(t: float) -> SpinState:
-        return SpinState(h.label, h.evecs @ (np.exp(-1j * h.evals * t) * eig_amp0))
-
-    def is_safe(c: Constellation) -> bool:
-        if c.infinity_count > 0:
-            return False
-        w = c.finite_roots
-        if float(np.abs(w).max()) > _RESUME_MAG:
-            return False
-        return _min_chord(w) >= _RESUME_CHORD
-
-    def is_calm(c: Constellation) -> bool:
-        w = c.finite_roots
-        return float(np.abs(w).max()) <= _CALM_MAG and _min_chord(w) >= _CALM_CHORD
-
-    def looks_degenerate(w: np.ndarray) -> bool:
-        if not np.all(np.isfinite(w)):
-            return True
-        return _min_chord(w) < 1e-4 or float(np.abs(w).max()) > _BLOWUP_MAG / 100.0
-
-    def velocity(w: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return _raw_velocities(w, h)
-
-    def triggered(w: np.ndarray) -> bool:
-        if not np.all(np.isfinite(w)):
-            return True
-        if float(np.abs(w).max()) > _BLOWUP_MAG:
-            return True
-        return _min_chord(w) < _COLLIDE_CHORD
-
     t = 0.0
-    w = np.array(start.finite_roots) if is_safe(start) else None
+    w = _integrable_stars(start)
     next_idx = 0
     segments = 0
     stuck = False
-    eps_t = 1e-15 * max(1.0, t_final)
 
-    while t < t_final - eps_t:
+    while t < t_final - floor:
         segments += 1
         if w is None or segments > _MAX_SEGMENTS:
             # exact-evolution bridge: find the earliest horizon at which the
@@ -375,99 +344,73 @@ def evolve(
             if segments <= _MAX_SEGMENTS:
                 probe = remaining * 1e-18
                 while probe < remaining:
-                    c = constellation_from_state(exact_state(t + probe))
-                    if is_safe(c) and (not stuck or is_calm(c)):
+                    c = constellation_from_state(evolve_exact(state, h, t + probe))
+                    if _integrable_stars(c) is not None and (
+                        not stuck or _within(c.finite_roots, _CALM_MAG, _CALM_CHORD)
+                    ):
                         tau = probe
                         break
                     probe *= 4.0
             fill = int(min(64, max(1, round(tau / dt_max))))
             samples = sorted(
-                {t + tau * k / fill for k in range(1, fill + 1)}
-                | {f for f in forced if t < f <= t + tau + eps_t}
+                {min(t + tau * k / fill, t_final) for k in range(1, fill + 1)}
+                | {f for f in forced if t < f <= t + tau + floor}
             )
-            for s in samples:
-                s = min(s, t_final)
-                snap = constellation_from_state(exact_state(s))
-                times.append(s)
-                snaps.append(snap)
-                flags.append(not ignition)
+            snaps += constellations_from_states(
+                evolve_exact(state, h, s) for s in samples
+            )
+            times += samples
+            flags += [not ignition] * len(samples)
             if not ignition:
                 intervals.append((t, min(t + tau, t_final)))
             t = min(t + tau, t_final)
-            while next_idx < len(forced) and forced[next_idx] <= t + eps_t:
+            while next_idx < len(forced) and forced[next_idx] <= t + floor:
                 next_idx += 1
-            w = np.array(snaps[-1].finite_roots) if is_safe(snaps[-1]) else None
+            w = _integrable_stars(snaps[-1])
             stuck = False
             continue
 
-        # ODE segment toward the next forced time.
+        # ODE segment toward the next forced time.  Its work is capped at 1000
+        # attempted steps plus 50 per dt_max still to go, counted in velocity
+        # evaluations: one at the start and six per attempted step.
         target = forced[next_idx]
-        budget = 1000 + 50 * int(math.ceil((target - t) / dt_max))
-        spent = 0
-        hstep = min(dt_max, target - t)
-        k1 = velocity(w)
-        if not np.all(np.isfinite(k1)):
-            w = None
-            continue
-        stages = [k1] + [None] * 6
-        while True:
-            spent += 1
-            if spent > budget:
+        budget = 1 + 6 * (1000 + 50 * int(math.ceil((target - t) / dt_max)))
+        # A trial step may overflow; the controller rejects it on its own.
+        with np.errstate(all="ignore"):
+            solver = RK45(
+                lambda _, y: _raw_velocities(y, h), t, w, target,
+                first_step=min(dt_max, target - t), max_step=dt_max,
+                rtol=_RTOL, atol=_ATOL,
+            )
+            if not np.all(np.isfinite(solver.f)):
                 w = None
-                stuck = True
-                break
-            hstep = min(hstep, dt_max, target - t)
-            if hstep < floor:
-                if looks_degenerate(w):
+                continue
+            while True:
+                if solver.nfev >= budget:
+                    w = None
+                    stuck = True
+                    break
+                solver.step()  # a failed step leaves solver.t put: an underflow
+                landed = target - solver.t <= floor
+                if solver.t - t < floor and not landed:
+                    if not _within(w, _BLOWUP_MAG / 100.0, 1e-4):
+                        w = None
+                        break
+                    raise StepUnderflow(
+                        f"step {solver.t - t:.3e} below resolution at t={t:.6g} "
+                        "with a nondegenerate constellation"
+                    )
+                if not _within(solver.y, _BLOWUP_MAG, _COLLIDE_CHORD):
                     w = None
                     break
-                raise StepUnderflow(
-                    f"step {hstep:.3e} below resolution at t={t:.6g} "
-                    "with a nondegenerate constellation"
-                )
-            ok = True
-            for i in range(1, 7):
-                y = w + hstep * sum(
-                    a * stages[j] for j, a in enumerate(_DP_A[i]) if a != 0.0
-                )
-                if not np.all(np.isfinite(y)):
-                    ok = False
+                t = target if landed else solver.t
+                w = solver.y
+                times.append(t)
+                snaps.append(Constellation(h.label, w, 0))
+                flags.append(False)
+                if landed:
+                    next_idx += 1
                     break
-                stages[i] = velocity(y)
-                if not np.all(np.isfinite(stages[i])):
-                    ok = False
-                    break
-            if ok:
-                ynew = y  # stage 7 abscissa equals the 5th-order solution
-                err_vec = hstep * sum(
-                    e * stages[j] for j, e in enumerate(_DP_ERR) if e != 0.0
-                )
-                scale = _ATOL + _RTOL * np.maximum(np.abs(w), np.abs(ynew))
-                err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
-            else:
-                err = math.inf
-            if not math.isfinite(err):
-                hstep *= 0.25
-                continue
-            if err > 1.0:
-                hstep *= max(0.2, 0.9 * err ** -0.2)
-                continue
-            if triggered(ynew):
-                w = None
-                break
-            t += hstep
-            w = ynew
-            times.append(min(t, target))
-            snaps.append(Constellation(h.label, w, 0))
-            flags.append(False)
-            stages[0] = stages[6]  # first-same-as-last reuse
-            if t >= target - eps_t:
-                t = target
-                times[-1] = target
-                next_idx += 1
-                break
-            grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            hstep *= grow
 
     return StarTrajectory(
         h.label,

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LabelMismatch, NonConvergence
-from .rootfinding import find_roots, find_roots_batch, polyval_many
+from .rootfinding import find_roots_batch, polyval_many
 
 __all__ = [
     "SpinLabel",
@@ -401,19 +401,7 @@ def constellation_from_state(state: SpinState, tol: float = 1e-10) -> Constellat
     demanded of every root:  |f(z)| <= tol * max|f_k| * max(1, |z|)**2S.
     Raises NonConvergence if the solver cannot meet that bound.
     """
-    twoS = state.label.twoS
-    if twoS == 0:
-        return Constellation(state.label, np.zeros(0, dtype=complex), 0)
-    f = stellar_polynomial(state).coefficients
-    lead, core, tail, scale = _trim_ends(f, tol)
-    roots = np.concatenate(
-        [
-            np.zeros(lead, dtype=complex),
-            find_roots(core, tol=tol) if len(core) > 1 else np.zeros(0, complex),
-        ]
-    )
-    _check_contract(f, roots, twoS, tol, scale)
-    return Constellation(state.label, roots, tail)
+    return constellations_from_states([state], tol)[0]
 
 
 def constellations_from_states(
@@ -430,17 +418,8 @@ def constellations_from_states(
     results: list[Constellation | None] = [None] * len(states)
     groups: dict[int, list[tuple[int, np.ndarray, int, np.ndarray, int, float]]] = {}
     for i, state in enumerate(states):
-        twoS = state.label.twoS
-        if twoS == 0:
-            results[i] = Constellation(state.label, np.zeros(0, dtype=complex), 0)
-            continue
         f = stellar_polynomial(state).coefficients
         lead, core, tail, scale = _trim_ends(f, tol)
-        if len(core) <= 1:
-            roots = np.zeros(lead, dtype=complex)
-            _check_contract(f, roots, twoS, tol, scale)
-            results[i] = Constellation(state.label, roots, tail)
-            continue
         groups.setdefault(len(core), []).append((i, f, lead, core, tail, scale))
     for members in groups.values():
         stack = np.array([core for _, _, _, core, _, _ in members])

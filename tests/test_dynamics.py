@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import majorana as mj
+from majorana import dynamics
 from majorana.dynamics import (
     builtin_hamiltonian,
     equilibrium_residual,
@@ -17,7 +18,7 @@ from majorana.dynamics import (
     matched_distance,
     star_velocities,
 )
-from majorana.errors import DegenerateConstellation, LabelMismatch
+from majorana.errors import DegenerateConstellation, LabelMismatch, StepUnderflow
 
 
 def _random_state(rng, twoS):
@@ -362,6 +363,32 @@ def test_checkpoints_are_landed_exactly(rng):
     traj = evolve(st, h, 1.0, checkpoints=pts)
     for t in pts + [0.0, 1.0]:
         assert np.min(np.abs(traj.times - t)) == 0.0
+
+
+def test_final_step_within_resolution_lands():
+    # 120 capped steps of 0.01/1.2 sum to 1 - 2.7e-15, a leftover shorter
+    # than the 1e-14 * t_final resolution; it must land, not underflow.
+    st = mj.noon_state(3)
+    h = builtin_hamiltonian(3, "Sz", 0.8)
+    traj = evolve(st, h, 1.0)
+    assert traj.times[-1] == 1.0
+    assert np.min(np.diff(traj.times)) > 1e-14
+    want = mj.constellation_from_state(evolve_exact(st, h, 1.0))
+    assert matched_distance(traj.snapshots[-1], want) <= 1e-9
+
+
+def test_rough_velocity_field_underflows(monkeypatch):
+    # A velocity field of pure noise fails the error test at every step
+    # above the time resolution, while the constellation itself is generic.
+    rng = np.random.default_rng(7)
+    st = _random_state(rng, 4)
+
+    def noise(w, h, count=None):
+        return 1e8 * (rng.normal(size=len(w)) + 1j * rng.normal(size=len(w)))
+
+    monkeypatch.setattr(dynamics, "_raw_velocities", noise)
+    with pytest.raises(StepUnderflow, match=r"at t=0 "):
+        evolve(st, builtin_hamiltonian(4, "Sz"), 1.0)
 
 
 @pytest.mark.parametrize("twoS", [12, 16])

@@ -8,7 +8,7 @@ import pytest
 import majorana as mj
 from majorana import stellar
 from majorana.errors import LabelMismatch, NonConvergence
-from majorana.rootfinding import find_roots, polyval_many
+from majorana.rootfinding import find_roots, find_roots_batch, polyval_many
 
 
 def _random_state(rng, twoS):
@@ -283,7 +283,8 @@ def test_contract_error_reports_ratio_and_spin(monkeypatch, rng):
     # max(1, |z|)**2S.
     state = _random_state(rng, 20)
     monkeypatch.setattr(
-        stellar, "find_roots", lambda core, tol: find_roots(core, tol=tol) * (1 + 1e-7))
+        stellar, "find_roots_batch",
+        lambda stack, tol: [r * (1 + 1e-7) for r in find_roots_batch(stack, tol=tol)])
     with pytest.raises(NonConvergence, match=r"at 2S=20$") as err:
         mj.constellation_from_state(state)
     f = stellar.stellar_polynomial(state).coefficients
