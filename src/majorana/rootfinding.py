@@ -6,12 +6,19 @@ meaningful root collisions (a coherent state is one root repeated to full
 degree).  Every call solves a stack of same-degree polynomials; find_roots
 is a stack of one.
 
+Every evaluation reads from one power table: z**0 .. z**n by cumulative
+products, built once per point set.  p, p' and the magnitude scale
+sum_k |c_k| |z|**k are each one einsum against it, so no stage loops over
+coefficients in Python.
+
 1. Seeds: the eigenvalues of each row's companion matrix, from one LAPACK
    call on the whole stack (geev balances every matrix first).  They are
    backward stable (Edelman & Murakami, Math. Comp. 64 (1995) 763).
-2. Polish: a few guarded Newton steps over the whole stack.  A point whose
-   residual is already at the rounding floor takes only rounding-size
-   steps, so noise cannot scramble an ill-conditioned set of estimates.
+2. Polish: up to three guarded Newton steps over the whole stack.  A point
+   whose residual is already at the rounding floor takes only rounding-size
+   steps, so noise cannot scramble an ill-conditioned set of estimates.  A
+   point that rejects a step keeps its inputs and would reject it again, so
+   the polish stops once no point moves.
 3. Finishing gates, evaluated for the whole stack at once: the worst
    residual against the contract, a simple-root test on |p'| and a pairwise
    separation test at the clustering radius.  A row that passes all three
@@ -23,7 +30,9 @@ is a stack of one.
    estimates and re-solves each tight cluster on the (m-1)-th derivative,
    where the root is simple and recoverable to machine precision; it keeps
    the multiple root only if every lower derivative vanishes there.  What
-   is still within the clustering radius is then merged.
+   is still within the clustering radius is then merged.  The walk reads
+   the tree straight from the linkage matrix and visits its nodes from an
+   explicit stack, depth first and left child first.
 
 Coefficient arrays are ordered low to high: coeffs[k] multiplies z**k.
 """
@@ -31,7 +40,7 @@ Coefficient arrays are ordered low to high: coeffs[k] multiplies z**k.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage, to_tree
+from scipy.cluster.hierarchy import linkage
 
 from .errors import NonConvergence
 
@@ -42,46 +51,42 @@ _EPS = float(np.finfo(float).eps)
 _CLUSTER_C = 1e3
 
 
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """z**0 .. z**n along a new last axis, by cumulative products."""
+    t = np.empty(np.shape(z) + (n + 1,), dtype=np.result_type(z, float))
+    t[..., 0] = 1.0
+    t[..., 1:] = np.asarray(z)[..., None]
+    return np.cumprod(t, axis=-1, out=t)
+
+
+def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] powers[..., i, k]: the polynomial at every point
+    of a power table, one row of points per coefficient row.  A shorter
+    coefficient row (a derivative) reads the leading powers only."""
+    return np.einsum("...k,...ik->...i", coeffs, powers[..., : coeffs.shape[-1]])
+
+
 def polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of sum_k coeffs[k] z**k at each entry of z."""
-    acc = np.full_like(np.asarray(z, dtype=complex), coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+    """sum_k coeffs[k] z**k at each entry of z."""
+    z = np.asarray(z, dtype=complex)
+    coeffs = np.asarray(coeffs)
+    return _evaluate(coeffs, _powers(z.reshape(-1), len(coeffs) - 1)).reshape(z.shape)
 
 
-def _abs_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k |coeffs[..., k]| |z|**k, the natural magnitude of p near z.
-
-    coeffs is one row with z any 1-d array of points, or a stack of rows
-    with one row of points per coefficient row.
-    """
-    a = np.abs(coeffs)[..., None]
-    az = np.abs(z)
-    acc = a[..., -1, :]
-    for k in range(a.shape[-2] - 2, -1, -1):
-        acc = acc * az + a[..., k, :]
-    return acc
+def _derivative_table(coeffs: np.ndarray) -> np.ndarray:
+    """table[j] holds the coefficients of p^(j), zero-padded to len(coeffs):
+    table[j, k] = coeffs[k + j] (k + 1)(k + 2)...(k + j)."""
+    n = len(coeffs) - 1
+    k = np.arange(n + 1)
+    rising = np.cumprod(np.where(k[:, None] > 0, k + k[:, None], 1.0), axis=0)
+    return np.where(k[:, None] + k <= n, coeffs[np.minimum(k[:, None] + k, n)] * rising, 0)
 
 
 def derivative(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
-    for _ in range(order):
-        if len(c) <= 1:
-            return np.zeros(1, dtype=complex)
-        c = c[1:] * np.arange(1, len(c))
-    return c
-
-
-def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and derivatives of row b's polynomial at each z[b, :]."""
-    p = np.empty_like(z)
-    p[:] = coeffs[:, -1, None]
-    dp = np.zeros_like(z)
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeffs[:, k, None]
-    return p, dp
+    if order >= len(c):
+        return np.zeros(1, dtype=complex)
+    return _derivative_table(c)[order, : len(c) - order]
 
 
 def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
@@ -97,25 +102,34 @@ def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
 def _newton_polish(
     coeffs: np.ndarray, z: np.ndarray, iters: int = 3
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A few guarded Newton steps; a point only moves if its residual drops.
+    """Up to iters guarded Newton steps; a point only moves if its residual
+    drops.
 
     Where |p| at the starting estimate is already down to the rounding
     floor of evaluating it there, the step is driven by that noise.  Such a
     point takes only steps of rounding size: in an ill-conditioned set (a
     coherent state's ring of roots after trimming, say) larger noise-driven
     steps move each estimate on its own and the set stops reproducing the
-    polynomial.
+    polynomial.  A point that rejects a step keeps z, p and p', so it would
+    reject every later step too: the loop ends once no point moves, with the
+    same result as running all iters.
 
     Returns the points and the values of p and p' there.
     """
-    p, dp = _horner_batch(coeffs, z)
-    floor = 2.0 * coeffs.shape[1] * _EPS * _abs_horner(coeffs, z)
+    n = coeffs.shape[-1] - 1
+    dc = coeffs[..., 1:] * np.arange(1, n + 1)
+    t = _powers(z, n)
+    p, dp = _evaluate(coeffs, t), _evaluate(dc, t)
+    floor = 2.0 * (n + 1) * _EPS * _evaluate(np.abs(coeffs), _powers(np.abs(z), n))
     for _ in range(iters):
         step = p / np.where(dp == 0, np.inf, dp)
         znew = z - step
-        pnew, dpnew = _horner_batch(coeffs, znew)
+        t = _powers(znew, n)
+        pnew, dpnew = _evaluate(coeffs, t), _evaluate(dc, t)
         tiny = np.abs(step) <= 10.0 * _EPS * np.abs(z)
         take = (np.abs(pnew) < np.abs(p)) & ((np.abs(p) > floor) | tiny)
+        if not take.any():
+            break
         z = np.where(take, znew, z)
         p = np.where(take, pnew, p)
         dp = np.where(take, dpnew, dp)
@@ -148,11 +162,11 @@ def _full_powers(
     k = np.arange(n + 1)
     binom = np.concatenate([[1.0], np.cumprod((n + 1 - k[1:]) / k[1:])])
     with np.errstate(over="ignore", invalid="ignore"):
-        zk = z0[:, None] ** k
-        power = coeffs[:, n, None] * binom * (-z0[:, None]) ** (n - k)
+        zk = _powers(z0, n)
+        power = coeffs[:, n, None] * binom * (-1.0) ** (n - k) * zk[:, ::-1]
         gap = (np.abs(coeffs - power) * np.abs(zk)).sum(axis=1)
         fits = gap <= _CLUSTER_C * _EPS * (np.abs(coeffs) * np.abs(zk)).sum(axis=1)
-        resid = _worst_residual((coeffs * zk).sum(axis=1, keepdims=True), z0[:, None], n)
+        resid = _worst_residual(_evaluate(coeffs, zk[:, None]), z0[:, None], n)
     return z0, fits & (resid <= tol)
 
 
@@ -199,9 +213,9 @@ def _refine_multiple(
             break
     else:
         return None
-    at = np.full((m, 1), z)
-    mag = np.abs(_horner_batch(table[:m], at)[0][:, 0])
-    scale = _abs_horner(table[:m], at)[:, 0]
+    n = len(table) - 1
+    mag = np.abs(_evaluate(table[:m], _powers(np.array([z]), n)))[:, 0]
+    scale = _evaluate(np.abs(table[:m]), _powers(np.array([abs(z)]), n))[:, 0]
     if (mag > _CLUSTER_C * scale * _EPS ** ((m - np.arange(m)) / m)).any():
         return None
     return z
@@ -212,21 +226,28 @@ def _validated_clusters(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk the single-linkage merge tree of the root estimates top-down,
     replacing every certifiable tight cluster by one exact multiple root.
-    Returns the distinct roots and their multiplicities."""
-    n = len(coeffs) - 1
-    table = np.zeros((n + 1, n + 1), dtype=complex)
-    table[0] = coeffs
-    for j in range(1, n + 1):
-        table[j, : n + 1 - j] = derivative(table[j - 1, : n + 2 - j])
-    pts = np.column_stack([roots.real, roots.imag])
-    tree = to_tree(linkage(pts, method="single"))
-    out: list[tuple[complex, int]] = []
+    Returns the distinct roots and their multiplicities.
 
-    def visit(node) -> None:
-        idx = node.pre_order(lambda leaf: leaf.id)
+    Node i < n of the tree is estimate i; node n + j is the merge in row j
+    of the linkage matrix.  runs[node] lists the node's estimates left child
+    first, the order of the tree's pre-order traversal; an explicit stack
+    visits the nodes in that order too.
+    """
+    n = len(roots)
+    table = _derivative_table(coeffs)
+    merges = linkage(np.column_stack([roots.real, roots.imag]), method="single")
+    children = merges[:, :2].astype(int).tolist()
+    runs = [[i] for i in range(n)]
+    for left, right in children:
+        runs.append(runs[left] + runs[right])
+    out: list[tuple[complex, int]] = []
+    stack = [2 * n - 2]
+    while stack:
+        node = stack.pop()
+        idx = runs[node]
         if len(idx) == 1:
             out.append((complex(roots[idx[0]]), 1))
-            return
+            continue
         sub = roots[idx]
         center = complex(sub.mean())
         spread = float(np.abs(sub - center).max())
@@ -238,11 +259,8 @@ def _validated_clusters(
             z = _refine_multiple(table, center, len(idx), spread)
             if z is not None:
                 out.append((z, len(idx)))
-                return
-        visit(node.left)
-        visit(node.right)
-
-    visit(tree)
+                continue
+        stack.extend(reversed(children[node - n]))
     return (np.array([z for z, _ in out], dtype=complex),
             np.array([m for _, m in out]))
 
@@ -326,8 +344,8 @@ def find_roots_batch(
     # root), far below this gate, as long as the estimates stay close to it.
     # A full-degree root at high degree scatters them too far; _full_powers
     # catches that case.
-    dc = c[:, 1:] * np.arange(1, n + 1)
-    simple = (np.abs(dp) > 1e-5 * _abs_horner(dc, z)).all(axis=1)
+    scale = _evaluate(np.abs(c[:, 1:]) * np.arange(1, n + 1), _powers(np.abs(z), n - 1))
+    simple = (np.abs(dp) > 1e-5 * scale).all(axis=1)
     separated = ~_close_pairs(z, cluster_radius).any(axis=(1, 2))
     order = np.lexsort((z.imag, z.real), axis=-1)
     out = []

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LabelMismatch, NonConvergence
-from .rootfinding import find_roots_batch, polyval_many
+from .rootfinding import _evaluate, _newton_polish, _powers, find_roots_batch, polyval_many
 
 __all__ = [
     "SpinLabel",
@@ -369,28 +369,16 @@ def stellar_polynomial(state: SpinState) -> StellarPolynomial:
     return StellarPolynomial(state.label, coeffs)
 
 
-def _trim_ends(f: np.ndarray, tol: float) -> tuple[int, np.ndarray, int, float]:
-    """Split off the roots pinned at z = 0 (leading near-zero coefficients)
-    and at infinity (trailing ones); returns (lead, core, tail, scale)."""
-    scale = float(np.abs(f).max())
-    keep = np.abs(f) > tol * scale
-    lead = int(np.argmax(keep))
-    tail = int(np.argmax(keep[::-1]))
-    return lead, f[lead : len(f) - tail], tail, scale
-
-
-def _check_contract(
-    f: np.ndarray, roots: np.ndarray, twoS: int, tol: float, scale: float
-) -> None:
-    residual = np.abs(polyval_many(f, roots))
-    bound = tol * scale * np.maximum(1.0, np.abs(roots)) ** twoS
+def _contract_misses(
+    f: np.ndarray, roots: np.ndarray, twoS: int, tol: float, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of rows, which roots miss the residual contract on f, and
+    by what factor each row's worst root misses it."""
+    residual = np.abs(_evaluate(f, _powers(roots, twoS)))
+    with np.errstate(over="ignore"):
+        bound = tol * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** twoS
     miss = residual > bound
-    if np.any(miss):
-        ratio = float((residual[miss] / bound[miss]).max())
-        raise NonConvergence(
-            f"stellar root residual exceeds the contract by a factor {ratio:.4g} "
-            f"at 2S={twoS}"
-        )
+    return miss, np.where(miss, residual / bound, 0.0).max(axis=1, initial=0.0)
 
 
 def constellation_from_state(state: SpinState, tol: float = 1e-10) -> Constellation:
@@ -409,26 +397,57 @@ def constellations_from_states(
 ) -> list[Constellation]:
     """constellation_from_state over a whole sequence of states.
 
-    States whose trimmed root polynomials share a degree are solved as one
-    stacked batch, which is far faster than looping; every result satisfies
-    the same residual contract as the scalar routine.  Raises NonConvergence
-    if any state in the batch fails it.
+    States of one 2S are trimmed and checked as one stack, and those whose
+    trimmed root polynomials share a degree are solved as one batch, which
+    is far faster than looping; every result satisfies the same residual
+    contract as the scalar routine.  Raises NonConvergence, naming the
+    failing positions in the sequence, if any state fails it.
+
+    A core polynomial's roots meet the contract on the core; the
+    coefficients trimmed off its ends can still push a root past it on f.
+    Such a root gets up to three guarded Newton steps on f before the check
+    decides.  The other roots stay as solved: moving them towards the roots
+    of f would no longer rebuild the state, whose trimmed coefficients are 0.
     """
     states = list(states)
     results: list[Constellation | None] = [None] * len(states)
-    groups: dict[int, list[tuple[int, np.ndarray, int, np.ndarray, int, float]]] = {}
+    groups: dict[int, list[int]] = {}
     for i, state in enumerate(states):
-        f = stellar_polynomial(state).coefficients
-        lead, core, tail, scale = _trim_ends(f, tol)
-        groups.setdefault(len(core), []).append((i, f, lead, core, tail, scale))
-    for members in groups.values():
-        stack = np.array([core for _, _, _, core, _, _ in members])
-        solved = find_roots_batch(stack, tol=tol)
-        for (i, f, lead, _, tail, scale), found in zip(members, solved):
-            state = states[i]
-            roots = np.concatenate([np.zeros(lead, dtype=complex), found])
-            _check_contract(f, roots, state.label.twoS, tol, scale)
-            results[i] = Constellation(state.label, roots, tail)
+        groups.setdefault(state.label.twoS, []).append(i)
+    for twoS, members in groups.items():
+        f = _binom_sqrt(twoS) * np.array([states[i].amplitudes for i in members])
+        scale = np.abs(f).max(axis=1)
+        keep = np.abs(f) > tol * scale[:, None]
+        lead = np.argmax(keep, axis=1)
+        tail = np.argmax(keep[:, ::-1], axis=1)
+        degree = twoS - lead - tail
+        # Row r holds lead[r] zeros, then its core's roots; the last tail[r]
+        # entries (the stars at infinity) are unused.
+        roots = np.zeros((len(members), twoS), dtype=complex)
+        for n in np.unique(degree):
+            rows = np.flatnonzero(degree == n)
+            core = lead[rows, None] + np.arange(n + 1)
+            found = find_roots_batch(f[rows[:, None], core], tol=tol)
+            roots[rows[:, None], core[:, :-1]] = np.reshape(found, (len(rows), n))
+        for t in np.unique(tail):
+            rows = np.flatnonzero(tail == t)
+            z = roots[rows, : twoS - t]
+            miss, ratio = _contract_misses(f[rows], z, twoS, tol, scale[rows])
+            # A root pinned at z = 0 never misses: f(0) is a trimmed coefficient.
+            redo = np.nonzero(miss & (lead[rows, None] + t > 0))
+            if len(redo[0]):
+                z[redo] = _newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
+                miss, ratio = _contract_misses(f[rows], z, twoS, tol, scale[rows])
+            if miss.any():
+                bad = [members[r] for r in rows[miss.any(axis=1)]]
+                raise NonConvergence(
+                    f"states {bad}: stellar root residual exceeds the contract by a "
+                    f"factor {ratio.max():.4g} at 2S={twoS}"
+                )
+            roots[rows, : twoS - t] = z
+        label = states[members[0]].label
+        for r, i in enumerate(members):
+            results[i] = Constellation(label, roots[r, : twoS - tail[r]], int(tail[r]))
     return results
 
 

@@ -2,11 +2,23 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage, to_tree
 
 from majorana.rootfinding import (
+    _EPS,
+    _companion_eigvals,
+    _derivative_table,
+    _evaluate,
     _merge_by_radius,
+    _newton_polish,
+    _powers,
+    _refine_multiple,
+    _validated_clusters,
     derivative,
     find_roots,
     find_roots_batch,
@@ -161,3 +173,129 @@ def test_merge_by_radius_matches_loop_reference(rng):
         want = _merge_by_radius_loop(list(zip(z, m)), 1e-7)
         assert list(got_m) == [k for _, k in want]
         assert np.allclose(got_z, [w for w, _ in want], rtol=1e-15, atol=0)
+
+
+def _polish_fixed_reference(coeffs, z, iters=3):
+    """Reference: the guarded polish run for all iters, no early exit."""
+    n = coeffs.shape[-1] - 1
+    dc = coeffs[..., 1:] * np.arange(1, n + 1)
+    t = _powers(z, n)
+    p, dp = _evaluate(coeffs, t), _evaluate(dc, t)
+    floor = 2.0 * (n + 1) * _EPS * _evaluate(np.abs(coeffs), _powers(np.abs(z), n))
+    for _ in range(iters):
+        step = p / np.where(dp == 0, np.inf, dp)
+        znew = z - step
+        t = _powers(znew, n)
+        pnew, dpnew = _evaluate(coeffs, t), _evaluate(dc, t)
+        tiny = np.abs(step) <= 10.0 * _EPS * np.abs(z)
+        take = (np.abs(pnew) < np.abs(p)) & ((np.abs(p) > floor) | tiny)
+        z = np.where(take, znew, z)
+        p = np.where(take, pnew, p)
+        dp = np.where(take, dpnew, dp)
+    return z, p, dp
+
+
+def _stars_polynomial(stars):
+    """Coefficients (low to high, max modulus 1) with the given roots."""
+    c = np.poly(stars)[::-1]
+    return c / np.abs(c).max()
+
+
+@pytest.mark.parametrize("degree", [2, 5, 10, 20, 40])
+def test_early_exit_polish_is_bitwise_the_fixed_polish(degree):
+    # A point that rejects a step keeps its inputs and rejects it again, so
+    # stopping once no point moves changes no bit.  Rows: random
+    # coefficients, a coherent power, a double star and a near-pole star.
+    rng = np.random.default_rng(degree)
+    w = complex(rng.normal() + 1j * rng.normal())
+    rows = [rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1),
+            _stars_polynomial(np.full(degree, w)),
+            _stars_polynomial(np.r_[rng.normal(size=degree - 2), w, w]),
+            _stars_polynomial(np.r_[rng.normal(size=degree - 1), 1.5e6j])]
+    c = np.array(rows)
+    c /= np.abs(c).max(axis=1, keepdims=True)
+    seeds = _companion_eigvals(c)
+    got = _newton_polish(c, seeds)
+    want = _polish_fixed_reference(c, seeds)
+    for g, w_ in zip(got, want):
+        assert g.tobytes() == w_.tobytes()
+
+
+def test_power_table_values_within_the_polish_floor():
+    # At degree 40 and |z| up to 2e6 (a near-pole star), p read from the
+    # power table is within the polish floor 2(n+1) eps sum_k |c_k||z|^k of
+    # the 50-digit value of the same float polynomial at the same float z:
+    # at random points and at the polynomial's own root estimates, where
+    # the cancellation is complete.
+    n = 40
+    rng = np.random.default_rng(2)
+    for trial in range(6):
+        if trial % 2:
+            c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        else:
+            far = 2e6 * np.exp(2j * np.pi * rng.uniform())
+            c = _stars_polynomial(np.r_[rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1), far])
+        mag = 10.0 ** rng.uniform(-3.0, math.log10(2e6), 20)
+        z = np.r_[mag * np.exp(2j * np.pi * rng.uniform(size=20)), _companion_eigvals(c[None])[0]]
+        got = polyval_many(c, z)
+        floor = 2.0 * (n + 1) * _EPS * polyval_many(np.abs(c), np.abs(z)).real
+        with mpmath.workdps(50):
+            cm = [mpmath.mpc(x.real, x.imag) for x in c]
+            for zi, gi, fl in zip(z, got, floor):
+                exact = mpmath.polyval(cm[::-1], mpmath.mpc(zi.real, zi.imag))
+                assert abs(complex(exact) - gi) <= fl, (zi, gi, complex(exact), fl)
+
+
+def _recursive_walk(coeffs, roots):
+    """Reference: the recursive to_tree walk the linkage-array walk replaced."""
+    table = _derivative_table(coeffs)
+    tree = to_tree(linkage(np.column_stack([roots.real, roots.imag]), method="single"))
+    out = []
+
+    def visit(node):
+        idx = node.pre_order(lambda leaf: leaf.id)
+        if len(idx) == 1:
+            out.append((complex(roots[idx[0]]), 1))
+            return
+        sub = roots[idx]
+        center = complex(sub.mean())
+        spread = float(np.abs(sub - center).max())
+        limit = 10.0 * _EPS ** (1.0 / len(idx)) * (1.0 + abs(center))
+        if spread <= min(0.5 * (1.0 + abs(center)), limit):
+            z = _refine_multiple(table, center, len(idx), spread)
+            if z is not None:
+                out.append((z, len(idx)))
+                return
+        visit(node.left)
+        visit(node.right)
+
+    visit(tree)
+    return out
+
+
+@st.composite
+def _clustered_rows(draw):
+    """Stars at degree 5..40 with double and triple stars and a coherent
+    block (one star repeated), the rest random."""
+    degree = draw(st.integers(5, 40))
+    doubles = draw(st.integers(0, min(3, degree // 2)))
+    triples = draw(st.integers(0, min(2, (degree - 2 * doubles) // 3)))
+    room = degree - 2 * doubles - 3 * triples
+    coherent = draw(st.sampled_from([0, 0, min(4, room), room]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gauss = lambda k: rng.normal(size=k) + 1j * rng.normal(size=k)
+    stars = [np.repeat(gauss(doubles), 2), np.repeat(gauss(triples), 3),
+             np.full(coherent, gauss(1)[0])]
+    stars.append(gauss(degree - sum(len(s) for s in stars)))
+    return rng.permutation(np.concatenate(stars))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_clustered_rows())
+def test_array_cluster_walk_is_bitwise_the_recursive_walk(stars):
+    c = _stars_polynomial(stars)
+    estimates = _newton_polish(c[None], _companion_eigvals(c[None]))[0][0]
+    z, m = _validated_clusters(c, estimates)
+    want = _recursive_walk(c, estimates)
+    assert list(m) == [k for _, k in want]
+    assert z.tobytes() == np.array([w for w, _ in want], dtype=complex).tobytes()

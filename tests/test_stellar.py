@@ -294,3 +294,59 @@ def test_contract_error_reports_ratio_and_spin(monkeypatch, rng):
     got = float(str(err.value).split("factor ")[1].split()[0])
     assert want > 1.0
     assert got == pytest.approx(want, rel=1e-3)
+
+
+# A 2S = 20 state with stars spread over |z| in [e^-7, e^7] (the roundtrip
+# benchmark's seed 7, cycle 4).  Four leading and two trailing coefficients
+# fall below 1e-10 of the largest and are trimmed; the core's roots then
+# miss the contract on the untrimmed f by a factor of about 1.004 at a star
+# near |z| = 1, where the dropped coefficients add up.
+_SPREAD_20 = np.array([
+    (-5.138545218164252e-15-1.1283641755081328e-15j),
+    (-1.4019219943893196e-12+1.831764381846315e-13j),
+    (-2.562363444642302e-10+4.492963442843999e-11j),
+    (5.115774932415222e-13-9.854292661885608e-10j),
+    (4.6452343036967385e-07+7.37853471863719e-07j),
+    (-1.0260052202589678e-05-1.5771452291574197e-05j),
+    (0.00029733592372276877-1.5224709394189308e-05j),
+    (0.006158159462095788+0.006407167271764739j),
+    (0.05021503012526904+0.05910835692031392j),
+    (0.21803543143359885+0.12475647193187718j),
+    (0.044895685662816716-0.17019393220019194j),
+    (-0.8194261421677103-0.24335856440930598j),
+    (0.8805020308271254+0.4740423754363189j),
+    (-0.24372312256984566-0.0606446360790613j),
+    (0.029834152196956197-0.004468369458254132j),
+    (-0.0014001636501583122+0.0011999698858203088j),
+    (7.670442716625685e-05-6.435899536828994e-05j),
+    (-5.98555041465751e-07+4.7723314189222e-06j),
+    (-8.575850672151698e-09-4.753343911880819e-08j),
+    (5.391358679636426e-10+2.1639603406739464e-10j),
+    (1.302237736122721e-11+0j),
+])
+
+
+def test_trimmed_spread_state_meets_the_contract_on_f():
+    state = mj.SpinState(20, _SPREAD_20)
+    c = mj.constellation_from_state(state)
+    assert (c.infinity_count, int(np.sum(c.finite_roots == 0))) == (2, 4)
+    f = stellar.stellar_polynomial(state).coefficients
+    bound = 1e-10 * np.abs(f).max() * np.maximum(1.0, np.abs(c.finite_roots)) ** 20
+    assert np.all(np.abs(polyval_many(f, c.finite_roots)) <= bound)
+    back = mj.state_from_constellation(c)
+    assert abs(mj.overlap(state, back)) >= 1.0 - 1e-10
+    # In a batch it costs no other state its result.
+    others = [_random_state(np.random.default_rng(k), 20) for k in range(3)]
+    bulk = mj.constellations_from_states(others + [state])
+    assert bulk[3].finite_roots.tobytes() == c.finite_roots.tobytes()
+
+
+def test_failing_batch_names_its_states(monkeypatch, rng):
+    states = [_random_state(rng, 6), _random_state(rng, 20), _random_state(rng, 6),
+              _random_state(rng, 20)]
+    monkeypatch.setattr(
+        stellar, "find_roots_batch",
+        lambda stack, tol: [r * (1 + 1e-7 * (len(r) == 20))
+                            for r in find_roots_batch(stack, tol=tol)])
+    with pytest.raises(NonConvergence, match=r"^states \[1, 3\]: .* at 2S=20$"):
+        mj.constellations_from_states(states)
