@@ -8,8 +8,8 @@ is a stack of one.
 
 Every evaluation reads from one power table: z**0 .. z**n by cumulative
 products, built once per point set.  p, p' and the magnitude scale
-sum_k |c_k| |z|**k are each one einsum against it, so no stage loops over
-coefficients in Python.
+sum_k |c_k| |z|**k are each one stacked matrix-vector product against it,
+so no stage loops over coefficients in Python.
 
 1. Seeds: the eigenvalues of each row's companion matrix, from one LAPACK
    call on the whole stack (geev balances every matrix first).  They are
@@ -63,7 +63,7 @@ def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """sum_k coeffs[..., k] powers[..., i, k]: the polynomial at every point
     of a power table, one row of points per coefficient row.  A shorter
     coefficient row (a derivative) reads the leading powers only."""
-    return np.einsum("...k,...ik->...i", coeffs, powers[..., : coeffs.shape[-1]])
+    return (powers[..., : coeffs.shape[-1]] @ coeffs[..., None])[..., 0]
 
 
 def polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
