@@ -6,10 +6,14 @@ meaningful root collisions (a coherent state is one root repeated to full
 degree).  Every call solves a stack of same-degree polynomials; find_roots
 is a stack of one.
 
-Every evaluation reads from one power table: z**0 .. z**n by cumulative
-products, built once per point set.  p, p' and the magnitude scale
-sum_k |c_k| |z|**k are each one stacked matrix-vector product against it,
-so no stage loops over coefficients in Python.
+Every evaluation reads from one power table per point set, built by
+cumulative products, with each point in its own chart: z**0 .. z**n where
+|z| <= 1, and (1/z)**n .. (1/z)**0 elsewhere.  Against it a polynomial
+gives p(z), or p(z) / z**n where |z| > 1, whose modulus
+|p(z)| / max(1, |z|)**n is exactly the ratio the residual contract bounds;
+no entry exceeds 1, so a far star at high degree cannot overflow.  p, p'
+and the magnitude scale sum_k |c_k| |z|**k come from stacked matrix
+products against the table, so no stage loops over coefficients in Python.
 
 1. Seeds: the eigenvalues of each row's companion matrix, from one LAPACK
    call on the whole stack (geev balances every matrix first).  They are
@@ -59,18 +63,48 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(t, axis=-1, out=t)
 
 
-def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[..., k] powers[..., i, k]: the polynomial at every point
-    of a power table, one row of points per coefficient row.  A shorter
-    coefficient row (a derivative) reads the leading powers only."""
-    return (powers[..., : coeffs.shape[-1]] @ coeffs[..., None])[..., 0]
+def _table(z: np.ndarray, n: int) -> np.ndarray:
+    """The power table of each point in its own chart: z**0 .. z**n where
+    |z| <= 1, and (1/z)**n .. (1/z)**0, that is z**k / z**n, elsewhere.
+
+    A polynomial of formal degree n read against it gives q(z), or q(z) /
+    z**n where |z| > 1: its modulus is |q(z)| / max(1, |z|)**n, a ratio of
+    two such values is the ratio of the polynomial values, and no entry
+    exceeds 1 in modulus, so a far point at high degree cannot overflow.
+    """
+    big = np.abs(z) > 1.0
+    t = _powers(np.divide(1.0, z, out=np.array(z, dtype=complex), where=big), n)
+    return np.where(big[..., None], t[..., ::-1], t)
+
+
+def _with_derivative(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs and the coefficients of its derivative, padded with a zero to
+    the same length, as the two columns of a new last axis."""
+    cols = np.empty(coeffs.shape + (2,), dtype=coeffs.dtype)
+    cols[..., 0] = coeffs
+    cols[..., :-1, 1] = coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
+    cols[..., -1, 1] = 0.0
+    return cols
+
+
+def _contract_ratios(v: np.ndarray) -> np.ndarray:
+    """|v| for values read from _table, a non-finite value reading inf."""
+    return np.where(np.isfinite(v), np.abs(v), np.inf)
+
+
+def residual_ratios(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|p(z)| / max(1, |z|)**n, the quantity the residual contract bounds,
+    for row b's polynomial at each z[..., b, :]; a value that is not finite
+    reads inf.  Each point is evaluated in its own chart (see _table), so
+    no power of a far point overflows."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    table = _table(np.asarray(z, dtype=complex), coeffs.shape[-1] - 1)
+    return _contract_ratios((table @ coeffs[..., None])[..., 0])
 
 
 def polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] z**k at each entry of z."""
-    z = np.asarray(z, dtype=complex)
-    coeffs = np.asarray(coeffs)
-    return _evaluate(coeffs, _powers(z.reshape(-1), len(coeffs) - 1)).reshape(z.shape)
+    return _powers(np.asarray(z, dtype=complex), len(coeffs) - 1) @ np.asarray(coeffs)
 
 
 def _derivative_table(coeffs: np.ndarray) -> np.ndarray:
@@ -99,11 +133,15 @@ def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _newton_polish(
+def newton_polish(
     coeffs: np.ndarray, z: np.ndarray, iters: int = 3
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Up to iters guarded Newton steps; a point only moves if its residual
-    drops.
+    """Up to iters guarded Newton steps on the estimates z[..., b, :] of row
+    b's roots; a point only moves if its residual drops.
+
+    p and p' are read from each point's charted table (see _table): their
+    ratio, the Newton step, is that of the true values, and the residual
+    compared is |p(z)| / max(1, |z|)**n, the contract's ratio.
 
     Where |p| at the starting estimate is already down to the rounding
     floor of evaluating it there, the step is driven by that noise.  Such a
@@ -114,18 +152,19 @@ def _newton_polish(
     reject every later step too: the loop ends once no point moves, with the
     same result as running all iters.
 
-    Returns the points and the values of p and p' there.
+    Returns the points and the charted values of p and p' there.
     """
     n = coeffs.shape[-1] - 1
-    dc = coeffs[..., 1:] * np.arange(1, n + 1)
-    t = _powers(z, n)
-    p, dp = _evaluate(coeffs, t), _evaluate(dc, t)
-    floor = 2.0 * (n + 1) * _EPS * _evaluate(np.abs(coeffs), _powers(np.abs(z), n))
+    cols = _with_derivative(coeffs)
+    table = _table(z, n)
+    v = table @ cols
+    p, dp = v[..., 0], v[..., 1]
+    floor = 2.0 * (n + 1) * _EPS * (np.abs(table) @ np.abs(coeffs)[..., None])[..., 0]
     for _ in range(iters):
         step = p / np.where(dp == 0, np.inf, dp)
         znew = z - step
-        t = _powers(znew, n)
-        pnew, dpnew = _evaluate(coeffs, t), _evaluate(dc, t)
+        v = _table(znew, n) @ cols
+        pnew, dpnew = v[..., 0], v[..., 1]
         tiny = np.abs(step) <= 10.0 * _EPS * np.abs(z)
         take = (np.abs(pnew) < np.abs(p)) & ((np.abs(p) > floor) | tiny)
         if not take.any():
@@ -134,13 +173,6 @@ def _newton_polish(
         p = np.where(take, pnew, p)
         dp = np.where(take, dpnew, dp)
     return z, p, dp
-
-
-def _worst_residual(p: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """Largest |p(z)| / max(1, |z|)**n along the last axis."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.abs(p) / np.maximum(1.0, np.abs(z)) ** n
-    return np.where(np.isfinite(ratio), ratio, np.inf).max(axis=-1, initial=0.0)
 
 
 def _full_powers(
@@ -156,17 +188,19 @@ def _full_powers(
     never sees the cluster.  "Up to rounding" is the cluster walk's test of
     p itself at an n-fold root, applied coefficient by coefficient:
     sum_k |c_k - power_k| |z0|**k <= _CLUSTER_C * eps * sum_k |c_k| |z0|**k.
+    Each term is |c_k z0**k - lead_k z0**n|, with lead_k z0**(n-k) the
+    power's coefficient; read from the charted table (see _table), every
+    term is divided by z0**n where |z0| > 1, so no power of z0 overflows.
     """
     n = coeffs.shape[1] - 1
     z0 = -coeffs[:, n - 1] / (n * coeffs[:, n])
     k = np.arange(n + 1)
     binom = np.concatenate([[1.0], np.cumprod((n + 1 - k[1:]) / k[1:])])
-    with np.errstate(over="ignore", invalid="ignore"):
-        zk = _powers(z0, n)
-        power = coeffs[:, n, None] * binom * (-1.0) ** (n - k) * zk[:, ::-1]
-        gap = (np.abs(coeffs - power) * np.abs(zk)).sum(axis=1)
-        fits = gap <= _CLUSTER_C * _EPS * (np.abs(coeffs) * np.abs(zk)).sum(axis=1)
-        resid = _worst_residual(_evaluate(coeffs, zk[:, None]), z0[:, None], n)
+    lead = coeffs[:, n, None] * binom * (-1.0) ** (n - k)
+    table = _table(z0, n)
+    gap = np.abs(coeffs * table - lead * table[:, n:]).sum(axis=1)
+    fits = gap <= _CLUSTER_C * _EPS * (np.abs(coeffs) * np.abs(table)).sum(axis=1)
+    resid = _contract_ratios((coeffs * table).sum(axis=1))
     return z0, fits & (resid <= tol)
 
 
@@ -213,9 +247,9 @@ def _refine_multiple(
             break
     else:
         return None
-    n = len(table) - 1
-    mag = np.abs(_evaluate(table[:m], _powers(np.array([z]), n)))[:, 0]
-    scale = _evaluate(np.abs(table[:m]), _powers(np.array([abs(z)]), n))[:, 0]
+    at = _table(np.array([z]), len(table) - 1)
+    mag = np.abs(at @ table[:m].T)[0]
+    scale = (np.abs(at) @ np.abs(table[:m].T))[0]
     if (mag > _CLUSTER_C * scale * _EPS ** ((m - np.arange(m)) / m)).any():
         return None
     return z
@@ -291,7 +325,7 @@ def _finish(
     else:
         z, m = _validated_clusters(c, roots)
     expanded = np.repeat(*_merge_by_radius(z, m, cluster_radius))
-    worst = _worst_residual(polyval_many(c, expanded), expanded, len(c) - 1)
+    worst = residual_ratios(c, expanded).max(initial=0.0)
     if worst > tol:
         raise NonConvergence(
             f"clustered roots violate the residual contract ({worst:.3e} > {tol:.3e})"
@@ -332,8 +366,8 @@ def find_roots_batch(
     if n == 1:
         return [np.array([-row[0] / row[1]]) for row in c]
     z0, power = _full_powers(c, tol)
-    z, p, dp = _newton_polish(c, _companion_eigvals(c))
-    worst = _worst_residual(p, z, n)
+    z, p, dp = newton_polish(c, _companion_eigvals(c))
+    worst = _contract_ratios(p).max(axis=1, initial=0.0)
     miss = np.flatnonzero((worst > tol) & ~power)
     if len(miss):
         raise NonConvergence(
@@ -344,7 +378,7 @@ def find_roots_batch(
     # root), far below this gate, as long as the estimates stay close to it.
     # A full-degree root at high degree scatters them too far; _full_powers
     # catches that case.
-    scale = _evaluate(np.abs(c[:, 1:]) * np.arange(1, n + 1), _powers(np.abs(z), n - 1))
+    scale = (np.abs(_table(z, n)) @ np.abs(_with_derivative(c)[..., 1:]))[..., 0]
     simple = (np.abs(dp) > 1e-5 * scale).all(axis=1)
     separated = ~_close_pairs(z, cluster_radius).any(axis=(1, 2))
     order = np.lexsort((z.imag, z.real), axis=-1)

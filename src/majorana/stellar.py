@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LabelMismatch, NonConvergence
-from .rootfinding import _evaluate, _newton_polish, _powers, find_roots_batch, polyval_many
+from .rootfinding import find_roots_batch, newton_polish, polyval_many, residual_ratios
 
 __all__ = [
     "SpinLabel",
@@ -370,15 +370,15 @@ def stellar_polynomial(state: SpinState) -> StellarPolynomial:
 
 
 def _contract_misses(
-    f: np.ndarray, roots: np.ndarray, twoS: int, tol: float, scale: np.ndarray
+    f: np.ndarray, roots: np.ndarray, tol: float, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """For a stack of rows, which roots miss the residual contract on f, and
-    by what factor each row's worst root misses it."""
-    residual = np.abs(_evaluate(f, _powers(roots, twoS)))
-    with np.errstate(over="ignore"):
-        bound = tol * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** twoS
-    miss = residual > bound
-    return miss, np.where(miss, residual / bound, 0.0).max(axis=1, initial=0.0)
+    by what factor each row's worst root misses it.  A residual that cannot
+    be evaluated (not finite) misses."""
+    ratio = residual_ratios(f, roots)
+    bound = tol * scale[:, None]
+    miss = ~(ratio <= bound)
+    return miss, np.where(miss, ratio / bound, 0.0).max(axis=1, initial=0.0)
 
 
 def constellation_from_state(state: SpinState, tol: float = 1e-10) -> Constellation:
@@ -432,12 +432,12 @@ def constellations_from_states(
         for t in np.unique(tail):
             rows = np.flatnonzero(tail == t)
             z = roots[rows, : twoS - t]
-            miss, ratio = _contract_misses(f[rows], z, twoS, tol, scale[rows])
+            miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
             # A root pinned at z = 0 never misses: f(0) is a trimmed coefficient.
             redo = np.nonzero(miss & (lead[rows, None] + t > 0))
             if len(redo[0]):
-                z[redo] = _newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
-                miss, ratio = _contract_misses(f[rows], z, twoS, tol, scale[rows])
+                z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
+                miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
             if miss.any():
                 bad = [members[r] for r in rows[miss.any(axis=1)]]
                 raise NonConvergence(

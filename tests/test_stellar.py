@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -350,3 +351,34 @@ def test_failing_batch_names_its_states(monkeypatch, rng):
                             for r in find_roots_batch(stack, tol=tol)])
     with pytest.raises(NonConvergence, match=r"^states \[1, 3\]: .* at 2S=20$"):
         mj.constellations_from_states(states)
+
+
+@pytest.mark.parametrize("twoS, far", [(60, 1e6), (70, 4.2e4), (60, 3e7)])
+def test_far_star_at_high_spin_round_trips(twoS, far):
+    # 2S - 1 stars on a jittered unit ring and one far star: no coefficient
+    # is trimmed, and far**2S is beyond the float range, so the residual at
+    # the far star is only finite if it is evaluated in the 1/z chart.
+    rng = np.random.default_rng(twoS)
+    k = np.arange(twoS - 1)
+    ring = np.exp(2j * np.pi * (k + rng.uniform(0, 0.4, twoS - 1)) / (twoS - 1))
+    ring *= 1 + 0.05 * rng.normal(size=twoS - 1)
+    stars = np.r_[ring, far * np.exp(2j * np.pi * rng.uniform())]
+    state = mj.state_from_constellation(mj.Constellation(twoS, stars))
+    c = mj.constellation_from_state(state)
+    assert c.infinity_count == 0
+    assert abs(mj.overlap(state, mj.state_from_constellation(c))) >= 1.0 - 1e-10
+    f = stellar.stellar_polynomial(state).coefficients
+    with mpmath.workdps(50):
+        fm = [mpmath.mpc(x.real, x.imag) for x in f[::-1]]
+        for z in c.finite_roots:
+            zm = mpmath.mpc(z.real, z.imag)
+            ratio = abs(mpmath.polyval(fm, zm)) / max(1, abs(zm)) ** twoS
+            assert ratio <= 1e-10 * np.abs(f).max()
+
+
+def test_unevaluable_residual_misses_the_contract():
+    f = np.array([[1.0, 2.0, 1.0]], dtype=complex)
+    roots = np.array([[-1.0, np.nan]], dtype=complex)
+    miss, ratio = stellar._contract_misses(f, roots, 1e-10, np.array([2.0]))
+    assert miss.tolist() == [[False, True]]
+    assert ratio[0] == np.inf
