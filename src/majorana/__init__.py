@@ -5,8 +5,8 @@ unit sphere: the roots of its characteristic polynomial under
 stereographic projection.  This package converts states to constellations
 and back, measures rotational structure through state multipoles and the
 cumulative quantumness hierarchy, searches for maximally unpolarized
-(king) constellations, and integrates the stars' equations of motion
-under a Hermitian Hamiltonian.
+(king) constellations, and follows the stars, and their equations of
+motion, under a Hermitian Hamiltonian.
 """
 
 from .errors import (
@@ -14,7 +14,6 @@ from .errors import (
     LabelMismatch,
     MajoranaError,
     NonConvergence,
-    StepUnderflow,
 )
 from .stellar import (
     INFINITY,
@@ -80,7 +79,6 @@ __all__ = [
     "MajoranaError",
     "NonConvergence",
     "DegenerateConstellation",
-    "StepUnderflow",
     "LabelMismatch",
     "SpinLabel",
     "SpinState",

@@ -14,12 +14,7 @@ import click
 from . import dynamics, kings, serialize, stellar
 from .multipoles import multipoles as state_multipoles
 from .multipoles import q_grid
-from .errors import (
-    DegenerateConstellation,
-    LabelMismatch,
-    NonConvergence,
-    StepUnderflow,
-)
+from .errors import DegenerateConstellation, LabelMismatch, NonConvergence
 
 
 def _read(path: str) -> str:
@@ -44,7 +39,7 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (NonConvergence, StepUnderflow, DegenerateConstellation) as exc:
+        except (NonConvergence, DegenerateConstellation) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(3)
         except (ValueError, LabelMismatch) as exc:
@@ -140,7 +135,7 @@ def kings_cmd(ctx: click.Context, two_s: int, order: int, restarts: int) -> None
 @click.argument("state_file")
 @click.argument("hamiltonian_file")
 @click.option("--t", "t_final", type=float, required=True, help="Final time.")
-@click.option("--dtmax", type=float, default=None, help="Step-size ceiling.")
+@click.option("--dtmax", type=float, default=None, help="Largest time between snapshots.")
 @click.pass_context
 @_guard
 def evolve(
@@ -150,7 +145,7 @@ def evolve(
     t_final: float,
     dtmax: float | None,
 ) -> None:
-    """Integrate the star equations of motion; print JSONL snapshots."""
+    """Evolve the state exactly; print its constellation snapshots as JSONL."""
     st = serialize.parse_state(_read(state_file))
     ham = serialize.parse_hamiltonian(_read(hamiltonian_file), label=st.label)
     traj = dynamics.evolve(st, ham, t_final, dt_max=dtmax)

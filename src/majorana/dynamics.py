@@ -1,16 +1,17 @@
-"""Star equations of motion under a spin Hamiltonian.
+"""Star dynamics under a spin Hamiltonian.
 
-Differentiating f(z_k(t), t) = 0 along the Schroedinger flow gives each
-star's velocity straight from the stellar polynomial f of the state:
+A state evolving as exp(-i H t)|psi> carries its stars along.  Differentiating
+f(z_k(t), t) = 0 along the Schroedinger flow gives each star's velocity
+straight from the stellar polynomial f of the state:
 
     dz_k/dt = i (Hf)(z_k) / f'(z_k),
 
 where Hf is the stellar polynomial of H|psi> and f'(z_k) is the product of
-the star's separations from the others.  The velocity field is integrated
-with scipy's RK45, the embedded Dormand-Prince 5(4) pair; whenever stars
-collide or run off the chart the integrator bridges the episode with the
-exact unitary evolution of the underlying state, re-solves for the roots,
-and resumes, recording the bridged window.
+the star's separations from the others.  star_velocities and
+equilibrium_residual evaluate these equations of motion.  Trajectories do
+not integrate them: evolve propagates the state exactly through the
+eigendecomposition of H and re-roots it at every snapshot time, so stars
+may collide or cross the pole at infinity without any special handling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DegenerateConstellation, LabelMismatch, StepUnderflow
+from .errors import DegenerateConstellation, LabelMismatch
 from .stellar import (
     Constellation,
     SpinLabel,
@@ -31,7 +32,6 @@ from .stellar import (
     _chord_matrix,
     _root_coefficients,
     chordal_distance,
-    constellation_from_state,
     constellations_from_states,
     spin_matrices,
 )
@@ -49,24 +49,8 @@ __all__ = [
     "matched_distance",
 ]
 
-# Collision / flight-to-infinity thresholds.  The integrator hands off to the
-# exact propagator strictly before the velocity field degenerates, and only
-# resumes once the constellation is safely inside the tractable region again.
-_COLLIDE_CHORD = 1e-6
-_RESUME_CHORD = 3e-6
+# Chord below which star_velocities treats two stars as coincident.
 _MIN_VELOCITY_CHORD = 1e-9
-_BLOWUP_MAG = 1e8
-_RESUME_MAG = 1e7
-_MAX_SEGMENTS = 64
-
-# A pole crossing in a multi-star constellation starves the step controller:
-# the runaway star inflates the error estimate of its O(1) neighbours and the
-# accepted step collapses like a high power of the remaining time, so the
-# |z| blowup trigger is never reached at finite cost.  Cap the work per
-# segment instead, and after a cost handoff resume only once every star is
-# comfortably generic, or the bridge would hand straight back into the grind.
-_CALM_MAG = 30.0
-_CALM_CHORD = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,10 +211,12 @@ def evolve_exact(state: SpinState, h: HamiltonianSpec, t: float) -> SpinState:
 
 @dataclass(frozen=True, eq=False)
 class StarTrajectory:
-    """Snapshot sequence of an integrated constellation.
+    """Snapshot sequence of an evolved constellation.
 
-    fallback_flags marks snapshots produced by the exact-evolution bridge;
-    fallback_intervals lists the bridged time windows.
+    Every snapshot is the re-rooted exact state at its time, so no window
+    of the trajectory is computed any other way: fallback_intervals is
+    always () and fallback_flags is all False.  The fields keep the
+    trajectory's shape, and the JSONL "fallback" key, stable for readers.
     """
 
     label: SpinLabel
@@ -244,26 +230,6 @@ class StarTrajectory:
         return self.snapshots[int(np.argmin(np.abs(self.times - t)))]
 
 
-_RTOL = 1e-9
-_ATOL = 1e-12
-
-
-def _within(w: np.ndarray, mag: float, chord: float) -> bool:
-    """Every star finite, none beyond |z| = mag, and no two closer than chord."""
-    return (
-        bool(np.all(np.isfinite(w)))
-        and float(np.abs(w).max()) <= mag
-        and _min_chord(w) >= chord
-    )
-
-
-def _integrable_stars(c: Constellation) -> np.ndarray | None:
-    """c's stars if the ODE can resume from them, else None."""
-    if c.infinity_count == 0 and _within(c.finite_roots, _RESUME_MAG, _RESUME_CHORD):
-        return np.array(c.finite_roots)
-    return None
-
-
 def evolve(
     state: SpinState,
     h: HamiltonianSpec,
@@ -272,15 +238,16 @@ def evolve(
     *,
     checkpoints=None,
 ) -> StarTrajectory:
-    """Integrate the star ODEs from the state's constellation to t_final.
+    """Constellations of exp(-i H t)|psi> from t = 0 to t_final.
 
-    Snapshots are recorded at every accepted step, at each requested
-    checkpoint time (landed on exactly), and across exact-evolution bridges.
-    t_final = 0 yields the single initial snapshot.
+    Snapshots sit at 0, at ceil(t_final / dt_max) equal steps to t_final,
+    and at every checkpoint, landed on exactly; a step point within
+    1e-14 * t_final of a checkpoint gives way to it.  dt_max, the most time
+    between snapshots, defaults to 0.01 / max|eigenvalue of H|.  Every
+    sample is propagated through the cached eigendecomposition and all of
+    them are re-rooted as one batch.  t_final = 0 yields the single initial
+    snapshot.
     """
-    # scipy.integrate is imported here so that `import majorana` does not pay for it.
-    from scipy.integrate import RK45
-
     if state.label != h.label:
         raise LabelMismatch("state and Hamiltonian labels differ")
     t_final = float(t_final)
@@ -293,132 +260,24 @@ def evolve(
     if dt_max <= 0:
         raise ValueError("dt_max must be positive")
 
-    if checkpoints is None:
-        checkpoints = ()
-    forced: list[float] = []
-    for c in sorted(set(float(x) for x in checkpoints)):
+    forced = {0.0, t_final}
+    for c in map(float, () if checkpoints is None else checkpoints):
         if not (0.0 <= c <= t_final):
             raise ValueError(f"checkpoint {c} outside [0, {t_final}]")
-        if c > 0.0:
-            forced.append(c)
-    if t_final > 0 and (not forced or forced[-1] < t_final):
-        forced.append(t_final)
+        forced.add(c)
+    forced = np.array(sorted(forced))
+    steps = math.ceil(t_final / dt_max)
+    grid = t_final * np.arange(1, steps) / steps
+    # forced[near - 1] < grid <= forced[near]
+    near = np.searchsorted(forced, grid)
+    clear = np.minimum(forced[near] - grid, grid - forced[near - 1]) > 1e-14 * t_final
+    times = np.union1d(forced, grid[clear])
 
-    twoS = h.label.twoS
-    # Time resolution: a step shorter than this is an underflow, and a step
-    # ending this close to a forced time lands on it.
-    floor = 1e-14 * t_final
-
-    start = constellation_from_state(state)
-    times = [0.0]
-    snaps = [start]
-    flags = [False]
-    intervals: list[tuple[float, float]] = []
-
-    if t_final == 0.0 or twoS == 0:
-        if twoS == 0 and t_final > 0.0:
-            times.append(t_final)
-            snaps.append(start)
-            flags.append(False)
-        return StarTrajectory(
-            h.label, np.array(times), tuple(snaps), tuple(intervals), tuple(flags)
-        )
-
-    t = 0.0
-    w = _integrable_stars(start)
-    next_idx = 0
-    segments = 0
-    stuck = False
-
-    while t < t_final - floor:
-        segments += 1
-        if w is None or segments > _MAX_SEGMENTS:
-            # exact-evolution bridge: find the earliest horizon at which the
-            # constellation is integrable again (or run to the end).  A bridge
-            # launched at t = 0 only separates a degenerate initial
-            # constellation (coherent states, basis states); that is startup,
-            # not an integration failure, and is not reported as fallback.
-            ignition = t == 0.0
-            remaining = t_final - t
-            tau = remaining
-            if segments <= _MAX_SEGMENTS:
-                probe = remaining * 1e-18
-                while probe < remaining:
-                    c = constellation_from_state(evolve_exact(state, h, t + probe))
-                    if _integrable_stars(c) is not None and (
-                        not stuck or _within(c.finite_roots, _CALM_MAG, _CALM_CHORD)
-                    ):
-                        tau = probe
-                        break
-                    probe *= 4.0
-            fill = int(min(64, max(1, round(tau / dt_max))))
-            samples = sorted(
-                {min(t + tau * k / fill, t_final) for k in range(1, fill + 1)}
-                | {f for f in forced if t < f <= t + tau + floor}
-            )
-            snaps += constellations_from_states(
-                evolve_exact(state, h, s) for s in samples
-            )
-            times += samples
-            flags += [not ignition] * len(samples)
-            if not ignition:
-                intervals.append((t, min(t + tau, t_final)))
-            t = min(t + tau, t_final)
-            while next_idx < len(forced) and forced[next_idx] <= t + floor:
-                next_idx += 1
-            w = _integrable_stars(snaps[-1])
-            stuck = False
-            continue
-
-        # ODE segment toward the next forced time.  Its work is capped at 1000
-        # attempted steps plus 50 per dt_max still to go, counted in velocity
-        # evaluations: one at the start and six per attempted step.
-        target = forced[next_idx]
-        budget = 1 + 6 * (1000 + 50 * int(math.ceil((target - t) / dt_max)))
-        # A trial step may overflow; the controller rejects it on its own.
-        with np.errstate(all="ignore"):
-            solver = RK45(
-                lambda _, y: _raw_velocities(y, h), t, w, target,
-                first_step=min(dt_max, target - t), max_step=dt_max,
-                rtol=_RTOL, atol=_ATOL,
-            )
-            if not np.all(np.isfinite(solver.f)):
-                w = None
-                continue
-            while True:
-                if solver.nfev >= budget:
-                    w = None
-                    stuck = True
-                    break
-                solver.step()  # a failed step leaves solver.t put: an underflow
-                landed = target - solver.t <= floor
-                if solver.t - t < floor and not landed:
-                    if not _within(w, _BLOWUP_MAG / 100.0, 1e-4):
-                        w = None
-                        break
-                    raise StepUnderflow(
-                        f"step {solver.t - t:.3e} below resolution at t={t:.6g} "
-                        "with a nondegenerate constellation"
-                    )
-                if not _within(solver.y, _BLOWUP_MAG, _COLLIDE_CHORD):
-                    w = None
-                    break
-                t = target if landed else solver.t
-                w = solver.y
-                times.append(t)
-                snaps.append(Constellation(h.label, w, 0))
-                flags.append(False)
-                if landed:
-                    next_idx += 1
-                    break
-
-    return StarTrajectory(
-        h.label,
-        np.array(times),
-        tuple(snaps),
-        tuple(intervals),
-        tuple(flags),
-    )
+    phases = np.exp(-1j * np.outer(times, h.evals))
+    amps = (phases * (h.evecs.conj().T @ state.amplitudes)) @ h.evecs.T
+    amps[0] = state.amplitudes  # t = 0 is the state itself, not its eigenbasis round trip
+    snaps = constellations_from_states(SpinState(h.label, a) for a in amps)
+    return StarTrajectory(h.label, times, tuple(snaps), (), (False,) * len(times))
 
 
 # -- star matching ----------------------------------------------------------------------

@@ -18,9 +18,5 @@ class DegenerateConstellation(MajoranaError):
     """An operation requiring distinct finite stars met a degenerate one."""
 
 
-class StepUnderflow(MajoranaError):
-    """The adaptive integrator's step collapsed below resolution."""
-
-
 class LabelMismatch(MajoranaError):
     """Two objects with different spin labels were combined."""

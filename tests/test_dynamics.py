@@ -5,9 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import majorana as mj
-from majorana import dynamics
 from majorana.dynamics import (
     builtin_hamiltonian,
     equilibrium_residual,
@@ -18,7 +18,7 @@ from majorana.dynamics import (
     matched_distance,
     star_velocities,
 )
-from majorana.errors import DegenerateConstellation, LabelMismatch, StepUnderflow
+from majorana.errors import DegenerateConstellation, LabelMismatch
 
 
 def _random_state(rng, twoS):
@@ -377,18 +377,29 @@ def test_final_step_within_resolution_lands():
     assert matched_distance(traj.snapshots[-1], want) <= 1e-9
 
 
-def test_rough_velocity_field_underflows(monkeypatch):
-    # A velocity field of pure noise fails the error test at every step
-    # above the time resolution, while the constellation itself is generic.
-    rng = np.random.default_rng(7)
-    st = _random_state(rng, 4)
+@pytest.mark.parametrize("twoS", range(1, 9))
+def test_star_ode_matches_exact_rerooting(twoS):
+    # The equations of motion, integrated on their own, carry the stars to
+    # the constellation that evolve re-roots from the exact state.
+    rng = np.random.default_rng(4000 + twoS)
+    t_final = 0.3
+    for _ in range(3):
+        h = _unit_hamiltonian(rng, twoS)
+        st = _random_state(rng, twoS)
+        c0 = mj.constellation_from_state(st)
+        assert c0.infinity_count == 0
 
-    def noise(w, h, count=None):
-        return 1e8 * (rng.normal(size=len(w)) + 1j * rng.normal(size=len(w)))
+        def field(_, w):
+            # star_velocities follows the constellation's sorted order.
+            v = np.empty_like(w)
+            v[np.lexsort((w.imag, w.real))] = star_velocities(mj.Constellation(twoS, w), h)
+            return v
 
-    monkeypatch.setattr(dynamics, "_raw_velocities", noise)
-    with pytest.raises(StepUnderflow, match=r"at t=0 "):
-        evolve(st, builtin_hamiltonian(4, "Sz"), 1.0)
+        sol = solve_ivp(field, (0.0, t_final), c0.finite_roots, method="DOP853",
+                        rtol=1e-12, atol=1e-12)
+        assert sol.success
+        end = mj.Constellation(twoS, sol.y[:, -1])
+        assert matched_distance(end, evolve(st, h, t_final).snapshots[-1]) <= 1e-6
 
 
 @pytest.mark.parametrize("twoS", [12, 16])
@@ -405,9 +416,8 @@ def test_high_spin_evolve_matches_exact(twoS):
 
 
 def test_kerr_coherent_ignition():
-    # A coherent start is maximally degenerate; the integrator must launch
-    # through the exact propagator without reporting a fallback window, then
-    # track the spreading stars.
+    # A coherent start is maximally degenerate; the trajectory must leave it
+    # without reporting a fallback window, then track the spreading stars.
     chi = 0.7
     st = mj.coherent_state(4, 0.6 + 0.2j)
     h = builtin_hamiltonian(4, "Sz2", chi)
@@ -433,44 +443,34 @@ def _spread(c):
 
 def test_collision_flyby_stays_accurate():
     # psi = (1, sqrt(2) e^{-0.3 i}, 1)/norm under Sz^2: the two stars touch
-    # exactly at t = 0.3 (the discriminant crosses zero there).  The touch
-    # is a single instant, so the step controller may thread through it; the
-    # contract is accuracy on the far side, with a bridge only if the stars
-    # are still fused at an accepted step.
+    # exactly at t = 0.3 (the discriminant crosses zero there).  The
+    # contract is accuracy on the far side of the touch.
     amps = np.array([1.0, math.sqrt(2.0) * np.exp(-0.3j), 1.0])
     st = mj.SpinState(2, amps)
     h = builtin_hamiltonian(2, "Sz2", 1.0)
     traj = evolve(st, h, 0.6)
-    # the controller must have felt the event and refined
-    assert np.min(np.diff(traj.times)) < 1e-8
     for lo, hi in traj.fallback_intervals:
         assert lo < 0.3 < hi
     want = mj.constellation_from_state(evolve_exact(st, h, 0.6))
     assert matched_distance(traj.snapshots[-1], want) <= 1e-6
 
 
-def test_pole_crossing_is_bridged_and_reported():
+def test_pole_crossing_matches_exact():
     # A single star driven by Sx crosses the infinity pole at t = pi, a
-    # finite-time blowup of the chart coordinate that the ODE cannot step
-    # over.  The exact propagator must bridge it and say so.
+    # finite-time blowup of the chart coordinate that the ODE could never
+    # land on.  Re-rooting the exact state puts the star on the pole.
     st = mj.basis_state(1, 1)
     h = builtin_hamiltonian(1, "Sx", 1.0)
     t_final = 2.0 * math.pi
-    traj = evolve(st, h, t_final)
-    spans = [iv for iv in traj.fallback_intervals if iv[0] < math.pi < iv[1]]
-    assert spans, f"no bridge covering t=pi: {traj.fallback_intervals}"
-    lo, hi = spans[0]
-    assert hi - lo < 0.1
-    inside = [f for t, f in zip(traj.times, traj.fallback_flags) if lo < t <= hi]
-    assert inside and any(inside)
+    traj = evolve(st, h, t_final, checkpoints=[math.pi])
+    assert traj.at(math.pi).infinity_count == 1
     # full turn of a half-integer spin returns the ray to itself
     want = mj.constellation_from_state(evolve_exact(st, h, t_final))
     assert matched_distance(traj.snapshots[-1], want) <= 1e-6
 
 
 def test_polar_eigenstate_under_sz(rng):
-    # |S, -S> maps to all stars at infinity; the run is one long bridge that
-    # reports nothing because the output is exact.
+    # |S, -S> maps to all stars at infinity, where they stay.
     st = mj.basis_state(4, -4)
     traj = evolve(st, builtin_hamiltonian(4, "Sz"), 1.0)
     assert traj.fallback_intervals == ()
