@@ -257,8 +257,8 @@ def evolve(
     if dt_max is None:
         dt_max = 0.01 / norm if norm > 0 else max(t_final, 1.0)
     dt_max = float(dt_max)
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
+    if not dt_max > 0 or not math.isfinite(t_final / dt_max):
+        raise ValueError("dt_max must be positive and give a finite step count")
 
     forced = {0.0, t_final}
     for c in map(float, () if checkpoints is None else checkpoints):

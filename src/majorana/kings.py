@@ -31,7 +31,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import NonConvergence
-from .multipoles import _tensor_dagger_stack, cumulative_quantumness, multipoles
+from .multipoles import _low_order_terms, cumulative_quantumness, multipoles
 from .stellar import (
     Constellation,
     SpinLabel,
@@ -157,26 +157,20 @@ def _quantumness(c: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.ndarr
     """A_M of the states with stellar coefficients c (leading axes are batch
     axes) and the coefficient gradient g with dA = Re(g . dc).
 
-    With a = c / b, psi = a / |a| and components c_i = psi^dag S_i psi over
-    the rows S_i = T_Kq^dag, 1 <= K <= M, A = sum |c_i|^2 and
+    With a = c / b, psi = a / |a| and the components c_Kq = psi^dag T_Kq^dag psi,
+    1 <= K <= M, A = sum |c_Kq|^2 and
     g = conj(2 (B psi - (psi^dag B psi) psi) / (|a| b)), where
-    B = sum_i conj(c_i) S_i + h.c.  The rows are closed under the adjoint up
-    to sign, T_Kq^dag = (-1)^q T_K,-q, so B = 2 sum_i conj(c_i) S_i and
-    psi^dag B psi = 2A.
+    B = sum conj(c_Kq) T_Kq^dag + h.c.  The family is closed under the adjoint
+    up to sign, T_Kq^dag = (-1)^q T_K,-q, so B psi = 2 sum conj(c_Kq) T_Kq^dag psi
+    and psi^dag B psi = 2A; multipoles._low_order_terms gives both sums.
     """
     b = _binom_sqrt(twoS)
     a = c / b
     norm = np.linalg.norm(a, axis=-1, keepdims=True)
     psi = a / norm
-    # einsum, not a BLAS product: with BLAS threads on, the threaded product
-    # made a 2S = 12, M = 5 search 30x slower on 2 CPUs.
-    stack = _tensor_dagger_stack(twoS)[1 : (M + 1) * (M + 1)].reshape(-1, twoS + 1)
-    rows = np.einsum("kb,...b->...k", stack, psi)
-    rows = rows.reshape(psi.shape[:-1] + (-1, twoS + 1))  # S_i psi
-    comps = np.einsum("...ia,...a->...i", rows, psi.conj())
-    value = np.sum(np.abs(comps) ** 2, axis=-1)
-    b_psi = 2.0 * np.einsum("...i,...ia->...a", comps.conj(), rows)
-    g = np.conj(2.0 * (b_psi - 2.0 * value[..., None] * psi) / (norm * b))
+    comps, pulled = _low_order_terms(psi, M)
+    value = np.sum(np.abs(comps) ** 2, axis=(-2, -1))
+    g = np.conj(4.0 * (pulled - value[..., None] * psi) / (norm * b))
     return value, g
 
 

@@ -2,11 +2,16 @@
 
 The multipole components rho_Kq of a state are taken against an orthonormal
 tensor family (Condon-Shortley phases), so Tr(T_Kq T_K'q'^dag) is the
-identity pairing and sum |rho_Kq|^2 equals the purity.  The same components
-can be recovered by quadrature of the Husimi function against spherical
-harmonics; the proportionality constant of that route is calibrated once per
-(2S, K) on a reference coherent state and then frozen, making the two
-evaluations directly comparable.
+identity pairing and sum |rho_Kq|^2 equals the purity.  T_Kq has one nonzero
+diagonal, entry (k + q, k), so the whole family is one real table
+t[K, q + 2S, k], filled once per spin from exact Clebsch-Gordan values, and
+rho_Kq = sum_k t[K, q + 2S, k] rho[k + q, k] reads only the q-th diagonal of
+the density matrix.  Only this module knows that layout.  The same
+components can be recovered by quadrature of the Husimi function against
+spherical harmonics; the proportionality constant of that route is
+calibrated once per (2S, K) on a reference coherent state and then frozen,
+making the two evaluations directly comparable.  The dipole and quadrupole
+of Q are closed forms in <S_i> and <S_i S_j>.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .stellar import (
     sphere_to_stereo,
     is_infinite,
     overlap,
+    spin_matrices,
 )
 
 __all__ = [
@@ -49,7 +55,6 @@ __all__ = [
 # -- Clebsch-Gordan -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def clebsch_gordan(
     two_j1: int, two_m1: int, two_j2: int, two_m2: int, two_J: int, two_M: int
 ) -> float:
@@ -119,40 +124,54 @@ def clebsch_gordan(
 
 
 @lru_cache(maxsize=None)
-def _tensor(twoS: int, K: int, q: int) -> np.ndarray:
+def _tensor_table(twoS: int) -> np.ndarray:
+    """t[K, q + 2S, k] = entry (k + q, k) of T_Kq, the only nonzero diagonal;
+    zero where |q| > K or k + q falls outside 0..2S."""
     d = twoS + 1
-    out = np.zeros((d, d), dtype=complex)
-    pref = math.sqrt((2 * K + 1) / d)
-    for k in range(d):
-        kp = k + q
-        if 0 <= kp < d:
-            out[kp, k] = pref * clebsch_gordan(
-                twoS, 2 * k - twoS, 2 * K, 2 * q, twoS, 2 * kp - twoS
-            )
-    out.flags.writeable = False
-    return out
+    table = np.zeros((d, 2 * d - 1, d))
+    for K in range(d):
+        pref = math.sqrt((2 * K + 1) / d)
+        for q in range(-K, K + 1):
+            for k in range(max(0, -q), min(d, d - q)):
+                table[K, q + twoS, k] = pref * clebsch_gordan(
+                    twoS, 2 * k - twoS, 2 * K, 2 * q, twoS, 2 * (k + q) - twoS
+                )
+    table.flags.writeable = False
+    return table
 
 
 def tensor_operator(label: SpinLabel | int, K: int, q: int) -> np.ndarray:
     """Orthonormal irreducible tensor T_Kq as a (2S+1)x(2S+1) matrix."""
     label = _as_label(label)
-    if not (0 <= K <= label.twoS):
-        raise ValueError(f"K={K} outside 0..{label.twoS}")
+    twoS = label.twoS
+    if not (0 <= K <= twoS):
+        raise ValueError(f"K={K} outside 0..{twoS}")
     if abs(q) > K:
         raise ValueError(f"|q|={abs(q)} exceeds K={K}")
-    return _tensor(label.twoS, K, q)
+    diagonal = _tensor_table(twoS)[K, q + twoS, max(0, -q) : twoS + 1 - max(0, q)]
+    return np.diag(diagonal.astype(complex), -q)
 
 
 @lru_cache(maxsize=None)
-def _tensor_dagger_stack(twoS: int) -> np.ndarray:
-    """All T_Kq^dag stacked; row K*K + K + q holds component (K, q)."""
-    d = twoS + 1
-    stack = np.empty((d * d, d, d), dtype=complex)
-    for K in range(twoS + 1):
-        for q in range(-K, K + 1):
-            stack[K * K + K + q] = _tensor(twoS, K, q).conj().T
-    stack.flags.writeable = False
-    return stack
+def _shift_index(d: int, Q: int) -> np.ndarray:
+    """index[q + Q, k] = k + q for |q| <= Q, or d where k + q is outside
+    0..d-1; an index into a vector (or matrix) padded with a trailing zero."""
+    index = np.arange(-Q, Q + 1)[:, None] + np.arange(d)
+    index = np.where((index >= 0) & (index < d), index, d)
+    index.flags.writeable = False
+    return index
+
+
+def _low_order_terms(psi: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """For unit states psi (leading axes are batch axes): the components
+    c[..., K - 1, q + M] = psi^dag T_Kq^dag psi for 1 <= K <= M, and
+    sum_Kq conj(c_Kq) T_Kq^dag psi.  (T_Kq^dag psi)_k = t[K, q + 2S, k] psi_{k+q}."""
+    twoS = psi.shape[-1] - 1
+    t = _tensor_table(twoS)[1 : M + 1, twoS - M : twoS + M + 1]
+    padded = np.concatenate([psi, np.zeros(psi.shape[:-1] + (1,))], axis=-1)
+    shifted = padded[..., _shift_index(twoS + 1, M)]
+    comps = np.einsum("Kqk,...qk->...Kq", t, shifted * psi.conj()[..., None, :])
+    return comps, np.einsum("...Kq,Kqk,...qk->...k", comps.conj(), t, shifted)
 
 
 # -- multipole spectrum ---------------------------------------------------------
@@ -180,25 +199,17 @@ class MultipoleSpectrum:
                 yield K, q, complex(self.rho[K, q + self.label.twoS])
 
 
-def _spectrum_from_flat(label: SpinLabel, flat: np.ndarray) -> MultipoleSpectrum:
-    twoS = label.twoS
-    rho = np.zeros((twoS + 1, 2 * twoS + 1), dtype=complex)
-    w = np.zeros(twoS + 1)
-    for K in range(twoS + 1):
-        row = flat[K * K : (K + 1) * (K + 1)]
-        rho[K, twoS - K : twoS + K + 1] = row
-        w[K] = float(np.sum(np.abs(row) ** 2))
+def _spectrum(label: SpinLabel, rho: np.ndarray) -> MultipoleSpectrum:
+    w = np.sum(np.abs(rho) ** 2, axis=1)
     A = np.concatenate([[0.0], np.cumsum(w[1:])])
-    rho.flags.writeable = False
-    w.flags.writeable = False
-    A.flags.writeable = False
+    for a in (rho, w, A):
+        a.flags.writeable = False
     return MultipoleSpectrum(label, rho, w, A)
 
 
-def _density_input(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarray | None, np.ndarray | None]:
-    """Returns (label, pure amplitudes or None, density matrix or None)."""
+def _density_matrix(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarray]:
     if isinstance(state, SpinState):
-        return state.label, state.amplitudes, None
+        return state.label, np.outer(state.amplitudes, state.amplitudes.conj())
     dm = np.asarray(state, dtype=complex)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape[0] < 1:
         raise ValueError("density matrix must be square")
@@ -207,19 +218,17 @@ def _density_input(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarray
         raise ValueError("density matrix must be Hermitian")
     if abs(complex(np.trace(dm)) - 1.0) > 1e-10:
         raise ValueError("density matrix trace must be 1")
-    return SpinLabel(dm.shape[0] - 1), None, dm
+    return SpinLabel(dm.shape[0] - 1), dm
 
 
 def multipoles(state: SpinState | np.ndarray) -> MultipoleSpectrum:
     """Full tensor-component spectrum of a pure state (or, for diagnostic
     use, a density matrix): rho_Kq = Tr(rho T_Kq^dag)."""
-    label, amps, dm = _density_input(state)
-    stack = _tensor_dagger_stack(label.twoS)
-    if amps is not None:
-        flat = np.einsum("iab,a,b->i", stack, amps.conj(), amps)
-    else:
-        flat = np.einsum("iab,ba->i", stack, dm)
-    return _spectrum_from_flat(label, flat)
+    label, dm = _density_matrix(state)
+    twoS = label.twoS
+    padded = np.concatenate([dm, np.zeros((1, twoS + 1))])
+    diagonals = padded[_shift_index(twoS + 1, twoS), np.arange(twoS + 1)]  # rho[k + q, k]
+    return _spectrum(label, np.einsum("Kqk,qk->Kq", _tensor_table(twoS), diagonals))
 
 
 def cumulative_quantumness(spec: MultipoleSpectrum, M: int) -> float:
@@ -374,49 +383,38 @@ def multipoles_integral(state: SpinState) -> MultipoleSpectrum:
     Agrees with multipoles() to quadrature accuracy.
     """
     twoS = state.label.twoS
-    flat = np.empty((twoS + 1) ** 2, dtype=complex)
+    rho = np.zeros((twoS + 1, 2 * twoS + 1), dtype=complex)
     for K in range(twoS + 1):
         raw = _integral_components_raw(state, K)
         signs = (-1.0) ** (K + np.arange(-K, K + 1))
-        inv = _integral_inverse_kernel(twoS, K)
-        flat[K * K : (K + 1) * (K + 1)] = inv * signs * raw
-    return _spectrum_from_flat(state.label, flat)
+        rho[K, twoS - K : twoS + K + 1] = _integral_inverse_kernel(twoS, K) * signs * raw
+    return _spectrum(state.label, rho)
 
 
 # -- Cartesian moments ---------------------------------------------------------------
 
 
-def _q_moments(state: SpinState) -> tuple[float, np.ndarray, np.ndarray]:
-    """(integral of Q, first moments, second moments) over the sphere."""
-    twoS = state.label.twoS
-    n_theta = twoS + 4
-    n_phi = 2 * twoS + 5
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(x)
-    s = np.sqrt(1.0 - x * x)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    q_vals = _husimi_grid(state, thetas, phis)
-    w2d = wx[:, None] * (2.0 * np.pi / n_phi)
-    nx = s[:, None] * np.cos(phis)[None, :]
-    ny = s[:, None] * np.sin(phis)[None, :]
-    nz = np.broadcast_to(x[:, None], q_vals.shape)
-    total = float(np.sum(w2d * q_vals))
-    comps = [nx, ny, nz]
-    first = np.array([float(np.sum(w2d * q_vals * n)) for n in comps])
-    second = np.array(
-        [[float(np.sum(w2d * q_vals * comps[i] * comps[j])) for j in range(3)]
-         for i in range(3)]
-    )
-    return total, first, second
+def _spin_products(state: SpinState) -> tuple[float, np.ndarray, np.ndarray]:
+    """(S, <S~_i>, <{S~_i, S~_j}>/2) with S~ = (Sx, Sy, -Sz), the spin
+    vector in the sphere coordinates of Q (theta is measured from the
+    lowest-weight pole)."""
+    sx, sy, sz = spin_matrices(state.label.twoS)
+    psi = state.amplitudes
+    images = np.array([sx @ psi, sy @ psi, -(sz @ psi)])  # S~_i psi
+    first = (images @ psi.conj()).real
+    second = (images.conj() @ images.T).real
+    return state.label.twoS / 2.0, first, second
 
 
 def dipole(state: SpinState) -> np.ndarray:
-    """Q-weighted average direction <n>."""
-    total, first, _ = _q_moments(state)
-    return first / total
+    """Q-weighted average direction <n> = <S~> / (S + 1)."""
+    S, first, _ = _spin_products(state)
+    return first / (S + 1.0)
 
 
 def quadrupole(state: SpinState) -> np.ndarray:
-    """Q-weighted traceless second moment <3 n_i n_j - delta_ij>."""
-    total, _, second = _q_moments(state)
-    return 3.0 * second / total - np.eye(3)
+    """Q-weighted traceless second moment <3 n_i n_j - delta_ij>, from
+    <n_i n_j> = (<{S~_i, S~_j}>/2 + (S + 1)/2 delta_ij) / ((S + 1)(S + 3/2))."""
+    S, _, second = _spin_products(state)
+    eye = np.eye(3)
+    return 3.0 * (second + 0.5 * (S + 1.0) * eye) / ((S + 1.0) * (S + 1.5)) - eye

@@ -185,3 +185,13 @@ def test_evolve_label_mismatch_exits_2(runner, tmp_path, rng):
     hpath.write_text('{"twoS":4,"matrix":' + json.dumps(np.eye(5).tolist()) + "}")
     result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "0.1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("dtmax", ["1e-320", "nan"])
+def test_evolve_unbuildable_dtmax_exits_2(runner, tmp_path, rng, dtmax):
+    st = mj.SpinState(2, rng.normal(size=3) + 1j * rng.normal(size=3))
+    spath = _write_state(tmp_path, st)
+    hpath = tmp_path / "h.json"
+    hpath.write_text('{"builtin":"Sz"}')
+    result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "1", "--dtmax", dtmax])
+    assert result.exit_code == 2

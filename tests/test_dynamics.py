@@ -273,8 +273,9 @@ def test_evolve_argument_validation(rng):
     h = builtin_hamiltonian(2, "Sz")
     with pytest.raises(ValueError):
         evolve(st, h, -1.0)
-    with pytest.raises(ValueError):
-        evolve(st, h, 1.0, dt_max=0.0)
+    for dt_max in (0.0, 1e-320, math.nan):
+        with pytest.raises(ValueError):
+            evolve(st, h, 1.0, dt_max=dt_max)
     with pytest.raises(ValueError):
         evolve(st, h, 1.0, checkpoints=[2.0])
     with pytest.raises(ValueError):

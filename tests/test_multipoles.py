@@ -103,15 +103,15 @@ def test_tensor_operator_frozen():
 
 
 def test_tensor_operator_orthonormal():
-    twoS = 3
-    ops = {}
-    for K in range(twoS + 1):
-        for q in range(-K, K + 1):
-            ops[(K, q)] = tensor_operator(twoS, K, q)
-    for (k1, q1), a in ops.items():
-        for (k2, q2), b in ops.items():
-            want = 1.0 if (k1, q1) == (k2, q2) else 0.0
-            assert np.trace(a.conj().T @ b) == pytest.approx(want, abs=1e-12)
+    for twoS in (3, 8):
+        ops = {}
+        for K in range(twoS + 1):
+            for q in range(-K, K + 1):
+                ops[(K, q)] = tensor_operator(twoS, K, q)
+        for (k1, q1), a in ops.items():
+            for (k2, q2), b in ops.items():
+                want = 1.0 if (k1, q1) == (k2, q2) else 0.0
+                assert np.trace(a.conj().T @ b) == pytest.approx(want, abs=1e-12)
 
 
 def test_tensor_operator_range_errors():
@@ -144,7 +144,7 @@ def test_basis_state_spectrum_frozen():
 
 
 def test_purity_identity(rng):
-    for twoS in (1, 2, 3, 5, 8):
+    for twoS in (1, 2, 3, 5, 8, 20, 40):
         spec = multipoles(_random_state(rng, twoS))
         assert spec.w.sum() == pytest.approx(1.0, abs=1e-12)
         assert spec.A[twoS] == pytest.approx(twoS / (twoS + 1), abs=1e-12)
@@ -185,11 +185,28 @@ def test_maximally_mixed_has_no_structure():
 
 
 def test_multipole_lengths_rotation_invariant(rng):
-    st = _random_state(rng, 5)
-    base = multipoles(st).w
-    for theta, phi in [(0.7, 0.3), (2.4, 5.1), (1.2, 3.3)]:
-        w = multipoles(mj.rotate(st, theta, phi)).w
-        assert np.allclose(w, base, atol=1e-10)
+    for twoS in (5, 20, 40):
+        st = _random_state(rng, twoS)
+        base = multipoles(st).w
+        for theta, phi in [(0.7, 0.3), (2.4, 5.1), (1.2, 3.3)]:
+            w = multipoles(mj.rotate(st, theta, phi)).w
+            assert np.allclose(w, base, atol=1e-10)
+
+
+def test_spectrum_matches_dense_trace_at_high_spin(rng):
+    # rho_Kq = Tr(rho T_Kq^dag) from the dense tensor matrices, for a pure
+    # state and a rank-3 density matrix.
+    for twoS in (20, 40):
+        d = twoS + 1
+        st = _random_state(rng, twoS)
+        vecs = [_random_state(rng, twoS).amplitudes for _ in range(3)]
+        mix = sum(p * np.outer(v, v.conj()) for p, v in zip((0.5, 0.3, 0.2), vecs))
+        for state, dm in ((st, st.density_matrix()), (mix, mix)):
+            spec = multipoles(state)
+            for K in range(d):
+                for q in range(-K, K + 1):
+                    want = np.trace(dm @ tensor_operator(twoS, K, q).conj().T)
+                    assert abs(spec.component(K, q) - want) < 1e-13
 
 
 def test_cumulative_quantumness_monotone(rng):
@@ -385,6 +402,34 @@ def test_quadrupole_of_noon_state():
     q = quadrupole(mj.noon_state(2))
     assert np.allclose(q, np.diag([-0.4, 0.2, 0.2]), atol=1e-12)
     assert np.trace(q) == pytest.approx(0.0, abs=1e-12)
+
+
+def _q_moments(state):
+    """Dipole and quadrupole by quadrature of Q n_i and Q n_i n_j; this grid
+    integrates both exactly."""
+    twoS = state.label.twoS
+    grid = q_grid(state, twoS + 4, twoS + 5)
+    x, s = np.cos(grid.theta_nodes)[:, None], np.sin(grid.theta_nodes)[:, None]
+    n = np.broadcast_arrays(s * np.cos(grid.phi_nodes), s * np.sin(grid.phi_nodes), x)
+    weighted = grid.values * grid.theta_weights[:, None] * grid.phi_weight
+    total = weighted.sum()
+    first = np.array([np.sum(weighted * a) for a in n]) / total
+    second = np.array([[np.sum(weighted * a * b) for b in n] for a in n]) / total
+    return first, 3.0 * second - np.eye(3)
+
+
+def test_moments_match_q_quadrature(rng):
+    for twoS in (1, 2, 5, 12, 40):
+        states = [
+            _random_state(rng, twoS),
+            mj.coherent_state(twoS, 0.6 - 1.3j),
+            mj.basis_state(twoS, twoS - 2 * (twoS // 3)),
+            mj.noon_state(twoS),
+        ]
+        for st in states:
+            first, second = _q_moments(st)
+            assert np.abs(dipole(st) - first).max() < 1e-12
+            assert np.abs(quadrupole(st) - second).max() < 1e-12
 
 
 def test_quadrupole_symmetric(rng):
