@@ -197,7 +197,7 @@ def parse_hamiltonian(text: str, label: SpinLabel | int | None = None) -> Hamilt
     obj = json.loads(text)
     if isinstance(obj, dict) and "builtin" in obj:
         name = _require(obj, "builtin", str)
-        coupling = float(obj.get("coupling", 1.0))
+        coupling = _require(obj, "coupling", float) if "coupling" in obj else 1.0
         if "twoS" in obj:
             twoS = _require(obj, "twoS", int)
             if label is not None and _as_label(label).twoS != twoS:

@@ -187,6 +187,16 @@ def test_evolve_label_mismatch_exits_2(runner, tmp_path, rng):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("coupling", ["[1]", "null", "true"])
+def test_evolve_non_number_coupling_exits_2(runner, tmp_path, rng, coupling):
+    st = mj.SpinState(2, rng.normal(size=3) + 1j * rng.normal(size=3))
+    spath = _write_state(tmp_path, st)
+    hpath = tmp_path / "h.json"
+    hpath.write_text(f'{{"builtin":"Sz","coupling":{coupling}}}')
+    result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "0.05"])
+    assert result.exit_code == 2
+
+
 @pytest.mark.parametrize("dtmax", ["1e-320", "nan"])
 def test_evolve_unbuildable_dtmax_exits_2(runner, tmp_path, rng, dtmax):
     st = mj.SpinState(2, rng.normal(size=3) + 1j * rng.normal(size=3))

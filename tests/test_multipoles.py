@@ -8,6 +8,7 @@ import pytest
 import majorana as mj
 from majorana.multipoles import (
     MultipoleSpectrum,
+    _integral_inverse_kernel,
     clebsch_gordan,
     cumulative_quantumness,
     dipole,
@@ -130,6 +131,66 @@ def test_tensor_adjoint_symmetry():
             a = tensor_operator(4, K, q).conj().T
             b = (-1.0) ** q * tensor_operator(4, K, -q)
             assert np.allclose(a, b, atol=1e-13)
+
+
+def _exact_entry(twoS, K, q, k):
+    """Entry (k + q, k) of T_Kq from the exact Clebsch-Gordan value."""
+    pref = math.sqrt((2 * K + 1) / (twoS + 1))
+    return pref * clebsch_gordan(twoS, 2 * k - twoS, 2 * K, 2 * q, twoS, 2 * (k + q) - twoS)
+
+
+def test_tensor_table_matches_clebsch_gordan():
+    for twoS in range(13):
+        for K in range(twoS + 1):
+            for q in range(-K, K + 1):
+                got = np.diagonal(tensor_operator(twoS, K, q), -q).real
+                ks = range(max(0, -q), twoS + 1 - max(0, q))
+                want = [_exact_entry(twoS, K, q, k) for k in ks]
+                assert np.abs(got - want).max() < 1e-14, (twoS, K, q)
+
+
+@pytest.mark.parametrize("twoS", [20, 40])
+def test_tensor_table_samples_match_clebsch_gordan(twoS):
+    rng = np.random.default_rng(twoS)
+    for _ in range(300):
+        K = int(rng.integers(0, twoS + 1))
+        q = int(rng.integers(-K, K + 1))
+        k = int(rng.integers(max(0, -q), twoS + 1 - max(0, q)))
+        got = tensor_operator(twoS, K, q)[k + q, k].real
+        assert abs(got - _exact_entry(twoS, K, q, k)) < 1e-14, (K, q, k)
+
+
+@pytest.mark.parametrize("twoS", [60, 80])
+def test_tensor_table_ladder_at_high_spin(twoS):
+    # No exact fill is practical here: check orthonormality, the S_z and
+    # ladder commutators and T_KK = (-1)^K (S+)^K / ||(S+)^K||.  Here the end
+    # entries of high-K rows fall below the eigensolver's absolute accuracy
+    # (~1e-19 at 2S = 80), so a sign read from them alone flips whole rows.
+    d = twoS + 1
+    sx, sy, sz = mj.spin_matrices(twoS)
+    sp, sz = (sx + 1j * sy).real, sz.real
+    ops = {(K, q): tensor_operator(twoS, K, q).real for K in range(d) for q in range(-K, K + 1)}
+    for q in range(-twoS, twoS + 1):
+        diagonals = np.array([np.diagonal(ops[K, q], -q) for K in range(abs(q), d)])
+        gram = diagonals @ diagonals.T
+        assert np.abs(gram - np.eye(len(gram))).max() < 1e-13, q
+    power = np.eye(d)
+    for K in range(d):
+        want = (-1.0) ** K * power / np.linalg.norm(power)
+        assert np.abs(ops[K, K] - want).max() < 1e-13, K
+        power = power @ sp
+        for q in range(-K, K + 1):
+            t = ops[K, q]
+            assert np.abs(sz @ t - t @ sz - q * t).max() < 1e-13
+            # [S+, T_Kq] = c T_K,q+1 and [S-, T_Kq] = c' T_K,q-1, to rounding
+            # of the products; a flipped row misses by about 2c.
+            for ladder, step in ((sp, 1), (sp.T, -1)):
+                left, right = ladder @ t, t @ ladder
+                miss = left - right
+                if abs(q + step) <= K:
+                    miss -= math.sqrt(K * (K + 1) - q * (q + step)) * ops[K, q + step]
+                scale = np.linalg.norm(left) + np.linalg.norm(right)
+                assert np.linalg.norm(miss) <= 2e-13 * scale, (K, q, step)
 
 
 # -- spectra ----------------------------------------------------------------------
@@ -377,6 +438,23 @@ def test_integral_multipoles_match_trace(rng):
         for (k1, q1, v1), (k2, q2, v2) in zip(a.items(), b.items()):
             assert (k1, q1) == (k2, q2)
             assert abs(v1 - v2) < 1e-9
+
+
+@pytest.mark.parametrize("twoS", [12, 20, 30])
+def test_integral_multipoles_conditioning(rng, twoS):
+    # The quadrature's rounding is amplified by the order-K constant, which
+    # reaches 2.3e3, 6.7e5 and 7.6e8 at K = 2S for these spins.
+    eps = np.finfo(float).eps
+    bound = [1e3 * eps * max(1.0, _integral_inverse_kernel(twoS, K)) for K in range(twoS + 1)]
+    states = [
+        _random_state(rng, twoS),
+        mj.noon_state(twoS),
+        mj.basis_state(twoS, -twoS),
+        mj.coherent_state(twoS, 0.6 + 0.3j),
+    ]
+    for st in states:
+        miss = np.abs(multipoles(st).rho - multipoles_integral(st).rho).max(axis=1)
+        assert np.all(miss <= bound)
 
 
 # -- moments -----------------------------------------------------------------------

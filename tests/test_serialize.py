@@ -192,6 +192,12 @@ def test_parse_hamiltonian_builtin():
     assert np.allclose(h2.matrix, h.matrix)
 
 
+@pytest.mark.parametrize("coupling", ["[1]", "null", "true"])
+def test_parse_hamiltonian_rejects_non_number_coupling(coupling):
+    with pytest.raises(ValueError, match="coupling"):
+        parse_hamiltonian(f'{{"builtin":"Sz","coupling":{coupling},"twoS":2}}')
+
+
 def test_parse_hamiltonian_errors(rng):
     with pytest.raises(ValueError):
         parse_hamiltonian('{"builtin":"Sz"}')  # no dimension anywhere
