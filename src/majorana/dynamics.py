@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DegenerateConstellation, LabelMismatch
 from .stellar import (
@@ -51,6 +50,10 @@ __all__ = [
 
 # Chord below which star_velocities treats two stars as coincident.
 _MIN_VELOCITY_CHORD = 1e-9
+
+#: Most equal steps evolve builds; a finer dt_max is refused before any
+#: sample is allocated.
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +249,8 @@ def evolve(
     between snapshots, defaults to 0.01 / max|eigenvalue of H|.  Every
     sample is propagated through the cached eigendecomposition and all of
     them are re-rooted as one batch.  t_final = 0 yields the single initial
-    snapshot.
+    snapshot.  A dt_max that needs more than MAX_STEPS = 100 000 steps
+    raises ValueError before anything is allocated.
     """
     if state.label != h.label:
         raise LabelMismatch("state and Hamiltonian labels differ")
@@ -259,6 +263,9 @@ def evolve(
     dt_max = float(dt_max)
     if not dt_max > 0 or not math.isfinite(t_final / dt_max):
         raise ValueError("dt_max must be positive and give a finite step count")
+    steps = math.ceil(t_final / dt_max)
+    if steps > MAX_STEPS:
+        raise ValueError(f"dt_max gives {steps} steps, more than MAX_STEPS = {MAX_STEPS}")
 
     forced = {0.0, t_final}
     for c in map(float, () if checkpoints is None else checkpoints):
@@ -266,7 +273,6 @@ def evolve(
             raise ValueError(f"checkpoint {c} outside [0, {t_final}]")
         forced.add(c)
     forced = np.array(sorted(forced))
-    steps = math.ceil(t_final / dt_max)
     grid = t_final * np.arange(1, steps) / steps
     # forced[near - 1] < grid <= forced[near]
     near = np.searchsorted(forced, grid)
@@ -289,12 +295,17 @@ def _point_values(c: Constellation) -> list[complex]:
 
 def match_stars(a: Constellation, b: Constellation) -> np.ndarray:
     """Permutation p minimizing total chordal distance; b's star p[i]
-    corresponds to a's star i (stars ordered as finite list then infinity)."""
+    corresponds to a's star i (stars ordered as finite list then infinity).
+
+    Needs scipy, imported here so that importing the package does not load it.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     if a.label != b.label:
         raise LabelMismatch("constellations have different labels")
     pa, pb = _point_values(a), _point_values(b)
     cost = np.array([[chordal_distance(x, y) for y in pb] for x in pa])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
     perm = np.empty(len(pa), dtype=int)
     perm[rows] = cols
     return perm

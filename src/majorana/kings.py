@@ -14,8 +14,13 @@ than amplitudes keeps the iterate exactly on the pure-state manifold.
 
 A_M and the collision penalty have closed-form gradients in the pairs, so
 each restart screens random constellations in one stacked evaluation and
-polishes the two best with L-BFGS (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
-Comput. 16 (1995) 1190).
+polishes the two best with BFGS, a dense inverse-Hessian quasi-Newton
+method with an Armijo backtracking line search (Nocedal & Wright, Numerical
+Optimization, 2nd ed. (2006), ch. 6).  The two polishes run in lockstep:
+every round evaluates the objective and gradient of both trial points in
+one batched call, and a polish that stops leaves the batch.  The stop rules
+and the first step are those of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J.
+Sci. Comput. 16 (1995) 1190).
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
@@ -23,12 +28,12 @@ result is reproducible and independent of how restarts are scheduled.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NonConvergence
 from .multipoles import _low_order_terms, cumulative_quantumness, multipoles
@@ -55,6 +60,11 @@ ZERO_TOL = 1e-7
 _COLLISION_CHORD = 1e-9
 _SCREEN_SAMPLES = 32
 _POLISH_STARTS = 2
+# Polish line search: sufficient-decrease constant and the most trial steps
+# in a row a start may reject before it stops.
+_ARMIJO = 1e-4
+_BACKTRACKS = 20
+_EPS = float(np.finfo(float).eps)
 # Chart stand-in for a star within 1e-150 of the theta = pi pole; _gauge_fix
 # snaps it to infinity.  Its square still fits in a float.
 _POLE = 1e150
@@ -63,7 +73,7 @@ _POLE = 1e150
 @dataclass(frozen=True)
 class SearchConfig:
     """Target order M, restart count and seed; max_iters, grad_tol and f_tol
-    bound each L-BFGS polish: its iterations, its largest gradient component,
+    bound each polish: its iterations, its largest gradient component,
     and its per-iteration decrease of the objective, counted in units of the
     rounding of the objective."""
 
@@ -87,9 +97,20 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """What one restart did: objective-and-gradient evaluations and L-BFGS
+    """What one restart did: objective-and-gradient evaluations and BFGS
     iterations summed over its polished starts, the stop reason of the start
-    it kept, whether that start converged, and the restart's wall time."""
+    it kept, whether that start converged, and the restart's wall time.
+
+    stop_reason names the rule that ended the start:
+
+    * "grad_tol": no gradient component exceeds grad_tol;
+    * "f_tol": the last step lowered the objective by at most f_tol units
+      of its rounding;
+    * "max_iters": the start took max_iters steps;
+    * "line_search": the line search rejected 20 trial steps in a row.
+
+    The first two count as converged, and so does any start whose largest
+    gradient component ends at most 1e-6."""
 
     evaluations: int
     iterations: int
@@ -176,8 +197,9 @@ def _quantumness(c: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.ndarr
 
 def _collision(alpha: np.ndarray, beta: np.ndarray, with_grad: bool):
     """Sum over star pairs of max(0, 1e-9 - chord)^2, with the chord
-    2 |alpha_i beta_j - alpha_j beta_i| / (|s_i| |s_j|) of pairs s = (alpha, beta);
-    with_grad adds the complex gradients (G_alpha, G_beta) of one point."""
+    2 |alpha_i beta_j - alpha_j beta_i| / (|s_i| |s_j|) of pairs s = (alpha, beta),
+    leading axes being batch axes; with_grad adds the complex gradients
+    (G_alpha, G_beta)."""
     inv = 1.0 / np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
     cross = alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
     chord = 2.0 * np.abs(cross) * inv[..., :, None] * inv[..., None, :]
@@ -187,15 +209,17 @@ def _collision(alpha: np.ndarray, beta: np.ndarray, with_grad: bool):
     if not with_grad:
         return value
     if not gap.any():
-        zero = np.zeros(n, dtype=complex)
+        zero = np.zeros(alpha.shape, dtype=complex)
         return value, zero, zero
     # d value = sum_{i != j} w_ij d chord_ij / 2, with w = -2 gap symmetric.
     w = -2.0 * gap
     mag = np.abs(cross)
     unit = np.divide(cross, mag, out=np.zeros_like(cross), where=mag > 0)
-    q = 2.0 * w * unit.conj() * np.outer(inv, inv)
-    radial = np.sum(w * chord, axis=1) * inv ** 2
-    return value, q @ beta - radial * alpha.conj(), -(q @ alpha) - radial * beta.conj()
+    q = 2.0 * w * unit.conj() * inv[..., :, None] * inv[..., None, :]
+    radial = np.sum(w * chord, axis=-1) * inv ** 2
+    q_beta = (q @ beta[..., None])[..., 0]
+    q_alpha = (q @ alpha[..., None])[..., 0]
+    return value, q_beta - radial * alpha.conj(), -q_alpha - radial * beta.conj()
 
 
 def _screen_values(x: np.ndarray, twoS: int, M: int) -> np.ndarray:
@@ -206,8 +230,9 @@ def _screen_values(x: np.ndarray, twoS: int, M: int) -> np.ndarray:
     return value + _collision(alpha, beta, with_grad=False)
 
 
-def _value_and_grad(x: np.ndarray, twoS: int, M: int) -> tuple[float, np.ndarray]:
-    """Search objective A_M + collision penalty at x and its gradient.
+def _value_and_grad(x: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Search objective A_M + collision penalty at the search points x of
+    shape (..., 4n) and its gradient, of the shape of x.
 
     The stellar polynomial with factor j deleted is prefix_j * suffix_{j+1},
     the products of the factors before and after j; both are taken as
@@ -217,19 +242,20 @@ def _value_and_grad(x: np.ndarray, twoS: int, M: int) -> tuple[float, np.ndarray
     """
     alpha, beta = _pairs(x)
     values = _factor_values(alpha, beta)
-    ones = np.ones((1, twoS + 1), dtype=complex)
-    prefix = np.cumprod(np.concatenate([ones, values[:-1]]), axis=0)
-    suffix = np.cumprod(np.concatenate([ones, values[:0:-1]]), axis=0)[::-1]
-    deleted = prefix * suffix
-    value, g = _quantumness(np.fft.fft(deleted[0] * values[0]), twoS, M)
+    ones = np.ones(values.shape[:-2] + (1, twoS + 1), dtype=complex)
+    prefix = np.cumprod(np.concatenate([ones, values[..., :-1, :]], axis=-2), axis=-2)
+    suffix = np.cumprod(np.concatenate([ones, values[..., :0:-1, :]], axis=-2), axis=-2)
+    deleted = prefix * suffix[..., ::-1, :]
+    value, g = _quantumness(np.fft.fft(deleted[..., 0, :] * values[..., 0, :]), twoS, M)
     weights = np.fft.fft(g)
-    grad_beta = deleted @ weights
-    grad_alpha = deleted @ (weights * _unit_roots(twoS))
+    grads = deleted @ np.stack([weights * _unit_roots(twoS), weights], axis=-1)
     penalty, pen_alpha, pen_beta = _collision(alpha, beta, with_grad=True)
-    grad_alpha = grad_alpha + pen_alpha
-    grad_beta = grad_beta + pen_beta
-    grad = np.concatenate([grad_alpha.real, -grad_alpha.imag, grad_beta.real, -grad_beta.imag])
-    return float(value + penalty), grad
+    grad_alpha = grads[..., 0] + pen_alpha
+    grad_beta = grads[..., 1] + pen_beta
+    grad = np.concatenate(
+        [grad_alpha.real, -grad_alpha.imag, grad_beta.real, -grad_beta.imag], axis=-1
+    )
+    return value + penalty, grad
 
 
 def _random_pairs(rng: np.random.Generator, n_stars: int, count: int) -> np.ndarray:
@@ -243,24 +269,90 @@ def _random_pairs(rng: np.random.Generator, n_stars: int, count: int) -> np.ndar
     )
 
 
-def _polish(x0: np.ndarray, twoS: int, config: SearchConfig) -> scipy.optimize.OptimizeResult:
-    return scipy.optimize.minimize(
-        _value_and_grad,
-        x0,
-        args=(twoS, config.M),
-        jac=True,
-        method="L-BFGS-B",
-        # L-BFGS-B stops once a step lowers f by less than ftol * max(|f|, 1),
-        # an absolute test for A_M < 1: ftol = 1e-9 ends near A_M = 1e-10 with
-        # the stars still ~1e-5 off the optimum.  f_tol is therefore counted
-        # in units of the rounding of f (L-BFGS-B's factr), and the gradient
-        # test ends a polish that reaches a zero.
-        options={
-            "maxiter": config.max_iters,
-            "gtol": config.grad_tol,
-            "ftol": config.f_tol * np.finfo(float).eps,
-        },
-    )
+def _polish(
+    x0: np.ndarray, twoS: int, config: SearchConfig
+) -> tuple[np.ndarray, list[float], list[np.ndarray], list[int], list[int], list[str]]:
+    """BFGS from each row of x0, all rows in lockstep.
+
+    Each round makes one batched objective-and-gradient call at the trial
+    points of the rows still running.  A row keeps a dense inverse-Hessian
+    estimate H (d = 4n, 80 at 2S = 20), scaled by y.s / y.y before
+    its first update, and steps along -H g.  A trial meeting the Armijo
+    condition is taken; otherwise the step shrinks by safeguarded quadratic
+    interpolation.  The first step has length 1 and every later one starts
+    at the full quasi-Newton step, as in L-BFGS-B.  A row stops, and leaves
+    the batch, for the first of these reasons:
+
+    * "grad_tol": its largest gradient component is at most grad_tol
+      (checked at the start too, so a stationary start takes no step);
+    * "f_tol": a step lowered f by at most f_tol * eps * max(|f|, 1), so
+      f_tol counts units of the rounding of f;
+    * "max_iters": it has taken max_iters steps;
+    * "line_search": _BACKTRACKS trial steps in a row were rejected.
+
+    Returns per row: the final point, f and g there, evaluations, steps
+    taken and the stop reason.
+    """
+    rows, dim = x0.shape
+    x = x0.copy()
+    f0, g0 = _value_and_grad(x, twoS, config.M)
+    f, g = f0.tolist(), list(g0)
+    evaluations, steps, backtracks = [1] * rows, [0] * rows, [0] * rows
+    reasons = ["grad_tol" if float(np.abs(gi).max()) <= config.grad_tol else "" for gi in g]
+    hess = [np.eye(dim) for _ in range(rows)]
+    direction = [-gi for gi in g]
+    slope = [-float(gi @ gi) for gi in g]
+    t = [1.0 / math.sqrt(-si) if si < 0 else 1.0 for si in slope]
+    trial = x.copy()
+    live = [i for i in range(rows) if not reasons[i]]
+    while live:
+        for i in live:
+            trial[i] = x[i] + t[i] * direction[i]
+        ft, gt = _value_and_grad(trial[live], twoS, config.M)
+        for i, fi, gi in zip(live, ft.tolist(), gt):
+            evaluations[i] += 1
+            if not fi <= f[i] + _ARMIJO * t[i] * slope[i]:
+                # Shrink to the minimizer of the quadratic through f, the
+                # slope and fi, kept within [0.1 t, 0.5 t].
+                curve = fi - f[i] - slope[i] * t[i]
+                shrink = -slope[i] * t[i] / (2.0 * curve) if math.isfinite(curve) else 0.1
+                t[i] *= min(max(shrink, 0.1), 0.5)
+                backtracks[i] += 1
+                if backtracks[i] >= _BACKTRACKS:
+                    reasons[i] = "line_search"
+                continue
+            s = trial[i] - x[i]
+            y = gi - g[i]
+            ys = float(y @ s)
+            if steps[i] == 0 and ys > 0:
+                hess[i] *= ys / float(y @ y)
+            # L-BFGS-B's curvature test: skip the update unless y.s is
+            # above rounding relative to the decrease the step predicted.
+            if ys > _EPS * -slope[i] * t[i]:
+                hy = hess[i] @ y
+                rho = 1.0 / ys
+                left = np.stack([(1.0 + rho * float(y @ hy)) * rho * s - rho * hy, -rho * s], axis=1)
+                hess[i] += left @ np.stack([s, hy])
+            drop = f[i] - fi
+            scale = max(abs(f[i]), abs(fi), 1.0)
+            x[i], f[i], g[i] = trial[i], fi, gi
+            steps[i] += 1
+            backtracks[i] = 0
+            d = -(hess[i] @ gi)
+            sd = float(gi @ d)
+            if not sd < 0:
+                # Rounding cost H its positive definiteness: start afresh.
+                hess[i] = np.eye(dim)
+                d, sd = -gi, -float(gi @ gi)
+            direction[i], slope[i], t[i] = d, sd, 1.0
+            if float(np.abs(gi).max()) <= config.grad_tol:
+                reasons[i] = "grad_tol"
+            elif drop <= config.f_tol * _EPS * scale:
+                reasons[i] = "f_tol"
+            elif steps[i] >= config.max_iters:
+                reasons[i] = "max_iters"
+        live = [i for i in live if not reasons[i]]
+    return x, f, g, evaluations, steps, reasons
 
 
 def _run_restart(
@@ -271,19 +363,21 @@ def _run_restart(
     rng = np.random.default_rng([config.seed % (2 ** 64), index])
     candidates = _random_pairs(rng, twoS, _SCREEN_SAMPLES)
     order = np.argsort(_screen_values(candidates, twoS, config.M), kind="stable")
-    runs = [_polish(candidates[i], twoS, config) for i in order[:_POLISH_STARTS]]
-    best = min(runs, key=lambda r: r.fun)
+    x, f, g, evaluations, steps, reasons = _polish(
+        candidates[order[:_POLISH_STARTS]], twoS, config
+    )
+    best = int(np.argmin(f))
     record = RestartRecord(
-        evaluations=sum(int(r.nfev) for r in runs),
-        iterations=sum(int(r.nit) for r in runs),
-        stop_reason=str(best.message),
+        evaluations=sum(evaluations),
+        iterations=sum(steps),
+        stop_reason=reasons[best],
         # A small final gradient is a converged start even when the line
-        # search ends it with an abnormal-termination message at the
-        # rounding floor.
-        converged=bool(best.success or float(np.abs(best.jac).max()) <= 1e-6),
+        # search ends it at the rounding floor.
+        converged=reasons[best] in ("grad_tol", "f_tol")
+        or float(np.abs(g[best]).max()) <= 1e-6,
         seconds=time.perf_counter() - start,
     )
-    return float(best.fun), best.x, record
+    return float(f[best]), x[best], record
 
 
 # -- gauge fixing ----------------------------------------------------------------

@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .stellar import (
     SpinLabel,
@@ -135,7 +134,8 @@ def _tensor_table(twoS: int) -> np.ndarray:
     diagonal it is a symmetric tridiagonal with diagonal
     2S(S + 1) - 2 m_{k+q} m_k and off-diagonal -u_{k+q} u_k,
     u_j = <j + 1|S+|j>, whose unit eigenvectors in ascending order are the
-    rows K = |q|..2S.  Their signs follow the lowering relation
+    rows K = |q|..2S.  It is at most (2S + 1) square, so numpy.linalg.eigh
+    solves it as a dense matrix.  The rows' signs follow the lowering relation
     [S-, T_K,q+1] = sqrt((K + q + 1)(K - q)) T_Kq from the q + 1 rows, swept
     down from q = 2S; a row K = q >= 0 starts its ladder as a positive
     multiple of (-1)^q (S+)^q, whose entries all share one sign.  No entry's
@@ -150,10 +150,9 @@ def _tensor_table(twoS: int) -> np.ndarray:
     for q in range(twoS, -twoS - 1, -1):
         cols = slice(max(0, -q), d - max(0, q))
         ks = k[cols]
-        _, vecs = scipy.linalg.eigh_tridiagonal(
-            twoS * (twoS + 2) / 2.0 - 2.0 * m[ks + q] * m[ks],
-            -u[ks[:-1] + q] * u[ks[:-1]],
-        )
+        casimir = np.diag(twoS * (twoS + 2) / 2.0 - 2.0 * m[ks + q] * m[ks])
+        casimir += np.diag(-u[ks[:-1] + q] * u[ks[:-1]], -1)  # eigh reads the lower triangle
+        _, vecs = np.linalg.eigh(casimir)
         rows = vecs.T
         signs = np.ones(len(ks))
         if q < twoS:

@@ -34,17 +34,21 @@ products against the table, so no stage loops over coefficients in Python.
    estimates and re-solves each tight cluster on the (m-1)-th derivative,
    where the root is simple and recoverable to machine precision; it keeps
    the multiple root only if every lower derivative vanishes there.  What
-   is still within the clustering radius is then merged.  The walk reads
-   the tree straight from the linkage matrix and visits its nodes from an
-   explicit stack, depth first and left child first.
+   is still within the clustering radius is then merged.  The merge matrix
+   is built here the way scipy's linkage(..., method="single") builds it:
+   a Prim minimum spanning tree over the estimates, its edges stably sorted
+   by height, and union-find labels with the smaller cluster id as the left
+   child.  The walk reads the tree straight from that matrix and visits its
+   nodes from an explicit stack, depth first and left child first.
 
 Coefficient arrays are ordered low to high: coeffs[k] multiplies z**k.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.cluster.hierarchy import linkage
 
 from .errors import NonConvergence
 
@@ -232,6 +236,7 @@ def _refine_multiple(
     g = table[m - 1, : len(table) - m + 1].tolist()
     z = center
     leash = max(4.0 * spread, 1e-7 * (1.0 + abs(center)))
+    last = math.inf
     for _ in range(60):
         gv, dgv = g[-1], 0j
         for c in g[-2::-1]:
@@ -245,6 +250,14 @@ def _refine_multiple(
             return None
         if abs(step) <= 1e-15 * (1.0 + abs(z)):
             break
+        # Near a simple root every Newton step is smaller than the one
+        # before; a step that is not has met the rounding noise of g.  Noise
+        # steps wander about that level, so where it is a thousand times the
+        # convergence test no later step passes the test.  Below that level
+        # a noise step can still pass by chance, so those refinements run on.
+        if abs(step) >= last and abs(step) > 1e-12 * (1.0 + abs(z)):
+            return None
+        last = abs(step)
     else:
         return None
     at = _table(np.array([z]), len(table) - 1)
@@ -253,6 +266,49 @@ def _refine_multiple(
     if (mag > _CLUSTER_C * scale * _EPS ** ((m - np.arange(m)) / m)).any():
         return None
     return z
+
+
+def _single_linkage(z: np.ndarray) -> np.ndarray:
+    """The single-linkage merge matrix of the points z in the plane, row for
+    row scipy's linkage(..., method="single"): row j joins the clusters
+    merges[j, 0] < merges[j, 1] at height merges[j, 2] into cluster n + j of
+    merges[j, 3] points, and point i is cluster i.
+
+    Prim's minimum spanning tree grows from point 0, each step adding the
+    nearest point still outside, the lowest index on ties; its edges,
+    stably sorted by length, are the merges.
+    """
+    n = len(z)
+    dx = z.real[:, None] - z.real
+    dy = z.imag[:, None] - z.imag
+    dist = np.sqrt(dx * dx + dy * dy)
+    near = np.full(n, np.inf)
+    edges = np.empty((n - 1, 3))
+    x = 0
+    for k in range(n - 1):
+        dist[:, x] = np.inf  # x is inside the tree now
+        near[x] = np.inf
+        np.minimum(near, dist[x], out=near)
+        y = int(np.argmin(near))
+        edges[k] = x, y, near[y]
+        x = y
+    edges = edges[np.argsort(edges[:, 2], kind="stable")]
+    parent = list(range(2 * n - 1))
+    size = [1] * (2 * n - 1)
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    merges = np.empty((n - 1, 4))
+    for j, (a, b, height) in enumerate(edges.tolist()):
+        ra, rb = root(int(a)), root(int(b))
+        parent[ra] = parent[rb] = n + j
+        size[n + j] = size[ra] + size[rb]
+        merges[j] = min(ra, rb), max(ra, rb), height, size[n + j]
+    return merges
 
 
 def _validated_clusters(
@@ -269,8 +325,7 @@ def _validated_clusters(
     """
     n = len(roots)
     table = _derivative_table(coeffs)
-    merges = linkage(np.column_stack([roots.real, roots.imag]), method="single")
-    children = merges[:, :2].astype(int).tolist()
+    children = _single_linkage(roots)[:, :2].astype(int).tolist()
     runs = [[i] for i in range(n)]
     for left, right in children:
         runs.append(runs[left] + runs[right])

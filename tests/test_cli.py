@@ -197,7 +197,7 @@ def test_evolve_non_number_coupling_exits_2(runner, tmp_path, rng, coupling):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("dtmax", ["1e-320", "nan"])
+@pytest.mark.parametrize("dtmax", ["1e-320", "nan", "1e-12"])
 def test_evolve_unbuildable_dtmax_exits_2(runner, tmp_path, rng, dtmax):
     st = mj.SpinState(2, rng.normal(size=3) + 1j * rng.normal(size=3))
     spath = _write_state(tmp_path, st)

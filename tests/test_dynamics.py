@@ -1,6 +1,7 @@
 """Hamiltonians, star velocities, equilibria, and trajectory integration."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -276,6 +277,15 @@ def test_evolve_argument_validation(rng):
     for dt_max in (0.0, 1e-320, math.nan):
         with pytest.raises(ValueError):
             evolve(st, h, 1.0, dt_max=dt_max)
+    # A finite but huge step count is refused before its grid is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            evolve(st, h, 1.0, dt_max=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
     with pytest.raises(ValueError):
         evolve(st, h, 1.0, checkpoints=[2.0])
     with pytest.raises(ValueError):

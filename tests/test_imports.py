@@ -1,0 +1,50 @@
+"""The package imports and runs its main paths without loading scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import sys
+
+import numpy as np
+
+import majorana as mj
+import majorana.cli
+from majorana import rootfinding
+from majorana.kings import SearchConfig, minimize
+from majorana.multipoles import multipoles
+
+walks = []
+walk = rootfinding._validated_clusters
+
+
+def counted_walk(*args):
+    walks.append(args)
+    return walk(*args)
+
+
+rootfinding._validated_clusters = counted_walk
+
+minimize(4, SearchConfig(M=2, restarts=1))
+rng = np.random.default_rng(1)
+multipoles(mj.SpinState(20, rng.normal(size=21) + 1j * rng.normal(size=21)))
+stars = rng.normal(size=38) + 1j * rng.normal(size=38)
+state = mj.state_from_constellation(mj.Constellation(40, np.r_[stars, 0.5j, 0.5j], 0))
+mj.state_from_constellation(mj.constellation_from_state(state))
+assert walks, "the double star did not take the cluster walk"
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_and_main_paths_load_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -234,6 +234,23 @@ def test_restart_ending_at_south_pole(monkeypatch):
     assert np.isfinite(result.objective) and result.objective <= 1e-20
     assert all(np.isfinite(v) for v in result.history)
     assert result.restarts_converged == 1
+    # The gradient vanishes at the start, so neither start takes a step.
+    (record,) = result.restart_records
+    assert record.stop_reason == "grad_tol"
+    assert record.iterations == 0
+    assert record.evaluations == 2
+
+
+def test_polish_stops_at_the_iteration_cap():
+    config = SearchConfig(M=2, restarts=1, max_iters=1)
+    x0 = kings._random_pairs(np.random.default_rng(5), 4, 2)
+    *_, evaluations, steps, reasons = kings._polish(x0, 4, config)
+    assert steps == [1, 1]
+    assert reasons == ["max_iters", "max_iters"]
+    assert all(e >= 2 for e in evaluations)
+    (record,) = minimize(4, config).restart_records
+    assert record.iterations == 2
+    assert record.stop_reason == "max_iters"
 
 
 def test_restart_records():

@@ -15,6 +15,7 @@ from majorana.rootfinding import (
     _derivative_table,
     _merge_by_radius,
     _refine_multiple,
+    _single_linkage,
     _validated_clusters,
     _table,
     _with_derivative,
@@ -302,3 +303,37 @@ def test_array_cluster_walk_is_bitwise_the_recursive_walk(stars):
     want = _recursive_walk(c, estimates)
     assert list(m) == [k for _, k in want]
     assert z.tobytes() == np.array([w for w, _ in want], dtype=complex).tobytes()
+
+
+def _trimmed_coherent(n):
+    """A coherent state's polynomial (z - w)**n with the coefficients below
+    1e-10 of the largest cut off its low end, as the round trip trims it,
+    and the polished companion estimates of what is left: a ring of
+    ill-conditioned roots about w."""
+    c = _stars_polynomial(np.full(n, 0.3 * np.exp(0.7j)))
+    core = c[np.argmax(np.abs(c) > 1e-10) :]
+    return core, newton_polish(core[None], _companion_eigvals(core[None]))[0][0]
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_single_linkage_is_scipys(n):
+    rng = np.random.default_rng(n)
+    gauss = lambda k: rng.normal(size=k) + 1j * rng.normal(size=k)
+    half = gauss((n + 1) // 2)
+    core, estimates = _trimmed_coherent(n)
+    inputs = {
+        "random": gauss(n),
+        "duplicates": rng.permutation(np.concatenate([half, half])[:n]),
+        "regular ring": 0.4 - 1j + 2.0 * np.exp(2j * np.pi * np.arange(n) / n),
+        "trimmed coherent ring": estimates,
+    }
+    for name, z in inputs.items():
+        if len(z) < 2:
+            continue
+        want = linkage(np.column_stack([z.real, z.imag]), method="single")
+        assert _single_linkage(z).tobytes() == want.tobytes(), name
+    if len(estimates) >= 2:
+        z, m = _validated_clusters(core, estimates)
+        want = _recursive_walk(core, estimates)
+        assert list(m) == [k for _, k in want]
+        assert z.tobytes() == np.array([w for w, _ in want], dtype=complex).tobytes()
