@@ -12,11 +12,11 @@ pair is scaled, so the pairs need no chart: the parametrization is smooth
 everywhere on the sphere, poles included.  Optimizing star positions rather
 than amplitudes keeps the iterate exactly on the pure-state manifold.
 
-A_M and the collision penalty have closed-form gradients in the pairs, so
-each restart screens random constellations in one stacked evaluation and
-polishes the two best with BFGS, a dense inverse-Hessian quasi-Newton
-method with an Armijo backtracking line search (Nocedal & Wright, Numerical
-Optimization, 2nd ed. (2006), ch. 6).  The two polishes run in lockstep:
+A_M has a closed-form gradient in the pairs, so each restart screens
+random constellations in one stacked evaluation and polishes the two best
+with BFGS, a dense inverse-Hessian quasi-Newton method with an Armijo
+backtracking line search (Nocedal & Wright, Numerical Optimization, 2nd ed.
+(2006), ch. 6).  The two polishes run in lockstep:
 every round evaluates the objective and gradient of both trial points in
 one batched call, and a polish that stops leaves the batch.  The stop rules
 and the first step are those of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J.
@@ -57,7 +57,6 @@ __all__ = [
 #: A_M at or below this value counts as numerically unpolarized.
 ZERO_TOL = 1e-7
 
-_COLLISION_CHORD = 1e-9
 _SCREEN_SAMPLES = 32
 _POLISH_STARTS = 2
 # Polish line search: sufficient-decrease constant and the most trial steps
@@ -195,44 +194,16 @@ def _quantumness(c: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.ndarr
     return value, g
 
 
-def _collision(alpha: np.ndarray, beta: np.ndarray, with_grad: bool):
-    """Sum over star pairs of max(0, 1e-9 - chord)^2, with the chord
-    2 |alpha_i beta_j - alpha_j beta_i| / (|s_i| |s_j|) of pairs s = (alpha, beta),
-    leading axes being batch axes; with_grad adds the complex gradients
-    (G_alpha, G_beta)."""
-    inv = 1.0 / np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
-    cross = alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
-    chord = 2.0 * np.abs(cross) * inv[..., :, None] * inv[..., None, :]
-    n = alpha.shape[-1]
-    gap = np.clip(_COLLISION_CHORD - chord, 0.0, None) * (1.0 - np.eye(n))
-    value = 0.5 * np.sum(gap ** 2, axis=(-2, -1))
-    if not with_grad:
-        return value
-    if not gap.any():
-        zero = np.zeros(alpha.shape, dtype=complex)
-        return value, zero, zero
-    # d value = sum_{i != j} w_ij d chord_ij / 2, with w = -2 gap symmetric.
-    w = -2.0 * gap
-    mag = np.abs(cross)
-    unit = np.divide(cross, mag, out=np.zeros_like(cross), where=mag > 0)
-    q = 2.0 * w * unit.conj() * inv[..., :, None] * inv[..., None, :]
-    radial = np.sum(w * chord, axis=-1) * inv ** 2
-    q_beta = (q @ beta[..., None])[..., 0]
-    q_alpha = (q @ alpha[..., None])[..., 0]
-    return value, q_beta - radial * alpha.conj(), -q_alpha - radial * beta.conj()
-
-
 def _screen_values(x: np.ndarray, twoS: int, M: int) -> np.ndarray:
     """Search objective of stacked search points x of shape (count, 4n)."""
     alpha, beta = _pairs(x)
     c = np.fft.fft(np.prod(_factor_values(alpha, beta), axis=-2), axis=-1)
-    value, _ = _quantumness(c, twoS, M)
-    return value + _collision(alpha, beta, with_grad=False)
+    return _quantumness(c, twoS, M)[0]
 
 
 def _value_and_grad(x: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Search objective A_M + collision penalty at the search points x of
-    shape (..., 4n) and its gradient, of the shape of x.
+    """Search objective A_M at the search points x of shape (..., 4n) and
+    its gradient, of the shape of x.
 
     The stellar polynomial with factor j deleted is prefix_j * suffix_{j+1},
     the products of the factors before and after j; both are taken as
@@ -249,13 +220,11 @@ def _value_and_grad(x: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.nd
     value, g = _quantumness(np.fft.fft(deleted[..., 0, :] * values[..., 0, :]), twoS, M)
     weights = np.fft.fft(g)
     grads = deleted @ np.stack([weights * _unit_roots(twoS), weights], axis=-1)
-    penalty, pen_alpha, pen_beta = _collision(alpha, beta, with_grad=True)
-    grad_alpha = grads[..., 0] + pen_alpha
-    grad_beta = grads[..., 1] + pen_beta
+    grad_alpha, grad_beta = grads[..., 0], grads[..., 1]
     grad = np.concatenate(
         [grad_alpha.real, -grad_alpha.imag, grad_beta.real, -grad_beta.imag], axis=-1
     )
-    return value + penalty, grad
+    return value, grad
 
 
 def _random_pairs(rng: np.random.Generator, n_stars: int, count: int) -> np.ndarray:

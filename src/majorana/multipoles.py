@@ -413,9 +413,13 @@ def multipoles_integral(state: SpinState) -> MultipoleSpectrum:
     The kernel peaks at K = 2S.  For random states the worst deviation is
     about 1e-12 at 2S = 12, 1e-9 at 20, 1e-6 at 30 and 1e-4 at 40 (a state
     peaked at a pole: about 20 times that at 2S = 40); at 2S = 60 no digit
-    is left.
+    is left.  Above 2S = 30 it raises ValueError.
     """
     twoS = state.label.twoS
+    if twoS > 30:
+        raise ValueError(
+            f"multipoles_integral has no reliable digits at 2S={twoS} > 30; use multipoles()"
+        )
     rho = np.zeros((twoS + 1, 2 * twoS + 1), dtype=complex)
     for K in range(twoS + 1):
         raw = _integral_components_raw(state, K)

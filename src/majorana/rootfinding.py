@@ -24,29 +24,27 @@ products against the table, so no stage loops over coefficients in Python.
    point that rejects a step keeps its inputs and would reject it again, so
    the polish stops once no point moves.
 3. Finishing gates, evaluated for the whole stack at once: the worst
-   residual against the contract, a simple-root test on |p'| and a pairwise
-   separation test at the clustering radius.  A row that passes all three
-   is returned sorted.  A row that is an n-th power up to rounding (a
-   coherent state) is returned as n copies of its root.  Only the others
-   take the per-row path.
-4. Certified cluster walk: an m-fold root scatters over a circle of radius
-   about eps**(1/m).  The walk descends the single-linkage tree of a row's
-   estimates and re-solves each tight cluster on the (m-1)-th derivative,
-   where the root is simple and recoverable to machine precision; it keeps
-   the multiple root only if every lower derivative vanishes there.  What
-   is still within the clustering radius is then merged.  The merge matrix
-   is built here the way scipy's linkage(..., method="single") builds it:
-   a Prim minimum spanning tree over the estimates, its edges stably sorted
-   by height, and union-find labels with the smaller cluster id as the left
-   child.  The walk reads the tree straight from that matrix and visits its
-   nodes from an explicit stack, depth first and left child first.
+   residual against the contract, and the Weierstrass inclusion discs
+   |z - z_i| <= n |W_i|, W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j)),
+   with the polish's rounding floor added to |p(z_i)|.  A connected union
+   of m discs that meets no other disc holds exactly m roots (Carstensen,
+   Numer. Math. 59 (1991) 349; Bini & Fiorentino, Numer. Algorithms 23
+   (2000) 127).  A row whose discs are pairwise disjoint is returned
+   sorted.  A row that is an n-th power up to rounding (a coherent state)
+   is returned as n copies of its root.  Only the others take the per-row
+   path.
+4. Per-row path: an m-fold root scatters its estimates over a circle of
+   radius about eps**(1/m), and their discs overlap.  If the polished
+   estimates no longer rebuild the polynomial through Vieta to within tol,
+   the seeds replace them (see _finish).  Each connected component of
+   m > 1 discs becomes m copies of its estimates' mean if the mean meets
+   the residual contract and the merge moves the Vieta coefficients by at
+   most tol; if not, the component keeps its m estimates.
 
 Coefficient arrays are ordered low to high: coeffs[k] multiplies z**k.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -54,8 +52,8 @@ from .errors import NonConvergence
 
 _EPS = float(np.finfo(float).eps)
 
-# Acceptance factor for the derivative-magnitude test that validates a
-# candidate m-fold root.  Larger values merge near-collisions more eagerly.
+# How far, in units of the rounding of p, a row's coefficients may miss an
+# exact n-th power for _full_powers to take it as one.
 _CLUSTER_C = 1e3
 
 
@@ -111,20 +109,12 @@ def polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _powers(np.asarray(z, dtype=complex), len(coeffs) - 1) @ np.asarray(coeffs)
 
 
-def _derivative_table(coeffs: np.ndarray) -> np.ndarray:
-    """table[j] holds the coefficients of p^(j), zero-padded to len(coeffs):
-    table[j, k] = coeffs[k + j] (k + 1)(k + 2)...(k + j)."""
-    n = len(coeffs) - 1
-    k = np.arange(n + 1)
-    rising = np.cumprod(np.where(k[:, None] > 0, k + k[:, None], 1.0), axis=0)
-    return np.where(k[:, None] + k <= n, coeffs[np.minimum(k[:, None] + k, n)] * rising, 0)
-
-
-def derivative(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex)
-    if order >= len(c):
-        return np.zeros(1, dtype=complex)
-    return _derivative_table(c)[order, : len(c) - order]
+def _rounding_floor(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """2 (n + 1) eps sum_k |c_k| |z|**k for row b's polynomial at each point
+    of table[..., b, :, :], charted like the table: a bound on the rounding
+    error of p read from it."""
+    n = coeffs.shape[-1] - 1
+    return 2.0 * (n + 1) * _EPS * (np.abs(table) @ np.abs(coeffs)[..., None])[..., 0]
 
 
 def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
@@ -163,7 +153,7 @@ def newton_polish(
     table = _table(z, n)
     v = table @ cols
     p, dp = v[..., 0], v[..., 1]
-    floor = 2.0 * (n + 1) * _EPS * (np.abs(table) @ np.abs(coeffs)[..., None])[..., 0]
+    floor = _rounding_floor(table, coeffs)
     for _ in range(iters):
         step = p / np.where(dp == 0, np.inf, dp)
         znew = z - step
@@ -188,9 +178,8 @@ def _full_powers(
 
     A coherent state's root polynomial is such a power.  At high degree its
     n-fold root scatters the companion eigenvalues over a circle about as
-    wide as |z0|; every estimate then looks simple, and the cluster walk
-    never sees the cluster.  "Up to rounding" is the cluster walk's test of
-    p itself at an n-fold root, applied coefficient by coefficient:
+    wide as |z0|, and the mean of that ring misses the residual contract.
+    "Up to rounding" is tested coefficient by coefficient:
     sum_k |c_k - power_k| |z0|**k <= _CLUSTER_C * eps * sum_k |c_k| |z0|**k.
     Each term is |c_k z0**k - lead_k z0**n|, with lead_k z0**(n-k) the
     power's coefficient; read from the charted table (see _table), every
@@ -208,189 +197,87 @@ def _full_powers(
     return z0, fits & (resid <= tol)
 
 
-def _close_pairs(z: np.ndarray, radius: float) -> np.ndarray:
-    """close[..., i, j]: estimates i != j lie within radius*(1 + max|z|)."""
-    az = np.abs(z)
-    gap = np.abs(z[..., :, None] - z[..., None, :])
-    reach = radius * (1.0 + np.maximum(az[..., :, None], az[..., None, :]))
-    close = gap <= reach
-    diag = np.arange(z.shape[-1])
-    close[..., diag, diag] = False
-    return close
+def _disc_overlaps(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """overlap[b, i, j]: the Weierstrass inclusion discs of estimates i and
+    j of row b meet (i == j included).
 
-
-def _refine_multiple(
-    table: np.ndarray, center: complex, m: int, spread: float
-) -> complex | None:
-    """Try to certify an m-fold root near center; return it or None.
-
-    table[j] holds the coefficients of p^(j), zero-padded to a common
-    length.  An m-fold root of p is a simple root of p^(m-1), so Newton on
-    that derivative converges quadratically to full precision.  The
-    candidate is accepted only if every lower derivative of p vanishes there
-    to within the perturbation theory of an m-fold root (|p^(j)| of order
-    eps**((m-j)/m) relative to its coefficient-magnitude scale).
+    The disc of z_i has radius n (|p(z_i)| + floor_i) / |c_n prod_{j != i}
+    (z_i - z_j)|: n |W_i|, with the rounding floor of reading p added so
+    that no disc is smaller than the rounding of p allows.  p and the floor
+    are read from the charted table (see _table), divided by |z_i|**n where
+    |z_i| > 1; each factor z_i - z_j is divided by z_i there too, and the
+    product is summed in logs, so neither a far nor a spread star can
+    overflow it.  Estimates that coincide get infinite discs.
     """
-    # Python scalars: one Newton step on a single point costs less than a
-    # numpy call per coefficient.
-    g = table[m - 1, : len(table) - m + 1].tolist()
-    z = center
-    leash = max(4.0 * spread, 1e-7 * (1.0 + abs(center)))
-    last = math.inf
-    for _ in range(60):
-        gv, dgv = g[-1], 0j
-        for c in g[-2::-1]:
-            dgv = dgv * z + gv
-            gv = gv * z + c
-        if dgv == 0:
-            return None
-        step = gv / dgv
-        z = z - step
-        if abs(z - center) > leash:
-            return None
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
-            break
-        # Near a simple root every Newton step is smaller than the one
-        # before; a step that is not has met the rounding noise of g.  Noise
-        # steps wander about that level, so where it is a thousand times the
-        # convergence test no later step passes the test.  Below that level
-        # a noise step can still pass by chance, so those refinements run on.
-        if abs(step) >= last and abs(step) > 1e-12 * (1.0 + abs(z)):
-            return None
-        last = abs(step)
-    else:
-        return None
-    at = _table(np.array([z]), len(table) - 1)
-    mag = np.abs(at @ table[:m].T)[0]
-    scale = (np.abs(at) @ np.abs(table[:m].T))[0]
-    if (mag > _CLUSTER_C * scale * _EPS ** ((m - np.arange(m)) / m)).any():
-        return None
-    return z
+    n = z.shape[-1]
+    table = _table(z, n)
+    bound = np.abs((table @ c[..., None])[..., 0]) + _rounding_floor(table, c)
+    gap = np.abs(z[:, :, None] - z[:, None, :])
+    s = np.maximum(1.0, np.abs(z))
+    diag = np.arange(n)
+    with np.errstate(divide="ignore", over="ignore"):
+        logs = np.log(gap / s[:, :, None])
+        logs[:, diag, diag] = 0.0
+        log_r = np.log(n * bound * s / np.abs(c[:, -1:])) - logs.sum(axis=-1)
+        radius = np.exp(log_r)
+    return gap <= radius[:, :, None] + radius[:, None, :]
 
 
-def _single_linkage(z: np.ndarray) -> np.ndarray:
-    """The single-linkage merge matrix of the points z in the plane, row for
-    row scipy's linkage(..., method="single"): row j joins the clusters
-    merges[j, 0] < merges[j, 1] at height merges[j, 2] into cluster n + j of
-    merges[j, 3] points, and point i is cluster i.
+def _vieta(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The coefficients, low to high, of c_n prod_i (x - z_i)."""
+    return c[-1] * np.poly(z)[::-1]
 
-    Prim's minimum spanning tree grows from point 0, each step adding the
-    nearest point still outside, the lowest index on ties; its edges,
-    stably sorted by length, are the merges.
+
+def _finish(c: np.ndarray, z: np.ndarray, seeds: np.ndarray, tol: float) -> np.ndarray:
+    """Per-row path: multiplicity from the overlapping discs, contract,
+    canonical order.  c has max modulus 1.
+
+    The polish moves each estimate on its own.  In a wide cluster of
+    ill-conditioned roots it can stop part way and leave a set whose Vieta
+    coefficients miss c, while the seeds, exact roots of a nearby
+    polynomial, still rebuild it.  When the polished set misses c by more
+    than tol, the seeds take its place if they miss it by less and meet the
+    contract.
+
+    Each connected component of m > 1 overlapping discs then becomes m
+    copies of its estimates' mean if the mean meets the residual contract
+    and the merge moves the Vieta coefficients by at most tol; otherwise it
+    keeps its m estimates.
     """
+    rebuilt = _vieta(c, z)
+    miss = np.abs(rebuilt - c).max()
+    if miss > tol:
+        alt = _vieta(c, seeds)
+        if np.abs(alt - c).max() < miss and residual_ratios(c, seeds).max() <= tol:
+            z, rebuilt = seeds, alt
+    overlap = _disc_overlaps(c[None], z[None])[0]
     n = len(z)
-    dx = z.real[:, None] - z.real
-    dy = z.imag[:, None] - z.imag
-    dist = np.sqrt(dx * dx + dy * dy)
-    near = np.full(n, np.inf)
-    edges = np.empty((n - 1, 3))
-    x = 0
-    for k in range(n - 1):
-        dist[:, x] = np.inf  # x is inside the tree now
-        near[x] = np.inf
-        np.minimum(near, dist[x], out=near)
-        y = int(np.argmin(near))
-        edges[k] = x, y, near[y]
-        x = y
-    edges = edges[np.argsort(edges[:, 2], kind="stable")]
-    parent = list(range(2 * n - 1))
-    size = [1] * (2 * n - 1)
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    merges = np.empty((n - 1, 4))
-    for j, (a, b, height) in enumerate(edges.tolist()):
-        ra, rb = root(int(a)), root(int(b))
-        parent[ra] = parent[rb] = n + j
-        size[n + j] = size[ra] + size[rb]
-        merges[j] = min(ra, rb), max(ra, rb), height, size[n + j]
-    return merges
-
-
-def _validated_clusters(
-    coeffs: np.ndarray, roots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the single-linkage merge tree of the root estimates top-down,
-    replacing every certifiable tight cluster by one exact multiple root.
-    Returns the distinct roots and their multiplicities.
-
-    Node i < n of the tree is estimate i; node n + j is the merge in row j
-    of the linkage matrix.  runs[node] lists the node's estimates left child
-    first, the order of the tree's pre-order traversal; an explicit stack
-    visits the nodes in that order too.
-    """
-    n = len(roots)
-    table = _derivative_table(coeffs)
-    children = _single_linkage(roots)[:, :2].astype(int).tolist()
-    runs = [[i] for i in range(n)]
-    for left, right in children:
-        runs.append(runs[left] + runs[right])
-    out: list[tuple[complex, int]] = []
-    stack = [2 * n - 2]
-    while stack:
-        node = stack.pop()
-        idx = runs[node]
+    label = np.arange(n)
+    while True:  # each disc takes the least label it touches, until none changes
+        new = np.where(overlap, label, n).min(axis=1)
+        if (new == label).all():
+            break
+        label = new
+    out = z
+    for k in np.unique(label):
+        idx = np.flatnonzero(label == k)
         if len(idx) == 1:
-            out.append((complex(roots[idx[0]]), 1))
             continue
-        sub = roots[idx]
-        center = complex(sub.mean())
-        spread = float(np.abs(sub - center).max())
-        # A genuine m-fold root scatters estimates over about eps**(1/m);
-        # anything much wider is a set of distinct roots, not worth a
-        # refinement attempt.
-        limit = 10.0 * _EPS ** (1.0 / len(idx)) * (1.0 + abs(center))
-        if spread <= min(0.5 * (1.0 + abs(center)), limit):
-            z = _refine_multiple(table, center, len(idx), spread)
-            if z is not None:
-                out.append((z, len(idx)))
-                continue
-        stack.extend(reversed(children[node - n]))
-    return (np.array([z for z, _ in out], dtype=complex),
-            np.array([m for _, m in out]))
-
-
-def _merge_by_radius(
-    z: np.ndarray, m: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy single-linkage merge of points closer than radius*(1+|z|):
-    the first close pair in row-major order becomes its weighted mean,
-    until no pair is close."""
-    z, m = z.copy(), m.copy()
-    while True:
-        close = np.triu(_close_pairs(z, radius))
-        if not close.any():
-            return z, m
-        i, j = divmod(int(np.argmax(close)), len(z))
-        z[i] = (m[i] * z[i] + m[j] * z[j]) / (m[i] + m[j])
-        m[i] += m[j]
-        z, m = np.delete(z, j), np.delete(m, j)
-
-
-def _finish(
-    c: np.ndarray, roots: np.ndarray, simple: bool, cluster_radius: float, tol: float
-) -> np.ndarray:
-    """Per-row path: multiplicity recovery, merge, contract, canonical order."""
-    if simple:
-        z, m = roots, np.ones(len(roots), dtype=int)
-    else:
-        z, m = _validated_clusters(c, roots)
-    expanded = np.repeat(*_merge_by_radius(z, m, cluster_radius))
-    worst = residual_ratios(c, expanded).max(initial=0.0)
+        center = z[idx].mean()
+        merged = out.copy()
+        merged[idx] = center
+        if (residual_ratios(c, np.array([center]))[0] <= tol
+                and np.abs(_vieta(c, merged) - rebuilt).max() <= tol):
+            out = merged
+    worst = residual_ratios(c, out).max(initial=0.0)
     if worst > tol:
         raise NonConvergence(
             f"clustered roots violate the residual contract ({worst:.3e} > {tol:.3e})"
         )
-    return expanded[np.lexsort((expanded.imag, expanded.real))]
+    return out[np.lexsort((out.imag, out.real))]
 
 
-def find_roots(
-    coeffs: np.ndarray, tol: float = 1e-10, cluster_radius: float = 1e-7
-) -> np.ndarray:
+def find_roots(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """All roots of the polynomial, multiplicities expanded, sorted.
 
     coeffs must have nonzero first and last entries (no roots at zero or
@@ -398,12 +285,10 @@ def find_roots(
     roots miss the backward-error contract
     |p(z)| <= tol * max|coeffs| * max(1, |z|)**degree.
     """
-    return find_roots_batch(np.asarray(coeffs, dtype=complex)[None], tol, cluster_radius)[0]
+    return find_roots_batch(np.asarray(coeffs, dtype=complex)[None], tol)[0]
 
 
-def find_roots_batch(
-    coeffs: np.ndarray, tol: float = 1e-10, cluster_radius: float = 1e-7
-) -> list[np.ndarray]:
+def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
     """find_roots over a stack of same-degree coefficient rows.
 
     A row's result does not depend on the other rows of the stack.
@@ -421,28 +306,22 @@ def find_roots_batch(
     if n == 1:
         return [np.array([-row[0] / row[1]]) for row in c]
     z0, power = _full_powers(c, tol)
-    z, p, dp = newton_polish(c, _companion_eigvals(c))
+    seeds = _companion_eigvals(c)
+    z, p, _ = newton_polish(c, seeds)
     worst = _contract_ratios(p).max(axis=1, initial=0.0)
     miss = np.flatnonzero((worst > tol) & ~power)
     if len(miss):
         raise NonConvergence(
             f"root residual {worst[miss[0]]:.3e} exceeds tolerance {tol:.3e} for degree {n}"
         )
-    # An m-fold root pushes |p'| at its estimates down to order
-    # eps**((m-1)/m) of the coefficient scale (about 1e-8 for a double
-    # root), far below this gate, as long as the estimates stay close to it.
-    # A full-degree root at high degree scatters them too far; _full_powers
-    # catches that case.
-    scale = (np.abs(_table(z, n)) @ np.abs(_with_derivative(c)[..., 1:]))[..., 0]
-    simple = (np.abs(dp) > 1e-5 * scale).all(axis=1)
-    separated = ~_close_pairs(z, cluster_radius).any(axis=(1, 2))
+    isolated = _disc_overlaps(c, z).sum(axis=(1, 2)) == n
     order = np.lexsort((z.imag, z.real), axis=-1)
     out = []
     for b in range(c.shape[0]):
         if power[b]:
             out.append(np.full(n, z0[b]))
-        elif simple[b] and separated[b]:
+        elif isolated[b]:
             out.append(z[b, order[b]])
         else:
-            out.append(_finish(c[b], z[b], bool(simple[b]), cluster_radius, tol))
+            out.append(_finish(c[b], z[b], seeds[b], tol))
     return out

@@ -102,15 +102,8 @@ def _hard_polynomial(shape, degree):
     return np.poly(stars)[::-1], stars
 
 
-# A known defect, kept visible: at high degree a double star can split
-# wider than the cluster walk's 10*sqrt(eps) refinement window, and its two
-# roots stay distinct.
-_DOUBLE_KNOWN = pytest.mark.xfail(
-    strict=True, reason="double star split wider than the refinement window")
-
-
 @pytest.mark.parametrize("shape,degree", [
-    ("double", 20), pytest.param("double", 30, marks=_DOUBLE_KNOWN), ("double", 40),
+    ("double", 20), ("double", 30), ("double", 40),
     ("near_pole", 20), ("near_pole", 30), ("near_pole", 40),
     ("spread", 20), ("spread", 30), ("spread", 40),
 ])

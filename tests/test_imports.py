@@ -18,16 +18,16 @@ from majorana import rootfinding
 from majorana.kings import SearchConfig, minimize
 from majorana.multipoles import multipoles
 
-walks = []
-walk = rootfinding._validated_clusters
+finishes = []
+finish = rootfinding._finish
 
 
-def counted_walk(*args):
-    walks.append(args)
-    return walk(*args)
+def counted_finish(*args):
+    finishes.append(args)
+    return finish(*args)
 
 
-rootfinding._validated_clusters = counted_walk
+rootfinding._finish = counted_finish
 
 minimize(4, SearchConfig(M=2, restarts=1))
 rng = np.random.default_rng(1)
@@ -35,7 +35,7 @@ multipoles(mj.SpinState(20, rng.normal(size=21) + 1j * rng.normal(size=21)))
 stars = rng.normal(size=38) + 1j * rng.normal(size=38)
 state = mj.state_from_constellation(mj.Constellation(40, np.r_[stars, 0.5j, 0.5j], 0))
 mj.state_from_constellation(mj.constellation_from_state(state))
-assert walks, "the double star did not take the cluster walk"
+assert finishes, "the double star did not take the per-row path"
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

@@ -175,27 +175,6 @@ def test_search_gradient_matches_central_differences(twoS):
     assert np.abs(central - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
 
 
-def test_collision_penalty_gradient():
-    # Two pairs of stars closer than the 1e-9 chord where the penalty acts,
-    # one pair of them at the theta = pi pole; steps must stay inside that range.
-    rng = np.random.default_rng(3)
-    alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
-    beta = rng.normal(size=5) + 1j * rng.normal(size=5)
-    alpha[1], beta[1] = (1.3 - 0.2j) * alpha[0], (1.3 - 0.2j) * beta[0] + 3e-10 * (1 + 1j)
-    alpha[3], beta[3], alpha[4], beta[4] = 0.0, 2.0, 1e-10, 1.5j
-    x = _pair_vector(alpha, beta)
-
-    def penalty(y):
-        return kings._collision(*kings._pairs(y), with_grad=False)
-
-    value, g_alpha, g_beta = kings._collision(*kings._pairs(x), with_grad=True)
-    assert value > 0.0
-    grad = np.concatenate([g_alpha.real, -g_alpha.imag, g_beta.real, -g_beta.imag])
-    h = 1e-13
-    central = np.array([(penalty(x + h * e) - penalty(x - h * e)) / (2.0 * h) for e in np.eye(len(x))])
-    assert np.abs(central - grad).max() <= 1e-3 * np.abs(grad).max()
-
-
 def test_screening_matches_single_evaluations(rng):
     x = kings._random_pairs(rng, 10, 8)
     stacked = kings._screen_values(x, 10, 3)

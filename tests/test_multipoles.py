@@ -457,6 +457,12 @@ def test_integral_multipoles_conditioning(rng, twoS):
         assert np.all(miss <= bound)
 
 
+@pytest.mark.parametrize("twoS", [31, 60])
+def test_integral_multipoles_refuses_high_spin(twoS):
+    with pytest.raises(ValueError, match=r"multipoles\(\)"):
+        multipoles_integral(mj.basis_state(twoS, twoS))
+
+
 # -- moments -----------------------------------------------------------------------
 
 
