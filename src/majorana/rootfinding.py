@@ -223,6 +223,19 @@ def _disc_overlaps(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return gap <= radius[:, :, None] + radius[:, None, :]
 
 
+def _components(overlap: np.ndarray) -> np.ndarray:
+    """Connected components of the graph whose adjacency matrix is overlap
+    (diagonal set): each vertex is labelled with the least index in its
+    component.  These are the single-linkage clusters of the discs."""
+    n = len(overlap)
+    label = np.arange(n)
+    while True:  # each disc takes the least label it touches, until none changes
+        new = np.where(overlap, label, n).min(axis=1)
+        if (new == label).all():
+            return label
+        label = new
+
+
 def _vieta(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The coefficients, low to high, of c_n prod_i (x - z_i)."""
     return c[-1] * np.poly(z)[::-1]
@@ -250,14 +263,7 @@ def _finish(c: np.ndarray, z: np.ndarray, seeds: np.ndarray, tol: float) -> np.n
         alt = _vieta(c, seeds)
         if np.abs(alt - c).max() < miss and residual_ratios(c, seeds).max() <= tol:
             z, rebuilt = seeds, alt
-    overlap = _disc_overlaps(c[None], z[None])[0]
-    n = len(z)
-    label = np.arange(n)
-    while True:  # each disc takes the least label it touches, until none changes
-        new = np.where(overlap, label, n).min(axis=1)
-        if (new == label).all():
-            break
-        label = new
+    label = _components(_disc_overlaps(c[None], z[None])[0])
     out = z
     for k in np.unique(label):
         idx = np.flatnonzero(label == k)

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import pdist, squareform
 
 from majorana.rootfinding import (
     _EPS,
     _companion_eigvals,
+    _components,
+    _disc_overlaps,
     _table,
     _with_derivative,
     find_roots,
@@ -260,3 +264,52 @@ def test_wide_cluster_roots_rebuild_the_polynomial():
         c = _stars_polynomial(np.r_[np.full(25, gauss(1)[0]), gauss(5)])
         roots = find_roots(c)
         assert np.abs(c[-1] * np.poly(roots)[::-1] - c).max() <= 1e-10, seed
+
+
+def _trimmed_coherent(n):
+    """A coherent state's polynomial (z - w)**n with the coefficients below
+    1e-10 of the largest cut off its low end, as the round trip trims it,
+    and the polished companion estimates of what is left: a ring of
+    ill-conditioned roots about w."""
+    c = _stars_polynomial(np.full(n, 0.3 * np.exp(0.7j)))
+    core = c[np.argmax(np.abs(c) > 1e-10) :]
+    core = core / np.abs(core).max()
+    return core, newton_polish(core[None], _companion_eigvals(core[None]))[0][0]
+
+
+def _partition(label):
+    """Labels renamed to the index of each label's first occurrence, so two
+    labellings of the same partition compare equal."""
+    first = {}
+    return [first.setdefault(k, i) for i, k in enumerate(label)]
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_single_linkage_is_scipys(n):
+    # The components of overlapping discs are single-linkage clusters: cut
+    # at distance t, scipy's single-linkage tree gives the components of
+    # the graph joining points at most t apart.
+    rng = np.random.default_rng(n)
+    gauss = lambda k: rng.normal(size=k) + 1j * rng.normal(size=k)
+    half = gauss((n + 1) // 2)
+    core, estimates = _trimmed_coherent(n)
+    inputs = {
+        "random": gauss(n),
+        "duplicates": rng.permutation(np.concatenate([half, half])[:n]),
+        "regular ring": 0.4 - 1j + 2.0 * np.exp(2j * np.pi * np.arange(n) / n),
+        "trimmed coherent ring": estimates,
+    }
+    for name, z in inputs.items():
+        if len(z) < 2:
+            continue
+        dist = pdist(np.column_stack([z.real, z.imag]))
+        gap, tree = squareform(dist), linkage(dist, method="single")
+        for t in np.quantile(dist, [0.0, 0.05, 0.2, 0.5, 1.0], method="nearest"):
+            want = fcluster(tree, t, criterion="distance")
+            assert _partition(_components(gap <= t)) == _partition(want), (name, t)
+    if len(estimates) >= 2:
+        # The solver's own discs about the coherent ring, as 0/1 distances.
+        overlap = _disc_overlaps(core[None], estimates[None])[0]
+        far = (~overlap).astype(float)[np.triu_indices(len(estimates), 1)]
+        want = fcluster(linkage(far, method="single"), 0.5, criterion="distance")
+        assert _partition(_components(overlap)) == _partition(want)
