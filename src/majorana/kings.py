@@ -12,15 +12,20 @@ pair is scaled, so the pairs need no chart: the parametrization is smooth
 everywhere on the sphere, poles included.  Optimizing star positions rather
 than amplitudes keeps the iterate exactly on the pure-state manifold.
 
-A_M has a closed-form gradient in the pairs, so each restart screens
-random constellations in one stacked evaluation and polishes the two best
-with BFGS, a dense inverse-Hessian quasi-Newton method with an Armijo
-backtracking line search (Nocedal & Wright, Numerical Optimization, 2nd ed.
-(2006), ch. 6).  The two polishes run in lockstep:
-every round evaluates the objective and gradient of both trial points in
-one batched call, and a polish that stops leaves the batch.  The stop rules
-and the first step are those of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J.
-Sci. Comput. 16 (1995) 1190).
+A_M is a sum of squares, A_M = |r|^2, of M(M + 2) real residuals: the
+components rho_Kq with 1 <= K <= M and q >= 0 (those with q < 0 repeat
+them), each the expectation of a Hermitian operator.  It vanishes at a king.
+On such a zero-residual problem Gauss-Newton converges quadratically, so
+each restart screens random constellations in one stacked evaluation and
+polishes the two best with a damped Gauss-Newton method: Levenberg-
+Marquardt steps under Nielsen's damping rule, with the Gauss-Newton matrix
+J^T J swapped for a BFGS model after steps that cut A_M by less than a
+fifth, so that minima with A_M > 0 still converge superlinearly (the hybrid
+of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987) 371).  Each step moves
+every star along its pair's tangent, two real directions per star, and
+rescales the pairs to unit length.  The two polishes run in lockstep:
+every round evaluates the residuals and Jacobians of both trial points in
+one batched call, and a polish that stops leaves the batch.
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
@@ -36,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
-from .multipoles import _low_order_terms, cumulative_quantumness, multipoles
+from .multipoles import _hermitian_terms, cumulative_quantumness, multipoles
 from .stellar import (
     Constellation,
     SpinLabel,
@@ -57,13 +62,20 @@ __all__ = [
 #: A_M at or below this value counts as numerically unpolarized.
 ZERO_TOL = 1e-7
 
+_EPS = float(np.finfo(float).eps)
 _SCREEN_SAMPLES = 32
 _POLISH_STARTS = 2
-# Polish line search: sufficient-decrease constant and the most trial steps
-# in a row a start may reject before it stops.
+# Polish: the share of its predicted decrease a trial step must deliver, and
+# the most trial steps in a row a start may reject before it stops.
 _ARMIJO = 1e-4
 _BACKTRACKS = 20
-_EPS = float(np.finfo(float).eps)
+# Nielsen's starting damping, and the least damping, relative to the largest
+# diagonal entry of the first Gauss-Newton matrix.  A_M is invariant under
+# rotations, so B is singular along them; the floor keeps the rounding of the
+# gradient from stepping far along them, and keeps the damping from
+# underflowing to zero, where a rejection could no longer raise it.
+_DAMPING = 1e-3
+_DAMPING_FLOOR = math.sqrt(_EPS)
 # Chart stand-in for a star within 1e-150 of the theta = pi pole; _gauge_fix
 # snaps it to infinity.  Its square still fits in a float.
 _POLE = 1e150
@@ -96,9 +108,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """What one restart did: objective-and-gradient evaluations and BFGS
-    iterations summed over its polished starts, the stop reason of the start
-    it kept, whether that start converged, and the restart's wall time.
+    """What one restart did: residual-and-Jacobian evaluations and steps
+    taken, summed over its polished starts, the stop reason of the start it
+    kept, whether that start converged, and the restart's wall time.
 
     stop_reason names the rule that ended the start:
 
@@ -106,7 +118,7 @@ class RestartRecord:
     * "f_tol": the last step lowered the objective by at most f_tol units
       of its rounding;
     * "max_iters": the start took max_iters steps;
-    * "line_search": the line search rejected 20 trial steps in a row.
+    * "line_search": 20 damped trial steps in a row were rejected.
 
     The first two count as converged, and so does any start whose largest
     gradient component ends at most 1e-6."""
@@ -138,17 +150,36 @@ def objective(constellation: Constellation, M: int) -> float:
     return cumulative_quantumness(multipoles(state), M)
 
 
-# -- objective and gradient in the spinor pairs -----------------------------------
+# -- residuals and their Jacobian in the spinor pairs ------------------------------
 #
 # A search point x holds 4n reals, n = 2S: Re alpha, Im alpha, Re beta, Im beta,
-# n of each.  Gradients are first kept in the complex form G with
-# dA = Re(G dalpha); the real gradient is then (Re G, -Im G).
+# n of each.  The polish works on the complex pairs and moves star j along
+# z_j (-conj(beta_j), conj(alpha_j)), the direction orthogonal to the pair:
+# the pair's own direction only rescales a factor, which leaves A_M alone.
+# A step is the 2n reals Re z_1, Im z_1, Re z_2, ...
 
 
 def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) of search points x of shape (..., 4n)."""
     parts = x.reshape(x.shape[:-1] + (4, -1))
     return parts[..., 0, :] + 1j * parts[..., 1, :], parts[..., 2, :] + 1j * parts[..., 3, :]
+
+
+def _unit_pairs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs rescaled to unit length.  A_M does not see the scale, but
+    a tangent step z lengthens a pair by sqrt(1 + |z|^2), and products of
+    ever longer factors would overflow."""
+    scale = np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
+    return alpha / scale, beta / scale
+
+
+def _moved(
+    alpha: np.ndarray, beta: np.ndarray, step: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs moved by tangent steps (Re z_1, Im z_1, Re z_2, ...) of
+    shape (..., 2n), rescaled to unit length."""
+    z = np.ascontiguousarray(step).view(complex)
+    return _unit_pairs(alpha - z * beta.conj(), beta + z * alpha.conj())
 
 
 def _pairs_to_roots(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -161,9 +192,18 @@ def _pairs_to_roots(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _unit_roots(n: int) -> np.ndarray:
     """The n + 1 points w_m = exp(2 pi i m / (n + 1)).  A polynomial of
-    degree <= n is fixed by its values there, and fft of the values gives its
-    coefficients times n + 1 (A_M ignores that factor)."""
+    degree <= n is fixed by its values there."""
     out = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _amplitude_map(n: int) -> np.ndarray:
+    """The matrix that takes the values of a stellar polynomial of degree
+    <= n at the unit roots to its amplitudes c_k / b_k, times n + 1 (A_M
+    ignores that factor): the discrete Fourier transform, as one product."""
+    out = _unit_roots(n)[:, None] ** -np.arange(n + 1) / _binom_sqrt(n)
     out.flags.writeable = False
     return out
 
@@ -173,58 +213,59 @@ def _factor_values(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return alpha[..., None] * _unit_roots(alpha.shape[-1]) + beta[..., None]
 
 
-def _quantumness(c: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """A_M of the states with stellar coefficients c (leading axes are batch
-    axes) and the coefficient gradient g with dA = Re(g . dc).
-
-    With a = c / b, psi = a / |a| and the components c_Kq = psi^dag T_Kq^dag psi,
-    1 <= K <= M, A = sum |c_Kq|^2 and
-    g = conj(2 (B psi - (psi^dag B psi) psi) / (|a| b)), where
-    B = sum conj(c_Kq) T_Kq^dag + h.c.  The family is closed under the adjoint
-    up to sign, T_Kq^dag = (-1)^q T_K,-q, so B psi = 2 sum conj(c_Kq) T_Kq^dag psi
-    and psi^dag B psi = 2A; multipoles._low_order_terms gives both sums.
-    """
-    b = _binom_sqrt(twoS)
-    a = c / b
-    norm = np.linalg.norm(a, axis=-1, keepdims=True)
-    psi = a / norm
-    comps, pulled = _low_order_terms(psi, M)
-    value = np.sum(np.abs(comps) ** 2, axis=(-2, -1))
-    g = np.conj(4.0 * (pulled - value[..., None] * psi) / (norm * b))
-    return value, g
-
-
 def _screen_values(x: np.ndarray, twoS: int, M: int) -> np.ndarray:
     """Search objective of stacked search points x of shape (count, 4n)."""
     alpha, beta = _pairs(x)
-    c = np.fft.fft(np.prod(_factor_values(alpha, beta), axis=-2), axis=-1)
-    return _quantumness(c, twoS, M)[0]
+    a = np.prod(_factor_values(alpha, beta), axis=-2) @ _amplitude_map(twoS)
+    psi = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    r = np.matmul(_hermitian_terms(psi, M), psi.conj()[..., None]).real
+    return np.sum(r * r, axis=(-2, -1))
 
 
-def _value_and_grad(x: np.ndarray, twoS: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Search objective A_M at the search points x of shape (..., 4n) and
-    its gradient, of the shape of x.
+def _residuals(
+    alpha: np.ndarray, beta: np.ndarray, M: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real residuals r of A_M = |r|^2 at the pairs (alpha, beta) of
+    shape (..., n), and their Jacobian J in the tangent steps, of shape
+    (..., len(r), 2n), whose columns are the steps Re z_1, Im z_1, Re z_2, ...
+    r_j = psi^dag H_j psi for the Hermitian H_j of _hermitian_terms.
 
     The stellar polynomial with factor j deleted is prefix_j * suffix_{j+1},
     the products of the factors before and after j; both are taken as
-    cumulative products of the factor values at the unit roots w_m.  With
-    c = fft(f(w_m)), dA = Re(g . dc) = Re(sum_m fft(g)_m df(w_m)), and
-    df(w_m) is (prefix_j suffix_{j+1})(w_m) times w_m dalpha_j + dbeta_j.
+    cumulative products of the factor values at the unit roots w_m.  A
+    tangent step z_j changes f(w_m) by z_j (conj(alpha_j) - conj(beta_j) w_m)
+    times that product, and the amplitudes a by its transform da_j.  With
+    psi = a / |a| the step moves psi by dpsi = (da - psi Re(psi^dag da)) / |a|
+    and r_j by 2 Re(dpsi^dag H_j psi); the step i z_j moves a by i da_j.
     """
-    alpha, beta = _pairs(x)
+    n = alpha.shape[-1]
+    lead = alpha.shape[:-1]
     values = _factor_values(alpha, beta)
-    ones = np.ones(values.shape[:-2] + (1, twoS + 1), dtype=complex)
-    prefix = np.cumprod(np.concatenate([ones, values[..., :-1, :]], axis=-2), axis=-2)
-    suffix = np.cumprod(np.concatenate([ones, values[..., :0:-1, :]], axis=-2), axis=-2)
-    deleted = prefix * suffix[..., ::-1, :]
-    value, g = _quantumness(np.fft.fft(deleted[..., 0, :] * values[..., 0, :]), twoS, M)
-    weights = np.fft.fft(g)
-    grads = deleted @ np.stack([weights * _unit_roots(twoS), weights], axis=-1)
-    grad_alpha, grad_beta = grads[..., 0], grads[..., 1]
-    grad = np.concatenate(
-        [grad_alpha.real, -grad_alpha.imag, grad_beta.real, -grad_beta.imag], axis=-1
-    )
-    return value, grad
+    ends = np.ones(lead + (2, n, n + 1), dtype=complex)
+    ends[..., 0, 1:, :] = values[..., :-1, :]
+    ends[..., 1, 1:, :] = values[..., :0:-1, :]
+    np.cumprod(ends, axis=-2, out=ends)
+    deleted = ends[..., 0, :, :] * ends[..., 1, ::-1, :]
+    tangent = alpha.conj()[..., None] - beta.conj()[..., None] * _unit_roots(n)
+    grid = np.concatenate([deleted[..., :1, :] * values[..., :1, :], deleted * tangent], axis=-2)
+    grid = grid @ _amplitude_map(n)
+    grid /= np.linalg.norm(grid[..., :1, :], axis=-1, keepdims=True)
+    psi, da = grid[..., :1, :], grid[..., 1:, :]
+    terms = _hermitian_terms(psi[..., 0, :], M)
+    r = np.matmul(terms, psi.conj().swapaxes(-1, -2)).real
+    # Viewed as reals, the complex columns conj(da_j)^T H psi interleave the
+    # steps z_j and i z_j.
+    moves = np.matmul(terms, da.conj().swapaxes(-1, -2)).view(float)
+    along = np.matmul(psi.conj(), da.swapaxes(-1, -2)).conj().view(float)
+    return r[..., 0], 2.0 * (moves - r * along)
+
+
+def _gauss_newton(r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f = |r|^2, its gradient 2 J^T r and the Gauss-Newton matrix 2 J^T J,
+    for stacked residuals r and Jacobians J."""
+    f = (r * r).sum(axis=-1)
+    g = 2.0 * np.matmul(r[..., None, :], jac)[..., 0, :]
+    return f, g, 2.0 * np.matmul(jac.swapaxes(-1, -2), jac)
 
 
 def _random_pairs(rng: np.random.Generator, n_stars: int, count: int) -> np.ndarray:
@@ -241,16 +282,24 @@ def _random_pairs(rng: np.random.Generator, n_stars: int, count: int) -> np.ndar
 def _polish(
     x0: np.ndarray, twoS: int, config: SearchConfig
 ) -> tuple[np.ndarray, list[float], list[np.ndarray], list[int], list[int], list[str]]:
-    """BFGS from each row of x0, all rows in lockstep.
+    """Damped Gauss-Newton from each row of x0, all rows in lockstep.
 
-    Each round makes one batched objective-and-gradient call at the trial
-    points of the rows still running.  A row keeps a dense inverse-Hessian
-    estimate H (d = 4n, 80 at 2S = 20), scaled by y.s / y.y before
-    its first update, and steps along -H g.  A trial meeting the Armijo
-    condition is taken; otherwise the step shrinks by safeguarded quadratic
-    interpolation.  The first step has length 1 and every later one starts
-    at the full quasi-Newton step, as in L-BFGS-B.  A row stops, and leaves
-    the batch, for the first of these reasons:
+    Each round makes one batched residual-and-Jacobian call at the trial
+    points of the rows still running.  A row keeps a model B of the Hessian
+    of f = A_M in the tangent steps (d = 2n, 40 at 2S = 20) and a damping
+    lambda, and its trial step s solves (B + lambda I) s = -g.  The trial is
+    taken when f falls by at least _ARMIJO times the decrease the damped
+    model predicts.  lambda then shrinks by max(1/3, 1 - (2 rho - 1)^3), rho
+    the ratio of the two decreases; a rejected trial multiplies lambda by nu
+    and doubles nu (H. B. Nielsen, Damping Parameter in Marquardt's Method,
+    IMM-REP-1999-05; Madsen, Nielsen & Tingleff, Methods for Non-Linear
+    Least Squares Problems (2004), sec. 3.2).  After a step that cuts f by
+    at least a fifth, B is the Gauss-Newton matrix 2 J^T J, exact at a king
+    (r = 0); after a smaller cut B takes a BFGS update, which learns the
+    curvature the residuals add where A_M > 0 (Fletcher & Xu, IMA J. Numer.
+    Anal. 7 (1987) 371), or is 2 J^T J again where the step shows no usable
+    curvature.  A row stops, and leaves the batch, for the first of these
+    reasons:
 
     * "grad_tol": its largest gradient component is at most grad_tol
       (checked at the start too, so a stationary start takes no step);
@@ -262,66 +311,70 @@ def _polish(
     Returns per row: the final point, f and g there, evaluations, steps
     taken and the stop reason.
     """
-    rows, dim = x0.shape
-    x = x0.copy()
-    f0, g0 = _value_and_grad(x, twoS, config.M)
-    f, g = f0.tolist(), list(g0)
+    rows, dim = len(x0), 2 * twoS
+    alpha, beta = _unit_pairs(*_pairs(x0))
+    f, g, hess = _gauss_newton(*_residuals(alpha, beta, config.M))
+    f = f.tolist()
+    diagonal = np.diagonal(hess, axis1=-2, axis2=-1).max(axis=-1)
+    damping = (_DAMPING * diagonal).tolist()
+    floor = (_DAMPING_FLOOR * diagonal).tolist()
+    growth = [2.0] * rows
     evaluations, steps, backtracks = [1] * rows, [0] * rows, [0] * rows
-    reasons = ["grad_tol" if float(np.abs(gi).max()) <= config.grad_tol else "" for gi in g]
-    hess = [np.eye(dim) for _ in range(rows)]
-    direction = [-gi for gi in g]
-    slope = [-float(gi @ gi) for gi in g]
-    t = [1.0 / math.sqrt(-si) if si < 0 else 1.0 for si in slope]
-    trial = x.copy()
+    gmax = np.abs(g).max(axis=-1).tolist()
+    reasons = ["grad_tol" if gmax[i] <= config.grad_tol else "" for i in range(rows)]
     live = [i for i in range(rows) if not reasons[i]]
+    eye = np.eye(dim)
     while live:
-        for i in live:
-            trial[i] = x[i] + t[i] * direction[i]
-        ft, gt = _value_and_grad(trial[live], twoS, config.M)
-        for i, fi, gi in zip(live, ft.tolist(), gt):
+        lam = np.array([damping[i] for i in live])
+        gl = g[live]
+        s = np.linalg.solve(hess[live] + lam[:, None, None] * eye, -gl[..., None])[..., 0]
+        ta, tb = _moved(alpha[live], beta[live], s)
+        ft, gt, gauss = _gauss_newton(*_residuals(ta, tb, config.M))
+        gs, ss = (gl * s).sum(axis=-1).tolist(), (s * s).sum(axis=-1).tolist()
+        gmax = np.abs(gt).max(axis=-1).tolist()
+        for k, i in enumerate(live):
             evaluations[i] += 1
-            if not fi <= f[i] + _ARMIJO * t[i] * slope[i]:
-                # Shrink to the minimizer of the quadratic through f, the
-                # slope and fi, kept within [0.1 t, 0.5 t].
-                curve = fi - f[i] - slope[i] * t[i]
-                shrink = -slope[i] * t[i] / (2.0 * curve) if math.isfinite(curve) else 0.1
-                t[i] *= min(max(shrink, 0.1), 0.5)
+            model = 0.5 * (damping[i] * ss[k] - gs[k])
+            fi = float(ft[k])
+            # An Armijo test, so that a step that leaves f unchanged at its
+            # rounding floor is taken, and then stops the row by f_tol.
+            if not fi <= f[i] - _ARMIJO * model:
+                damping[i] *= growth[i]
+                growth[i] *= 2.0
                 backtracks[i] += 1
                 if backtracks[i] >= _BACKTRACKS:
                     reasons[i] = "line_search"
                 continue
-            s = trial[i] - x[i]
-            y = gi - g[i]
-            ys = float(y @ s)
-            if steps[i] == 0 and ys > 0:
-                hess[i] *= ys / float(y @ y)
-            # L-BFGS-B's curvature test: skip the update unless y.s is
-            # above rounding relative to the decrease the step predicted.
-            if ys > _EPS * -slope[i] * t[i]:
-                hy = hess[i] @ y
-                rho = 1.0 / ys
-                left = np.stack([(1.0 + rho * float(y @ hy)) * rho * s - rho * hy, -rho * s], axis=1)
-                hess[i] += left @ np.stack([s, hy])
             drop = f[i] - fi
+            # BFGS after a small cut, where y.s is above rounding relative to
+            # the decrease the step predicted (L-BFGS-B's curvature test);
+            # otherwise B is the Gauss-Newton matrix.
+            bfgs = drop < 0.2 * f[i]
+            if bfgs:
+                sk, y = s[k], gt[k] - g[i]
+                ys, hs = float(y @ sk), hess[i] @ sk
+                shs = float(sk @ hs)
+                bfgs = ys > _EPS * -gs[k] and shs > 0.0
+            if bfgs:
+                hess[i] += np.outer(y, y / ys) - np.outer(hs, hs / shs)
+            else:
+                hess[i] = gauss[k]
+            ratio = min(max(drop / model, 0.0), 1.0)
+            damping[i] = max(damping[i] * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor[i])
+            growth[i] = 2.0
             scale = max(abs(f[i]), abs(fi), 1.0)
-            x[i], f[i], g[i] = trial[i], fi, gi
+            alpha[i], beta[i], f[i], g[i] = ta[k], tb[k], fi, gt[k]
             steps[i] += 1
             backtracks[i] = 0
-            d = -(hess[i] @ gi)
-            sd = float(gi @ d)
-            if not sd < 0:
-                # Rounding cost H its positive definiteness: start afresh.
-                hess[i] = np.eye(dim)
-                d, sd = -gi, -float(gi @ gi)
-            direction[i], slope[i], t[i] = d, sd, 1.0
-            if float(np.abs(gi).max()) <= config.grad_tol:
+            if gmax[k] <= config.grad_tol:
                 reasons[i] = "grad_tol"
             elif drop <= config.f_tol * _EPS * scale:
                 reasons[i] = "f_tol"
             elif steps[i] >= config.max_iters:
                 reasons[i] = "max_iters"
         live = [i for i in live if not reasons[i]]
-    return x, f, g, evaluations, steps, reasons
+    x = np.concatenate([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
+    return x, f, list(g), evaluations, steps, reasons
 
 
 def _run_restart(
@@ -340,8 +393,8 @@ def _run_restart(
         evaluations=sum(evaluations),
         iterations=sum(steps),
         stop_reason=reasons[best],
-        # A small final gradient is a converged start even when the line
-        # search ends it at the rounding floor.
+        # A small final gradient is a converged start even when rejected
+        # steps end it at the rounding floor.
         converged=reasons[best] in ("grad_tol", "f_tol")
         or float(np.abs(g[best]).max()) <= 1e-6,
         seconds=time.perf_counter() - start,

@@ -188,16 +188,45 @@ def _shift_index(d: int, Q: int) -> np.ndarray:
     return index
 
 
-def _low_order_terms(psi: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """For unit states psi (leading axes are batch axes): the components
-    c[..., K - 1, q + M] = psi^dag T_Kq^dag psi for 1 <= K <= M, and
-    sum_Kq conj(c_Kq) T_Kq^dag psi.  (T_Kq^dag psi)_k = t[K, q + 2S, k] psi_{k+q}."""
-    twoS = psi.shape[-1] - 1
-    t = _tensor_table(twoS)[1 : M + 1, twoS - M : twoS + M + 1]
+@lru_cache(maxsize=16)
+def _hermitian_table(twoS: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and indices of _hermitian_terms: with psi padded by a
+    trailing zero, H_j psi = coeffs[0, j] * psi[index[0, j]]
+    + coeffs[1, j] * psi[index[1, j]].  (T_Kq^dag psi)_k = t[K, q + 2S, k] psi_{k+q}
+    and (T_Kq psi)_k = (-1)^q t[K, -q + 2S, k] psi_{k-q}."""
+    d = twoS + 1
+    t = _tensor_table(twoS)
+    shift = _shift_index(d, M)
+    up, down, up_index, down_index = [], [], [], []
+    for K in range(1, M + 1):
+        up.append(t[K, twoS])
+        down.append(np.zeros(d))
+        up_index.append(shift[M])
+        down_index.append(shift[M])
+        for q in range(1, K + 1):
+            raised = t[K, twoS + q] * math.sqrt(0.5)
+            lowered = (-1.0) ** q * t[K, twoS - q] * math.sqrt(0.5)
+            up += [raised, -1j * raised]
+            down += [lowered, 1j * lowered]
+            up_index += [shift[M + q]] * 2
+            down_index += [shift[M - q]] * 2
+    coeffs = np.array([up, down], dtype=complex)
+    index = np.array([up_index, down_index])
+    coeffs.flags.writeable = index.flags.writeable = False
+    return coeffs, index
+
+
+def _hermitian_terms(psi: np.ndarray, M: int) -> np.ndarray:
+    """For unit states psi (leading axes are batch axes): the vectors H_j psi
+    for the M(M + 2) Hermitian operators T_K0, (T_Kq^dag + T_Kq) / sqrt 2 and
+    (T_Kq^dag - T_Kq) / (sqrt 2 i), 1 <= q <= K <= M, as rows.  Their
+    expectations psi^dag H_j psi are the real numbers c_K0, sqrt 2 Re c_Kq and
+    sqrt 2 Im c_Kq; the c_K,-q = (-1)^q conj(c_Kq) repeat them, so the squares
+    of the expectations sum to A_M."""
+    coeffs, index = _hermitian_table(psi.shape[-1] - 1, M)
     padded = np.concatenate([psi, np.zeros(psi.shape[:-1] + (1,))], axis=-1)
-    shifted = padded[..., _shift_index(twoS + 1, M)]
-    comps = np.einsum("Kqk,...qk->...Kq", t, shifted * psi.conj()[..., None, :])
-    return comps, np.einsum("...Kq,Kqk,...qk->...k", comps.conj(), t, shifted)
+    terms = coeffs * np.take(padded, index, axis=-1)
+    return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
 # -- multipole spectrum ---------------------------------------------------------

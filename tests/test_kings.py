@@ -11,6 +11,9 @@ from majorana.kings import KingResult, SearchConfig, max_unpolarized_order, mini
 from majorana.multipoles import cumulative_quantumness, multipoles
 from majorana.serialize import emit_kings
 
+# Overflow or an invalid operation anywhere in a search is a fault.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _chart_points(constellation):
     return [mj.sphere_to_stereo(p) for p in constellation.points()]
@@ -163,23 +166,52 @@ def test_search_gradient_matches_central_differences(twoS):
         alpha[3], beta[3] = 0.7j * alpha[2], 0.7j * beta[2]  # a coincident pair
     x = _pair_vector(alpha, beta)
     M = (twoS + 1) // 2
-    value, grad = kings._value_and_grad(x, twoS, M)
+
+    def residuals(step):
+        return kings._residuals(*kings._moved(alpha, beta, step), M)
+
+    r, jac = residuals(np.zeros(2 * twoS))
+    value = float(r @ r)
+    grad = 2.0 * jac.T @ r
     assert value == pytest.approx(objective(_rebuilt(twoS, x), M), abs=1e-14)
+    # Each tangent step moves a pair off unit length, which r does not see.
     h = 1e-6
-    central = np.array([
-        (kings._value_and_grad(x + h * e, twoS, M)[0]
-         - kings._value_and_grad(x - h * e, twoS, M)[0]) / (2.0 * h)
-        for e in np.eye(len(x))
+    steps = h * np.eye(2 * twoS)
+    central_r = np.array([(residuals(e)[0] - residuals(-e)[0]) / (2.0 * h) for e in steps]).T
+    central_f = np.array([
+        (np.sum(residuals(e)[0] ** 2) - np.sum(residuals(-e)[0] ** 2)) / (2.0 * h)
+        for e in steps
     ])
-    assert np.all(np.isfinite(grad))
-    assert np.abs(central - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+    assert np.all(np.isfinite(jac))
+    assert np.abs(central_r - jac).max() <= 1e-6 * max(1.0, np.abs(jac).max())
+    assert np.abs(central_f - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
 
 
 def test_screening_matches_single_evaluations(rng):
     x = kings._random_pairs(rng, 10, 8)
     stacked = kings._screen_values(x, 10, 3)
-    single = [kings._value_and_grad(row, 10, 3)[0] for row in x]
+    single = [np.sum(kings._residuals(*kings._pairs(row), 3)[0] ** 2) for row in x]
     assert np.allclose(stacked, single, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "twoS, M, restarts, optimum, evaluations",
+    [
+        (4, 3, 8, 0.2857142857142857, 390),
+        (6, 4, 8, 0.26712008629222306, 1039),
+        (10, 4, 10, 0.002927305252886633, 2440),
+        (12, 6, 8, 0.13365987000837656, 2919),
+    ],
+)
+def test_searches_reach_the_nonzero_optima(twoS, M, restarts, optimum, evaluations):
+    # Here the best A_M is not zero, so the residuals do not vanish and the
+    # Gauss-Newton matrix alone is not the Hessian at the optimum: with it
+    # alone the polish slows to a crawl.  The BFGS model keeps each search
+    # within the evaluations a plain BFGS polish takes from the same starts.
+    result = minimize(twoS, SearchConfig(M=M, restarts=restarts, seed=0))
+    assert result.objective == pytest.approx(optimum, rel=1e-9)
+    assert result.restarts_converged == restarts
+    assert sum(r.evaluations for r in result.restart_records) <= evaluations
 
 
 def test_single_restarts_are_reliable():
