@@ -115,10 +115,11 @@ class RestartRecord:
     stop_reason names the rule that ended the start:
 
     * "grad_tol": no gradient component exceeds grad_tol;
-    * "f_tol": the last step lowered the objective by at most f_tol units
-      of its rounding;
+    * "f_tol": the last step lowered the objective, or a rejected trial
+      step promised to lower it, by at most f_tol units of its rounding;
     * "max_iters": the start took max_iters steps;
-    * "line_search": 20 damped trial steps in a row were rejected.
+    * "line_search": 20 damped trial steps in a row were rejected, each
+      promising more than that.
 
     The first two count as converged, and so does any start whose largest
     gradient component ends at most 1e-6."""
@@ -303,7 +304,8 @@ def _polish(
 
     * "grad_tol": its largest gradient component is at most grad_tol
       (checked at the start too, so a stationary start takes no step);
-    * "f_tol": a step lowered f by at most f_tol * eps * max(|f|, 1), so
+    * "f_tol": a step lowered f, or a rejected trial's damped model
+      predicted it to lower f, by at most f_tol * eps * max(|f|, 1), so
       f_tol counts units of the rounding of f;
     * "max_iters": it has taken max_iters steps;
     * "line_search": _BACKTRACKS trial steps in a row were rejected.
@@ -342,7 +344,11 @@ def _polish(
                 damping[i] *= growth[i]
                 growth[i] *= 2.0
                 backtracks[i] += 1
-                if backtracks[i] >= _BACKTRACKS:
+                # A rejected trial that promised no more than the rounding
+                # of f: more damping only shrinks the promise.
+                if model <= config.f_tol * _EPS * max(abs(f[i]), 1.0):
+                    reasons[i] = "f_tol"
+                elif backtracks[i] >= _BACKTRACKS:
                     reasons[i] = "line_search"
                 continue
             drop = f[i] - fi

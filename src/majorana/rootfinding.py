@@ -30,11 +30,10 @@ products against the table, so no stage loops over coefficients in Python.
    of m discs that meets no other disc holds exactly m roots (Carstensen,
    Numer. Math. 59 (1991) 349; Bini & Fiorentino, Numer. Algorithms 23
    (2000) 127).  A row whose discs are pairwise disjoint is returned
-   sorted.  A row that is an n-th power up to rounding (a coherent state)
-   is returned as n copies of its root.  Only the others take the per-row
-   path.
+   sorted; every other row takes the per-row path.
 4. Per-row path: an m-fold root scatters its estimates over a circle of
-   radius about eps**(1/m), and their discs overlap.  If the polished
+   radius about eps**(1/m), and their discs overlap; a coherent state, one
+   root repeated to full degree, is the case m = n.  If the polished
    estimates no longer rebuild the polynomial through Vieta to within tol,
    the seeds replace them (see _finish).  Each connected component of
    m > 1 discs becomes m copies of its estimates' mean if the mean meets
@@ -51,10 +50,6 @@ import numpy as np
 from .errors import NonConvergence
 
 _EPS = float(np.finfo(float).eps)
-
-# How far, in units of the rounding of p, a row's coefficients may miss an
-# exact n-th power for _full_powers to take it as one.
-_CLUSTER_C = 1e3
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -169,34 +164,6 @@ def newton_polish(
     return z, p, dp
 
 
-def _full_powers(
-    coeffs: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the root z0 of p^(n-1), and whether the row is the n-th
-    power c_n (z - z0)**n up to rounding, with n copies of z0 meeting the
-    residual contract.
-
-    A coherent state's root polynomial is such a power.  At high degree its
-    n-fold root scatters the companion eigenvalues over a circle about as
-    wide as |z0|, and the mean of that ring misses the residual contract.
-    "Up to rounding" is tested coefficient by coefficient:
-    sum_k |c_k - power_k| |z0|**k <= _CLUSTER_C * eps * sum_k |c_k| |z0|**k.
-    Each term is |c_k z0**k - lead_k z0**n|, with lead_k z0**(n-k) the
-    power's coefficient; read from the charted table (see _table), every
-    term is divided by z0**n where |z0| > 1, so no power of z0 overflows.
-    """
-    n = coeffs.shape[1] - 1
-    z0 = -coeffs[:, n - 1] / (n * coeffs[:, n])
-    k = np.arange(n + 1)
-    binom = np.concatenate([[1.0], np.cumprod((n + 1 - k[1:]) / k[1:])])
-    lead = coeffs[:, n, None] * binom * (-1.0) ** (n - k)
-    table = _table(z0, n)
-    gap = np.abs(coeffs * table - lead * table[:, n:]).sum(axis=1)
-    fits = gap <= _CLUSTER_C * _EPS * (np.abs(coeffs) * np.abs(table)).sum(axis=1)
-    resid = _contract_ratios((coeffs * table).sum(axis=1))
-    return z0, fits & (resid <= tol)
-
-
 def _disc_overlaps(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """overlap[b, i, j]: the Weierstrass inclusion discs of estimates i and
     j of row b meet (i == j included).
@@ -236,14 +203,38 @@ def _components(overlap: np.ndarray) -> np.ndarray:
         label = new
 
 
+def _elementary_symmetric_scaled(roots: np.ndarray) -> np.ndarray:
+    """e_0 .. e_r of the given values, renormalized along the way: the result
+    is a common positive multiple of the true values (safe for huge roots)."""
+    roots = np.asarray(roots, dtype=complex).reshape(-1)
+    e = np.zeros(len(roots) + 1, dtype=complex)
+    e[0] = 1.0
+    # bound >= max|e| up to rounding, so the true peak is only taken (and
+    # the renormalization decided) once it may be near 1e200.
+    bound = 1.0
+    for j, w in enumerate(roots.tolist()):
+        tail = e[1 : j + 2]
+        tail += w * e[: j + 1]  # e[1 : j + 2] += ... would also copy it back
+        bound *= 1.0 + abs(w)
+        if bound > 1e199:
+            bound = np.abs(e).max()
+            if bound > 1e200:
+                e /= bound
+                bound = 1.0
+    return e
+
+
 def _vieta(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The coefficients, low to high, of c_n prod_i (x - z_i)."""
-    return c[-1] * np.poly(z)[::-1]
+    e = _elementary_symmetric_scaled(z)
+    return c[-1] * (-1.0) ** np.arange(len(z), -1, -1) * e[::-1] / e[0]
 
 
-def _finish(c: np.ndarray, z: np.ndarray, seeds: np.ndarray, tol: float) -> np.ndarray:
+def _finish(
+    c: np.ndarray, z: np.ndarray, seeds: np.ndarray, overlap: np.ndarray, tol: float
+) -> np.ndarray:
     """Per-row path: multiplicity from the overlapping discs, contract,
-    canonical order.  c has max modulus 1.
+    canonical order.  c has max modulus 1; overlap is _disc_overlaps of z.
 
     The polish moves each estimate on its own.  In a wide cluster of
     ill-conditioned roots it can stop part way and leave a set whose Vieta
@@ -255,7 +246,8 @@ def _finish(c: np.ndarray, z: np.ndarray, seeds: np.ndarray, tol: float) -> np.n
     Each connected component of m > 1 overlapping discs then becomes m
     copies of its estimates' mean if the mean meets the residual contract
     and the merge moves the Vieta coefficients by at most tol; otherwise it
-    keeps its m estimates.
+    keeps its m estimates.  A coherent row, whose n estimates ring one root,
+    is one component of n discs and merges here into n copies.
     """
     rebuilt = _vieta(c, z)
     miss = np.abs(rebuilt - c).max()
@@ -263,7 +255,8 @@ def _finish(c: np.ndarray, z: np.ndarray, seeds: np.ndarray, tol: float) -> np.n
         alt = _vieta(c, seeds)
         if np.abs(alt - c).max() < miss and residual_ratios(c, seeds).max() <= tol:
             z, rebuilt = seeds, alt
-    label = _components(_disc_overlaps(c[None], z[None])[0])
+            overlap = _disc_overlaps(c[None], z[None])[0]
+    label = _components(overlap)
     out = z
     for k in np.unique(label):
         idx = np.flatnonzero(label == k)
@@ -311,23 +304,21 @@ def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]
     c = c / scale
     if n == 1:
         return [np.array([-row[0] / row[1]]) for row in c]
-    z0, power = _full_powers(c, tol)
     seeds = _companion_eigvals(c)
     z, p, _ = newton_polish(c, seeds)
     worst = _contract_ratios(p).max(axis=1, initial=0.0)
-    miss = np.flatnonzero((worst > tol) & ~power)
+    miss = np.flatnonzero(worst > tol)
     if len(miss):
         raise NonConvergence(
             f"root residual {worst[miss[0]]:.3e} exceeds tolerance {tol:.3e} for degree {n}"
         )
-    isolated = _disc_overlaps(c, z).sum(axis=(1, 2)) == n
+    overlap = _disc_overlaps(c, z)
+    isolated = overlap.sum(axis=(1, 2)) == n
     order = np.lexsort((z.imag, z.real), axis=-1)
     out = []
     for b in range(c.shape[0]):
-        if power[b]:
-            out.append(np.full(n, z0[b]))
-        elif isolated[b]:
+        if isolated[b]:
             out.append(z[b, order[b]])
         else:
-            out.append(_finish(c[b], z[b], seeds[b], tol))
+            out.append(_finish(c[b], z[b], seeds[b], overlap[b], tol))
     return out

@@ -22,7 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LabelMismatch, NonConvergence
-from .rootfinding import find_roots_batch, newton_polish, polyval_many, residual_ratios
+from .rootfinding import (
+    _EPS,
+    _elementary_symmetric_scaled,
+    find_roots_batch,
+    newton_polish,
+    polyval_many,
+    residual_ratios,
+)
 
 __all__ = [
     "SpinLabel",
@@ -101,7 +108,7 @@ class SpinState:
                 f"expected {label.dim} amplitudes for 2S={label.twoS}, "
                 f"got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         peak = float(np.abs(amps).max())
         if peak == 0.0:
@@ -109,9 +116,9 @@ class SpinState:
         # Pre-scaling keeps the norm square inside the float range even for
         # raw Vieta coefficients of huge or tiny roots.
         scaled = amps / peak
-        total = peak * float(np.linalg.norm(scaled))
-        if abs(total - 1.0) > 32.0 * np.finfo(float).eps:
-            amps = scaled / float(np.linalg.norm(scaled))
+        norm = float(np.linalg.norm(scaled))
+        if abs(peak * norm - 1.0) > 32.0 * _EPS:
+            amps = scaled / norm
         # else: already unit norm; dividing again would only add rounding noise
         amps.flags.writeable = False
         object.__setattr__(self, "label", label)
@@ -154,7 +161,7 @@ class Constellation:
     def __post_init__(self) -> None:
         label = _as_label(self.label)
         roots = np.asarray(self.finite_roots, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(roots)):
+        if not np.isfinite(roots).all():
             raise ValueError("finite_roots must be finite; use infinity_count")
         if self.infinity_count < 0:
             raise ValueError("infinity_count must be nonnegative")
@@ -332,26 +339,6 @@ def rotate(state: SpinState, theta: float, phi: float) -> SpinState:
 
 
 # -- state <-> constellation ---------------------------------------------------
-
-
-def _elementary_symmetric_scaled(roots: np.ndarray) -> np.ndarray:
-    """e_0 .. e_r of the given values, renormalized along the way: the result
-    is a common positive multiple of the true values (safe for huge roots)."""
-    roots = np.asarray(roots, dtype=complex).reshape(-1)
-    e = np.zeros(len(roots) + 1, dtype=complex)
-    e[0] = 1.0
-    # bound >= max|e| up to rounding, so the true peak is only taken (and
-    # the renormalization decided) once it may be near 1e200.
-    bound = 1.0
-    for j, w in enumerate(roots.tolist()):
-        e[1 : j + 2] += w * e[0 : j + 1]
-        bound *= 1.0 + abs(w)
-        if bound > 1e199:
-            bound = np.abs(e).max()
-            if bound > 1e200:
-                e /= bound
-                bound = 1.0
-    return e
 
 
 def _root_coefficients(roots: np.ndarray, twoS: int) -> np.ndarray:

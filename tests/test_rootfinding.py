@@ -134,6 +134,15 @@ def test_power_shortcut_needs_the_power_up_to_rounding():
     near[0] += 1e-13
     roots = find_roots(near.astype(complex))
     assert np.allclose(np.abs(roots - 0.01), 1e-13 ** 0.1, rtol=1e-6)
+    # Every exact power (z - w)^n, n = 2..40, comes back as n equal copies
+    # of w: the coherent rows merge as one n-fold star in the per-row path.
+    for w in (0.3, 1.0, 2.0, -1.5 + 0.5j, 5.0, 0.05j):
+        for n in range(2, 41):
+            k = np.arange(n + 1)
+            power = np.array([math.comb(n, j) for j in k]) * (-complex(w)) ** (n - k)
+            roots = find_roots(power)
+            assert len(roots) == n and np.all(roots == roots[0]), (w, n)
+            assert abs(roots[0] - w) <= 1e-13 * abs(w), (w, n)
 
 
 def _polish_fixed_reference(coeffs, z, iters=3):
