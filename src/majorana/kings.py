@@ -25,7 +25,9 @@ of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987) 371).  Each step moves
 every star along its pair's tangent, two real directions per star, and
 rescales the pairs to unit length.  The two polishes run in lockstep:
 every round evaluates the residuals and Jacobians of both trial points in
-one batched call, and a polish that stops leaves the batch.
+one batched call, and a polish that stops leaves the batch.  A_M >= 0, so
+once one start converges at A_M <= ZERO_TOL the other can only find another
+zero, and the restart ends in that round.
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
@@ -76,6 +78,8 @@ _BACKTRACKS = 20
 # underflowing to zero, where a rejection could no longer raise it.
 _DAMPING = 1e-3
 _DAMPING_FLOOR = math.sqrt(_EPS)
+# The stop reasons of a polish start that converged.
+_CONVERGED = ("grad_tol", "f_tol")
 # Chart stand-in for a star within 1e-150 of the theta = pi pole; _gauge_fix
 # snaps it to infinity.  Its square still fits in a float.
 _POLE = 1e150
@@ -119,7 +123,10 @@ class RestartRecord:
       step promised to lower it, by at most f_tol units of its rounding;
     * "max_iters": the start took max_iters steps;
     * "line_search": 20 damped trial steps in a row were rejected, each
-      promising more than that.
+      promising more than that;
+    * "king_found": another start of the restart stopped by one of the
+      first two rules with A_M <= ZERO_TOL, a king, and this one stopped
+      with it.  It is kept only if its A_M is lower still.
 
     The first two count as converged, and so does any start whose largest
     gradient component ends at most 1e-6."""
@@ -308,7 +315,10 @@ def _polish(
       predicted it to lower f, by at most f_tol * eps * max(|f|, 1), so
       f_tol counts units of the rounding of f;
     * "max_iters": it has taken max_iters steps;
-    * "line_search": _BACKTRACKS trial steps in a row were rejected.
+    * "line_search": _BACKTRACKS trial steps in a row were rejected;
+    * "king_found": another row stopped by grad_tol or f_tol with
+      f <= ZERO_TOL (checked at the start too).  f >= 0, so the rows can
+      only find another zero.  The rows are the starts of one restart.
 
     Returns per row: the final point, f and g there, evaluations, steps
     taken and the stop reason.
@@ -326,7 +336,7 @@ def _polish(
     reasons = ["grad_tol" if gmax[i] <= config.grad_tol else "" for i in range(rows)]
     live = [i for i in range(rows) if not reasons[i]]
     eye = np.eye(dim)
-    while live:
+    while live and not any(r in _CONVERGED and v <= ZERO_TOL for r, v in zip(reasons, f)):
         lam = np.array([damping[i] for i in live])
         gl = g[live]
         s = np.linalg.solve(hess[live] + lam[:, None, None] * eye, -gl[..., None])[..., 0]
@@ -379,6 +389,8 @@ def _polish(
             elif steps[i] >= config.max_iters:
                 reasons[i] = "max_iters"
         live = [i for i in live if not reasons[i]]
+    for i in live:
+        reasons[i] = "king_found"
     x = np.concatenate([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
     return x, f, list(g), evaluations, steps, reasons
 
@@ -401,7 +413,7 @@ def _run_restart(
         stop_reason=reasons[best],
         # A small final gradient is a converged start even when rejected
         # steps end it at the rounding floor.
-        converged=reasons[best] in ("grad_tol", "f_tol")
+        converged=reasons[best] in _CONVERGED
         or float(np.abs(g[best]).max()) <= 1e-6,
         seconds=time.perf_counter() - start,
     )
@@ -463,14 +475,13 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
 
     # Report the exact pipeline objective of each gauge-fixed candidate so
     # the stated optimum is reproducible from the constellation alone.
-    fixed = [_gauge_fix(label, _pairs_to_roots(*_pairs(x))) for _, x, _ in outcomes]
-    rescored = sorted(
-        ((objective(c, config.M), _angle_key(c), c) for c in fixed),
-        key=lambda t: (t[0], t[1]),
-    )
-    best_value, _, best_constellation = rescored[0]
+    rescored = []
+    for _, x, _ in outcomes:
+        c = _gauge_fix(label, _pairs_to_roots(*_pairs(x)))
+        spec = multipoles(state_from_constellation(c))
+        rescored.append((cumulative_quantumness(spec, config.M), _angle_key(c), c, spec))
+    best_value, _, best_constellation, spectrum = min(rescored, key=lambda t: t[:2])
 
-    spectrum = multipoles(state_from_constellation(best_constellation))
     order = 0
     for m in range(1, label.twoS + 1):
         if spectrum.A[m] <= ZERO_TOL:

@@ -217,6 +217,9 @@ def test_searches_reach_the_nonzero_optima(twoS, M, restarts, optimum, evaluatio
         # of A_M, where no damped trial can promise a decrease f could show:
         # it stops by f_tol instead of rejecting 20 trials (line_search).
         assert all(r.stop_reason != "line_search" for r in result.restart_records)
+    # No start reaches A_M <= ZERO_TOL here, so none may end the restart
+    # early as if it had found a king.
+    assert all(r.stop_reason != "king_found" for r in result.restart_records)
 
 
 def test_single_restarts_are_reliable():
@@ -255,6 +258,36 @@ def test_restart_ending_at_south_pole(monkeypatch):
     assert record.stop_reason == "grad_tol"
     assert record.iterations == 0
     assert record.evaluations == 2
+
+
+def test_start_stationary_at_a_king_ends_the_restart(monkeypatch):
+    # One screening candidate is an exact octahedron, a king at M = 3; the
+    # others are random.  It ranks first, meets grad_tol at its first
+    # evaluation, and the random start stops with it before any round.
+    alpha = [1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    beta = [0.0, 1.0, -1.0, 1.0, -1j, 1j]
+    x = _pair_vector(alpha, beta)
+    draw = kings._random_pairs
+
+    def with_king(rng, n, count):
+        out = draw(rng, n, count)
+        out[count // 2] = x
+        return out
+
+    monkeypatch.setattr(kings, "_random_pairs", with_king)
+    config = SearchConfig(M=3, restarts=1)
+    result = minimize(6, config)
+    (record,) = result.restart_records
+    assert record.iterations == 0
+    assert record.evaluations == 2
+    assert record.stop_reason == "grad_tol"
+    assert record.converged
+    assert result.objective <= 1e-20
+    # The random start stops with the king, not by a rule of its own.
+    x0 = np.stack([x, draw(np.random.default_rng(1), 6, 1)[0]])
+    *_, steps, reasons = kings._polish(x0, 6, config)
+    assert steps == [0, 0]
+    assert reasons == ["grad_tol", "king_found"]
 
 
 def test_polish_stops_at_the_iteration_cap():
