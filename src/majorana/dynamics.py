@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConstellation, LabelMismatch
+from .rootfinding import _components
 from .stellar import (
     Constellation,
     SpinLabel,
@@ -177,15 +178,11 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     roots = c.finite_roots
     if len(roots) == 0:
         return 0.0
-    groups: list[list[complex]] = []
-    for z in roots:
-        for g in groups:
-            if abs(z - g[0]) <= 1e-7 * (1.0 + max(abs(z), abs(g[0]))):
-                g.append(complex(z))
-                break
-        else:
-            groups.append([complex(z)])
-    centers = [sum(g) / len(g) for g in groups]
+    mag = np.abs(roots)
+    near = np.abs(roots[:, None] - roots) <= 1e-7 * (1.0 + np.maximum(mag[:, None], mag))
+    label = _components(near)
+    groups = [roots[label == k] for k in np.unique(label)]
+    centers = [complex(g.mean()) for g in groups]
     counts = [len(g) for g in groups]
     worst = 0.0
     for k, ck in enumerate(centers):

@@ -15,30 +15,31 @@ no entry exceeds 1, so a far star at high degree cannot overflow.  p, p'
 and the magnitude scale sum_k |c_k| |z|**k come from stacked matrix
 products against the table, so no stage loops over coefficients in Python.
 
-1. Seeds: the eigenvalues of each row's companion matrix, from one LAPACK
-   call on the whole stack (geev balances every matrix first).  They are
-   backward stable (Edelman & Murakami, Math. Comp. 64 (1995) 763).
-2. Polish: up to three guarded Newton steps over the whole stack.  A point
-   whose residual is already at the rounding floor takes only rounding-size
-   steps, so noise cannot scramble an ill-conditioned set of estimates.  A
-   point that rejects a step keeps its inputs and would reject it again, so
-   the polish stops once no point moves.
-3. Finishing gates, evaluated for the whole stack at once: the worst
-   residual against the contract, and the Weierstrass inclusion discs
-   |z - z_i| <= n |W_i|, W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j)),
-   with the polish's rounding floor added to |p(z_i)|.  A connected union
-   of m discs that meets no other disc holds exactly m roots (Carstensen,
+1. Roots: the eigenvalues of each row's companion matrix, one LAPACK call
+   per coefficient type on the whole stack (geev balances every matrix
+   first).  They are backward stable (Edelman & Murakami, Math. Comp. 64
+   (1995) 763), so they are final up to the polish and merges below.  A
+   row with real coefficients gets a real matrix: exact conjugate pairs.
+2. Gates, from one power table at the eigenvalues, which gives p and its
+   rounding floor 2 (n + 1) eps sum_k |c_k| |z|**k: the Weierstrass
+   inclusion discs |z - z_i| <= n |W_i|, W_i = p(z_i) / (c_n prod_{j != i}
+   (z_i - z_j)), with the floor added to |p(z_i)|.  A connected union of m
+   discs that meets no other disc holds exactly m roots (Carstensen,
    Numer. Math. 59 (1991) 349; Bini & Fiorentino, Numer. Algorithms 23
-   (2000) 127).  A row whose discs are pairwise disjoint is returned
-   sorted; every other row takes the per-row path.
-4. Per-row path: an m-fold root scatters its estimates over a circle of
+   (2000) 127).  In a row of pairwise disjoint discs, each point whose |p|
+   is above the floor, the only points a Newton step can improve, gets
+   newton_polish in a row of its own.  Then the worst residual is checked
+   against the contract; a row of disjoint discs is returned sorted, and
+   every other row takes the per-row path.
+3. Per-row path: an m-fold root scatters its eigenvalues over a circle of
    radius about eps**(1/m), and their discs overlap; a coherent state, one
-   root repeated to full degree, is the case m = n.  If the polished
-   estimates no longer rebuild the polynomial through Vieta to within tol,
-   the seeds replace them (see _finish).  Each connected component of
-   m > 1 discs becomes m copies of its estimates' mean if the mean meets
-   the residual contract and the merge moves the Vieta coefficients by at
-   most tol; if not, the component keeps its m estimates.
+   root repeated to full degree, is the case m = n.  Its eigenvalues are
+   not polished: Newton moves each estimate on its own and can scramble an
+   ill-conditioned cluster, which the eigenvalues, exact roots of a nearby
+   polynomial, still rebuild.  Each connected component of m > 1 discs
+   becomes m copies of its estimates' mean if the mean meets the residual
+   contract and the merge moves the Vieta coefficients by at most tol; if
+   not, the component keeps its m estimates.
 
 Coefficient arrays are ordered low to high: coeffs[k] multiplies z**k.
 """
@@ -113,13 +114,19 @@ def _rounding_floor(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every row's companion matrix, one LAPACK call."""
+    """Eigenvalues of every row's companion matrix, one LAPACK call per
+    coefficient type: a row with real coefficients gets a real matrix
+    (dgeev), so its eigenvalues come in exact conjugate pairs."""
     rows, n = coeffs.shape[0], coeffs.shape[1] - 1
-    comp = np.zeros((rows, n, n), dtype=complex)
-    comp[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1, None]
-    sub = np.arange(n - 1)
-    comp[:, sub + 1, sub] = 1.0
-    return np.linalg.eigvals(comp)
+    out = np.empty((rows, n), dtype=complex)
+    real = (coeffs.imag == 0).all(axis=1)
+    for mask, c in ((real, coeffs.real[real]), (~real, coeffs[~real])):
+        if len(c):
+            comp = np.zeros((len(c), n, n), dtype=c.dtype)
+            comp[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            out[mask] = np.linalg.eigvals(comp)
+    return out
 
 
 def newton_polish(
@@ -164,7 +171,7 @@ def newton_polish(
     return z, p, dp
 
 
-def _disc_overlaps(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _disc_overlaps(c: np.ndarray, z: np.ndarray, p=None, floor=None) -> np.ndarray:
     """overlap[b, i, j]: the Weierstrass inclusion discs of estimates i and
     j of row b meet (i == j included).
 
@@ -172,13 +179,16 @@ def _disc_overlaps(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     (z_i - z_j)|: n |W_i|, with the rounding floor of reading p added so
     that no disc is smaller than the rounding of p allows.  p and the floor
     are read from the charted table (see _table), divided by |z_i|**n where
-    |z_i| > 1; each factor z_i - z_j is divided by z_i there too, and the
-    product is summed in logs, so neither a far nor a spread star can
-    overflow it.  Estimates that coincide get infinite discs.
+    |z_i| > 1; they are computed here unless the caller has them.  Each
+    factor z_i - z_j is divided by z_i there too, and the product is summed
+    in logs, so neither a far nor a spread star can overflow it.  Estimates
+    that coincide get infinite discs.
     """
     n = z.shape[-1]
-    table = _table(z, n)
-    bound = np.abs((table @ c[..., None])[..., 0]) + _rounding_floor(table, c)
+    if p is None:
+        table = _table(z, n)
+        p, floor = (table @ c[..., None])[..., 0], _rounding_floor(table, c)
+    bound = np.abs(p) + floor
     gap = np.abs(z[:, :, None] - z[:, None, :])
     s = np.maximum(1.0, np.abs(z))
     diag = np.arange(n)
@@ -230,32 +240,19 @@ def _vieta(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return c[-1] * (-1.0) ** np.arange(len(z), -1, -1) * e[::-1] / e[0]
 
 
-def _finish(
-    c: np.ndarray, z: np.ndarray, seeds: np.ndarray, overlap: np.ndarray, tol: float
-) -> np.ndarray:
+def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np.ndarray:
     """Per-row path: multiplicity from the overlapping discs, contract,
-    canonical order.  c has max modulus 1; overlap is _disc_overlaps of z.
+    canonical order.  c has max modulus 1; z are the row's companion
+    eigenvalues, unpolished, and overlap is _disc_overlaps of z.
 
-    The polish moves each estimate on its own.  In a wide cluster of
-    ill-conditioned roots it can stop part way and leave a set whose Vieta
-    coefficients miss c, while the seeds, exact roots of a nearby
-    polynomial, still rebuild it.  When the polished set misses c by more
-    than tol, the seeds take its place if they miss it by less and meet the
-    contract.
-
-    Each connected component of m > 1 overlapping discs then becomes m
-    copies of its estimates' mean if the mean meets the residual contract
-    and the merge moves the Vieta coefficients by at most tol; otherwise it
-    keeps its m estimates.  A coherent row, whose n estimates ring one root,
-    is one component of n discs and merges here into n copies.
+    Each connected component of m > 1 overlapping discs becomes m copies of
+    its estimates' mean if the mean meets the residual contract and the
+    merge moves the Vieta coefficients by at most tol; otherwise it keeps
+    its m estimates.  A coherent row, whose n estimates ring one root, is
+    one component of n discs and merges here into n copies.  In a row with
+    real coefficients a component closed under conjugation has a real mean.
     """
     rebuilt = _vieta(c, z)
-    miss = np.abs(rebuilt - c).max()
-    if miss > tol:
-        alt = _vieta(c, seeds)
-        if np.abs(alt - c).max() < miss and residual_ratios(c, seeds).max() <= tol:
-            z, rebuilt = seeds, alt
-            overlap = _disc_overlaps(c[None], z[None])[0]
     label = _components(overlap)
     out = z
     for k in np.unique(label):
@@ -263,6 +260,8 @@ def _finish(
         if len(idx) == 1:
             continue
         center = z[idx].mean()
+        if not c.imag.any() and np.isin(z[idx].conj(), z[idx]).all():
+            center = center.real
         merged = out.copy()
         merged[idx] = center
         if (residual_ratios(c, np.array([center]))[0] <= tol
@@ -288,10 +287,9 @@ def find_roots(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    """find_roots over a stack of same-degree coefficient rows.
-
-    A row's result does not depend on the other rows of the stack.
-    """
+    """find_roots over a stack of same-degree coefficient rows, by the
+    steps of the module docstring.  A row's result does not depend on the
+    other rows of the stack."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2:
         raise ValueError("expected a 2-d coefficient stack")
@@ -304,21 +302,27 @@ def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]
     c = c / scale
     if n == 1:
         return [np.array([-row[0] / row[1]]) for row in c]
-    seeds = _companion_eigvals(c)
-    z, p, _ = newton_polish(c, seeds)
+    z = _companion_eigvals(c)
+    table = _table(z, n)
+    p = (table @ c[..., None])[..., 0]
+    floor = _rounding_floor(table, c)
+    overlap = _disc_overlaps(c, z, p, floor)
+    isolated = overlap.sum(axis=(1, 2)) == n
+    rows, cols = np.nonzero(isolated[:, None] & (np.abs(p) > floor))
+    if len(rows):
+        zp, pp, _ = newton_polish(c[rows], z[rows, cols][:, None])
+        z[rows, cols], p[rows, cols] = zp[:, 0], pp[:, 0]
     worst = _contract_ratios(p).max(axis=1, initial=0.0)
     miss = np.flatnonzero(worst > tol)
     if len(miss):
         raise NonConvergence(
             f"root residual {worst[miss[0]]:.3e} exceeds tolerance {tol:.3e} for degree {n}"
         )
-    overlap = _disc_overlaps(c, z)
-    isolated = overlap.sum(axis=(1, 2)) == n
     order = np.lexsort((z.imag, z.real), axis=-1)
     out = []
     for b in range(c.shape[0]):
         if isolated[b]:
             out.append(z[b, order[b]])
         else:
-            out.append(_finish(c[b], z[b], seeds[b], overlap[b], tol))
+            out.append(_finish(c[b], z[b], overlap[b], tol))
     return out
