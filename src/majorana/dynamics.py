@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConstellation, LabelMismatch
-from .rootfinding import _components
+from .rootfinding import _components, _table
 from .stellar import (
+    INFINITY,
     Constellation,
     SpinLabel,
     SpinState,
@@ -31,7 +32,6 @@ from .stellar import (
     _binom_sqrt,
     _chord_matrix,
     _root_coefficients,
-    chordal_distance,
     constellations_from_states,
     spin_matrices,
 )
@@ -121,8 +121,8 @@ def _raw_velocities(
     Those roots must be simple; no validation.
 
     A star with |z_k| > 1 is evaluated in the reciprocal chart, as
-    (Hf)(z_k) / z_k**2S and f'(z_k) / z_k**(r-1), so huge stars cannot
-    overflow the powers.
+    (Hf)(z_k) / z_k**2S (read from the charted power table) and
+    f'(z_k) / z_k**(r-1), so huge stars cannot overflow the powers.
     """
     twoS = h.label.twoS
     r = len(w)
@@ -130,25 +130,14 @@ def _raw_velocities(
     c = _root_coefficients(w, twoS)
     b = _binom_sqrt(twoS)
     g = b * (h.matrix @ (c / b))             # stellar polynomial of H|psi>
+    gval = _table(at, twoS) @ g
     big = np.abs(at) > 1.0
-    x = at.copy()
-    x[big] = 1.0 / at[big]
-    powers = x[:, None] ** np.arange(twoS + 1)
-    # g in powers of 1/z_k, reversed, is (Hf)(z_k) / z_k**2S.
-    gval = np.where(big, powers @ g[::-1], powers @ g)
-    sep = (at[:, None] - w) * np.where(big, x, 1.0)[:, None]
+    inv = np.divide(1.0, at, out=np.ones_like(at), where=big)
+    sep = (at[:, None] - w) * inv[:, None]
     own = np.arange(len(at))
     sep[own, own] = c[r]                     # leading coefficient of f
     scale = np.where(big, at ** (twoS - r + 1), 1.0)
     return 1j * gval / np.prod(sep, axis=1) * scale
-
-
-def _min_chord(w: np.ndarray) -> float:
-    if len(w) < 2:
-        return math.inf
-    chord = _chord_matrix(w)
-    np.fill_diagonal(chord, math.inf)
-    return float(chord.min())
 
 
 def star_velocities(c: Constellation, h: HamiltonianSpec) -> np.ndarray:
@@ -157,7 +146,9 @@ def star_velocities(c: Constellation, h: HamiltonianSpec) -> np.ndarray:
         raise LabelMismatch("constellation and Hamiltonian labels differ")
     if c.infinity_count > 0:
         raise DegenerateConstellation("a star at infinity has no chart velocity")
-    if _min_chord(c.finite_roots) < _MIN_VELOCITY_CHORD:
+    chord = _chord_matrix(c.finite_roots, c.finite_roots)
+    np.fill_diagonal(chord, math.inf)
+    if chord.min(initial=math.inf) < _MIN_VELOCITY_CHORD:
         raise DegenerateConstellation("coincident stars make the velocity singular")
     return _raw_velocities(c.finite_roots, h)
 
@@ -286,32 +277,30 @@ def evolve(
 # -- star matching ----------------------------------------------------------------------
 
 
-def _point_values(c: Constellation) -> list[complex]:
-    return list(c.finite_roots) + [complex(math.inf, 0.0)] * c.infinity_count
+def _matching(a: Constellation, b: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation of match_stars and the chord of each matched pair."""
+    from scipy.optimize import linear_sum_assignment
+
+    if a.label != b.label:
+        raise LabelMismatch("constellations have different labels")
+    pa, pb = (np.append(c.finite_roots, [INFINITY] * c.infinity_count) for c in (a, b))
+    cost = _chord_matrix(pa, pb)
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(len(pa), dtype=int)
+    perm[rows] = cols
+    return perm, cost[rows, cols]
 
 
 def match_stars(a: Constellation, b: Constellation) -> np.ndarray:
     """Permutation p minimizing total chordal distance; b's star p[i]
     corresponds to a's star i (stars ordered as finite list then infinity).
+    One cost matrix of chords serves every pair, pole stars included.
 
     Needs scipy, imported here so that importing the package does not load it.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    if a.label != b.label:
-        raise LabelMismatch("constellations have different labels")
-    pa, pb = _point_values(a), _point_values(b)
-    cost = np.array([[chordal_distance(x, y) for y in pb] for x in pa])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(pa), dtype=int)
-    perm[rows] = cols
-    return perm
+    return _matching(a, b)[0]
 
 
 def matched_distance(a: Constellation, b: Constellation) -> float:
     """Largest single-star chordal distance under the optimal matching."""
-    pa, pb = _point_values(a), _point_values(b)
-    if not pa:
-        return 0.0
-    perm = match_stars(a, b)
-    return max(chordal_distance(pa[i], pb[perm[i]]) for i in range(len(pa)))
+    return float(_matching(a, b)[1].max(initial=0.0))

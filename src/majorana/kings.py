@@ -80,9 +80,6 @@ _DAMPING = 1e-3
 _DAMPING_FLOOR = math.sqrt(_EPS)
 # The stop reasons of a polish start that converged.
 _CONVERGED = ("grad_tol", "f_tol")
-# Chart stand-in for a star within 1e-150 of the theta = pi pole; _gauge_fix
-# snaps it to infinity.  Its square still fits in a float.
-_POLE = 1e150
 
 
 @dataclass(frozen=True)
@@ -188,13 +185,6 @@ def _moved(
     shape (..., 2n), rescaled to unit length."""
     z = np.ascontiguousarray(step).view(complex)
     return _unit_pairs(alpha - z * beta.conj(), beta + z * alpha.conj())
-
-
-def _pairs_to_roots(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The stars -beta/alpha; a star within 1e-150 of the pole (alpha = 0
-    included) becomes the stand-in _POLE."""
-    at_pole = np.abs(alpha) <= np.abs(beta) / _POLE
-    return np.where(at_pole, _POLE, -beta / np.where(at_pole, 1.0, alpha))
 
 
 @lru_cache(maxsize=None)
@@ -423,34 +413,25 @@ def _run_restart(
 # -- gauge fixing ----------------------------------------------------------------
 
 
-def _gauge_fix(label: SpinLabel, roots: np.ndarray) -> Constellation:
-    """Rotate the constellation so the first star sits at theta = 0 and the
-    next off-axis star has phi = 0."""
-    pts = list(np.asarray(roots, dtype=complex))
-    if pts:
-        a = pts[0]
-        moved = []
-        for z in pts:
-            den = 1.0 + np.conj(a) * z
-            if abs(den) < 1e-14 * (1.0 + abs(z)) * (1.0 + abs(a)):
-                moved.append(None)
-            else:
-                w = (z - a) / den
-                # A magnitude this large is a star within ~1e-8 chordal of
-                # the pole; snapping it there keeps the output canonical.
-                moved.append(None if abs(w) > 1e8 else w)
-        anchor = next(
-            (w for w in moved if w is not None and abs(w) > 1e-12), None
-        )
-        if anchor is not None:
-            turn = np.exp(-1j * np.angle(anchor))
-            moved = [None if w is None else w * turn for w in moved]
-        finite = np.array([w for w in moved if w is not None], dtype=complex)
-        inf_count = sum(1 for w in moved if w is None)
-    else:
-        finite = np.zeros(0, dtype=complex)
-        inf_count = 0
-    return Constellation(label, finite, inf_count)
+def _gauge_fix(label: SpinLabel, alpha: np.ndarray, beta: np.ndarray) -> Constellation:
+    """The constellation of the unit pairs (alpha, beta), rotated so the
+    first star sits at theta = 0 and the next off-axis star has phi = 0.
+
+    Star j is the unit spinor (u_j, v_j) = (alpha_j, -beta_j), at z = v / u.
+    The SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes the first
+    star to (1, 0), z = 0, and turns the others rigidly with it.  A turned
+    star with |z| > 1e8, within about 1e-8 chordal of the pole, is snapped
+    there, which keeps the output canonical.
+    """
+    u0, v0 = alpha[:1], -beta[:1]
+    u = u0.conj() * alpha - v0.conj() * beta
+    v = -v0 * alpha - u0 * beta
+    pole = np.abs(v) > 1e8 * np.abs(u)
+    z = v[~pole] / u[~pole]
+    off = np.flatnonzero(np.abs(z) > 1e-12)
+    if len(off):
+        z = z * np.exp(-1j * np.angle(z[off[0]]))
+    return Constellation(label, z, int(pole.sum()))
 
 
 def _angle_key(constellation: Constellation) -> tuple:
@@ -477,7 +458,7 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     # the stated optimum is reproducible from the constellation alone.
     rescored = []
     for _, x, _ in outcomes:
-        c = _gauge_fix(label, _pairs_to_roots(*_pairs(x)))
+        c = _gauge_fix(label, *_pairs(x))
         spec = multipoles(state_from_constellation(c))
         rescored.append((cumulative_quantumness(spec, config.M), _angle_key(c), c, spec))
     best_value, _, best_constellation, spectrum = min(rescored, key=lambda t: t[:2])

@@ -25,15 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .rootfinding import _powers
 from .stellar import (
     SpinLabel,
     SpinState,
     SpherePoint,
     _as_label,
-    coherent_state,
-    sphere_to_stereo,
-    is_infinite,
-    overlap,
+    _binom_sqrt,
     spin_matrices,
 )
 
@@ -297,40 +295,28 @@ def cumulative_quantumness(spec: MultipoleSpectrum, M: int) -> float:
 
 
 def husimi_q(state: SpinState, p: SpherePoint | tuple[float, float]) -> float:
-    """Q(p) = |<coherent(z(p)) | state>|^2."""
+    """Q(p) = |<coherent(z(p)) | state>|^2, the 1 x 1 case of the grid;
+    the poles need no special case."""
     if not isinstance(p, SpherePoint):
         p = SpherePoint(*p)
-    z = sphere_to_stereo(p)
-    if is_infinite(z):
-        return float(abs(state.amplitudes[-1]) ** 2)
-    probe = coherent_state(state.label, z)
-    return float(abs(overlap(probe, state)) ** 2)
+    return float(_husimi_grid(state, np.array([p.theta]), np.array([p.phi]))[0, 0])
 
 
 def _husimi_grid(
     state: SpinState, thetas: np.ndarray, phis: np.ndarray
 ) -> np.ndarray:
-    """Q on the outer product grid; thetas must avoid the exact poles."""
+    """Q on the outer product grid.  At z = tan(theta/2) e^{-i phi} the
+    coherent state's unit spinor pair is (cos(theta/2), sin(theta/2) e^{-i phi}),
+    so <coherent(z)|psi> = sum_k sqrt(C(2S, k)) cos(theta/2)**(2S - k)
+    sin(theta/2)**k e^{i k phi} psi_k."""
     twoS = state.label.twoS
-    k = np.arange(twoS + 1)
-    logbin = np.array(
-        [
-            math.lgamma(twoS + 1) - math.lgamma(j + 1) - math.lgamma(twoS - j + 1)
-            for j in k
-        ]
+    mag = (
+        _binom_sqrt(twoS)
+        * _powers(np.cos(thetas / 2.0), twoS)[:, ::-1]
+        * _powers(np.sin(thetas / 2.0), twoS)
     )
-    r = np.tan(thetas / 2.0)
-    logr = np.log(r)
-    lognorm = np.where(
-        r <= 1.0,
-        (twoS / 2.0) * np.log1p(r * r),
-        twoS * logr + (twoS / 2.0) * np.log1p(r ** -2.0),
-    )
-    # <coherent(z)|psi> = sum_k mag_k e^{i k phi} psi_k  at z = tan(t/2)e^{-i phi}
-    mag = np.exp(0.5 * logbin[None, :] + k[None, :] * logr[:, None] - lognorm[:, None])
-    phases = np.exp(1j * np.outer(k, phis))
-    amp = (mag * state.amplitudes[None, :]) @ phases
-    return np.abs(amp) ** 2
+    phases = np.exp(1j * np.outer(np.arange(twoS + 1), phis))
+    return np.abs((mag * state.amplitudes) @ phases) ** 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ ValueError (or json.JSONDecodeError, its subclass) on malformed input.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .stellar import (
     SpinLabel,
     SpinState,
     _as_label,
+    is_infinite,
     sphere_to_stereo,
 )
 
@@ -121,7 +121,7 @@ def parse_constellation(text: str) -> Constellation:
                 raise ValueError("stars entries must be [theta, phi] pairs")
             theta, phi = (float(v) for v in item)
             z = sphere_to_stereo(SpherePoint(theta, phi))
-            if math.isinf(abs(z)):
+            if is_infinite(z):
                 at_pole += 1
             else:
                 finite.append(z)

@@ -25,6 +25,7 @@ from .errors import LabelMismatch, NonConvergence
 from .rootfinding import (
     _EPS,
     _elementary_symmetric_scaled,
+    _powers,
     find_roots_batch,
     newton_polish,
     polyval_many,
@@ -217,25 +218,38 @@ def sphere_to_stereo(p: SpherePoint) -> complex:
     return math.tan(p.theta / 2.0) * cmath.exp(-1j * p.phi)
 
 
+def _spinors(z) -> tuple[np.ndarray, np.ndarray]:
+    """The unit spinor pair (u, v) = (1, z) / sqrt(1 + |z|^2) of each point
+    z, so that z = v / u.  Where |z| > 1 it is taken as (1/|z|, z/|z|) /
+    sqrt(1 + 1/|z|^2), so no square overflows.  A non-finite z (see
+    is_infinite) is the theta = pi pole, (0, 1)."""
+    z = np.asarray(z, dtype=complex)
+    pole = ~np.isfinite(z)
+    z = np.where(pole, 0.0, z)
+    r = np.abs(z)
+    big = r > 1.0
+    inv = np.divide(1.0, r, out=np.ones_like(r), where=big)
+    norm = np.sqrt(1.0 + np.where(big, inv, r) ** 2)
+    return np.where(pole, 0.0, inv / norm), np.where(pole, 1.0, z * (inv / norm))
+
+
+def _chord_matrix(a, b) -> np.ndarray:
+    """chordal_distance between every point of a and every point of b,
+    2 |u_a v_b - v_a u_b| over their unit spinor pairs."""
+    ua, va = _spinors(a)
+    ub, vb = _spinors(b)
+    det = ua[:, None] * vb[None, :] - va[:, None] * ub[None, :]
+    return np.minimum(2.0 * np.abs(det), 2.0)
+
+
 def chordal_distance(a: complex, b: complex) -> float:
     """Euclidean distance of the two points embedded on the unit sphere.
 
-    Ranges over [0, 2]; both arguments may be the point at infinity.
+    Ranges over [0, 2]; either argument may be the point at infinity, and
+    no point, however far, overflows.  Equal points, the pole included,
+    are exactly 0 apart.
     """
-    ainf, binf = is_infinite(a), is_infinite(b)
-    if ainf and binf:
-        return 0.0
-    if ainf or binf:
-        z = complex(b if ainf else a)
-        return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
-    a, b = complex(a), complex(b)
-    return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
-
-
-def _chord_matrix(roots: np.ndarray) -> np.ndarray:
-    """chordal_distance between every pair of finite roots, as a matrix."""
-    inv = 1.0 / np.sqrt(1.0 + np.abs(roots) ** 2)
-    return 2.0 * np.abs(roots[:, None] - roots[None, :]) * np.outer(inv, inv)
+    return float(_chord_matrix([a], [b])[0, 0])
 
 
 # -- operators ----------------------------------------------------------------
@@ -277,30 +291,14 @@ def basis_state(label: SpinLabel | int, two_m: int) -> SpinState:
 def coherent_state(label: SpinLabel | int, z0: complex) -> SpinState:
     """State whose overlap magnitude peaks at stereographic point z0.
 
-    Any non-finite z0 gives the theta = pi pole state |S, S>; z0 = 0 gives
-    |S, -S>.  Amplitudes are assembled in log form so huge |z0| cannot
-    overflow before normalization.
+    With (u, v) the unit spinor pair of z0, psi_k = sqrt(C(2S, k))
+    u**(2S - k) v**k: any non-finite z0 gives the theta = pi pole state
+    |S, S> and z0 = 0 gives |S, -S>, and no |z0| overflows.
     """
     label = _as_label(label)
     twoS = label.twoS
-    if is_infinite(z0):
-        return basis_state(label, twoS)
-    z0 = complex(z0)
-    if z0 == 0:
-        return basis_state(label, -twoS)
-    r = abs(z0)
-    if r <= 1.0:
-        lognorm = (twoS / 2.0) * math.log1p(r * r)
-    else:
-        lognorm = twoS * math.log(r) + (twoS / 2.0) * math.log1p(r ** -2)
-    k = np.arange(twoS + 1)
-    logbin = np.array(
-        [math.lgamma(twoS + 1) - math.lgamma(j + 1) - math.lgamma(twoS - j + 1)
-         for j in k]
-    )
-    mag = np.exp(0.5 * logbin + k * math.log(r) - lognorm)
-    amps = mag * np.exp(1j * k * cmath.phase(z0))
-    return SpinState(label, amps)
+    u, v = _spinors(z0)
+    return SpinState(label, _binom_sqrt(twoS) * _powers(u, twoS)[::-1] * _powers(v, twoS))
 
 
 def noon_state(label: SpinLabel | int) -> SpinState:

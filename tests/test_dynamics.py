@@ -1,11 +1,14 @@
 """Hamiltonians, star velocities, equilibria, and trajectory integration."""
 
+import itertools
 import math
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import solve_ivp
 
 import majorana as mj
@@ -491,12 +494,43 @@ def test_polar_eigenstate_under_sz(rng):
 # -- matching -------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_match_stars_with_infinity():
     a = mj.Constellation(3, [0.0, 1.0], 1)
     b = mj.Constellation(3, [1.0 + 1e-9, 1e-9], 1)
     perm = match_stars(a, b)
     assert sorted(perm) == [0, 1, 2]
     assert matched_distance(a, b) <= 1e-8
+    # A star at 1e200 is 2e-200 from the pole; |z|^2 would overflow.
+    far = mj.Constellation(2, [1e200, 0.5])
+    assert matched_distance(far, mj.Constellation(2, [0.5], 1)) <= 1e-199
+
+
+def _stars(c):
+    return list(c.finite_roots) + [mj.INFINITY] * c.infinity_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hst.integers(0, 5), hst.integers(0, 2), hst.integers(0, 2), hst.integers(0, 2**32 - 1)
+)
+def test_match_stars_is_the_cheapest_permutation(twoS, poles_a, poles_b, seed):
+    rng = np.random.default_rng(seed)
+
+    def constellation(poles):
+        n = twoS - min(poles, twoS)
+        return mj.Constellation(twoS, rng.normal(size=n) + 1j * rng.normal(size=n), twoS - n)
+
+    a, b = constellation(poles_a), constellation(poles_b)
+    pa, pb = _stars(a), _stars(b)
+
+    def cost(perm):
+        return sum(mj.chordal_distance(pa[i], pb[j]) for i, j in enumerate(perm))
+
+    perm = match_stars(a, b)
+    assert sorted(perm) == list(range(twoS))
+    best = min(cost(p) for p in itertools.permutations(range(twoS)))
+    assert cost(perm) <= best + 1e-12
 
 
 def test_matched_distance_label_mismatch():

@@ -322,11 +322,19 @@ def test_husimi_zeros_for_random_states(rng):
             assert husimi_q(st, p) <= 1e-18
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_husimi_at_pole():
-    st = _random_state(np.random.default_rng(3), 4)
-    assert husimi_q(st, (math.pi, 0.0)) == pytest.approx(
-        abs(st.amplitudes[-1]) ** 2, abs=1e-13
-    )
+    # Q at the exact poles is the weight of the polar basis state.
+    rng = np.random.default_rng(3)
+    for twoS in (1, 4, 12):
+        st = _random_state(rng, twoS)
+        for phi in (0.0, *rng.uniform(0.0, 2.0 * math.pi, 3)):
+            assert husimi_q(st, (0.0, phi)) == pytest.approx(
+                abs(st.amplitudes[0]) ** 2, abs=1e-15
+            )
+            assert husimi_q(st, (math.pi, phi)) == pytest.approx(
+                abs(st.amplitudes[-1]) ** 2, abs=1e-15
+            )
 
 
 # -- Q grids -----------------------------------------------------------------------

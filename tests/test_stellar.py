@@ -1,10 +1,13 @@
 """States, constellations, and the maps between them."""
 
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import majorana as mj
 from majorana import stellar
@@ -91,6 +94,7 @@ def test_stereo_round_trip(rng):
         assert abs(back - z) <= 1e-12 * (1.0 + abs(z))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chordal_distance_cases():
     assert mj.chordal_distance(0.0, mj.INFINITY) == pytest.approx(2.0)
     assert mj.chordal_distance(mj.INFINITY, mj.INFINITY) == 0.0
@@ -99,6 +103,39 @@ def test_chordal_distance_cases():
     # Antipodal pairs are at the diameter.
     z = 0.8 + 0.3j
     assert mj.chordal_distance(z, -1.0 / np.conj(z)) == pytest.approx(2.0)
+    # Far points: |z|^2 would overflow.
+    assert mj.chordal_distance(1e200, 1.0) == pytest.approx(math.sqrt(2.0))
+    assert mj.chordal_distance(1e200, mj.INFINITY) == pytest.approx(0.0, abs=1e-199)
+    assert mj.chordal_distance(1e300, -1e300) == pytest.approx(0.0, abs=1e-299)
+
+
+_SPHERE_POINTS = hst.one_of(
+    hst.just(mj.INFINITY),
+    hst.just(0j),
+    hst.builds(
+        lambda e, t: 10.0 ** e * cmath.exp(1j * t),
+        hst.floats(-300.0, 300.0),
+        hst.floats(0.0, 2.0 * math.pi),
+    ),
+)
+
+
+def _embedded(z):
+    p = mj.stereo_to_sphere(z)
+    s = math.sin(p.theta)
+    return np.array([s * math.cos(p.phi), s * math.sin(p.phi), math.cos(p.theta)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_SPHERE_POINTS, _SPHERE_POINTS)
+def test_chordal_distance_is_the_embedded_chord(a, b):
+    d = mj.chordal_distance(a, b)
+    assert d == mj.chordal_distance(b, a)
+    assert 0.0 <= d <= 2.0
+    # Both routes round: each is up to 6 eps off a 40-digit chord near the
+    # unit circle, so 1e-15 would fail about one pair in a thousand there.
+    assert abs(d - np.linalg.norm(_embedded(a) - _embedded(b))) <= 16 * np.finfo(float).eps
 
 
 def test_spin_matrix_algebra():
