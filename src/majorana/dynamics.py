@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConstellation, LabelMismatch
-from .rootfinding import _components, _table
+from .rootfinding import _components, _root_coefficients, _table
 from .stellar import (
     INFINITY,
     Constellation,
@@ -31,7 +31,6 @@ from .stellar import (
     _as_label,
     _binom_sqrt,
     _chord_matrix,
-    _root_coefficients,
     constellations_from_states,
     spin_matrices,
 )

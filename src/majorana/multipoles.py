@@ -9,10 +9,10 @@ the Casimir superoperator per q (clebsch_gordan is kept as its oracle), and
 rho_Kq = sum_k t[K, q + 2S, k] rho[k + q, k] reads only the q-th diagonal of
 the density matrix.  Only this module knows that layout.  The same
 components can be recovered by quadrature of the Husimi function against
-spherical harmonics; the proportionality constant of that route is
-calibrated once per (2S, K) on a reference coherent state and then frozen,
-making the two evaluations directly comparable.  The dipole and quadrupole
-of Q are closed forms in <S_i> and <S_i S_j>.
+spherical harmonics; the proportionality constant of that route is a closed
+form in 2S and K, and one sphere grid is exact for every order K, so the two
+evaluations are directly comparable.  The dipole and quadrupole of Q are
+closed forms in <S_i> and <S_i S_j>.
 """
 
 from __future__ import annotations
@@ -351,20 +351,23 @@ def q_grid(state: SpinState, n_theta: int, n_phi: int) -> QGrid:
 # -- spherical harmonics ----------------------------------------------------------
 
 
-def _legendre_norm(K: int, m: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Orthonormal associated Legendre bar-P_{K,m} (m >= 0) at x = cos(theta),
-    s = sin(theta); includes the Condon-Shortley sign and the 1/sqrt(4 pi)."""
-    p_mm = np.full_like(np.asarray(x, dtype=float), 1.0 / math.sqrt(4.0 * math.pi))
-    for i in range(1, m + 1):
-        p_mm = -math.sqrt((2 * i + 1) / (2.0 * i)) * s * p_mm
-    if K == m:
-        return p_mm
-    p_prev, p_cur = p_mm, math.sqrt(2 * m + 3.0) * x * p_mm
-    for ell in range(m + 2, K + 1):
-        a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-        b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-        p_prev, p_cur = p_cur, a * (x * p_cur - b * p_prev)
-    return p_cur
+def _legendre_table(top: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """p[K, m, i] = orthonormal associated Legendre bar-P_{K,m} at x[i] =
+    cos(theta_i), s[i] = sin(theta_i) for 0 <= m <= K <= top (0 for m > K),
+    with the Condon-Shortley sign and the 1/sqrt(4 pi): one sweep down the
+    diagonal m = K, then the three-term recurrence in K for all m at once."""
+    p = np.zeros((top + 1, top + 1, len(x)))
+    p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for i in range(1, top + 1):
+        p[i, i] = -math.sqrt((2 * i + 1) / (2.0 * i)) * s * p[i - 1, i - 1]
+    m = np.arange(top)
+    p[m + 1, m] = np.sqrt(2 * m + 3.0)[:, None] * x * p[m, m]
+    for ell in range(2, top + 1):
+        m = np.arange(ell - 1)
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[:, None]
+        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[:, None]
+        p[ell, m] = a * (x * p[ell - 1, m] - b * p[ell - 2, m])
+    return p
 
 
 def spherical_harmonic(K: int, q: int, p: SpherePoint | tuple[float, float]) -> complex:
@@ -375,35 +378,13 @@ def spherical_harmonic(K: int, q: int, p: SpherePoint | tuple[float, float]) -> 
         p = SpherePoint(*p)
     x = np.array([math.cos(p.theta)])
     s = np.array([math.sin(p.theta)])
-    base = float(_legendre_norm(K, abs(q), x, s)[0])
+    base = float(_legendre_table(K, x, s)[K, abs(q), 0])
     if q < 0:
         base *= (-1.0) ** (abs(q) % 2)
     return base * cmath.exp(1j * q * p.phi)
 
 
 # -- integral route for the multipoles ---------------------------------------------
-
-
-def _integral_components_raw(state: SpinState, K: int) -> np.ndarray:
-    """Uncalibrated quadrature of Q against Y_Kq^*, q = -K..K."""
-    twoS = state.label.twoS
-    n_theta = twoS + K + 2
-    n_phi = 2 * (twoS + K) + 1
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(x)
-    s = np.sqrt(1.0 - x * x)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    q_vals = _husimi_grid(state, thetas, phis)
-    qs = np.arange(-K, K + 1)
-    # G[i, qi] = sum_j Q[i, j] e^{-i q phi_j} dphi
-    fourier = q_vals @ np.exp(-1j * np.outer(phis, qs)) * (2.0 * np.pi / n_phi)
-    out = np.empty(2 * K + 1, dtype=complex)
-    for qi, q in enumerate(qs):
-        leg = _legendre_norm(K, abs(q), x, s)
-        if q < 0 and abs(q) % 2:
-            leg = -leg
-        out[qi] = np.sum(wx * leg * fourier[:, qi])
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -421,26 +402,37 @@ def multipoles_integral(state: SpinState) -> MultipoleSpectrum:
     The overlap of Q with Y_Kq is proportional to the (K, q) component with
     a closed-form constant; a (-1)^(K+q) signature enters because theta is
     measured from the lowest-weight pole and phi winds as exp(-i phi).
+    Q Y_Kq^* has degree 2S + K <= 4S in cos(theta) and Fourier modes up to
+    4S in phi, so one grid of 2S + 1 Gauss-Legendre nodes by 4S + 1 equal
+    phi steps integrates every order exactly: one Husimi grid, its Fourier
+    coefficients q = -2S..2S, and one contraction with the Legendre table.
     The quadrature is exact, but the constant of order K (see
     _integral_inverse_kernel) multiplies its rounding, so the (K, q)
     components agree with multipoles() only to about
     eps * max(1, kernel(2S, K)) times a factor of a few hundred at most.
     The kernel peaks at K = 2S.  For random states the worst deviation is
-    about 1e-12 at 2S = 12, 1e-9 at 20, 1e-6 at 30 and 1e-4 at 40 (a state
-    peaked at a pole: about 20 times that at 2S = 40); at 2S = 60 no digit
-    is left.  Above 2S = 30 it raises ValueError.
+    about 1e-12 at 2S = 12, 2e-10 at 20, 1e-7 at 30 and 3e-4 at 40 (a state
+    peaked at a pole: about 4 times that at 2S = 40); at 2S = 60 no digit is
+    left.  Above 2S = 30 it raises ValueError.
     """
     twoS = state.label.twoS
     if twoS > 30:
         raise ValueError(
             f"multipoles_integral has no reliable digits at 2S={twoS} > 30; use multipoles()"
         )
-    rho = np.zeros((twoS + 1, 2 * twoS + 1), dtype=complex)
-    for K in range(twoS + 1):
-        raw = _integral_components_raw(state, K)
-        signs = (-1.0) ** (K + np.arange(-K, K + 1))
-        rho[K, twoS - K : twoS + K + 1] = _integral_inverse_kernel(twoS, K) * signs * raw
-    return _spectrum(state.label, rho)
+    x, wx = np.polynomial.legendre.leggauss(twoS + 1)
+    n_phi = 4 * twoS + 1
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    qs = np.arange(-twoS, twoS + 1)
+    # fourier[i, q + 2S] = sum_j Q(theta_i, phi_j) e^{-i q phi_j} dphi
+    q_vals = _husimi_grid(state, np.arccos(x), phis)
+    fourier = q_vals @ np.exp(-1j * np.outer(phis, qs)) * (2.0 * np.pi / n_phi)
+    legendre = _legendre_table(twoS, x, np.sqrt(1.0 - x * x))[:, np.abs(qs)]
+    raw = np.einsum("Kqi,iq->Kq", legendre, wx[:, None] * fourier)
+    kernel = np.array([_integral_inverse_kernel(twoS, K) for K in range(twoS + 1)])
+    # The (-1)^(K+q) signature, times bar-P_{K,-m} = (-1)^m bar-P_{K,m} for q < 0.
+    signs = (-1.0) ** np.add.outer(np.arange(twoS + 1), np.maximum(qs, 0))
+    return _spectrum(state.label, kernel[:, None] * signs * raw)
 
 
 # -- Cartesian moments ---------------------------------------------------------------

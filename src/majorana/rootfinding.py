@@ -51,6 +51,7 @@ import numpy as np
 from .errors import NonConvergence
 
 _EPS = float(np.finfo(float).eps)
+_POLISH_STEPS = 3
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -129,11 +130,9 @@ def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def newton_polish(
-    coeffs: np.ndarray, z: np.ndarray, iters: int = 3
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Up to iters guarded Newton steps on the estimates z[..., b, :] of row
-    b's roots; a point only moves if its residual drops.
+def newton_polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Up to _POLISH_STEPS guarded Newton steps on the estimates z[..., b, :]
+    of row b's roots; a point only moves if its residual drops.
 
     p and p' are read from each point's charted table (see _table): their
     ratio, the Newton step, is that of the true values, and the residual
@@ -146,9 +145,9 @@ def newton_polish(
     steps move each estimate on its own and the set stops reproducing the
     polynomial.  A point that rejects a step keeps z, p and p', so it would
     reject every later step too: the loop ends once no point moves, with the
-    same result as running all iters.
+    same result as running all steps.
 
-    Returns the points and the charted values of p and p' there.
+    Returns the points and the charted values of p there.
     """
     n = coeffs.shape[-1] - 1
     cols = _with_derivative(coeffs)
@@ -156,7 +155,7 @@ def newton_polish(
     v = table @ cols
     p, dp = v[..., 0], v[..., 1]
     floor = _rounding_floor(table, coeffs)
-    for _ in range(iters):
+    for _ in range(_POLISH_STEPS):
         step = p / np.where(dp == 0, np.inf, dp)
         znew = z - step
         v = _table(znew, n) @ cols
@@ -168,7 +167,7 @@ def newton_polish(
         z = np.where(take, znew, z)
         p = np.where(take, pnew, p)
         dp = np.where(take, dpnew, dp)
-    return z, p, dp
+    return z, p
 
 
 def _disc_overlaps(c: np.ndarray, z: np.ndarray, p=None, floor=None) -> np.ndarray:
@@ -213,31 +212,27 @@ def _components(overlap: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _elementary_symmetric_scaled(roots: np.ndarray) -> np.ndarray:
-    """e_0 .. e_r of the given values, renormalized along the way: the result
-    is a common positive multiple of the true values (safe for huge roots)."""
+def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients (low to high, length n + 1) of a positive multiple of
+    prod_j (z - roots_j), renormalized along the way so that huge roots
+    cannot overflow; the top n - len(roots) entries are 0."""
     roots = np.asarray(roots, dtype=complex).reshape(-1)
-    e = np.zeros(len(roots) + 1, dtype=complex)
-    e[0] = 1.0
-    # bound >= max|e| up to rounding, so the true peak is only taken (and
+    r = len(roots)
+    c = np.zeros(n + 1, dtype=complex)
+    c[r] = 1.0
+    # bound >= max|c| up to rounding, so the true peak is only taken (and
     # the renormalization decided) once it may be near 1e200.
     bound = 1.0
     for j, w in enumerate(roots.tolist()):
-        tail = e[1 : j + 2]
-        tail += w * e[: j + 1]  # e[1 : j + 2] += ... would also copy it back
+        head = c[r - j - 1 : r]
+        head -= w * c[r - j : r + 1]  # c[...] -= ... would also copy it back
         bound *= 1.0 + abs(w)
         if bound > 1e199:
-            bound = np.abs(e).max()
+            bound = np.abs(c).max()
             if bound > 1e200:
-                e /= bound
+                c /= bound
                 bound = 1.0
-    return e
-
-
-def _vieta(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The coefficients, low to high, of c_n prod_i (x - z_i)."""
-    e = _elementary_symmetric_scaled(z)
-    return c[-1] * (-1.0) ** np.arange(len(z), -1, -1) * e[::-1] / e[0]
+    return c
 
 
 def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np.ndarray:
@@ -252,7 +247,9 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np
     one component of n discs and merges here into n copies.  In a row with
     real coefficients a component closed under conjugation has a real mean.
     """
-    rebuilt = _vieta(c, z)
+    n = len(z)
+    a = _root_coefficients(z, n)
+    rebuilt = c[-1] * a / a[-1]  # the coefficients of c_n prod_i (x - z_i)
     label = _components(overlap)
     out = z
     for k in np.unique(label):
@@ -262,10 +259,12 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np
         center = z[idx].mean()
         if not c.imag.any() and np.isin(z[idx].conj(), z[idx]).all():
             center = center.real
+        if residual_ratios(c, np.array([center]))[0] > tol:
+            continue
         merged = out.copy()
         merged[idx] = center
-        if (residual_ratios(c, np.array([center]))[0] <= tol
-                and np.abs(_vieta(c, merged) - rebuilt).max() <= tol):
+        a = _root_coefficients(merged, n)
+        if np.abs(c[-1] * a / a[-1] - rebuilt).max() <= tol:
             out = merged
     worst = residual_ratios(c, out).max(initial=0.0)
     if worst > tol:
@@ -310,7 +309,7 @@ def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]
     isolated = overlap.sum(axis=(1, 2)) == n
     rows, cols = np.nonzero(isolated[:, None] & (np.abs(p) > floor))
     if len(rows):
-        zp, pp, _ = newton_polish(c[rows], z[rows, cols][:, None])
+        zp, pp = newton_polish(c[rows], z[rows, cols][:, None])
         z[rows, cols], p[rows, cols] = zp[:, 0], pp[:, 0]
     worst = _contract_ratios(p).max(axis=1, initial=0.0)
     miss = np.flatnonzero(worst > tol)

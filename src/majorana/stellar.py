@@ -24,8 +24,8 @@ import numpy as np
 from .errors import LabelMismatch, NonConvergence
 from .rootfinding import (
     _EPS,
-    _elementary_symmetric_scaled,
     _powers,
+    _root_coefficients,
     find_roots_batch,
     newton_polish,
     polyval_many,
@@ -337,16 +337,6 @@ def rotate(state: SpinState, theta: float, phi: float) -> SpinState:
 
 
 # -- state <-> constellation ---------------------------------------------------
-
-
-def _root_coefficients(roots: np.ndarray, twoS: int) -> np.ndarray:
-    """Coefficients (low to high, length 2S + 1) of a positive multiple of
-    prod_j (z - roots_j); the top 2S - r entries, the stars at infinity, are 0."""
-    r = len(roots)
-    e = _elementary_symmetric_scaled(roots)
-    coeffs = np.zeros(twoS + 1, dtype=complex)
-    coeffs[: r + 1] = (-1.0) ** np.arange(r, -1, -1) * e[::-1]
-    return coeffs
 
 
 def stellar_polynomial(state: SpinState) -> StellarPolynomial:

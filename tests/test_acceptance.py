@@ -135,7 +135,6 @@ def test_criterion_05_coherent_states_maximize_quantumness():
     assert violations == 0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_criterion_06_king_searches(tmp_path):
     # Exact tier: orders 1..3 are fully suppressible at 2S = 2, 4, 6, each
     # search finishing under 60 seconds with 64 restarts.

@@ -494,7 +494,6 @@ def test_polar_eigenstate_under_sz(rng):
 # -- matching -------------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_match_stars_with_infinity():
     a = mj.Constellation(3, [0.0, 1.0], 1)
     b = mj.Constellation(3, [1.0 + 1e-9, 1e-9], 1)

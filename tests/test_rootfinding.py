@@ -162,7 +162,7 @@ def _polish_fixed_reference(coeffs, z, iters=3):
         z = np.where(take, znew, z)
         p = np.where(take, pnew, p)
         dp = np.where(take, dpnew, dp)
-    return z, p, dp
+    return z, p
 
 
 def _stars_polynomial(stars):
