@@ -121,22 +121,28 @@ def _raw_velocities(
 
     A star with |z_k| > 1 is evaluated in the reciprocal chart, as
     (Hf)(z_k) / z_k**2S (read from the charted power table) and
-    f'(z_k) / z_k**(r-1), so huge stars cannot overflow the powers.
+    f'(z_k) / z_k**(r-1), so huge stars cannot overflow the powers.  A
+    velocity that still is not finite, as for a star near the pole under a
+    generator that moves the pole, raises DegenerateConstellation.
     """
     twoS = h.label.twoS
     r = len(w)
     at = w[:count]
-    c = _root_coefficients(w, twoS)
-    b = _binom_sqrt(twoS)
-    g = b * (h.matrix @ (c / b))             # stellar polynomial of H|psi>
-    gval = _table(at, twoS) @ g
-    big = np.abs(at) > 1.0
-    inv = np.divide(1.0, at, out=np.ones_like(at), where=big)
-    sep = (at[:, None] - w) * inv[:, None]
-    own = np.arange(len(at))
-    sep[own, own] = c[r]                     # leading coefficient of f
-    scale = np.where(big, at ** (twoS - r + 1), 1.0)
-    return 1j * gval / np.prod(sep, axis=1) * scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = _root_coefficients(w, twoS)
+        b = _binom_sqrt(twoS)
+        g = b * (h.matrix @ (c / b))         # stellar polynomial of H|psi>
+        gval = _table(at, twoS) @ g
+        big = np.abs(at) > 1.0
+        inv = np.divide(1.0, at, out=np.ones_like(at), where=big)
+        sep = (at[:, None] - w) * inv[:, None]
+        own = np.arange(len(at))
+        sep[own, own] = c[r]                 # leading coefficient of f
+        scale = np.where(big, at ** (twoS - r + 1), 1.0)
+        v = 1j * gval / np.prod(sep, axis=1) * scale
+    if not np.isfinite(v).all():
+        raise DegenerateConstellation("a star too near the pole has no finite chart velocity")
+    return v
 
 
 def star_velocities(c: Constellation, h: HamiltonianSpec) -> np.ndarray:

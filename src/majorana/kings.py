@@ -67,10 +67,15 @@ ZERO_TOL = 1e-7
 _EPS = float(np.finfo(float).eps)
 _SCREEN_SAMPLES = 32
 _POLISH_STARTS = 2
-# Polish: the share of its predicted decrease a trial step must deliver, and
-# the most trial steps in a row a start may reject before it stops.
+# Polish: the share of its predicted decrease a trial step must deliver, the
+# most trial steps in a row a start may reject, and the stop rules of
+# RestartRecord: the most steps, the largest gradient component, and the
+# decrease of A_M in units of its rounding.
 _ARMIJO = 1e-4
 _BACKTRACKS = 20
+_MAX_ITERS = 2000
+_GRAD_TOL = 1e-9
+_F_TOL = 1e-9
 # Nielsen's starting damping, and the least damping, relative to the largest
 # diagonal entry of the first Gauss-Newton matrix.  A_M is invariant under
 # rotations, so B is singular along them; the floor keeps the rounding of the
@@ -84,27 +89,18 @@ _CONVERGED = ("grad_tol", "f_tol")
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Target order M, restart count and seed; max_iters, grad_tol and f_tol
-    bound each polish: its iterations, its largest gradient component,
-    and its per-iteration decrease of the objective, counted in units of the
-    rounding of the objective."""
+    """Target order M, restart count and seed.  Each polish stops by the
+    fixed rules that RestartRecord lists."""
 
     M: int
     restarts: int = 16
     seed: int = 0
-    max_iters: int = 2000
-    grad_tol: float = 1e-9
-    f_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.grad_tol > 0 and self.f_tol > 0):
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,17 +109,20 @@ class RestartRecord:
     taken, summed over its polished starts, the stop reason of the start it
     kept, whether that start converged, and the restart's wall time.
 
-    stop_reason names the rule that ended the start:
+    stop_reason names the first rule that ended the start:
 
-    * "grad_tol": no gradient component exceeds grad_tol;
-    * "f_tol": the last step lowered the objective, or a rejected trial
-      step promised to lower it, by at most f_tol units of its rounding;
-    * "max_iters": the start took max_iters steps;
+    * "grad_tol": no gradient component exceeds 1e-9 (checked at the start
+      too, so a stationary start takes no step);
+    * "f_tol": the last step lowered A_M, or a rejected trial step
+      promised to lower it, by at most 1e-9 * eps * max(A_M, 1): 1e-9
+      units of its rounding;
+    * "max_iters": the start took 2000 steps;
     * "line_search": 20 damped trial steps in a row were rejected, each
       promising more than that;
     * "king_found": another start of the restart stopped by one of the
-      first two rules with A_M <= ZERO_TOL, a king, and this one stopped
-      with it.  It is kept only if its A_M is lower still.
+      first two rules with A_M <= ZERO_TOL, a king (checked at the start
+      too), and this one stopped with it: A_M >= 0, so it could only find
+      another zero.  It is kept only if its A_M is lower still.
 
     The first two count as converged, and so does any start whose largest
     gradient component ends at most 1e-6."""
@@ -156,18 +155,6 @@ def objective(constellation: Constellation, M: int) -> float:
 
 
 # -- residuals and their Jacobian in the spinor pairs ------------------------------
-#
-# A search point x holds 4n reals, n = 2S: Re alpha, Im alpha, Re beta, Im beta,
-# n of each.  The polish works on the complex pairs and moves star j along
-# z_j (-conj(beta_j), conj(alpha_j)), the direction orthogonal to the pair:
-# the pair's own direction only rescales a factor, which leaves A_M alone.
-# A step is the 2n reals Re z_1, Im z_1, Re z_2, ...
-
-
-def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of search points x of shape (..., 4n)."""
-    parts = x.reshape(x.shape[:-1] + (4, -1))
-    return parts[..., 0, :] + 1j * parts[..., 1, :], parts[..., 2, :] + 1j * parts[..., 3, :]
 
 
 def _unit_pairs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +169,9 @@ def _moved(
     alpha: np.ndarray, beta: np.ndarray, step: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pairs moved by tangent steps (Re z_1, Im z_1, Re z_2, ...) of
-    shape (..., 2n), rescaled to unit length."""
+    shape (..., 2n), rescaled to unit length.  Star j moves along
+    z_j (-conj(beta_j), conj(alpha_j)), orthogonal to its pair: the pair's
+    own direction only rescales a factor, which leaves A_M alone."""
     z = np.ascontiguousarray(step).view(complex)
     return _unit_pairs(alpha - z * beta.conj(), beta + z * alpha.conj())
 
@@ -211,10 +200,9 @@ def _factor_values(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return alpha[..., None] * _unit_roots(alpha.shape[-1]) + beta[..., None]
 
 
-def _screen_values(x: np.ndarray, twoS: int, M: int) -> np.ndarray:
-    """Search objective of stacked search points x of shape (count, 4n)."""
-    alpha, beta = _pairs(x)
-    a = np.prod(_factor_values(alpha, beta), axis=-2) @ _amplitude_map(twoS)
+def _screen_values(alpha: np.ndarray, beta: np.ndarray, M: int) -> np.ndarray:
+    """A_M at stacked pairs (alpha, beta) of shape (count, n)."""
+    a = np.prod(_factor_values(alpha, beta), axis=-2) @ _amplitude_map(alpha.shape[-1])
     psi = a / np.linalg.norm(a, axis=-1, keepdims=True)
     r = np.matmul(_hermitian_terms(psi, M), psi.conj()[..., None]).real
     return np.sum(r * r, axis=(-2, -1))
@@ -266,21 +254,21 @@ def _gauss_newton(r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return f, g, 2.0 * np.matmul(jac.swapaxes(-1, -2), jac)
 
 
-def _random_pairs(rng: np.random.Generator, n_stars: int, count: int) -> np.ndarray:
-    """count search points with stars uniform on the sphere; a star at
-    angles (theta, phi) is alpha = cos(theta/2), beta = -sin(theta/2) e^{-i phi}."""
+def _random_pairs(
+    rng: np.random.Generator, n_stars: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """count rows of pairs of shape (count, n_stars), stars uniform on the
+    sphere; a star at angles (theta, phi) is alpha = cos(theta/2),
+    beta = -sin(theta/2) e^{-i phi}."""
     theta = np.arccos(rng.uniform(-1.0, 1.0, size=(count, n_stars)))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=(count, n_stars))
-    beta = -np.sin(theta / 2.0) * np.exp(-1j * phi)
-    return np.concatenate(
-        [np.cos(theta / 2.0), np.zeros_like(theta), beta.real, beta.imag], axis=1
-    )
+    return np.cos(theta / 2.0).astype(complex), -np.sin(theta / 2.0) * np.exp(-1j * phi)
 
 
 def _polish(
-    x0: np.ndarray, twoS: int, config: SearchConfig
-) -> tuple[np.ndarray, list[float], list[np.ndarray], list[int], list[int], list[str]]:
-    """Damped Gauss-Newton from each row of x0, all rows in lockstep.
+    alpha: np.ndarray, beta: np.ndarray, M: int
+) -> tuple[np.ndarray, np.ndarray, list[float], list[np.ndarray], list[int], list[int], list[str]]:
+    """Damped Gauss-Newton from each row of the pairs, all rows in lockstep.
 
     Each round makes one batched residual-and-Jacobian call at the trial
     points of the rows still running.  A row keeps a model B of the Hessian
@@ -296,26 +284,16 @@ def _polish(
     (r = 0); after a smaller cut B takes a BFGS update, which learns the
     curvature the residuals add where A_M > 0 (Fletcher & Xu, IMA J. Numer.
     Anal. 7 (1987) 371), or is 2 J^T J again where the step shows no usable
-    curvature.  A row stops, and leaves the batch, for the first of these
-    reasons:
+    curvature.  A row stops, and leaves the batch, by the first of the
+    stop rules that RestartRecord lists; the rows are the starts of one
+    restart.
 
-    * "grad_tol": its largest gradient component is at most grad_tol
-      (checked at the start too, so a stationary start takes no step);
-    * "f_tol": a step lowered f, or a rejected trial's damped model
-      predicted it to lower f, by at most f_tol * eps * max(|f|, 1), so
-      f_tol counts units of the rounding of f;
-    * "max_iters": it has taken max_iters steps;
-    * "line_search": _BACKTRACKS trial steps in a row were rejected;
-    * "king_found": another row stopped by grad_tol or f_tol with
-      f <= ZERO_TOL (checked at the start too).  f >= 0, so the rows can
-      only find another zero.  The rows are the starts of one restart.
-
-    Returns per row: the final point, f and g there, evaluations, steps
-    taken and the stop reason.
+    Returns the final unit pairs, and per row f and g there, evaluations,
+    steps taken and the stop reason.
     """
-    rows, dim = len(x0), 2 * twoS
-    alpha, beta = _unit_pairs(*_pairs(x0))
-    f, g, hess = _gauss_newton(*_residuals(alpha, beta, config.M))
+    rows, dim = len(alpha), 2 * alpha.shape[-1]
+    alpha, beta = _unit_pairs(alpha, beta)
+    f, g, hess = _gauss_newton(*_residuals(alpha, beta, M))
     f = f.tolist()
     diagonal = np.diagonal(hess, axis1=-2, axis2=-1).max(axis=-1)
     damping = (_DAMPING * diagonal).tolist()
@@ -323,7 +301,7 @@ def _polish(
     growth = [2.0] * rows
     evaluations, steps, backtracks = [1] * rows, [0] * rows, [0] * rows
     gmax = np.abs(g).max(axis=-1).tolist()
-    reasons = ["grad_tol" if gmax[i] <= config.grad_tol else "" for i in range(rows)]
+    reasons = ["grad_tol" if gmax[i] <= _GRAD_TOL else "" for i in range(rows)]
     live = [i for i in range(rows) if not reasons[i]]
     eye = np.eye(dim)
     while live and not any(r in _CONVERGED and v <= ZERO_TOL for r, v in zip(reasons, f)):
@@ -331,7 +309,7 @@ def _polish(
         gl = g[live]
         s = np.linalg.solve(hess[live] + lam[:, None, None] * eye, -gl[..., None])[..., 0]
         ta, tb = _moved(alpha[live], beta[live], s)
-        ft, gt, gauss = _gauss_newton(*_residuals(ta, tb, config.M))
+        ft, gt, gauss = _gauss_newton(*_residuals(ta, tb, M))
         gs, ss = (gl * s).sum(axis=-1).tolist(), (s * s).sum(axis=-1).tolist()
         gmax = np.abs(gt).max(axis=-1).tolist()
         for k, i in enumerate(live):
@@ -346,7 +324,7 @@ def _polish(
                 backtracks[i] += 1
                 # A rejected trial that promised no more than the rounding
                 # of f: more damping only shrinks the promise.
-                if model <= config.f_tol * _EPS * max(abs(f[i]), 1.0):
+                if model <= _F_TOL * _EPS * max(abs(f[i]), 1.0):
                     reasons[i] = "f_tol"
                 elif backtracks[i] >= _BACKTRACKS:
                     reasons[i] = "line_search"
@@ -372,29 +350,27 @@ def _polish(
             alpha[i], beta[i], f[i], g[i] = ta[k], tb[k], fi, gt[k]
             steps[i] += 1
             backtracks[i] = 0
-            if gmax[k] <= config.grad_tol:
+            if gmax[k] <= _GRAD_TOL:
                 reasons[i] = "grad_tol"
-            elif drop <= config.f_tol * _EPS * scale:
+            elif drop <= _F_TOL * _EPS * scale:
                 reasons[i] = "f_tol"
-            elif steps[i] >= config.max_iters:
+            elif steps[i] >= _MAX_ITERS:
                 reasons[i] = "max_iters"
         live = [i for i in live if not reasons[i]]
     for i in live:
         reasons[i] = "king_found"
-    x = np.concatenate([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
-    return x, f, list(g), evaluations, steps, reasons
+    return alpha, beta, f, list(g), evaluations, steps, reasons
 
 
 def _run_restart(
     label: SpinLabel, config: SearchConfig, index: int
-) -> tuple[float, np.ndarray, RestartRecord]:
+) -> tuple[float, Constellation, RestartRecord]:
     start = time.perf_counter()
-    twoS = label.twoS
     rng = np.random.default_rng([config.seed % (2 ** 64), index])
-    candidates = _random_pairs(rng, twoS, _SCREEN_SAMPLES)
-    order = np.argsort(_screen_values(candidates, twoS, config.M), kind="stable")
-    x, f, g, evaluations, steps, reasons = _polish(
-        candidates[order[:_POLISH_STARTS]], twoS, config
+    alpha, beta = _random_pairs(rng, label.twoS, _SCREEN_SAMPLES)
+    starts = np.argsort(_screen_values(alpha, beta, config.M), kind="stable")[:_POLISH_STARTS]
+    alpha, beta, f, g, evaluations, steps, reasons = _polish(
+        alpha[starts], beta[starts], config.M
     )
     best = int(np.argmin(f))
     record = RestartRecord(
@@ -407,7 +383,7 @@ def _run_restart(
         or float(np.abs(g[best]).max()) <= 1e-6,
         seconds=time.perf_counter() - start,
     )
-    return float(f[best]), x[best], record
+    return float(f[best]), _gauge_fix(label, alpha[best], beta[best]), record
 
 
 # -- gauge fixing ----------------------------------------------------------------
@@ -457,8 +433,7 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     # Report the exact pipeline objective of each gauge-fixed candidate so
     # the stated optimum is reproducible from the constellation alone.
     rescored = []
-    for _, x, _ in outcomes:
-        c = _gauge_fix(label, *_pairs(x))
+    for _, c, _ in outcomes:
         spec = multipoles(state_from_constellation(c))
         rescored.append((cumulative_quantumness(spec, config.M), _angle_key(c), c, spec))
     best_value, _, best_constellation, spectrum = min(rescored, key=lambda t: t[:2])
@@ -483,19 +458,15 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     )
 
 
-def max_unpolarized_order(
-    label: SpinLabel | int, config: SearchConfig, zero_tol: float = ZERO_TOL
-) -> int:
-    """Largest M whose optimized A_M is numerically zero, scanning upward."""
+def max_unpolarized_order(label: SpinLabel | int, config: SearchConfig) -> int:
+    """Largest M whose optimized A_M is at most ZERO_TOL, scanning upward."""
     label = _as_label(label)
-    if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
     best = 0
     for M in range(1, label.twoS + 1):
         result = minimize(label, replace(config, M=M))
         if result.restarts_converged == 0:
             raise NonConvergence(f"no restart converged at M={M}")
-        if result.objective <= zero_tol:
+        if result.objective <= ZERO_TOL:
             best = M
         else:
             break

@@ -101,11 +101,6 @@ def residual_ratios(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _contract_ratios((table @ coeffs[..., None])[..., 0])
 
 
-def polyval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] z**k at each entry of z."""
-    return _powers(np.asarray(z, dtype=complex), len(coeffs) - 1) @ np.asarray(coeffs)
-
-
 def _rounding_floor(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """2 (n + 1) eps sum_k |c_k| |z|**k for row b's polynomial at each point
     of table[..., b, :, :], charted like the table: a bound on the rounding

@@ -28,7 +28,6 @@ from .rootfinding import (
     _root_coefficients,
     find_roots_batch,
     newton_polish,
-    polyval_many,
     residual_ratios,
 )
 
@@ -144,10 +143,6 @@ class StellarPolynomial:
         coeffs.flags.writeable = False
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "coefficients", coeffs)
-
-    def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        res = polyval_many(self.coefficients, np.asarray(z, dtype=complex))
-        return complex(res) if np.isscalar(z) or np.ndim(z) == 0 else res
 
 
 @dataclass(frozen=True, eq=False)

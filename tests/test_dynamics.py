@@ -199,6 +199,12 @@ def test_velocity_rejects_degenerate():
         star_velocities(mj.constellation_from_state(mj.coherent_state(4, 0.3)), h)
     with pytest.raises(DegenerateConstellation):
         star_velocities(mj.Constellation(2, [0.0], 1), h=builtin_hamiltonian(2, "Sz"))
+    # Under Sx a star beyond |z| ~ 1e154 moves faster than a double can hold.
+    far = mj.Constellation(2, [1e200, 0.5])
+    with pytest.raises(DegenerateConstellation):
+        star_velocities(far, builtin_hamiltonian(2, "Sx"))
+    with pytest.raises(DegenerateConstellation):
+        equilibrium_residual(far, builtin_hamiltonian(2, "Sx"))
 
 
 def test_label_mismatch_raises(rng):

@@ -51,10 +51,6 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(M=1, restarts=0)
     with pytest.raises(ValueError):
-        SearchConfig(M=1, max_iters=0)
-    with pytest.raises(ValueError):
-        SearchConfig(M=1, grad_tol=0.0)
-    with pytest.raises(ValueError):
         minimize(4, SearchConfig(M=5))
 
 
@@ -115,6 +111,10 @@ def test_single_qubit_cannot_be_unpolarized():
 def test_max_unpolarized_order_small_spins():
     assert max_unpolarized_order(2, SearchConfig(M=1, restarts=8)) == 1
     assert max_unpolarized_order(4, SearchConfig(M=1, restarts=12)) == 2
+    # The octahedron, cube and icosahedron.
+    assert max_unpolarized_order(6, SearchConfig(M=1, restarts=8)) == 3
+    assert max_unpolarized_order(8, SearchConfig(M=1, restarts=8)) == 3
+    assert max_unpolarized_order(12, SearchConfig(M=1, restarts=8)) == 5
 
 
 def test_gauge_fixed_output_is_canonical():
@@ -139,14 +139,15 @@ def test_repeated_search_is_bitwise_identical():
 # -- the search in spinor pairs -------------------------------------------------------
 
 
-def _pair_vector(alpha, beta):
-    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
-    return np.concatenate([alpha.real, alpha.imag, beta.real, beta.imag])
+# An exact octahedron with a star at each pole, the south one as alpha = 0.
+_OCTAHEDRON = (
+    np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0], dtype=complex),
+    np.array([0.0, 1.0, -1.0, 1.0, -1j, 1j]),
+)
 
 
-def _rebuilt(twoS, x):
-    """The constellation of search point x, built straight from -beta/alpha."""
-    alpha, beta = kings._pairs(x)
+def _rebuilt(twoS, alpha, beta):
+    """The constellation of the pairs, built straight from -beta/alpha."""
     finite = alpha != 0
     return mj.Constellation(twoS, -beta[finite] / alpha[finite], int(np.sum(~finite)))
 
@@ -161,7 +162,6 @@ def test_search_gradient_matches_central_differences(twoS):
         beta[1] = 0.0  # a star at the theta = 0 pole
     if twoS > 3:
         alpha[3], beta[3] = 0.7j * alpha[2], 0.7j * beta[2]  # a coincident pair
-    x = _pair_vector(alpha, beta)
     M = (twoS + 1) // 2
 
     def residuals(step):
@@ -170,7 +170,7 @@ def test_search_gradient_matches_central_differences(twoS):
     r, jac = residuals(np.zeros(2 * twoS))
     value = float(r @ r)
     grad = 2.0 * jac.T @ r
-    assert value == pytest.approx(objective(_rebuilt(twoS, x), M), abs=1e-14)
+    assert value == pytest.approx(objective(_rebuilt(twoS, alpha, beta), M), abs=1e-14)
     # Each tangent step moves a pair off unit length, which r does not see.
     h = 1e-6
     steps = h * np.eye(2 * twoS)
@@ -185,9 +185,9 @@ def test_search_gradient_matches_central_differences(twoS):
 
 
 def test_screening_matches_single_evaluations(rng):
-    x = kings._random_pairs(rng, 10, 8)
-    stacked = kings._screen_values(x, 10, 3)
-    single = [np.sum(kings._residuals(*kings._pairs(row), 3)[0] ** 2) for row in x]
+    alpha, beta = kings._random_pairs(rng, 10, 8)
+    stacked = kings._screen_values(alpha, beta, 3)
+    single = [np.sum(kings._residuals(a, b, 3)[0] ** 2) for a, b in zip(alpha, beta)]
     assert np.allclose(stacked, single, rtol=1e-12, atol=1e-15)
 
 
@@ -239,11 +239,10 @@ def test_twelve_stars_form_icosahedron():
 
 
 def test_restart_ending_at_south_pole(monkeypatch):
-    # An exact octahedron with a star at each pole, the south one as alpha = 0.
-    alpha = [1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
-    beta = [0.0, 1.0, -1.0, 1.0, -1j, 1j]
-    x = _pair_vector(alpha, beta)
-    monkeypatch.setattr(kings, "_random_pairs", lambda rng, n, count: np.tile(x, (count, 1)))
+    monkeypatch.setattr(
+        kings, "_random_pairs",
+        lambda rng, n, count: tuple(np.tile(p, (count, 1)) for p in _OCTAHEDRON),
+    )
     result = minimize(6, SearchConfig(M=3, restarts=1))
     assert result.constellation.infinity_count == 1
     assert np.all(np.isfinite(result.constellation.finite_roots))
@@ -261,15 +260,12 @@ def test_start_stationary_at_a_king_ends_the_restart(monkeypatch):
     # One screening candidate is an exact octahedron, a king at M = 3; the
     # others are random.  It ranks first, meets grad_tol at its first
     # evaluation, and the random start stops with it before any round.
-    alpha = [1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
-    beta = [0.0, 1.0, -1.0, 1.0, -1j, 1j]
-    x = _pair_vector(alpha, beta)
     draw = kings._random_pairs
 
     def with_king(rng, n, count):
-        out = draw(rng, n, count)
-        out[count // 2] = x
-        return out
+        alpha, beta = draw(rng, n, count)
+        alpha[count // 2], beta[count // 2] = _OCTAHEDRON
+        return alpha, beta
 
     monkeypatch.setattr(kings, "_random_pairs", with_king)
     config = SearchConfig(M=3, restarts=1)
@@ -281,16 +277,19 @@ def test_start_stationary_at_a_king_ends_the_restart(monkeypatch):
     assert record.converged
     assert result.objective <= 1e-20
     # The random start stops with the king, not by a rule of its own.
-    x0 = np.stack([x, draw(np.random.default_rng(1), 6, 1)[0]])
-    *_, steps, reasons = kings._polish(x0, 6, config)
+    alpha, beta = draw(np.random.default_rng(1), 6, 1)
+    *_, steps, reasons = kings._polish(
+        np.vstack([_OCTAHEDRON[0], alpha]), np.vstack([_OCTAHEDRON[1], beta]), 3
+    )
     assert steps == [0, 0]
     assert reasons == ["grad_tol", "king_found"]
 
 
-def test_polish_stops_at_the_iteration_cap():
-    config = SearchConfig(M=2, restarts=1, max_iters=1)
-    x0 = kings._random_pairs(np.random.default_rng(5), 4, 2)
-    *_, evaluations, steps, reasons = kings._polish(x0, 4, config)
+def test_polish_stops_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(kings, "_MAX_ITERS", 1)
+    config = SearchConfig(M=2, restarts=1)
+    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 2)
+    *_, evaluations, steps, reasons = kings._polish(alpha, beta, 2)
     assert steps == [1, 1]
     assert reasons == ["max_iters", "max_iters"]
     assert all(e >= 2 for e in evaluations)

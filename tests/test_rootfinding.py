@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist, squareform
 
@@ -21,15 +22,7 @@ from majorana.rootfinding import (
     find_roots,
     find_roots_batch,
     newton_polish,
-    polyval_many,
 )
-
-
-def test_polyval_matches_numpy(rng):
-    coeffs = rng.normal(size=7) + 1j * rng.normal(size=7)
-    z = rng.normal(size=5) + 1j * rng.normal(size=5)
-    expected = np.polyval(coeffs[::-1], z)
-    assert np.allclose(polyval_many(coeffs, z), expected, rtol=1e-13)
 
 
 def test_simple_cubic_roots():
@@ -116,7 +109,7 @@ def test_residuals_meet_contract(rng):
         c = rng.normal(size=13) + 1j * rng.normal(size=13)
         roots = find_roots(c)
         scale = np.abs(c).max()
-        res = np.abs(polyval_many(c, roots))
+        res = np.abs(polyval(roots, c))
         bound = 1e-10 * scale * np.maximum(1.0, np.abs(roots)) ** 12
         assert np.all(res <= bound)
 

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from numpy.polynomial.polynomial import polyval
 
 import majorana as mj
 from majorana import stellar
 from majorana.errors import LabelMismatch, NonConvergence
-from majorana.rootfinding import _root_coefficients, find_roots, find_roots_batch, polyval_many
+from majorana.rootfinding import _root_coefficients, find_roots, find_roots_batch
 
 
 def _random_state(rng, twoS):
@@ -327,7 +328,7 @@ def test_contract_error_reports_ratio_and_spin(monkeypatch, rng):
     f = stellar.stellar_polynomial(state).coefficients
     roots = find_roots(f) * (1 + 1e-7)
     bound = 1e-10 * np.abs(f).max() * np.maximum(1.0, np.abs(roots)) ** 20
-    want = float((np.abs(polyval_many(f, roots)) / bound).max())
+    want = float((np.abs(polyval(roots, f)) / bound).max())
     got = float(str(err.value).split("factor ")[1].split()[0])
     assert want > 1.0
     assert got == pytest.approx(want, rel=1e-3)
@@ -369,7 +370,7 @@ def test_trimmed_spread_state_meets_the_contract_on_f():
     assert (c.infinity_count, int(np.sum(c.finite_roots == 0))) == (2, 4)
     f = stellar.stellar_polynomial(state).coefficients
     bound = 1e-10 * np.abs(f).max() * np.maximum(1.0, np.abs(c.finite_roots)) ** 20
-    assert np.all(np.abs(polyval_many(f, c.finite_roots)) <= bound)
+    assert np.all(np.abs(polyval(c.finite_roots, f)) <= bound)
     back = mj.state_from_constellation(c)
     assert abs(mj.overlap(state, back)) >= 1.0 - 1e-10
     # In a batch it costs no other state its result.
