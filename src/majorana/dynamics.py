@@ -177,7 +177,7 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     mag = np.abs(roots)
     near = np.abs(roots[:, None] - roots) <= 1e-7 * (1.0 + np.maximum(mag[:, None], mag))
     label = _components(near)
-    groups = [roots[label == k] for k in np.unique(label)]
+    groups = [roots[label == k] for k in np.flatnonzero(np.bincount(label))]
     centers = [complex(g.mean()) for g in groups]
     counts = [len(g) for g in groups]
     worst = 0.0
@@ -270,7 +270,8 @@ def evolve(
     # forced[near - 1] < grid <= forced[near]
     near = np.searchsorted(forced, grid)
     clear = np.minimum(forced[near] - grid, grid - forced[near - 1]) > 1e-14 * t_final
-    times = np.union1d(forced, grid[clear])
+    # clear keeps every grid time off the forced ones, so the merge has no repeats.
+    times = np.sort(np.concatenate([forced, grid[clear]]))
 
     phases = np.exp(-1j * np.outer(times, h.evals))
     amps = (phases * (h.evecs.conj().T @ state.amplitudes)) @ h.evecs.T

@@ -77,11 +77,17 @@ _MAX_ITERS = 2000
 _GRAD_TOL = 1e-9
 _F_TOL = 1e-9
 # Nielsen's starting damping, and the least damping, relative to the largest
-# diagonal entry of the first Gauss-Newton matrix.  A_M is invariant under
-# rotations, so B is singular along them; the floor keeps the rounding of the
-# gradient from stepping far along them, and keeps the damping from
-# underflowing to zero, where a rejection could no longer raise it.
-_DAMPING = 1e-3
+# diagonal entry of the first Gauss-Newton matrix.  Madsen, Nielsen &
+# Tingleff (sec. 3.2) start at 1e-3 only when the start is believed close to
+# the minimiser; a screened random constellation is not (A_M ~ 0.1-0.3).
+# From 1e-3, 84% of the trials of a start's first two rounds were rejected
+# (200 single-restart searches of the benchmark's configurations), their
+# median largest star move 80 degrees; from 3e-2, 13%, and the benchmark's
+# searches took 18% fewer evaluations.  A_M is invariant under rotations, so
+# B is singular along them; the floor keeps the rounding of the gradient from
+# stepping far along them, and keeps the damping from underflowing to zero,
+# where a rejection could no longer raise it.
+_DAMPING = 3e-2
 _DAMPING_FLOOR = math.sqrt(_EPS)
 # The stop reasons of a polish start that converged.
 _CONVERGED = ("grad_tol", "f_tol")
@@ -288,6 +294,12 @@ def _polish(
     stop rules that RestartRecord lists; the rows are the starts of one
     restart.
 
+    lambda starts at _DAMPING = 3e-2 times the largest diagonal entry of
+    the first B, above the 1e-3 that sec. 3.2 gives for a start near the
+    minimiser: a screened random start is far from it, and from 1e-3 most
+    starts spent their first rounds rejecting steps that moved stars by tens
+    of degrees, only to raise lambda.
+
     Returns the final unit pairs, and per row f and g there, evaluations,
     steps taken and the stop reason.
     """
@@ -410,19 +422,17 @@ def _gauge_fix(label: SpinLabel, alpha: np.ndarray, beta: np.ndarray) -> Constel
     return Constellation(label, z, int(pole.sum()))
 
 
-def _angle_key(constellation: Constellation) -> tuple:
-    return tuple((p.theta, p.phi) for p in constellation.points())
-
-
 # -- public search ------------------------------------------------------------------
 
 
 def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     """Best-of-restarts local minimization of A_M over star positions.
 
-    Deterministic for a fixed (label, config).  If no restart converges the
-    best iterate is still returned with restarts_converged = 0; callers that
-    need a hard failure can check that field.
+    Deterministic for a fixed (label, config).  Of the restarts within a
+    few rounding units eps * max(A_M, 1) of the least A_M, the first is
+    reported.  If no restart converges the best iterate is still returned
+    with restarts_converged = 0; callers that need a hard failure can check
+    that field.
     """
     label = _as_label(label)
     if not (1 <= config.M <= label.twoS):
@@ -432,15 +442,17 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
 
     # Report the exact pipeline objective of each gauge-fixed candidate so
     # the stated optimum is reproducible from the constellation alone.
-    rescored = []
-    for _, c, _ in outcomes:
-        spec = multipoles(state_from_constellation(c))
-        rescored.append((cumulative_quantumness(spec, config.M), _angle_key(c), c, spec))
-    best_value, _, best_constellation, spectrum = min(rescored, key=lambda t: t[:2])
+    spectra = [multipoles(state_from_constellation(c)) for _, c, _ in outcomes]
+    values = [cumulative_quantumness(spec, config.M) for spec in spectra]
+    # Restarts that reach the same optimum differ there only by rounding, so
+    # the lowest restart index within a few units of that rounding of the
+    # least A_M wins: which gauge is reported must not hinge on an ulp.
+    least = min(values)
+    best = next(i for i, v in enumerate(values) if v <= least + 4.0 * _EPS * max(least, 1.0))
 
     order = 0
     for m in range(1, label.twoS + 1):
-        if spectrum.A[m] <= ZERO_TOL:
+        if spectra[best].A[m] <= ZERO_TOL:
             order = m
         else:
             break
@@ -449,8 +461,8 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     return KingResult(
         label=label,
         M=config.M,
-        constellation=best_constellation,
-        objective=best_value,
+        constellation=outcomes[best][1],
+        objective=values[best],
         unpolarized_order=order,
         restarts_converged=sum(1 for r in records if r.converged),
         history=tuple(value for value, _, _ in outcomes),

@@ -247,12 +247,12 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np
     rebuilt = c[-1] * a / a[-1]  # the coefficients of c_n prod_i (x - z_i)
     label = _components(overlap)
     out = z
-    for k in np.unique(label):
+    for k in np.flatnonzero(np.bincount(label)):
         idx = np.flatnonzero(label == k)
         if len(idx) == 1:
             continue
         center = z[idx].mean()
-        if not c.imag.any() and np.isin(z[idx].conj(), z[idx]).all():
+        if not c.imag.any() and (z[idx].conj()[:, None] == z[idx]).any(axis=1).all():
             center = center.real
         if residual_ratios(c, np.array([center]))[0] > tol:
             continue

@@ -102,7 +102,7 @@ class SpinState:
 
     def __post_init__(self) -> None:
         label = _as_label(self.label)
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller keeps theirs
         if amps.shape != (label.dim,):
             raise ValueError(
                 f"expected {label.dim} amplitudes for 2S={label.twoS}, "
@@ -137,7 +137,7 @@ class StellarPolynomial:
 
     def __post_init__(self) -> None:
         label = _as_label(self.label)
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+        coeffs = np.array(self.coefficients, dtype=complex)
         if coeffs.shape != (label.dim,):
             raise ValueError("coefficient count must equal 2S + 1")
         coeffs.flags.writeable = False
@@ -394,12 +394,12 @@ def constellations_from_states(
         # Row r holds lead[r] zeros, then its core's roots; the last tail[r]
         # entries (the stars at infinity) are unused.
         roots = np.zeros((len(members), twoS), dtype=complex)
-        for n in np.unique(degree):
+        for n in np.flatnonzero(np.bincount(degree)):
             rows = np.flatnonzero(degree == n)
             core = lead[rows, None] + np.arange(n + 1)
             found = find_roots_batch(f[rows[:, None], core], tol=tol)
             roots[rows[:, None], core[:, :-1]] = np.reshape(found, (len(rows), n))
-        for t in np.unique(tail):
+        for t in np.flatnonzero(np.bincount(tail)):
             rows = np.flatnonzero(tail == t)
             z = roots[rows, : twoS - t]
             miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])

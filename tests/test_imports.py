@@ -1,4 +1,6 @@
-"""The package imports and runs its main paths without loading scipy."""
+"""The package imports and runs its main paths without loading scipy, or
+numpy.ma, which NumPy's set routines (np.unique, np.isin, ...) import lazily
+at about 12 ms a process."""
 
 import os
 import subprocess
@@ -36,7 +38,15 @@ stars = rng.normal(size=38) + 1j * rng.normal(size=38)
 state = mj.state_from_constellation(mj.Constellation(40, np.r_[stars, 0.5j, 0.5j], 0))
 mj.state_from_constellation(mj.constellation_from_state(state))
 assert finishes, "the double star did not take the per-row path"
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+# A real 20-fold star: its row's conjugate-closure test sees a 20-point
+# cluster, large enough for np.isin to sort.
+finishes.clear()
+stars = mj.constellation_from_state(mj.coherent_state(20, 0.7))
+assert finishes and len(set(stars.finite_roots.tolist())) == 1, stars.finite_roots
+h = mj.builtin_hamiltonian(6, "Sx")
+mj.evolve(mj.coherent_state(6, 0.4 + 0.2j), h, 0.5, checkpoints=[0.25])
+mj.equilibrium_residual(mj.Constellation(6, [0.5, 0.5, 1.0, -1.0, 2.0, 2.0], 0), h)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 

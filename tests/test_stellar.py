@@ -37,6 +37,24 @@ def test_spin_state_normalizes_and_is_immutable():
         st.amplitudes[0] = 1.0
 
 
+def test_state_and_polynomial_copy_the_callers_array(rng):
+    unit = rng.normal(size=5) + 1j * rng.normal(size=5)
+    unit /= np.linalg.norm(unit)
+    for make, field, values in (
+        (mj.SpinState, "amplitudes", np.array([1, 0, 0], dtype=complex)),
+        (mj.SpinState, "amplitudes", unit),
+        (mj.StellarPolynomial, "coefficients", np.array([1.0, -2j, 0.5], dtype=complex)),
+    ):
+        given = values.copy()
+        stored = getattr(make(len(values) - 1, given), field)
+        # Every bit of a unit-norm input is kept, in an array of its own.
+        assert np.array_equal(stored, values)
+        assert stored is not given and not stored.flags.writeable
+        assert given.flags.writeable
+        given[:] = 7.0
+        assert np.array_equal(stored, values)
+
+
 def test_spin_state_rejects_bad_input():
     with pytest.raises(ValueError):
         mj.SpinState(2, np.zeros(3, dtype=complex))
