@@ -158,14 +158,28 @@ def star_velocities(c: Constellation, h: HamiltonianSpec) -> np.ndarray:
     return _raw_velocities(c.finite_roots, h)
 
 
+def _centroid(cluster: np.ndarray) -> complex:
+    """The mean of a cluster of stars, in the chart that keeps it on the
+    cluster: the mean of +1e300 and -1e300 is 0, on the far side of the
+    sphere, while the mean of their reciprocals puts it at the pole."""
+    center = complex(cluster.mean())
+    if _chord_matrix([center], cluster).min() > 1e-7:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            center = complex(1.0 / (1.0 / cluster).mean())
+    return center
+
+
 def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     """max_k |dz_k/dt|, with coincident stars treated as one multiple star.
 
-    An m-fold cluster's velocity is the velocity field at its centroid for
+    Stars within chord 1e-7 of each other, chained, form one cluster.  An
+    m-fold cluster's velocity is the velocity field at its centroid for
     the constellation in which the cluster keeps one star, its other m - 1
     copies go to infinity, and every other cluster keeps its multiplicity.
     Only the other clusters' separations then enter f', which is the finite
-    limit of the equations of motion at coincidence.
+    limit of the equations of motion at coincidence.  The centroid is the
+    mean of the cluster's z, or of its 1/z where that mean leaves the
+    cluster, as it does about the pole.
     """
     if c.label != h.label:
         raise LabelMismatch("constellation and Hamiltonian labels differ")
@@ -174,11 +188,9 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     roots = c.finite_roots
     if len(roots) == 0:
         return 0.0
-    mag = np.abs(roots)
-    near = np.abs(roots[:, None] - roots) <= 1e-7 * (1.0 + np.maximum(mag[:, None], mag))
-    label = _components(near)
+    label = _components(_chord_matrix(roots, roots) <= 1e-7)
     groups = [roots[label == k] for k in np.flatnonzero(np.bincount(label))]
-    centers = [complex(g.mean()) for g in groups]
+    centers = [_centroid(g) for g in groups]
     counts = [len(g) for g in groups]
     worst = 0.0
     for k, ck in enumerate(centers):

@@ -17,17 +17,13 @@ components rho_Kq with 1 <= K <= M and q >= 0 (those with q < 0 repeat
 them), each the expectation of a Hermitian operator.  It vanishes at a king.
 On such a zero-residual problem Gauss-Newton converges quadratically, so
 each restart screens random constellations in one stacked evaluation and
-polishes the two best with a damped Gauss-Newton method: Levenberg-
+polishes the best of them by a damped Gauss-Newton method: Levenberg-
 Marquardt steps under Nielsen's damping rule, with the Gauss-Newton matrix
 J^T J swapped for a BFGS model after steps that cut A_M by less than a
 fifth, so that minima with A_M > 0 still converge superlinearly (the hybrid
 of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987) 371).  Each step moves
 every star along its pair's tangent, two real directions per star, and
-rescales the pairs to unit length.  The two polishes run in lockstep:
-every round evaluates the residuals and Jacobians of both trial points in
-one batched call, and a polish that stops leaves the batch.  A_M >= 0, so
-once one start converges at A_M <= ZERO_TOL the other can only find another
-zero, and the restart ends in that round.
+rescales the pairs to unit length.
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
@@ -66,9 +62,8 @@ ZERO_TOL = 1e-7
 
 _EPS = float(np.finfo(float).eps)
 _SCREEN_SAMPLES = 32
-_POLISH_STARTS = 2
 # Polish: the share of its predicted decrease a trial step must deliver, the
-# most trial steps in a row a start may reject, and the stop rules of
+# most trial steps in a row the polish may reject, and the stop rules of
 # RestartRecord: the most steps, the largest gradient component, and the
 # decrease of A_M in units of its rounding.
 _ARMIJO = 1e-4
@@ -89,7 +84,7 @@ _F_TOL = 1e-9
 # where a rejection could no longer raise it.
 _DAMPING = 3e-2
 _DAMPING_FLOOR = math.sqrt(_EPS)
-# The stop reasons of a polish start that converged.
+# The stop reasons of a polish that converged.
 _CONVERGED = ("grad_tol", "f_tol")
 
 
@@ -112,25 +107,21 @@ class SearchConfig:
 @dataclass(frozen=True)
 class RestartRecord:
     """What one restart did: residual-and-Jacobian evaluations and steps
-    taken, summed over its polished starts, the stop reason of the start it
-    kept, whether that start converged, and the restart's wall time.
+    taken by its polish, the stop reason, whether the polish converged, and
+    the restart's wall time.
 
-    stop_reason names the first rule that ended the start:
+    stop_reason names the first rule that ended the polish:
 
     * "grad_tol": no gradient component exceeds 1e-9 (checked at the start
       too, so a stationary start takes no step);
     * "f_tol": the last step lowered A_M, or a rejected trial step
       promised to lower it, by at most 1e-9 * eps * max(A_M, 1): 1e-9
       units of its rounding;
-    * "max_iters": the start took 2000 steps;
+    * "max_iters": the polish took 2000 steps;
     * "line_search": 20 damped trial steps in a row were rejected, each
-      promising more than that;
-    * "king_found": another start of the restart stopped by one of the
-      first two rules with A_M <= ZERO_TOL, a king (checked at the start
-      too), and this one stopped with it: A_M >= 0, so it could only find
-      another zero.  It is kept only if its A_M is lower still.
+      promising more than that.
 
-    The first two count as converged, and so does any start whose largest
+    The first two count as converged, and so does any polish whose largest
     gradient component ends at most 1e-6."""
 
     evaluations: int
@@ -273,26 +264,25 @@ def _random_pairs(
 
 def _polish(
     alpha: np.ndarray, beta: np.ndarray, M: int
-) -> tuple[np.ndarray, np.ndarray, list[float], list[np.ndarray], list[int], list[int], list[str]]:
-    """Damped Gauss-Newton from each row of the pairs, all rows in lockstep.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, int, int, str]:
+    """Damped Gauss-Newton from the pairs (alpha, beta) of shape (n,).
 
-    Each round makes one batched residual-and-Jacobian call at the trial
-    points of the rows still running.  A row keeps a model B of the Hessian
-    of f = A_M in the tangent steps (d = 2n, 40 at 2S = 20) and a damping
-    lambda, and its trial step s solves (B + lambda I) s = -g.  The trial is
-    taken when f falls by at least _ARMIJO times the decrease the damped
-    model predicts.  lambda then shrinks by max(1/3, 1 - (2 rho - 1)^3), rho
-    the ratio of the two decreases; a rejected trial multiplies lambda by nu
-    and doubles nu (H. B. Nielsen, Damping Parameter in Marquardt's Method,
-    IMM-REP-1999-05; Madsen, Nielsen & Tingleff, Methods for Non-Linear
-    Least Squares Problems (2004), sec. 3.2).  After a step that cuts f by
-    at least a fifth, B is the Gauss-Newton matrix 2 J^T J, exact at a king
-    (r = 0); after a smaller cut B takes a BFGS update, which learns the
-    curvature the residuals add where A_M > 0 (Fletcher & Xu, IMA J. Numer.
-    Anal. 7 (1987) 371), or is 2 J^T J again where the step shows no usable
-    curvature.  A row stops, and leaves the batch, by the first of the
-    stop rules that RestartRecord lists; the rows are the starts of one
-    restart.
+    Each round makes one residual-and-Jacobian call at the trial point.  The
+    polish keeps a model B of the Hessian of f = A_M in the tangent steps
+    (d = 2n, 40 at 2S = 20) and a damping lambda, and its trial step s
+    solves (B + lambda I) s = -g.  The trial is taken when f falls by at
+    least _ARMIJO times the decrease the damped model predicts.  lambda then
+    shrinks by max(1/3, 1 - (2 rho - 1)^3), rho the ratio of the two
+    decreases; a rejected trial multiplies lambda by nu and doubles nu
+    (H. B. Nielsen, Damping Parameter in Marquardt's Method, IMM-REP-1999-05;
+    Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
+    Problems (2004), sec. 3.2).  After a step that cuts f by at least a
+    fifth, B is the Gauss-Newton matrix 2 J^T J, exact at a king (r = 0);
+    after a smaller cut B takes a BFGS update, which learns the curvature
+    the residuals add where A_M > 0 (Fletcher & Xu, IMA J. Numer. Anal. 7
+    (1987) 371), or is 2 J^T J again where the step shows no usable
+    curvature.  The polish ends by the first of the stop rules that
+    RestartRecord lists.
 
     lambda starts at _DAMPING = 3e-2 times the largest diagonal entry of
     the first B, above the 1e-3 that sec. 3.2 gives for a start near the
@@ -300,78 +290,66 @@ def _polish(
     starts spent their first rounds rejecting steps that moved stars by tens
     of degrees, only to raise lambda.
 
-    Returns the final unit pairs, and per row f and g there, evaluations,
-    steps taken and the stop reason.
+    Returns the final unit pairs, f and g there, evaluations, steps taken
+    and the stop reason.
     """
-    rows, dim = len(alpha), 2 * alpha.shape[-1]
     alpha, beta = _unit_pairs(alpha, beta)
     f, g, hess = _gauss_newton(*_residuals(alpha, beta, M))
-    f = f.tolist()
-    diagonal = np.diagonal(hess, axis1=-2, axis2=-1).max(axis=-1)
-    damping = (_DAMPING * diagonal).tolist()
-    floor = (_DAMPING_FLOOR * diagonal).tolist()
-    growth = [2.0] * rows
-    evaluations, steps, backtracks = [1] * rows, [0] * rows, [0] * rows
-    gmax = np.abs(g).max(axis=-1).tolist()
-    reasons = ["grad_tol" if gmax[i] <= _GRAD_TOL else "" for i in range(rows)]
-    live = [i for i in range(rows) if not reasons[i]]
-    eye = np.eye(dim)
-    while live and not any(r in _CONVERGED and v <= ZERO_TOL for r, v in zip(reasons, f)):
-        lam = np.array([damping[i] for i in live])
-        gl = g[live]
-        s = np.linalg.solve(hess[live] + lam[:, None, None] * eye, -gl[..., None])[..., 0]
-        ta, tb = _moved(alpha[live], beta[live], s)
+    f = float(f)
+    diagonal = float(np.diagonal(hess).max())
+    damping, floor = _DAMPING * diagonal, _DAMPING_FLOOR * diagonal
+    growth = 2.0
+    evaluations, steps, backtracks = 1, 0, 0
+    reason = "grad_tol" if np.abs(g).max() <= _GRAD_TOL else ""
+    eye = np.eye(len(g))
+    while not reason:
+        s = np.linalg.solve(hess + damping * eye, -g)
+        ta, tb = _moved(alpha, beta, s)
         ft, gt, gauss = _gauss_newton(*_residuals(ta, tb, M))
-        gs, ss = (gl * s).sum(axis=-1).tolist(), (s * s).sum(axis=-1).tolist()
-        gmax = np.abs(gt).max(axis=-1).tolist()
-        for k, i in enumerate(live):
-            evaluations[i] += 1
-            model = 0.5 * (damping[i] * ss[k] - gs[k])
-            fi = float(ft[k])
-            # An Armijo test, so that a step that leaves f unchanged at its
-            # rounding floor is taken, and then stops the row by f_tol.
-            if not fi <= f[i] - _ARMIJO * model:
-                damping[i] *= growth[i]
-                growth[i] *= 2.0
-                backtracks[i] += 1
-                # A rejected trial that promised no more than the rounding
-                # of f: more damping only shrinks the promise.
-                if model <= _F_TOL * _EPS * max(abs(f[i]), 1.0):
-                    reasons[i] = "f_tol"
-                elif backtracks[i] >= _BACKTRACKS:
-                    reasons[i] = "line_search"
-                continue
-            drop = f[i] - fi
-            # BFGS after a small cut, where y.s is above rounding relative to
-            # the decrease the step predicted (L-BFGS-B's curvature test);
-            # otherwise B is the Gauss-Newton matrix.
-            bfgs = drop < 0.2 * f[i]
-            if bfgs:
-                sk, y = s[k], gt[k] - g[i]
-                ys, hs = float(y @ sk), hess[i] @ sk
-                shs = float(sk @ hs)
-                bfgs = ys > _EPS * -gs[k] and shs > 0.0
-            if bfgs:
-                hess[i] += np.outer(y, y / ys) - np.outer(hs, hs / shs)
-            else:
-                hess[i] = gauss[k]
-            ratio = min(max(drop / model, 0.0), 1.0)
-            damping[i] = max(damping[i] * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor[i])
-            growth[i] = 2.0
-            scale = max(abs(f[i]), abs(fi), 1.0)
-            alpha[i], beta[i], f[i], g[i] = ta[k], tb[k], fi, gt[k]
-            steps[i] += 1
-            backtracks[i] = 0
-            if gmax[k] <= _GRAD_TOL:
-                reasons[i] = "grad_tol"
-            elif drop <= _F_TOL * _EPS * scale:
-                reasons[i] = "f_tol"
-            elif steps[i] >= _MAX_ITERS:
-                reasons[i] = "max_iters"
-        live = [i for i in live if not reasons[i]]
-    for i in live:
-        reasons[i] = "king_found"
-    return alpha, beta, f, list(g), evaluations, steps, reasons
+        ft, gs = float(ft), float(g @ s)
+        evaluations += 1
+        model = 0.5 * (damping * float(s @ s) - gs)
+        # An Armijo test, so that a step that leaves f unchanged at its
+        # rounding floor is taken, and then stops the polish by f_tol.
+        if not ft <= f - _ARMIJO * model:
+            damping *= growth
+            growth *= 2.0
+            backtracks += 1
+            # A rejected trial that promised no more than the rounding of
+            # f: more damping only shrinks the promise.
+            if model <= _F_TOL * _EPS * max(abs(f), 1.0):
+                reason = "f_tol"
+            elif backtracks >= _BACKTRACKS:
+                reason = "line_search"
+            continue
+        drop = f - ft
+        # BFGS after a small cut, where y.s is above rounding relative to
+        # the decrease the step predicted (L-BFGS-B's curvature test);
+        # otherwise B is the Gauss-Newton matrix.
+        bfgs = drop < 0.2 * f
+        if bfgs:
+            y = gt - g
+            ys, hs = float(y @ s), hess @ s
+            shs = float(s @ hs)
+            bfgs = ys > _EPS * -gs and shs > 0.0
+        if bfgs:
+            hess += np.outer(y, y / ys) - np.outer(hs, hs / shs)
+        else:
+            hess = gauss
+        ratio = min(max(drop / model, 0.0), 1.0)
+        damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor)
+        growth = 2.0
+        scale = max(abs(f), abs(ft), 1.0)
+        alpha, beta, f, g = ta, tb, ft, gt
+        steps += 1
+        backtracks = 0
+        if np.abs(gt).max() <= _GRAD_TOL:
+            reason = "grad_tol"
+        elif drop <= _F_TOL * _EPS * scale:
+            reason = "f_tol"
+        elif steps >= _MAX_ITERS:
+            reason = "max_iters"
+    return alpha, beta, f, g, evaluations, steps, reason
 
 
 def _run_restart(
@@ -380,22 +358,18 @@ def _run_restart(
     start = time.perf_counter()
     rng = np.random.default_rng([config.seed % (2 ** 64), index])
     alpha, beta = _random_pairs(rng, label.twoS, _SCREEN_SAMPLES)
-    starts = np.argsort(_screen_values(alpha, beta, config.M), kind="stable")[:_POLISH_STARTS]
-    alpha, beta, f, g, evaluations, steps, reasons = _polish(
-        alpha[starts], beta[starts], config.M
-    )
-    best = int(np.argmin(f))
+    best = int(np.argmin(_screen_values(alpha, beta, config.M)))
+    alpha, beta, f, g, evaluations, steps, reason = _polish(alpha[best], beta[best], config.M)
     record = RestartRecord(
-        evaluations=sum(evaluations),
-        iterations=sum(steps),
-        stop_reason=reasons[best],
-        # A small final gradient is a converged start even when rejected
+        evaluations=evaluations,
+        iterations=steps,
+        stop_reason=reason,
+        # A small final gradient is a converged polish even when rejected
         # steps end it at the rounding floor.
-        converged=reasons[best] in _CONVERGED
-        or float(np.abs(g[best]).max()) <= 1e-6,
+        converged=reason in _CONVERGED or float(np.abs(g).max()) <= 1e-6,
         seconds=time.perf_counter() - start,
     )
-    return float(f[best]), _gauge_fix(label, alpha[best], beta[best]), record
+    return f, _gauge_fix(label, alpha, beta), record
 
 
 # -- gauge fixing ----------------------------------------------------------------

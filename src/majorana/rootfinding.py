@@ -165,7 +165,9 @@ def newton_polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return z, p
 
 
-def _disc_overlaps(c: np.ndarray, z: np.ndarray, p=None, floor=None) -> np.ndarray:
+def _disc_overlaps(
+    c: np.ndarray, z: np.ndarray, p: np.ndarray, floor: np.ndarray
+) -> np.ndarray:
     """overlap[b, i, j]: the Weierstrass inclusion discs of estimates i and
     j of row b meet (i == j included).
 
@@ -173,15 +175,11 @@ def _disc_overlaps(c: np.ndarray, z: np.ndarray, p=None, floor=None) -> np.ndarr
     (z_i - z_j)|: n |W_i|, with the rounding floor of reading p added so
     that no disc is smaller than the rounding of p allows.  p and the floor
     are read from the charted table (see _table), divided by |z_i|**n where
-    |z_i| > 1; they are computed here unless the caller has them.  Each
-    factor z_i - z_j is divided by z_i there too, and the product is summed
-    in logs, so neither a far nor a spread star can overflow it.  Estimates
-    that coincide get infinite discs.
+    |z_i| > 1.  Each factor z_i - z_j is divided by z_i there too, and the
+    product is summed in logs, so neither a far nor a spread star can
+    overflow it.  Estimates that coincide get infinite discs.
     """
     n = z.shape[-1]
-    if p is None:
-        table = _table(z, n)
-        p, floor = (table @ c[..., None])[..., 0], _rounding_floor(table, c)
     bound = np.abs(p) + floor
     gap = np.abs(z[:, :, None] - z[:, None, :])
     s = np.maximum(1.0, np.abs(z))

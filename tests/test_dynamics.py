@@ -235,6 +235,21 @@ def test_equilibrium_residual_frozen(rng):
     assert equilibrium_residual(c, z) <= 1e-12
 
 
+def test_equilibrium_residual_groups_stars_on_the_sphere():
+    # 1e7 and 1.001e7 are 2e-10 apart on the sphere: one double star, at
+    # their mean.  Kept apart, as by a flat test |dz| <= 1e-7 (1 + |z|),
+    # their separation reads as a residual of 2.0e10.
+    h = builtin_hamiltonian(4, "Sz2")
+    others = [0.3 + 0.2j, -0.7 + 1j]
+    far = equilibrium_residual(mj.Constellation(4, [1e7, 1.001e7] + others), h)
+    assert far == equilibrium_residual(mj.Constellation(4, [1.0005e7] * 2 + others), h)
+    assert far == pytest.approx(1.0005e7, rel=1e-6)
+    # The flat mean of +-1e300 is 0, across the sphere from the pair, which
+    # is one double star at the pole: it has no chart velocity.
+    with pytest.raises(DegenerateConstellation):
+        equilibrium_residual(mj.Constellation(4, [1e300, -1e300] + others), h)
+
+
 def test_eigenstate_is_equilibrium(rng):
     twoS = 3
     h = hamiltonian(twoS, _random_hermitian(rng, twoS + 1))

@@ -1,5 +1,6 @@
 """Searches for spin states with vanishing low-order multipoles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -214,21 +215,18 @@ def test_searches_reach_the_nonzero_optima(twoS, M, restarts, optimum, evaluatio
         # of A_M, where no damped trial can promise a decrease f could show:
         # it stops by f_tol instead of rejecting 20 trials (line_search).
         assert all(r.stop_reason != "line_search" for r in result.restart_records)
-    # No start reaches A_M <= ZERO_TOL here, so none may end the restart
-    # early as if it had found a king.
-    assert all(r.stop_reason != "king_found" for r in result.restart_records)
 
 
 def test_king_polish_evaluations():
     # One restart at each of the benchmark's configurations and seeds 0-19
-    # took 2036 evaluations in all; from the damping start of 1e-3 they took
-    # 2574.
+    # took 1172 evaluations in all; polishing the two best screened starts
+    # of each restart in lockstep, they took 2036.
     total = 0
     for twoS, M in ((4, 2), (6, 3), (10, 3), (12, 5), (20, 2)):
         for seed in range(20):
             (record,) = minimize(twoS, SearchConfig(M=M, restarts=1, seed=seed)).restart_records
             total += record.evaluations
-    assert total <= 2137 and total < 2574, total
+    assert total <= 1230 and total < 2036, total
 
 
 def test_near_tie_winner_is_stable_under_one_ulp(monkeypatch):
@@ -284,17 +282,17 @@ def test_restart_ending_at_south_pole(monkeypatch):
     assert np.isfinite(result.objective) and result.objective <= 1e-20
     assert all(np.isfinite(v) for v in result.history)
     assert result.restarts_converged == 1
-    # The gradient vanishes at the start, so neither start takes a step.
+    # The gradient vanishes at the start, so the polish takes no step.
     (record,) = result.restart_records
     assert record.stop_reason == "grad_tol"
     assert record.iterations == 0
-    assert record.evaluations == 2
+    assert record.evaluations == 1
 
 
 def test_start_stationary_at_a_king_ends_the_restart(monkeypatch):
     # One screening candidate is an exact octahedron, a king at M = 3; the
-    # others are random.  It ranks first, meets grad_tol at its first
-    # evaluation, and the random start stops with it before any round.
+    # others are random.  It ranks first and meets grad_tol at its first
+    # evaluation, before any round.
     draw = kings._random_pairs
 
     def with_king(rng, n, count):
@@ -307,30 +305,74 @@ def test_start_stationary_at_a_king_ends_the_restart(monkeypatch):
     result = minimize(6, config)
     (record,) = result.restart_records
     assert record.iterations == 0
-    assert record.evaluations == 2
+    assert record.evaluations == 1
     assert record.stop_reason == "grad_tol"
     assert record.converged
     assert result.objective <= 1e-20
-    # The random start stops with the king, not by a rule of its own.
-    alpha, beta = draw(np.random.default_rng(1), 6, 1)
-    *_, steps, reasons = kings._polish(
-        np.vstack([_OCTAHEDRON[0], alpha]), np.vstack([_OCTAHEDRON[1], beta]), 3
-    )
-    assert steps == [0, 0]
-    assert reasons == ["grad_tol", "king_found"]
 
 
 def test_polish_stops_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(kings, "_MAX_ITERS", 1)
     config = SearchConfig(M=2, restarts=1)
-    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 2)
-    *_, evaluations, steps, reasons = kings._polish(alpha, beta, 2)
-    assert steps == [1, 1]
-    assert reasons == ["max_iters", "max_iters"]
-    assert all(e >= 2 for e in evaluations)
+    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 1)
+    *_, evaluations, steps, reason = kings._polish(alpha[0], beta[0], 2)
+    assert steps == 1
+    assert reason == "max_iters"
+    assert evaluations >= 2
     (record,) = minimize(4, config).restart_records
-    assert record.iterations == 2
+    assert record.iterations == 1
     assert record.stop_reason == "max_iters"
+
+
+def _solid_pairs(vertices):
+    """Unit spinor pairs of the stars at the given vertices, exact at the
+    poles: (1 + z, -(x - iy)) on the northern half and the same pair times
+    (x + iy) / (1 + z) on the southern, so a south pole is alpha = 0."""
+    x, y, z = (np.array(vertices, dtype=float) / np.linalg.norm(vertices, axis=1)[:, None]).T
+    north = z >= 0.0
+    alpha = np.where(north, 1.0 + z, x + 1j * y)
+    beta = np.where(north, -(x - 1j * y), -(1.0 - z))
+    return kings._unit_pairs(alpha, beta)
+
+
+def _signs(v):
+    return {tuple(s * c for s, c in zip(sign, v)) for sign in itertools.product((1, -1), repeat=3)}
+
+
+def _cycled(points):
+    return sorted({p[k:] + p[:k] for p in points for k in range(3)})
+
+
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+@pytest.mark.parametrize(
+    "vertices, M, next_order",
+    [
+        pytest.param([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], 2,
+                     pytest.approx(1.0 / 2.0, rel=1e-12), id="tetrahedron"),
+        pytest.param(_cycled(_signs((1, 0, 0))), 3,
+                     pytest.approx(6.0 / 11.0, rel=1e-12), id="octahedron"),
+        pytest.param(sorted(_signs((1, 1, 1))), 3,
+                     pytest.approx(98.0 / 429.0, rel=1e-12), id="cube"),
+        pytest.param(_cycled(_signs((0, 1, _GOLDEN))), 5,
+                     pytest.approx(121.0 / 323.0, rel=1e-12), id="icosahedron"),
+        pytest.param(sorted(_signs((1, 1, 1))) + _cycled(_signs((0, 1 / _GOLDEN, _GOLDEN))), 5,
+                     pytest.approx(0.0933, abs=1e-4), id="dodecahedron"),
+    ],
+)
+def test_platonic_solids_are_exact_kings(vertices, M, next_order):
+    # Each solid's vertices suppress every multipole through order M and
+    # not the next: exact oracles for the objective, the residuals and the
+    # screening.
+    alpha, beta = _solid_pairs(vertices)
+    twoS = len(alpha)
+    c = _rebuilt(twoS, alpha, beta)
+    assert objective(c, M) <= 1e-27
+    assert objective(c, M + 1) == next_order
+    r, _ = kings._residuals(alpha, beta, M)
+    assert float(r @ r) <= 1e-26
+    assert kings._screen_values(alpha[None], beta[None], M)[0] <= 1e-26
 
 
 def test_restart_records():

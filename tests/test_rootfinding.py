@@ -17,6 +17,7 @@ from majorana.rootfinding import (
     _companion_eigvals,
     _components,
     _disc_overlaps,
+    _rounding_floor,
     _table,
     _with_derivative,
     find_roots,
@@ -418,7 +419,10 @@ def test_single_linkage_is_scipys(n):
             assert _partition(_components(gap <= t)) == _partition(want), (name, t)
     if len(estimates) >= 2:
         # The solver's own discs about the coherent ring, as 0/1 distances.
-        overlap = _disc_overlaps(core[None], estimates[None])[0]
+        c, z = core[None], estimates[None]
+        table = _table(z, z.shape[-1])
+        p = (table @ c[..., None])[..., 0]
+        overlap = _disc_overlaps(c, z, p, _rounding_floor(table, c))[0]
         far = (~overlap).astype(float)[np.triu_indices(len(estimates), 1)]
         want = fcluster(linkage(far, method="single"), 0.5, criterion="distance")
         assert _partition(_components(overlap)) == _partition(want)
