@@ -381,13 +381,15 @@ def _gauge_fix(label: SpinLabel, alpha: np.ndarray, beta: np.ndarray) -> Constel
 
     Star j is the unit spinor (u_j, v_j) = (alpha_j, -beta_j), at z = v / u.
     The SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes the first
-    star to (1, 0), z = 0, and turns the others rigidly with it.  A turned
+    star to (1, 0), z = 0, and turns the others rigidly with it; its v_0 =
+    u_0 v_0 - v_0 u_0 is set to 0, as rounding need not cancel it.  A turned
     star with |z| > 1e8, within about 1e-8 chordal of the pole, is snapped
     there, which keeps the output canonical.
     """
     u0, v0 = alpha[:1], -beta[:1]
     u = u0.conj() * alpha - v0.conj() * beta
     v = -v0 * alpha - u0 * beta
+    v[0] = 0.0
     pole = np.abs(v) > 1e8 * np.abs(u)
     z = v[~pole] / u[~pole]
     off = np.flatnonzero(np.abs(z) > 1e-12)

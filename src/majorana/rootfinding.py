@@ -29,8 +29,8 @@ products against the table, so no stage loops over coefficients in Python.
    (2000) 127).  In a row of pairwise disjoint discs, each point whose |p|
    is above the floor, the only points a Newton step can improve, gets
    newton_polish in a row of its own.  Then the worst residual is checked
-   against the contract; a row of disjoint discs is returned sorted, and
-   every other row takes the per-row path.
+   against the contract; a row of disjoint discs is final, and every
+   other row takes the per-row path.
 3. Per-row path: an m-fold root scatters its eigenvalues over a circle of
    radius about eps**(1/m), and their discs overlap; a coherent state, one
    root repeated to full degree, is the case m = n.  Its eigenvalues are
@@ -40,6 +40,9 @@ products against the table, so no stage loops over coefficients in Python.
    becomes m copies of its estimates' mean if the mean meets the residual
    contract and the merge moves the Vieta coefficients by at most tol; if
    not, the component keeps its m estimates.
+
+Every row is returned sorted by (real, imag), in one sort over the stack.
+A degree-1 row takes the same steps: its companion eigenvalue is -c0/c1.
 
 Coefficient arrays are ordered low to high: coeffs[k] multiplies z**k.
 """
@@ -229,9 +232,9 @@ def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np.ndarray:
-    """Per-row path: multiplicity from the overlapping discs, contract,
-    canonical order.  c has max modulus 1; z are the row's companion
-    eigenvalues, unpolished, and overlap is _disc_overlaps of z.
+    """Per-row path: multiplicity from the overlapping discs, then the
+    contract; the roots keep z's order.  c has max modulus 1; z are the
+    row's companion eigenvalues, unpolished, and overlap is _disc_overlaps of z.
 
     Each connected component of m > 1 overlapping discs becomes m copies of
     its estimates' mean if the mean meets the residual contract and the
@@ -264,7 +267,7 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np
         raise NonConvergence(
             f"clustered roots violate the residual contract ({worst:.3e} > {tol:.3e})"
         )
-    return out[np.lexsort((out.imag, out.real))]
+    return out
 
 
 def find_roots(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -278,22 +281,21 @@ def find_roots(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return find_roots_batch(np.asarray(coeffs, dtype=complex)[None], tol)[0]
 
 
-def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    """find_roots over a stack of same-degree coefficient rows, by the
-    steps of the module docstring.  A row's result does not depend on the
-    other rows of the stack."""
+def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """find_roots over an (N, n + 1) stack of same-degree coefficient rows,
+    by the steps of the module docstring: an (N, n) array whose row b holds
+    row b's roots, sorted.  A row's result does not depend on the other
+    rows of the stack."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2:
         raise ValueError("expected a 2-d coefficient stack")
     n = c.shape[1] - 1
     if n < 1:
-        return [np.zeros(0, dtype=complex) for _ in range(c.shape[0])]
+        return np.zeros((c.shape[0], 0), dtype=complex)
     scale = np.abs(c).max(axis=1, keepdims=True)
     if (scale == 0).any() or (c[:, 0] == 0).any() or (c[:, -1] == 0).any():
         raise ValueError("coefficients must be trimmed and nonzero")
     c = c / scale
-    if n == 1:
-        return [np.array([-row[0] / row[1]]) for row in c]
     z = _companion_eigvals(c)
     table = _table(z, n)
     p = (table @ c[..., None])[..., 0]
@@ -310,11 +312,6 @@ def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]
         raise NonConvergence(
             f"root residual {worst[miss[0]]:.3e} exceeds tolerance {tol:.3e} for degree {n}"
         )
-    order = np.lexsort((z.imag, z.real), axis=-1)
-    out = []
-    for b in range(c.shape[0]):
-        if isolated[b]:
-            out.append(z[b, order[b]])
-        else:
-            out.append(_finish(c[b], z[b], overlap[b], tol))
-    return out
+    for b in np.flatnonzero(~isolated):
+        z[b] = _finish(c[b], z[b], overlap[b], tol)
+    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)

@@ -373,11 +373,13 @@ def constellations_from_states(
     contract as the scalar routine.  Raises NonConvergence, naming the
     failing positions in the sequence, if any state fails it.
 
-    A core polynomial's roots meet the contract on the core; the
-    coefficients trimmed off its ends can still push a root past it on f.
-    Such a root gets up to three guarded Newton steps on f before the check
-    decides.  The other roots stay as solved: moving them towards the roots
-    of f would no longer rebuild the state, whose trimmed coefficients are 0.
+    Each core degree of a 2S is one pass: solve, check the roots against the
+    contract on f, repair, check again, place.  In a trimmed group the
+    coefficients cut off the cores' ends can push a root past the contract
+    on f; such a root gets up to three guarded Newton steps on f before the
+    check decides.  The other roots stay as solved: moving them towards the
+    roots of f would no longer rebuild the state, whose trimmed coefficients
+    are 0.  Stars pinned at z = 0 need no check: |f(0)| is trimmed.
     """
     states = list(states)
     results: list[Constellation | None] = [None] * len(states)
@@ -397,14 +399,9 @@ def constellations_from_states(
         for n in np.flatnonzero(np.bincount(degree)):
             rows = np.flatnonzero(degree == n)
             core = lead[rows, None] + np.arange(n + 1)
-            found = find_roots_batch(f[rows[:, None], core], tol=tol)
-            roots[rows[:, None], core[:, :-1]] = np.reshape(found, (len(rows), n))
-        for t in np.flatnonzero(np.bincount(tail)):
-            rows = np.flatnonzero(tail == t)
-            z = roots[rows, : twoS - t]
+            z = find_roots_batch(f[rows[:, None], core], tol=tol)
             miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
-            # A root pinned at z = 0 never misses: f(0) is a trimmed coefficient.
-            redo = np.nonzero(miss & (lead[rows, None] + t > 0))
+            redo = np.nonzero(miss & (n < twoS))
             if len(redo[0]):
                 z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
                 miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
@@ -414,7 +411,7 @@ def constellations_from_states(
                     f"states {bad}: stellar root residual exceeds the contract by a "
                     f"factor {ratio.max():.4g} at 2S={twoS}"
                 )
-            roots[rows, : twoS - t] = z
+            roots[rows[:, None], core[:, :-1]] = z
         label = states[members[0]].label
         for r, i in enumerate(members):
             results[i] = Constellation(label, roots[r, : twoS - tail[r]], int(tail[r]))

@@ -138,6 +138,19 @@ def test_coherent_multiplicity_matches_mpmath(degree):
     assert abs(roots[0] - center) <= 1e-8 * abs(center)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the trim pins 3-19 spread stars at the poles "
+    "(worst chord 9e-3 to 0.11); find_roots on the untrimmed f is within 2.5e-14"))
+@pytest.mark.parametrize("twoS", [20, 30, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_spread_stars_survive_the_round_trip(twoS, seed):
+    # Stars spread over |z| in [e^-7, e^7] give end coefficients below
+    # tol * max|f|; every planted star must still come back where it was.
+    planted = mj.Constellation(twoS, _stars("spread", twoS, np.random.default_rng(seed)))
+    got = constellation_from_state(_state("spread", twoS, seed))
+    assert mj.matched_distance(planted, got) <= 1e-8
+
+
 def test_coherent_states_at_2s40_round_trip():
     # At 2S = 40 a coherent state's end coefficients fall below the trimming
     # threshold and its remaining roots form an ill-conditioned ring; the

@@ -1,6 +1,7 @@
 """Polynomial solver checks against factored-form oracles."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -72,10 +73,37 @@ def test_untrimmed_coefficients_rejected():
         find_roots(np.array([1.0, 1.0, 0.0], dtype=complex))
 
 
+def _exact_linear_ratio(c, z):
+    """|c0 + c1 z|**2 / max(1, |z|)**2 in exact rational arithmetic."""
+    c0r, c0i, c1r, c1i, zr, zi = (Fraction(x) for x in (
+        c[0].real, c[0].imag, c[1].real, c[1].imag, z.real, z.imag))
+    pr, pi = c0r + c1r * zr - c1i * zi, c0i + c1r * zi + c1i * zr
+    return (pr * pr + pi * pi) / max(Fraction(1), zr * zr + zi * zi)
+
+
 def test_degree_zero_and_one():
     assert len(find_roots(np.array([3.0], dtype=complex))) == 0
     roots = find_roots(np.array([2.0, -4.0], dtype=complex))
     assert np.allclose(roots, [0.5])
+    rng = np.random.default_rng(1)
+    empty = find_roots_batch(rng.normal(size=(5, 1)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (5, 0)
+    # Degree 1 takes the companion path, whose one eigenvalue is -c0/c1 of
+    # the row as solved (scaled to max modulus 1): equal to that quotient to
+    # 1 ulp per component, with an exact residual no larger than the quotient's.
+    stack = []
+    for scale in (1.0, 1e150, 1e-150):
+        stack.append(scale * rng.normal(size=(500, 2)))
+        stack.append(scale * (rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))))
+    c = np.concatenate(stack).astype(complex)
+    roots = find_roots_batch(c)
+    assert isinstance(roots, np.ndarray) and roots.shape == (len(c), 1)
+    c = c / np.abs(c).max(axis=1, keepdims=True)
+    z, q = roots[:, 0], -c[:, 0] / c[:, 1]
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(z) - part(q)) <= np.spacing(np.abs(part(q))))
+    moved = np.flatnonzero(z != q)
+    assert all(_exact_linear_ratio(c[b], z[b]) <= _exact_linear_ratio(c[b], q[b]) for b in moved)
 
 
 def test_roots_of_unity_high_degree():
