@@ -5,6 +5,8 @@ genuinely numerical conditions a caller may want to catch and handle
 separately (retry, fall back, report a distinct exit code).
 """
 
+__all__ = ["MajoranaError", "NonConvergence", "DegenerateConstellation", "LabelMismatch"]
+
 
 class MajoranaError(Exception):
     """Base class for numerical failures in this package."""

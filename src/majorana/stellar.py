@@ -371,7 +371,10 @@ def constellations_from_states(
     trimmed root polynomials share a degree are solved as one batch, which
     is far faster than looping; every result satisfies the same residual
     contract as the scalar routine.  Raises NonConvergence, naming the
-    failing positions in the sequence, if any state fails it.
+    failing positions in the sequence, if any state's roots miss it on the
+    state's own f.  A core whose roots miss it on the core itself raises
+    find_roots_batch's NonConvergence first, which names the core degree but
+    no state.
 
     Each core degree of a 2S is one pass: solve, check the roots against the
     contract on f, repair, check again, place.  In a trimmed group the

@@ -1,12 +1,14 @@
 """End-to-end command-line checks via click's test runner."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import majorana as mj
+from majorana import kings
 from majorana.cli import main
 from majorana.kings import SearchConfig, minimize
 from majorana.serialize import (
@@ -100,6 +102,16 @@ def test_missing_file_exits_4(runner, tmp_path):
     assert result.exit_code == 4
 
 
+def test_roots_missing_the_tolerance_exit_3(runner, tmp_path, rng):
+    st = mj.SpinState(4, rng.normal(size=5) + 1j * rng.normal(size=5))
+    path = _write_state(tmp_path, st)
+    result = runner.invoke(main, ["--tol", "1e-300", "stars", path])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: root residual ")
+    assert result.stderr.endswith(" exceeds tolerance 1.000e-300 for degree 4\n")
+
+
 def test_qgrid_csv(runner, tmp_path, rng):
     st = mj.SpinState(2, rng.normal(size=3) + 1j * rng.normal(size=3))
     path = _write_state(tmp_path, st)
@@ -142,6 +154,19 @@ def test_kings_seed_changes_draws_not_result(runner):
                              "--restarts", "4"])
     assert a.exit_code == 0 and b.exit_code == 0
     assert a.output == b.output  # same seed, byte-identical
+
+
+def test_kings_without_a_converged_restart_exits_3(runner, monkeypatch):
+    def unconverged(two_s, config):
+        return replace(minimize(two_s, config), restarts_converged=0)
+
+    monkeypatch.setattr(kings, "minimize", unconverged)
+    result = runner.invoke(main, ["kings", "--twoS", "2", "--M", "1", "--restarts", "2"])
+    assert result.exit_code == 3
+    # The search's result is still written; only the exit code marks it.
+    want = emit_kings(unconverged(2, SearchConfig(M=1, restarts=2, seed=0))) + "\n"
+    assert result.stdout == want
+    assert result.stderr == "error: no restart converged\n"
 
 
 def test_kings_invalid_order_exits_2(runner):

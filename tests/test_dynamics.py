@@ -199,6 +199,8 @@ def test_velocity_rejects_degenerate():
         star_velocities(mj.constellation_from_state(mj.coherent_state(4, 0.3)), h)
     with pytest.raises(DegenerateConstellation):
         star_velocities(mj.Constellation(2, [0.0], 1), h=builtin_hamiltonian(2, "Sz"))
+    with pytest.raises(DegenerateConstellation):
+        equilibrium_residual(mj.Constellation(2, [0.0], 1), builtin_hamiltonian(2, "Sz"))
     # Under Sx a star beyond |z| ~ 1e154 moves faster than a double can hold.
     far = mj.Constellation(2, [1e200, 0.5])
     with pytest.raises(DegenerateConstellation):
@@ -213,6 +215,10 @@ def test_label_mismatch_raises(rng):
         star_velocities(mj.Constellation(4, [1.0, 2.0, 3.0, 4.0]), h)
     with pytest.raises(LabelMismatch):
         evolve(_random_state(rng, 4), h, 1.0)
+    with pytest.raises(LabelMismatch):
+        evolve_exact(_random_state(rng, 4), h, 1.0)
+    with pytest.raises(LabelMismatch):
+        equilibrium_residual(mj.Constellation(4, [1.0, 2.0, 3.0, 4.0]), h)
 
 
 # -- equilibria ----------------------------------------------------------------------
@@ -233,6 +239,8 @@ def test_equilibrium_residual_frozen(rng):
     z = hamiltonian(3, np.zeros((4, 4)))
     c = mj.constellation_from_state(_random_state(rng, 3))
     assert equilibrium_residual(c, z) <= 1e-12
+    # Spin 0 has no stars to move.
+    assert equilibrium_residual(mj.Constellation(0, []), builtin_hamiltonian(0, "Sz")) == 0.0
 
 
 def test_equilibrium_residual_groups_stars_on_the_sphere():

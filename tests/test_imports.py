@@ -2,10 +2,14 @@
 numpy.ma, which NumPy's set routines (np.unique, np.isin, ...) import lazily
 at about 12 ms a process."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import majorana as mj
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,3 +62,26 @@ def test_import_and_main_paths_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_names_come_from_the_modules_lists():
+    """Each module's __all__ is the one list of its public names: the lists
+    are disjoint, the package re-exports each name as the same object, and
+    __init__.py spells out none of them."""
+    modules = [
+        importlib.import_module(f"majorana.{name}")
+        for name in ("errors", "stellar", "multipoles", "kings", "dynamics")
+    ]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert len(set(mj.__all__)) == len(mj.__all__)
+    assert sorted(mj.__all__) == sorted(names + ["serialize", "__version__"])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(mj, name) is getattr(module, name), (module.__name__, name)
+    literals = {
+        node.value
+        for node in ast.walk(ast.parse(Path(mj.__file__).read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert not literals & set(names)

@@ -35,6 +35,9 @@ def test_objective_matches_spectrum_pipeline(rng):
         assert objective(c, M) == pytest.approx(
             cumulative_quantumness(spec, M), abs=1e-12
         )
+    for M in (0, 5):
+        with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+            objective(c, M)
 
 
 def test_objective_rotation_invariant(rng):

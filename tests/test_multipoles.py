@@ -225,6 +225,11 @@ def test_spectrum_from_density_matrix(rng):
     for (k1, q1, v1), (k2, q2, v2) in zip(a.items(), b.items()):
         assert (k1, q1) == (k2, q2)
         assert v1 == pytest.approx(v2, abs=1e-12)
+    rho = st.density_matrix()
+    skew = 1e-3j * np.diag(np.arange(4.0))
+    for bad, why in ((rho[:, :3], "square"), (rho + skew, "Hermitian"), (2.0 * rho, "trace")):
+        with pytest.raises(ValueError, match=why):
+            multipoles(bad)
 
 
 def test_spectrum_linear_in_density_matrix(rng):
@@ -287,6 +292,9 @@ def test_spectrum_items_canonical_order(rng):
     keys = [(k, q) for k, q, _ in spec.items()]
     want = [(k, q) for k in range(4) for q in range(-k, k + 1)]
     assert keys == want
+    for K, q in ((4, 0), (-1, 0), (2, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            spec.component(K, q)
 
 
 # -- Husimi field -----------------------------------------------------------------

@@ -71,6 +71,15 @@ def test_untrimmed_coefficients_rejected():
         find_roots(np.array([0.0, 1.0, 1.0], dtype=complex))
     with pytest.raises(ValueError):
         find_roots(np.array([1.0, 1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="2-d"):
+        find_roots_batch(np.array([1.0, 1.0, 1.0], dtype=complex))
+
+
+def test_roots_missing_the_tolerance_raise():
+    c = np.array([0.3 - 1.1j, 0.7 + 0.2j, -1.3 + 0.4j, 0.9 - 0.5j, 1.0 + 0.0j])
+    find_roots(c)
+    with pytest.raises(mj.NonConvergence, match=r"exceeds tolerance 1\.000e-300 for degree 4$"):
+        find_roots(c, tol=1e-300)
 
 
 def _exact_linear_ratio(c, z):

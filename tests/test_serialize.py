@@ -65,6 +65,10 @@ def test_state_rejects_malformed():
         parse_state('{"twoS":1,"amplitudes":"nope"}')
     with pytest.raises(ValueError):
         parse_state('{"twoS":1,"amplitudes":[[1,0],[0,')
+    with pytest.raises(ValueError, match="JSON object"):
+        parse_state('[1, [1, 0], [0, 0]]')
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        parse_state('{"twoS":1,"amplitudes":[[1,0],[0,0,0]]}')
 
 
 # -- constellations ----------------------------------------------------------------
@@ -101,6 +105,8 @@ def test_constellation_rejects_malformed():
         parse_constellation('{"twoS":2,"roots":[[0,0],[1,0]],"infinity_count":true}')
     with pytest.raises(ValueError):
         parse_constellation('{"twoS":1,"stars":[[0.1]]}')
+    with pytest.raises(ValueError, match="'twoS' must be an integer"):
+        parse_constellation('{"twoS":1.0,"stars":[[0.1,0.2]]}')
 
 
 # -- multipole spectra ---------------------------------------------------------------

@@ -27,6 +27,8 @@ def test_spin_label_basics():
     assert lab.dim == 6
     with pytest.raises(ValueError):
         mj.SpinLabel(-1)
+    with pytest.raises(ValueError, match="2S \\+ 1"):
+        mj.StellarPolynomial(2, np.ones(4))
 
 
 def test_spin_state_normalizes_and_is_immutable():
@@ -105,6 +107,9 @@ def test_stereo_projection_frozen_points():
     assert p.phi == pytest.approx(3 * math.pi / 2)
     assert mj.stereo_to_sphere(0).theta == 0.0
     assert mj.stereo_to_sphere(mj.INFINITY).theta == pytest.approx(math.pi)
+    for theta in (-1e-9, math.pi + 1e-9):
+        with pytest.raises(ValueError, match="theta out of"):
+            mj.SpherePoint(theta, 0.0)
 
 
 def test_stereo_round_trip(rng):
@@ -229,6 +234,8 @@ def test_noon_stars_are_roots_of_unity():
         got = sorted(c.finite_roots, key=lambda z: np.angle(z))
         want = sorted(expected, key=lambda z: np.angle(z))
         assert np.allclose(got, want, atol=1e-10)
+    with pytest.raises(ValueError, match="2S >= 1"):
+        mj.noon_state(0)
 
 
 def test_polar_basis_state_constellations():
@@ -289,6 +296,8 @@ def test_state_from_all_infinity_constellation():
     c = mj.Constellation(4, np.zeros(0, dtype=complex), 4)
     st = mj.state_from_constellation(c)
     assert abs(mj.overlap(st, mj.basis_state(4, -4))) == pytest.approx(1.0)
+    # Spin 0 has no stars: its one state.
+    assert mj.state_from_constellation(mj.Constellation(0, [])).amplitudes.tolist() == [1.0]
 
 
 def test_far_flung_stars_round_trip():
