@@ -5,14 +5,14 @@ tensor family (Condon-Shortley phases), so Tr(T_Kq T_K'q'^dag) is the
 identity pairing and sum |rho_Kq|^2 equals the purity.  T_Kq has one nonzero
 diagonal, entry (k + q, k), so the whole family is one real table
 t[K, q + 2S, k], filled once per spin from one tridiagonal eigenproblem of
-the Casimir superoperator per q (clebsch_gordan is kept as its oracle), and
-rho_Kq = sum_k t[K, q + 2S, k] rho[k + q, k] reads only the q-th diagonal of
-the density matrix.  Only this module knows that layout.  The same
-components can be recovered by quadrature of the Husimi function against
-spherical harmonics; the proportionality constant of that route is a closed
-form in 2S and K, and one sphere grid is exact for every order K, so the two
-evaluations are directly comparable.  The dipole and quadrupole of Q are
-closed forms in <S_i> and <S_i S_j>.
+the Casimir superoperator per q (the tests check it against exact
+Clebsch-Gordan values), and rho_Kq = sum_k t[K, q + 2S, k] rho[k + q, k]
+reads only the q-th diagonal of the density matrix.  Only this module knows
+that layout.  The same components can be recovered by quadrature of the
+Husimi function against spherical harmonics; the proportionality constant of
+that route is a closed form in 2S and K, and one sphere grid is exact for
+every order K, so the two evaluations are directly comparable.  The dipole
+and quadrupole of Q are closed forms in <S_i> and <S_i S_j>.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +37,6 @@ from .stellar import (
 __all__ = [
     "MultipoleSpectrum",
     "QGrid",
-    "clebsch_gordan",
     "tensor_operator",
     "multipoles",
     "multipoles_integral",
@@ -49,74 +47,6 @@ __all__ = [
     "quadrupole",
     "spherical_harmonic",
 ]
-
-
-# -- Clebsch-Gordan -----------------------------------------------------------
-
-
-def clebsch_gordan(
-    two_j1: int, two_m1: int, two_j2: int, two_m2: int, two_J: int, two_M: int
-) -> float:
-    """<j1 m1; j2 m2 | J M> with all quantum numbers doubled to integers.
-
-    Selection-rule failures (projection mismatch, triangle violation,
-    |m| > j) return exactly 0.0; malformed inputs (negative j, parity of a
-    doubled m disagreeing with its j) raise ValueError.  Evaluated with the
-    Racah single-sum formula in exact rational arithmetic, so the only
-    rounding is the final square root.
-    """
-    args = (two_j1, two_m1, two_j2, two_m2, two_J, two_M)
-    if any(not isinstance(a, (int, np.integer)) for a in args):
-        raise ValueError("quantum numbers must be (doubled) integers")
-    if two_j1 < 0 or two_j2 < 0 or two_J < 0:
-        raise ValueError("angular momenta must be nonnegative")
-    if (two_j1 + two_m1) % 2 or (two_j2 + two_m2) % 2 or (two_J + two_M) % 2:
-        raise ValueError("m parity inconsistent with j")
-    if abs(two_m1) > two_j1 or abs(two_m2) > two_j2 or abs(two_M) > two_J:
-        return 0.0
-    if two_m1 + two_m2 != two_M:
-        return 0.0
-    if two_J < abs(two_j1 - two_j2) or two_J > two_j1 + two_j2:
-        return 0.0
-    if (two_j1 + two_j2 + two_J) % 2:
-        return 0.0
-
-    fact = math.factorial
-    g = (two_j1 + two_j2 - two_J) // 2
-    j1m1 = (two_j1 - two_m1) // 2
-    j2m2 = (two_j2 + two_m2) // 2
-    t_lo = max(0, (two_j2 - two_J - two_m1) // 2, (two_j1 - two_J + two_m2) // 2)
-    t_hi = min(g, j1m1, j2m2)
-    total = Fraction(0)
-    for t in range(t_lo, t_hi + 1):
-        den = (
-            fact(t)
-            * fact(g - t)
-            * fact(j1m1 - t)
-            * fact(j2m2 - t)
-            * fact((two_J - two_j2 + two_m1) // 2 + t)
-            * fact((two_J - two_j1 - two_m2) // 2 + t)
-        )
-        total += Fraction(-1 if t % 2 else 1, den)
-    if total == 0:
-        return 0.0
-    pref = Fraction(
-        (two_J + 1)
-        * fact(g)
-        * fact((two_j1 - two_j2 + two_J) // 2)
-        * fact((-two_j1 + two_j2 + two_J) // 2),
-        fact((two_j1 + two_j2 + two_J) // 2 + 1),
-    )
-    pref *= (
-        fact((two_j1 + two_m1) // 2)
-        * fact(j1m1)
-        * fact(j2m2)
-        * fact((two_j2 - two_m2) // 2)
-        * fact((two_J + two_M) // 2)
-        * fact((two_J - two_M) // 2)
-    )
-    value_sq = pref * total * total
-    return math.copysign(math.sqrt(float(value_sq)), float(total))
 
 
 # -- tensor operators ----------------------------------------------------------

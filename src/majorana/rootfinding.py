@@ -216,15 +216,21 @@ def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
     r = len(roots)
     c = np.zeros(n + 1, dtype=complex)
     c[r] = 1.0
-    # bound >= max|c| up to rounding, so the true peak is only taken (and
-    # the renormalization decided) once it may be near 1e200.
+    # bound >= max|c| up to rounding; c is scaled down only once its peak
+    # passes 1e200, or before a step that overflows when tried on a copy.
     bound = 1.0
     for j, w in enumerate(roots.tolist()):
         head = c[r - j - 1 : r]
+        step = 1.0 + abs(w)
+        if bound > 1e300 / step:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(np.abs(head - w * c[r - j : r + 1])).all():
+                    c /= np.abs(c).max()
+                    bound = 1.0
         head -= w * c[r - j : r + 1]  # c[...] -= ... would also copy it back
-        bound *= 1.0 + abs(w)
+        bound *= step
         if bound > 1e199:
-            bound = np.abs(c).max()
+            bound = float(np.abs(c).max())
             if bound > 1e200:
                 c /= bound
                 bound = 1.0

@@ -34,7 +34,6 @@ from .rootfinding import (
 __all__ = [
     "SpinLabel",
     "SpinState",
-    "StellarPolynomial",
     "Constellation",
     "SpherePoint",
     "INFINITY",
@@ -126,23 +125,6 @@ class SpinState:
 
     def density_matrix(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-@dataclass(frozen=True, eq=False)
-class StellarPolynomial:
-    """Root polynomial of a state; coefficients[k] multiplies z**k."""
-
-    label: SpinLabel
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        label = _as_label(self.label)
-        coeffs = np.array(self.coefficients, dtype=complex)
-        if coeffs.shape != (label.dim,):
-            raise ValueError("coefficient count must equal 2S + 1")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "coefficients", coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +316,11 @@ def rotate(state: SpinState, theta: float, phi: float) -> SpinState:
 # -- state <-> constellation ---------------------------------------------------
 
 
-def stellar_polynomial(state: SpinState) -> StellarPolynomial:
+def stellar_polynomial(state: SpinState) -> np.ndarray:
+    """The 2S + 1 coefficients of f, low to high, in a read-only array."""
     coeffs = _binom_sqrt(state.label.twoS) * state.amplitudes
-    return StellarPolynomial(state.label, coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _contract_misses(

@@ -53,6 +53,16 @@ def test_stars_state_round_trip(runner, tmp_path, rng):
     assert abs(np.vdot(back.amplitudes, st.amplitudes)) >= 1.0 - 1e-10
 
 
+def test_state_of_far_stars_whose_product_overflows(runner, tmp_path):
+    # Two stars whose product is beyond the largest double.
+    c = mj.Constellation(4, [1e160, 2e160, 0.5, 1j])
+    path = tmp_path / "c.json"
+    path.write_text(emit_constellation(c))
+    result = runner.invoke(main, ["state", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == emit_state(mj.state_from_constellation(c)) + "\n"
+
+
 def test_stars_angles_flag(runner, tmp_path):
     path = _write_state(tmp_path, mj.basis_state(2, -2))
     result = runner.invoke(main, ["stars", path, "--angles"])

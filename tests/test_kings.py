@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,6 +335,38 @@ def test_polish_stops_at_the_iteration_cap(monkeypatch):
     (record,) = minimize(4, config).restart_records
     assert record.iterations == 1
     assert record.stop_reason == "max_iters"
+
+
+def test_polish_stops_when_every_damped_trial_is_rejected(monkeypatch):
+    # The fake objective rises at every call, so no trial meets the Armijo
+    # test, and its steep gradient keeps the damped model's promise above
+    # the rounding of f through every backtrack: only the backtrack count
+    # ends the polish.
+    calls = itertools.count(1)
+
+    def rising(r, jac):
+        d = jac.shape[-1]
+        return float(next(calls)), np.full(d, 1e16), np.eye(d)
+
+    monkeypatch.setattr(kings, "_gauss_newton", rising)
+    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 1)
+    *_, evaluations, steps, reason = kings._polish(alpha[0], beta[0], 2)
+    assert reason == "line_search"
+    assert steps == 0
+    assert evaluations == 1 + kings._BACKTRACKS == 21
+
+
+def test_order_scan_raises_when_no_restart_converges(monkeypatch):
+    # The scan converges at M = 1 and reports no converged restart at M = 2.
+    search = kings.minimize
+
+    def unconverged_at_two(label, config):
+        result = search(label, config)
+        return replace(result, restarts_converged=0) if config.M == 2 else result
+
+    monkeypatch.setattr(kings, "minimize", unconverged_at_two)
+    with pytest.raises(mj.NonConvergence, match="no restart converged at M=2"):
+        max_unpolarized_order(4, SearchConfig(M=1, restarts=1))
 
 
 def _solid_pairs(vertices):

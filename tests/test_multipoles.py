@@ -9,7 +9,6 @@ import majorana as mj
 from majorana.multipoles import (
     MultipoleSpectrum,
     _integral_inverse_kernel,
-    clebsch_gordan,
     cumulative_quantumness,
     dipole,
     husimi_q,
@@ -20,6 +19,8 @@ from majorana.multipoles import (
     spherical_harmonic,
     tensor_operator,
 )
+
+from oracles import clebsch_gordan
 
 
 def _random_state(rng, twoS):

@@ -368,7 +368,7 @@ def _real_rows(draw):
         c[0], c[-1] = (1.0 if kind == "z^n+1" else -1.0), 1.0
         return c, True
     if kind == "noon":
-        return mj.stellar_polynomial(mj.noon_state(degree)).coefficients, True
+        return mj.stellar_polynomial(mj.noon_state(degree)), True
     if kind == "random":
         return rng.normal(size=degree + 1).astype(complex), True
     if kind == "pairs":

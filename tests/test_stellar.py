@@ -27,8 +27,6 @@ def test_spin_label_basics():
     assert lab.dim == 6
     with pytest.raises(ValueError):
         mj.SpinLabel(-1)
-    with pytest.raises(ValueError, match="2S \\+ 1"):
-        mj.StellarPolynomial(2, np.ones(4))
 
 
 def test_spin_state_normalizes_and_is_immutable():
@@ -42,18 +40,24 @@ def test_spin_state_normalizes_and_is_immutable():
 def test_state_and_polynomial_copy_the_callers_array(rng):
     unit = rng.normal(size=5) + 1j * rng.normal(size=5)
     unit /= np.linalg.norm(unit)
-    for make, field, values in (
-        (mj.SpinState, "amplitudes", np.array([1, 0, 0], dtype=complex)),
-        (mj.SpinState, "amplitudes", unit),
-        (mj.StellarPolynomial, "coefficients", np.array([1.0, -2j, 0.5], dtype=complex)),
-    ):
+    for values in (np.array([1, 0, 0], dtype=complex), unit):
         given = values.copy()
-        stored = getattr(make(len(values) - 1, given), field)
+        state = mj.SpinState(len(values) - 1, given)
+        stored = state.amplitudes
         # Every bit of a unit-norm input is kept, in an array of its own.
         assert np.array_equal(stored, values)
         assert stored is not given and not stored.flags.writeable
         assert given.flags.writeable
         given[:] = 7.0
+        assert np.array_equal(stored, values)
+        # The polynomial's 2S + 1 coefficients are sqrt(C(2S, k)) psi_k, in
+        # a read-only array that shares no memory with the state's.
+        f = mj.stellar_polynomial(state)
+        twoS = len(values) - 1
+        want = [math.sqrt(math.comb(twoS, k)) * v for k, v in enumerate(values)]
+        assert np.array_equal(f, want)
+        assert not f.flags.writeable
+        assert not np.shares_memory(f, stored)
         assert np.array_equal(stored, values)
 
 
@@ -99,6 +103,25 @@ def test_scaled_vieta_matches_loop_reference(rng):
         got = _root_coefficients(roots, n)
         signs = (-1.0) ** np.arange(n, -1, -1)  # c_k = (-1)^(r - k) e_(r - k)
         assert np.array_equal(got, signs * _scaled_vieta_loop(roots)[::-1])
+
+
+@pytest.mark.parametrize("roots", [[1e160, 2e160, 0.5, 1j], [2e155, 3e155j, 1e-3]])
+def test_vieta_scales_down_before_a_step_that_would_overflow(roots):
+    # 1e160 * 2e160 is beyond the largest double, so the coefficients are
+    # scaled down before that step, not after it.  The suite makes a
+    # RuntimeWarning an error, so an overflow on the way fails here too.
+    n = len(roots)
+    state = mj.state_from_constellation(mj.Constellation(n, roots))
+    with mpmath.workdps(40):
+        f = [mpmath.mpc(1)]
+        for w in roots:  # f <- f * (z - w), low to high
+            f = [a - mpmath.mpc(w) * b for a, b in zip([0] + f, f + [0])]
+        amps = [f[k] / mpmath.sqrt(math.comb(n, k)) for k in range(n + 1)]
+        norm = mpmath.sqrt(sum(abs(a) ** 2 for a in amps))
+        want = np.array([complex(a / norm) for a in amps])
+    assert np.isfinite(state.amplitudes).all()
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(state.amplitudes - want).max() <= 1e-15
 
 
 def test_stereo_projection_frozen_points():
@@ -287,7 +310,7 @@ def test_round_trip_canonical_phase():
     twice = mj.state_from_constellation(mj.constellation_from_state(once))
     assert np.allclose(once.amplitudes, twice.amplitudes, atol=1e-12)
     assert abs(mj.overlap(once, twice)) >= 1.0 - 1e-14
-    f = mj.stellar_polynomial(once).coefficients
+    f = mj.stellar_polynomial(once)
     assert f[-1].imag == pytest.approx(0.0, abs=1e-15)
     assert f[-1].real > 0
 
@@ -352,7 +375,7 @@ def test_contract_error_reports_ratio_and_spin(monkeypatch, rng):
         lambda stack, tol: [r * (1 + 1e-7) for r in find_roots_batch(stack, tol=tol)])
     with pytest.raises(NonConvergence, match=r"at 2S=20$") as err:
         mj.constellation_from_state(state)
-    f = stellar.stellar_polynomial(state).coefficients
+    f = stellar.stellar_polynomial(state)
     roots = find_roots(f) * (1 + 1e-7)
     bound = 1e-10 * np.abs(f).max() * np.maximum(1.0, np.abs(roots)) ** 20
     want = float((np.abs(polyval(roots, f)) / bound).max())
@@ -395,7 +418,7 @@ def test_trimmed_spread_state_meets_the_contract_on_f():
     state = mj.SpinState(20, _SPREAD_20)
     c = mj.constellation_from_state(state)
     assert (c.infinity_count, int(np.sum(c.finite_roots == 0))) == (2, 4)
-    f = stellar.stellar_polynomial(state).coefficients
+    f = stellar.stellar_polynomial(state)
     bound = 1e-10 * np.abs(f).max() * np.maximum(1.0, np.abs(c.finite_roots)) ** 20
     assert np.all(np.abs(polyval(c.finite_roots, f)) <= bound)
     back = mj.state_from_constellation(c)
@@ -431,7 +454,7 @@ def test_far_star_at_high_spin_round_trips(twoS, far):
     c = mj.constellation_from_state(state)
     assert c.infinity_count == 0
     assert abs(mj.overlap(state, mj.state_from_constellation(c))) >= 1.0 - 1e-10
-    f = stellar.stellar_polynomial(state).coefficients
+    f = stellar.stellar_polynomial(state)
     with mpmath.workdps(50):
         fm = [mpmath.mpc(x.real, x.imag) for x in f[::-1]]
         for z in c.finite_roots:
