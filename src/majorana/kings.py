@@ -304,13 +304,19 @@ def _polish(
     eye = np.eye(len(g))
     while not reason:
         s = np.linalg.solve(hess + damping * eye, -g)
-        ta, tb = _moved(alpha, beta, s)
-        ft, gt, gauss = _gauss_newton(*_residuals(ta, tb, M))
-        ft, gs = float(ft), float(g @ s)
-        evaluations += 1
-        model = 0.5 * (damping * float(s @ s) - gs)
+        ss = float(s @ s)
+        # A step that is not finite is not tried: a rejected trial (ft = inf)
+        # whose promise (model = inf) cannot stop the polish by f_tol.
+        ft = model = math.inf
+        if math.isfinite(ss):
+            ta, tb = _moved(alpha, beta, s)
+            ft, gt, gauss = _gauss_newton(*_residuals(ta, tb, M))
+            ft, gs = float(ft), float(g @ s)
+            evaluations += 1
+            model = 0.5 * (damping * ss - gs)
         # An Armijo test, so that a step that leaves f unchanged at its
-        # rounding floor is taken, and then stops the polish by f_tol.
+        # rounding floor is taken, and then stops the polish by f_tol.  An
+        # ft that is not finite fails it.
         if not ft <= f - _ARMIJO * model:
             damping *= growth
             growth *= 2.0

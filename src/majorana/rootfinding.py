@@ -210,30 +210,23 @@ def _components(overlap: np.ndarray) -> np.ndarray:
 
 def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
     """Coefficients (low to high, length n + 1) of a positive multiple of
-    prod_j (z - roots_j), renormalized along the way so that huge roots
-    cannot overflow; the top n - len(roots) entries are 0."""
+    prod_j (z - roots_j); the top n - len(roots) entries are 0.  A factor
+    z - w grows max|c| at most (1 + |w|)-fold, so before a step that would
+    take that running bound past 1e200, c is scaled to max modulus 1: no
+    root, however large, overflows it."""
     roots = np.asarray(roots, dtype=complex).reshape(-1)
     r = len(roots)
     c = np.zeros(n + 1, dtype=complex)
     c[r] = 1.0
-    # bound >= max|c| up to rounding; c is scaled down only once its peak
-    # passes 1e200, or before a step that overflows when tried on a copy.
-    bound = 1.0
+    bound = 1.0  # a Python float: inf on overflow, never a warning
     for j, w in enumerate(roots.tolist()):
-        head = c[r - j - 1 : r]
         step = 1.0 + abs(w)
-        if bound > 1e300 / step:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.isfinite(np.abs(head - w * c[r - j : r + 1])).all():
-                    c /= np.abs(c).max()
-                    bound = 1.0
+        if bound * step > 1e200:
+            c /= np.abs(c).max()
+            bound = 1.0
+        head = c[r - j - 1 : r]
         head -= w * c[r - j : r + 1]  # c[...] -= ... would also copy it back
         bound *= step
-        if bound > 1e199:
-            bound = float(np.abs(c).max())
-            if bound > 1e200:
-                c /= bound
-                bound = 1.0
     return c
 
 
@@ -253,10 +246,8 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np
     """
     label = _components(overlap)
     out = z
-    for k in np.flatnonzero(np.bincount(label)):
+    for k in np.flatnonzero(np.bincount(label) > 1):
         idx = np.flatnonzero(label == k)
-        if len(idx) == 1:
-            continue
         center = z[idx].mean()
         if not c.imag.any() and (z[idx].conj()[:, None] == z[idx]).any(axis=1).all():
             center = center.real

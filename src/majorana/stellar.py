@@ -107,9 +107,9 @@ class SpinState:
                 f"expected {label.dim} amplitudes for 2S={label.twoS}, "
                 f"got shape {amps.shape}"
             )
-        if not np.isfinite(amps).all():
+        peak = float(np.abs(amps).max())  # not finite if an amplitude or its modulus is not
+        if not math.isfinite(peak):
             raise ValueError("amplitudes must be finite")
-        peak = float(np.abs(amps).max())
         if peak == 0.0:
             raise ValueError("state vector must be nonzero")
         # Pre-scaling keeps the norm square inside the float range even for
@@ -360,13 +360,14 @@ def constellations_from_states(
     find_roots_batch's NonConvergence first, which names the core degree but
     no state.
 
-    Each core degree of a 2S is one pass: solve, check the roots against the
-    contract on f, repair, check again, place.  In a trimmed group the
-    coefficients cut off the cores' ends can push a root past the contract
-    on f; such a root gets up to three guarded Newton steps on f before the
-    check decides.  The other roots stay as solved: moving them towards the
-    roots of f would no longer rebuild the state, whose trimmed coefficients
-    are 0.  Stars pinned at z = 0 need no check: |f(0)| is trimmed.
+    Each core degree of a 2S is one pass: solve, check, place.  An untrimmed
+    core is f / max|f|, which the solver has just checked.  In a trimmed
+    group (core degree below 2S) the cut-off ends can push a root past the
+    contract on f; each such miss gets up to three guarded Newton steps on
+    f before a second check decides.  The other roots stay as solved:
+    moving them towards the roots of f would no longer rebuild the state,
+    whose trimmed coefficients are 0.  Stars pinned at z = 0 need no check:
+    |f(0)| is trimmed.
     """
     states = list(states)
     results: list[Constellation | None] = [None] * len(states)
@@ -387,17 +388,17 @@ def constellations_from_states(
             rows = np.flatnonzero(degree == n)
             core = lead[rows, None] + np.arange(n + 1)
             z = find_roots_batch(f[rows[:, None], core], tol=tol)
-            miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
-            redo = np.nonzero(miss & (n < twoS))
-            if len(redo[0]):
-                z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
-                miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
-            if miss.any():
-                bad = [members[r] for r in rows[miss.any(axis=1)]]
-                raise NonConvergence(
-                    f"states {bad}: stellar root residual exceeds the contract by a "
-                    f"factor {ratio.max():.4g} at 2S={twoS}"
-                )
+            if n < twoS:
+                redo = np.nonzero(_contract_misses(f[rows], z, tol, scale[rows])[0])
+                if len(redo[0]):
+                    z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
+                    miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
+                    if miss.any():
+                        bad = [members[r] for r in rows[miss.any(axis=1)]]
+                        raise NonConvergence(
+                            f"states {bad}: stellar root residual exceeds the contract "
+                            f"by a factor {ratio.max():.4g} at 2S={twoS}"
+                        )
             roots[rows[:, None], core[:, :-1]] = z
         label = states[members[0]].label
         for r, i in enumerate(members):

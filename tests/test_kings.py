@@ -356,6 +356,31 @@ def test_polish_stops_when_every_damped_trial_is_rejected(monkeypatch):
     assert evaluations == 1 + kings._BACKTRACKS == 21
 
 
+@pytest.mark.parametrize("finite_calls", [0, 1])
+def test_polish_rejects_trials_that_are_not_finite(monkeypatch, finite_calls):
+    # f and g are NaN from the given call on.  From the start, every trial
+    # step is NaN; from the first trial, every trial's f is (a steep finite
+    # start keeps the damped model's promise above the rounding of f, as in
+    # the test above).  Each counts as a rejected trial, no pair is moved by
+    # it, and the backtrack count ends the polish with no RuntimeWarning
+    # (the suite makes one an error).
+    calls = itertools.count()
+
+    def undefined(r, jac):
+        d = jac.shape[-1]
+        if next(calls) < finite_calls:
+            return 1.0, np.full(d, 1e16), np.eye(d)
+        return np.nan, np.full(d, np.nan), np.eye(d)
+
+    monkeypatch.setattr(kings, "_gauss_newton", undefined)
+    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 1)
+    ta, tb, f, g, evaluations, steps, reason = kings._polish(alpha[0], beta[0], 2)
+    assert reason == "line_search"
+    assert (evaluations, steps) == (1 + finite_calls * kings._BACKTRACKS, 0)
+    start = kings._unit_pairs(alpha[0], beta[0])
+    assert np.array_equal(ta, start[0]) and np.array_equal(tb, start[1])
+
+
 def test_order_scan_raises_when_no_restart_converges(monkeypatch):
     # The scan converges at M = 1 and reports no converged restart at M = 2.
     search = kings.minimize

@@ -64,8 +64,12 @@ def test_state_and_polynomial_copy_the_callers_array(rng):
 def test_spin_state_rejects_bad_input():
     with pytest.raises(ValueError):
         mj.SpinState(2, np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        mj.SpinState(2, np.array([1.0, np.nan, 0.0], dtype=complex))
+    # The last is finite, but its modulus is past the largest double, so the
+    # state cannot be normalized.
+    for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(1.0, -np.inf),
+                complex(1.7e308, 1.7e308)):
+        with pytest.raises(ValueError, match="must be finite"):
+            mj.SpinState(2, np.array([1.0, bad, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         mj.SpinState(2, np.ones(2, dtype=complex))
 
@@ -83,20 +87,23 @@ def test_elementary_symmetric_frozen():
 
 
 def _scaled_vieta_loop(roots):
-    # Reference: renormalize whenever the running peak exceeds 1e200.
+    # Reference: scale to unit peak before a step that would take the running
+    # product of the factors 1 + |w| past 1e200.
     e = np.zeros(len(roots) + 1, dtype=complex)
     e[0] = 1.0
+    bound = 1.0
     for j, w in enumerate(roots):
+        if bound * (1.0 + abs(w)) > 1e200:
+            e /= np.abs(e).max()
+            bound = 1.0
         e[1 : j + 2] = e[1 : j + 2] + w * e[0 : j + 1]
-        peak = np.abs(e).max()
-        if peak > 1e200:
-            e /= peak
+        bound *= 1.0 + abs(w)
     return e
 
 
 def test_scaled_vieta_matches_loop_reference(rng):
-    # Magnitudes up to 1e30 over up to 44 roots: the renormalization fires in
-    # about 60% of the draws, and more than once in about 20%.
+    # Magnitudes up to 1e30 over up to 44 roots: the scaling fires in about
+    # 60% of the draws, and more than once in about a quarter.
     for _ in range(300):
         n = int(rng.integers(1, 45))
         roots = 10.0 ** rng.uniform(-8, 30, size=n) * (rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -105,14 +112,21 @@ def test_scaled_vieta_matches_loop_reference(rng):
         assert np.array_equal(got, signs * _scaled_vieta_loop(roots)[::-1])
 
 
-@pytest.mark.parametrize("roots", [[1e160, 2e160, 0.5, 1j], [2e155, 3e155j, 1e-3]])
+@pytest.mark.parametrize("roots", [
+    [1e160, 2e160, 0.5, 1j],
+    [2e155, 3e155j, 1e-3],
+    # Near the float limit, where the running bound times 1 + |w| can be inf.
+    [1e300, -1e300j, 0.5],
+    [1.7e308, 2.0, 1j],
+    [1e250, 3.0, -2j, 0.1],
+])
 def test_vieta_scales_down_before_a_step_that_would_overflow(roots):
     # 1e160 * 2e160 is beyond the largest double, so the coefficients are
     # scaled down before that step, not after it.  The suite makes a
     # RuntimeWarning an error, so an overflow on the way fails here too.
     n = len(roots)
     state = mj.state_from_constellation(mj.Constellation(n, roots))
-    with mpmath.workdps(40):
+    with mpmath.workdps(60):
         f = [mpmath.mpc(1)]
         for w in roots:  # f <- f * (z - w), low to high
             f = [a - mpmath.mpc(w) * b for a, b in zip([0] + f, f + [0])]
@@ -365,18 +379,35 @@ def test_constellation_roots_sorted():
     assert np.all(np.diff(r.real) >= 0)
 
 
+def _trimmed_state(rng, twoS):
+    # The top amplitude is 1e-12 of the largest, so the trim pins one star at
+    # infinity and the core's roots are checked on the untrimmed f.
+    amps = rng.normal(size=twoS + 1) + 1j * rng.normal(size=twoS + 1)
+    amps[-1] = 1e-12 * np.abs(amps).max()
+    return mj.SpinState(twoS, amps)
+
+
+def _unrepaired_misses(monkeypatch, degree):
+    # Every solved core of the given degree comes back with its roots moved
+    # by 1e-7 relative, and the Newton repair on f leaves them there.
+    monkeypatch.setattr(
+        stellar, "find_roots_batch",
+        lambda stack, tol: find_roots_batch(stack, tol=tol)
+        * (1 + 1e-7 * (stack.shape[1] == degree + 1)))
+    monkeypatch.setattr(stellar, "newton_polish", lambda f, z: (z, None))
+
+
 def test_contract_error_reports_ratio_and_spin(monkeypatch, rng):
     # A solver answer that misses the residual contract is reported by how
     # far it misses the bound, not by the raw residual, whose size follows
     # max(1, |z|)**2S.
-    state = _random_state(rng, 20)
-    monkeypatch.setattr(
-        stellar, "find_roots_batch",
-        lambda stack, tol: [r * (1 + 1e-7) for r in find_roots_batch(stack, tol=tol)])
+    state = _trimmed_state(rng, 20)
+    assert mj.constellation_from_state(state).infinity_count == 1
+    _unrepaired_misses(monkeypatch, 19)
     with pytest.raises(NonConvergence, match=r"at 2S=20$") as err:
         mj.constellation_from_state(state)
     f = stellar.stellar_polynomial(state)
-    roots = find_roots(f) * (1 + 1e-7)
+    roots = find_roots(f[:-1]) * (1 + 1e-7)
     bound = 1e-10 * np.abs(f).max() * np.maximum(1.0, np.abs(roots)) ** 20
     want = float((np.abs(polyval(roots, f)) / bound).max())
     got = float(str(err.value).split("factor ")[1].split()[0])
@@ -430,12 +461,11 @@ def test_trimmed_spread_state_meets_the_contract_on_f():
 
 
 def test_failing_batch_names_its_states(monkeypatch, rng):
-    states = [_random_state(rng, 6), _random_state(rng, 20), _random_state(rng, 6),
-              _random_state(rng, 20)]
-    monkeypatch.setattr(
-        stellar, "find_roots_batch",
-        lambda stack, tol: [r * (1 + 1e-7 * (len(r) == 20))
-                            for r in find_roots_batch(stack, tol=tol)])
+    # States 1 and 3 are trimmed to core degree 19 and miss; state 4, an
+    # untrimmed 2S = 20 state, and the 2S = 6 states meet the contract.
+    states = [_random_state(rng, 6), _trimmed_state(rng, 20), _random_state(rng, 6),
+              _trimmed_state(rng, 20), _random_state(rng, 20)]
+    _unrepaired_misses(monkeypatch, 19)
     with pytest.raises(NonConvergence, match=r"^states \[1, 3\]: .* at 2S=20$"):
         mj.constellations_from_states(states)
 
