@@ -57,15 +57,13 @@ def _guard(fn):
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for randomized subcommands.")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="Residual tolerance for root solving.")
 @click.option("--output", type=click.Path(dir_okay=False, writable=True),
               default=None, help="Write the payload to a file instead of stdout.")
 @click.pass_context
-def main(ctx: click.Context, seed: int, tol: float, output: str | None) -> None:
+def main(ctx: click.Context, seed: int, output: str | None) -> None:
     """Majorana constellations: states, stars, multipoles, kings, dynamics."""
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, tol=tol, output=output)
+    ctx.obj.update(seed=seed, output=output)
 
 
 @main.command()
@@ -76,7 +74,7 @@ def main(ctx: click.Context, seed: int, tol: float, output: str | None) -> None:
 def stars(ctx: click.Context, state_file: str, angles: bool) -> None:
     """Solve a state's root polynomial and print the constellation."""
     state = serialize.parse_state(_read(state_file))
-    c = stellar.constellation_from_state(state, tol=ctx.obj["tol"])
+    c = stellar.constellation_from_state(state)
     _emit(ctx, serialize.emit_constellation(c, angles=angles))
 
 

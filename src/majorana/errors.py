@@ -13,7 +13,7 @@ class MajoranaError(Exception):
 
 
 class NonConvergence(MajoranaError):
-    """An iterative routine exhausted its budget without meeting tolerances."""
+    """An iterative routine exhausted its budget without meeting its contract."""
 
 
 class DegenerateConstellation(MajoranaError):

@@ -38,7 +38,7 @@ products against the table, so no stage loops over coefficients in Python.
    ill-conditioned cluster, which the eigenvalues, exact roots of a nearby
    polynomial, still rebuild.  Each connected component of m > 1 discs
    becomes m copies of its estimates' mean if the mean meets the residual
-   contract and the merged roots' Vieta coefficients stay within tol of the
+   contract and the merged roots' Vieta coefficients stay within TOL of the
    row's own; if not, the component keeps its m estimates.
 
 Every row is returned sorted by (real, imag), in one sort over the stack.
@@ -52,6 +52,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvergence
+
+#: The residual contract: every root z of p meets
+#: |p(z)| <= TOL * max|p_k| * max(1, |z|)**degree.
+TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 _POLISH_STEPS = 3
@@ -230,7 +234,7 @@ def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np.ndarray:
+def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray) -> np.ndarray:
     """Per-row path: multiplicity from the overlapping discs; the roots keep
     z's order.  c has max modulus 1; z are the row's companion eigenvalues,
     unpolished, and overlap is _disc_overlaps of z.
@@ -238,7 +242,7 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np
     Each connected component of m > 1 overlapping discs becomes m copies of
     its estimates' mean if the mean meets the residual contract and the
     merged roots' Vieta coefficients, scaled to c's leading one, stay within
-    tol of c; otherwise it keeps its m estimates.  A coherent row, whose n
+    TOL of c; otherwise it keeps its m estimates.  A coherent row, whose n
     estimates ring one root, is one component of n discs and merges here
     into n copies.  In a row with real coefficients a component closed
     under conjugation has a real mean.  Every root returned meets the
@@ -251,28 +255,27 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, tol: float) -> np
         center = z[idx].mean()
         if not c.imag.any() and (z[idx].conj()[:, None] == z[idx]).any(axis=1).all():
             center = center.real
-        if residual_ratios(c, np.array([center]))[0] > tol:
+        if residual_ratios(c, np.array([center]))[0] > TOL:
             continue
         merged = out.copy()
         merged[idx] = center
         a = _root_coefficients(merged, len(z))
-        if np.abs(c[-1] * a / a[-1] - c).max() <= tol:
+        if np.abs(c[-1] * a / a[-1] - c).max() <= TOL:
             out = merged
     return out
 
 
-def find_roots(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def find_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of the polynomial, multiplicities expanded, sorted.
 
     coeffs must have nonzero first and last entries (no roots at zero or
     infinity; the caller strips those).  Raises NonConvergence when the
-    roots miss the backward-error contract
-    |p(z)| <= tol * max|coeffs| * max(1, |z|)**degree.
+    roots miss the residual contract TOL.
     """
-    return find_roots_batch(np.asarray(coeffs, dtype=complex)[None], tol)[0]
+    return find_roots_batch(np.asarray(coeffs, dtype=complex)[None])[0]
 
 
-def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """find_roots over an (N, n + 1) stack of same-degree coefficient rows,
     by the steps of the module docstring: an (N, n) array whose row b holds
     row b's roots, sorted.  A row's result does not depend on the other
@@ -298,11 +301,11 @@ def find_roots_batch(coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         zp, pp = newton_polish(c[rows], z[rows, cols][:, None])
         z[rows, cols], p[rows, cols] = zp[:, 0], pp[:, 0]
     worst = _contract_ratios(p).max(axis=1, initial=0.0)
-    miss = np.flatnonzero(worst > tol)
+    miss = np.flatnonzero(worst > TOL)
     if len(miss):
         raise NonConvergence(
-            f"root residual {worst[miss[0]]:.3e} exceeds tolerance {tol:.3e} for degree {n}"
+            f"root residual {worst[miss[0]]:.3e} exceeds tolerance {TOL:.3e} for degree {n}"
         )
     for b in np.flatnonzero(~isolated):
-        z[b] = _finish(c[b], z[b], overlap[b], tol)
+        z[b] = _finish(c[b], z[b], overlap[b])
     return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)

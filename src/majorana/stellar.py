@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import LabelMismatch, NonConvergence
 from .rootfinding import (
+    TOL,
     _EPS,
     _powers,
     _root_coefficients,
@@ -324,31 +325,29 @@ def stellar_polynomial(state: SpinState) -> np.ndarray:
 
 
 def _contract_misses(
-    f: np.ndarray, roots: np.ndarray, tol: float, scale: np.ndarray
+    f: np.ndarray, roots: np.ndarray, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """For a stack of rows, which roots miss the residual contract on f, and
     by what factor each row's worst root misses it.  A residual that cannot
     be evaluated (not finite) misses."""
     ratio = residual_ratios(f, roots)
-    bound = tol * scale[:, None]
+    bound = TOL * scale[:, None]
     miss = ~(ratio <= bound)
     return miss, np.where(miss, ratio / bound, 0.0).max(axis=1, initial=0.0)
 
 
-def constellation_from_state(state: SpinState, tol: float = 1e-10) -> Constellation:
+def constellation_from_state(state: SpinState) -> Constellation:
     """Solve for the star multiset of the state.
 
-    tol sets both the relative coefficient size treated as zero when
-    trimming degenerate ends of the polynomial and the backward-error bound
-    demanded of every root:  |f(z)| <= tol * max|f_k| * max(1, |z|)**2S.
-    Raises NonConvergence if the solver cannot meet that bound.
+    The residual contract rootfinding.TOL is both the relative coefficient
+    size trimmed as zero at the ends of f and the backward-error bound on
+    every root: |f(z)| <= TOL * max|f_k| * max(1, |z|)**2S.  Raises
+    NonConvergence if the solver cannot meet that bound.
     """
-    return constellations_from_states([state], tol)[0]
+    return constellations_from_states([state])[0]
 
 
-def constellations_from_states(
-    states, tol: float = 1e-10
-) -> list[Constellation]:
+def constellations_from_states(states) -> list[Constellation]:
     """constellation_from_state over a whole sequence of states.
 
     States of one 2S are trimmed and checked as one stack, and those whose
@@ -377,7 +376,7 @@ def constellations_from_states(
     for twoS, members in groups.items():
         f = _binom_sqrt(twoS) * np.array([states[i].amplitudes for i in members])
         scale = np.abs(f).max(axis=1)
-        keep = np.abs(f) > tol * scale[:, None]
+        keep = np.abs(f) > TOL * scale[:, None]
         lead = np.argmax(keep, axis=1)
         tail = np.argmax(keep[:, ::-1], axis=1)
         degree = twoS - lead - tail
@@ -387,12 +386,12 @@ def constellations_from_states(
         for n in np.flatnonzero(np.bincount(degree)):
             rows = np.flatnonzero(degree == n)
             core = lead[rows, None] + np.arange(n + 1)
-            z = find_roots_batch(f[rows[:, None], core], tol=tol)
+            z = find_roots_batch(f[rows[:, None], core])
             if n < twoS:
-                redo = np.nonzero(_contract_misses(f[rows], z, tol, scale[rows])[0])
+                redo = np.nonzero(_contract_misses(f[rows], z, scale[rows])[0])
                 if len(redo[0]):
                     z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
-                    miss, ratio = _contract_misses(f[rows], z, tol, scale[rows])
+                    miss, ratio = _contract_misses(f[rows], z, scale[rows])
                     if miss.any():
                         bad = [members[r] for r in rows[miss.any(axis=1)]]
                         raise NonConvergence(

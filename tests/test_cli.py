@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import majorana as mj
-from majorana import kings
+from majorana import kings, rootfinding
 from majorana.cli import main
 from majorana.kings import SearchConfig, minimize
 from majorana.serialize import (
@@ -112,14 +112,24 @@ def test_missing_file_exits_4(runner, tmp_path):
     assert result.exit_code == 4
 
 
-def test_roots_missing_the_tolerance_exit_3(runner, tmp_path, rng):
+def test_roots_missing_the_tolerance_exit_3(monkeypatch, runner, tmp_path, rng):
     st = mj.SpinState(4, rng.normal(size=5) + 1j * rng.normal(size=5))
     path = _write_state(tmp_path, st)
-    result = runner.invoke(main, ["--tol", "1e-300", "stars", path])
+    monkeypatch.setattr(rootfinding, "TOL", 1e-300)
+    result = runner.invoke(main, ["stars", path])
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr.startswith("error: root residual ")
     assert result.stderr.endswith(" exceeds tolerance 1.000e-300 for degree 4\n")
+
+
+def test_the_contract_is_not_an_option(runner):
+    # The residual contract is fixed: --tol is an unknown option, exit 2.
+    result = runner.invoke(main, ["--tol", "1e-3", "stars", "f.json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "No such option" in result.stderr and "--tol" in result.stderr
+    assert "--tol" not in runner.invoke(main, ["--help"]).output
 
 
 def test_qgrid_csv(runner, tmp_path, rng):

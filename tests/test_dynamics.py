@@ -24,10 +24,7 @@ from majorana.dynamics import (
 )
 from majorana.errors import DegenerateConstellation, LabelMismatch
 
-
-def _random_state(rng, twoS):
-    amps = rng.normal(size=twoS + 1) + 1j * rng.normal(size=twoS + 1)
-    return mj.SpinState(twoS, amps)
+from samples import random_state
 
 
 def _random_hermitian(rng, dim):
@@ -130,7 +127,7 @@ def test_builtin_matrices_match_spin_operators():
 def test_linear_velocity_is_rigid_rotation(rng):
     omega = 0.8
     h = builtin_hamiltonian(3, "Sz", omega)
-    st = _random_state(rng, 3)
+    st = random_state(rng, 3)
     c = mj.constellation_from_state(st)
     if c.infinity_count or len(c.finite_roots) < 3:
         pytest.skip("degenerate draw")
@@ -143,7 +140,7 @@ def test_kerr_velocity_frozen(rng):
     chi = 0.7
     twoS = 4
     h = builtin_hamiltonian(twoS, "Sz2", chi)
-    st = _random_state(rng, twoS)
+    st = random_state(rng, twoS)
     c = mj.constellation_from_state(st)
     if c.infinity_count:
         pytest.skip("degenerate draw")
@@ -158,7 +155,7 @@ def test_kerr_velocity_frozen(rng):
 def test_velocity_against_finite_difference(rng):
     twoS = 3
     h = hamiltonian(twoS, _random_hermitian(rng, twoS + 1))
-    st = _random_state(rng, twoS)
+    st = random_state(rng, twoS)
     c = mj.constellation_from_state(st)
     v = star_velocities(c, h)
     dt = 1e-7
@@ -172,7 +169,7 @@ def test_velocity_against_finite_difference(rng):
 def test_velocity_matches_mpmath_at_high_spin(twoS):
     rng = np.random.default_rng(1000 + twoS)
     h = _unit_hamiltonian(rng, twoS)
-    c = mj.constellation_from_state(_random_state(rng, twoS))
+    c = mj.constellation_from_state(random_state(rng, twoS))
     want = _mp_velocities(c.finite_roots, h)
     got = star_velocities(c, h)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -214,9 +211,9 @@ def test_label_mismatch_raises(rng):
     with pytest.raises(LabelMismatch):
         star_velocities(mj.Constellation(4, [1.0, 2.0, 3.0, 4.0]), h)
     with pytest.raises(LabelMismatch):
-        evolve(_random_state(rng, 4), h, 1.0)
+        evolve(random_state(rng, 4), h, 1.0)
     with pytest.raises(LabelMismatch):
-        evolve_exact(_random_state(rng, 4), h, 1.0)
+        evolve_exact(random_state(rng, 4), h, 1.0)
     with pytest.raises(LabelMismatch):
         equilibrium_residual(mj.Constellation(4, [1.0, 2.0, 3.0, 4.0]), h)
 
@@ -237,7 +234,7 @@ def test_equilibrium_residual_frozen(rng):
     ) == pytest.approx(omega0, rel=1e-9)
     # Zero Hamiltonian freezes everything.
     z = hamiltonian(3, np.zeros((4, 4)))
-    c = mj.constellation_from_state(_random_state(rng, 3))
+    c = mj.constellation_from_state(random_state(rng, 3))
     assert equilibrium_residual(c, z) <= 1e-12
     # Spin 0 has no stars to move.
     assert equilibrium_residual(mj.Constellation(0, []), builtin_hamiltonian(0, "Sz")) == 0.0
@@ -284,7 +281,7 @@ def test_equilibrium_residual_matches_symbol_oracle(multiplicity):
 
 def test_evolve_exact_unitary(rng):
     twoS = 4
-    st = _random_state(rng, twoS)
+    st = random_state(rng, twoS)
     h = hamiltonian(twoS, _random_hermitian(rng, twoS + 1))
     out = evolve_exact(st, h, 0.9)
     assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
@@ -302,7 +299,7 @@ def test_evolve_exact_unitary(rng):
 
 
 def test_evolve_argument_validation(rng):
-    st = _random_state(rng, 2)
+    st = random_state(rng, 2)
     h = builtin_hamiltonian(2, "Sz")
     with pytest.raises(ValueError):
         evolve(st, h, -1.0)
@@ -325,7 +322,7 @@ def test_evolve_argument_validation(rng):
 
 
 def test_evolve_time_zero(rng):
-    st = _random_state(rng, 2)
+    st = random_state(rng, 2)
     traj = evolve(st, builtin_hamiltonian(2, "Sz"), 0.0)
     assert len(traj.times) == 1
     assert traj.times[0] == 0.0
@@ -336,7 +333,7 @@ def test_evolve_time_zero(rng):
 
 def test_linear_rotation_matches_phase_map(rng):
     omega = 1.1
-    st = _random_state(rng, 3)
+    st = random_state(rng, 3)
     c0 = mj.constellation_from_state(st)
     if c0.infinity_count:
         pytest.skip("degenerate draw")
@@ -356,7 +353,7 @@ def test_linear_evolution_preserves_chords(rng):
     twoS = 3
     sx, sy, sz = mj.spin_matrices(twoS)
     h = hamiltonian(twoS, 0.4 * sx - 0.8 * sy + 0.3 * sz)
-    st = _random_state(rng, twoS)
+    st = random_state(rng, twoS)
     c0 = mj.constellation_from_state(st)
     traj = evolve(st, h, 1.5)
     z0 = [mj.sphere_to_stereo(p) for p in c0.points()]
@@ -388,7 +385,7 @@ def test_eigenstate_stays_put(rng):
 def test_energy_conserved_along_trajectory(rng):
     twoS = 3
     h = hamiltonian(twoS, _random_hermitian(rng, twoS + 1))
-    st = _random_state(rng, twoS)
+    st = random_state(rng, twoS)
     c0 = mj.constellation_from_state(st)
     traj = evolve(st, h, 1.0, checkpoints=[0.25, 0.5, 0.75, 1.0])
     def energy(c):
@@ -400,7 +397,7 @@ def test_energy_conserved_along_trajectory(rng):
 
 
 def test_checkpoints_are_landed_exactly(rng):
-    st = _random_state(rng, 2)
+    st = random_state(rng, 2)
     h = builtin_hamiltonian(2, "Sz", 0.9)
     pts = [0.123456, 0.5, 0.777777]
     traj = evolve(st, h, 1.0, checkpoints=pts)
@@ -428,7 +425,7 @@ def test_star_ode_matches_exact_rerooting(twoS):
     t_final = 0.3
     for _ in range(3):
         h = _unit_hamiltonian(rng, twoS)
-        st = _random_state(rng, twoS)
+        st = random_state(rng, twoS)
         c0 = mj.constellation_from_state(st)
         assert c0.infinity_count == 0
 
@@ -449,7 +446,7 @@ def test_star_ode_matches_exact_rerooting(twoS):
 def test_high_spin_evolve_matches_exact(twoS):
     rng = np.random.default_rng(3000 + twoS)
     h = _unit_hamiltonian(rng, twoS)
-    st = _random_state(rng, twoS)
+    st = random_state(rng, twoS)
     checkpoints = np.linspace(0.1, 1.0, 10)
     traj = evolve(st, h, 1.0, checkpoints=checkpoints)
     assert traj.fallback_intervals == ()

@@ -151,6 +151,31 @@ def test_spread_stars_survive_the_round_trip(twoS, seed):
     assert mj.matched_distance(planted, got) <= 1e-8
 
 
+def _far_star_polynomial(twoS):
+    """f of a random state, default_rng(3), whose top amplitude is 1e-50 /
+    1e-100 / 1e-300 of its largest at 2S = 5 / 20 / 40: one star near
+    infinity.  The three states are drawn in that order from one rng."""
+    rng = np.random.default_rng(3)
+    for size, small in ((5, 1e-50), (20, 1e-100), (40, 1e-300)):
+        amps = _gaussian(rng, size + 1)
+        if size == twoS:
+            amps[-1] = small * np.abs(amps).max()
+            return mj.stellar_polynomial(mj.SpinState(twoS, amps))
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence, reason=(
+    "CHANGES.md FOUND line on find_roots_batch and a tiny top coefficient: "
+    "worst residual ratio 0.528 / 9.78e-4 / 3.07e-5 against the 1e-10 contract, "
+    "while the reversed f meets it; ROADMAP item 2 needs this solve"))
+@pytest.mark.parametrize("twoS", [5, 20, 40])
+def test_untrimmed_far_star_meets_the_contract(twoS):
+    f = _far_star_polynomial(twoS)
+    roots = find_roots(f)
+    # The mirror solve, the same stars in the 1/z chart, places the far star.
+    far = 1.0 / np.abs(find_roots(f[::-1])).min()
+    assert np.abs(roots).max() == pytest.approx(far, rel=1e-8)
+
+
 def test_coherent_states_at_2s40_round_trip():
     # At 2S = 40 a coherent state's end coefficients fall below the trimming
     # threshold and its remaining roots form an ill-conditioned ring; the

@@ -21,11 +21,7 @@ from majorana.multipoles import (
 )
 
 from oracles import clebsch_gordan
-
-
-def _random_state(rng, twoS):
-    amps = rng.normal(size=twoS + 1) + 1j * rng.normal(size=twoS + 1)
-    return mj.SpinState(twoS, amps)
+from samples import random_state
 
 
 # -- Clebsch-Gordan ------------------------------------------------------------
@@ -207,7 +203,7 @@ def test_basis_state_spectrum_frozen():
 
 def test_purity_identity(rng):
     for twoS in (1, 2, 3, 5, 8, 20, 40):
-        spec = multipoles(_random_state(rng, twoS))
+        spec = multipoles(random_state(rng, twoS))
         assert spec.w.sum() == pytest.approx(1.0, abs=1e-12)
         assert spec.A[twoS] == pytest.approx(twoS / (twoS + 1), abs=1e-12)
         assert spec.w[0] == pytest.approx(1.0 / (twoS + 1), abs=1e-14)
@@ -215,12 +211,12 @@ def test_purity_identity(rng):
 
 def test_qubit_w1_is_constant(rng):
     for _ in range(10):
-        spec = multipoles(_random_state(rng, 1))
+        spec = multipoles(random_state(rng, 1))
         assert spec.w[1] == pytest.approx(0.5, abs=1e-13)
 
 
 def test_spectrum_from_density_matrix(rng):
-    st = _random_state(rng, 3)
+    st = random_state(rng, 3)
     a = multipoles(st)
     b = multipoles(st.density_matrix())
     for (k1, q1, v1), (k2, q2, v2) in zip(a.items(), b.items()):
@@ -234,7 +230,7 @@ def test_spectrum_from_density_matrix(rng):
 
 
 def test_spectrum_linear_in_density_matrix(rng):
-    s1, s2 = _random_state(rng, 2), _random_state(rng, 2)
+    s1, s2 = random_state(rng, 2), random_state(rng, 2)
     mix = 0.25 * s1.density_matrix() + 0.75 * s2.density_matrix()
     got = multipoles(mix)
     a, b = multipoles(s1), multipoles(s2)
@@ -253,7 +249,7 @@ def test_maximally_mixed_has_no_structure():
 
 def test_multipole_lengths_rotation_invariant(rng):
     for twoS in (5, 20, 40):
-        st = _random_state(rng, twoS)
+        st = random_state(rng, twoS)
         base = multipoles(st).w
         for theta, phi in [(0.7, 0.3), (2.4, 5.1), (1.2, 3.3)]:
             w = multipoles(mj.rotate(st, theta, phi)).w
@@ -265,8 +261,8 @@ def test_spectrum_matches_dense_trace_at_high_spin(rng):
     # state and a rank-3 density matrix.
     for twoS in (20, 40):
         d = twoS + 1
-        st = _random_state(rng, twoS)
-        vecs = [_random_state(rng, twoS).amplitudes for _ in range(3)]
+        st = random_state(rng, twoS)
+        vecs = [random_state(rng, twoS).amplitudes for _ in range(3)]
         mix = sum(p * np.outer(v, v.conj()) for p, v in zip((0.5, 0.3, 0.2), vecs))
         for state, dm in ((st, st.density_matrix()), (mix, mix)):
             spec = multipoles(state)
@@ -277,7 +273,7 @@ def test_spectrum_matches_dense_trace_at_high_spin(rng):
 
 
 def test_cumulative_quantumness_monotone(rng):
-    st = _random_state(rng, 6)
+    st = random_state(rng, 6)
     spec = multipoles(st)
     values = [cumulative_quantumness(spec, M) for M in range(1, 7)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
@@ -289,7 +285,7 @@ def test_cumulative_quantumness_monotone(rng):
 
 
 def test_spectrum_items_canonical_order(rng):
-    spec = multipoles(_random_state(rng, 3))
+    spec = multipoles(random_state(rng, 3))
     keys = [(k, q) for k, q, _ in spec.items()]
     want = [(k, q) for k in range(4) for q in range(-k, k + 1)]
     assert keys == want
@@ -324,7 +320,7 @@ def test_husimi_zero_at_conjugated_star():
 
 def test_husimi_zeros_for_random_states(rng):
     for _ in range(5):
-        st = _random_state(rng, 6)
+        st = random_state(rng, 6)
         c = mj.constellation_from_state(st)
         for z in c.finite_roots:
             p = mj.stereo_to_sphere(np.conj(z))
@@ -335,7 +331,7 @@ def test_husimi_at_pole():
     # Q at the exact poles is the weight of the polar basis state.
     rng = np.random.default_rng(3)
     for twoS in (1, 4, 12):
-        st = _random_state(rng, twoS)
+        st = random_state(rng, twoS)
         for phi in (0.0, *rng.uniform(0.0, 2.0 * math.pi, 3)):
             assert husimi_q(st, (0.0, phi)) == pytest.approx(
                 abs(st.amplitudes[0]) ** 2, abs=1e-15
@@ -349,7 +345,7 @@ def test_husimi_at_pole():
 
 
 def test_q_grid_validation(rng):
-    st = _random_state(rng, 2)
+    st = random_state(rng, 2)
     with pytest.raises(ValueError):
         q_grid(st, 1, 8)
     with pytest.raises(ValueError):
@@ -357,7 +353,7 @@ def test_q_grid_validation(rng):
 
 
 def test_q_grid_matches_pointwise(rng):
-    st = _random_state(rng, 3)
+    st = random_state(rng, 3)
     grid = q_grid(st, 5, 6)
     for i, theta in enumerate(grid.theta_nodes):
         for j, phi in enumerate(grid.phi_nodes):
@@ -371,7 +367,7 @@ def test_q_grid_normalization(rng):
     # Gauss-Legendre x uniform grid integrates it exactly once the grid
     # resolves degree 4S.
     for twoS in (1, 2, 4, 7):
-        st = _random_state(rng, twoS)
+        st = random_state(rng, twoS)
         grid = q_grid(st, 2 * twoS + 2, 4 * twoS + 1)
         total = grid.integral() * (twoS + 1) / (4.0 * math.pi)
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -444,9 +440,9 @@ def test_integral_multipoles_match_trace(rng):
     states = [
         mj.coherent_state(4, 0.8 - 0.1j),
         mj.noon_state(6),
-        _random_state(rng, 3),
-        _random_state(rng, 8),
-        _random_state(rng, 12),
+        random_state(rng, 3),
+        random_state(rng, 8),
+        random_state(rng, 12),
     ]
     for st in states:
         a = multipoles(st)
@@ -464,7 +460,7 @@ def test_integral_multipoles_conditioning(rng, twoS):
     eps = np.finfo(float).eps
     bound = [1e3 * eps * max(1.0, _integral_inverse_kernel(twoS, K)) for K in range(twoS + 1)]
     states = [
-        _random_state(rng, twoS),
+        random_state(rng, twoS),
         mj.noon_state(twoS),
         mj.basis_state(twoS, -twoS),
         mj.coherent_state(twoS, 0.6 + 0.3j),
@@ -523,7 +519,7 @@ def _q_moments(state):
 def test_moments_match_q_quadrature(rng):
     for twoS in (1, 2, 5, 12, 40):
         states = [
-            _random_state(rng, twoS),
+            random_state(rng, twoS),
             mj.coherent_state(twoS, 0.6 - 1.3j),
             mj.basis_state(twoS, twoS - 2 * (twoS // 3)),
             mj.noon_state(twoS),
@@ -535,6 +531,6 @@ def test_moments_match_q_quadrature(rng):
 
 
 def test_quadrupole_symmetric(rng):
-    q = quadrupole(_random_state(rng, 5))
+    q = quadrupole(random_state(rng, 5))
     assert np.allclose(q, q.T, atol=1e-12)
     assert np.trace(q) == pytest.approx(0.0, abs=1e-10)

@@ -13,6 +13,7 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist, squareform
 
 import majorana as mj
+from majorana import rootfinding
 from majorana.rootfinding import (
     _EPS,
     _companion_eigvals,
@@ -75,11 +76,12 @@ def test_untrimmed_coefficients_rejected():
         find_roots_batch(np.array([1.0, 1.0, 1.0], dtype=complex))
 
 
-def test_roots_missing_the_tolerance_raise():
+def test_roots_missing_the_tolerance_raise(monkeypatch):
     c = np.array([0.3 - 1.1j, 0.7 + 0.2j, -1.3 + 0.4j, 0.9 - 0.5j, 1.0 + 0.0j])
     find_roots(c)
+    monkeypatch.setattr(rootfinding, "TOL", 1e-300)
     with pytest.raises(mj.NonConvergence, match=r"exceeds tolerance 1\.000e-300 for degree 4$"):
-        find_roots(c, tol=1e-300)
+        find_roots(c)
 
 
 def _exact_linear_ratio(c, z):

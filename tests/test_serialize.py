@@ -23,10 +23,7 @@ from majorana.serialize import (
     parse_state,
 )
 
-
-def _random_state(rng, twoS):
-    amps = rng.normal(size=twoS + 1) + 1j * rng.normal(size=twoS + 1)
-    return mj.SpinState(twoS, amps)
+from samples import random_state
 
 
 # -- states ---------------------------------------------------------------------
@@ -43,7 +40,7 @@ def test_state_emission_frozen():
 
 def test_state_round_trip_is_bit_exact(rng):
     for twoS in (1, 3, 7):
-        st = _random_state(rng, twoS)
+        st = random_state(rng, twoS)
         back = parse_state(emit_state(st))
         assert back.label == st.label
         assert np.array_equal(back.amplitudes, st.amplitudes)
@@ -113,7 +110,7 @@ def test_constellation_rejects_malformed():
 
 
 def test_multipole_emission_structure(rng):
-    st = _random_state(rng, 3)
+    st = random_state(rng, 3)
     spec = multipoles(st)
     obj = json.loads(emit_multipoles(spec))
     assert obj["twoS"] == 3
@@ -128,7 +125,7 @@ def test_multipole_emission_structure(rng):
 
 
 def test_multipole_emission_truncation(rng):
-    spec = multipoles(_random_state(rng, 4))
+    spec = multipoles(random_state(rng, 4))
     obj = json.loads(emit_multipoles(spec, upto=2))
     assert len(obj["rho"]) == 9
     assert len(obj["w"]) == 3
@@ -143,7 +140,7 @@ def test_multipole_emission_truncation(rng):
 
 
 def test_qgrid_csv_shape(rng):
-    grid = q_grid(_random_state(rng, 2), 4, 5)
+    grid = q_grid(random_state(rng, 2), 4, 5)
     text = emit_qgrid(grid)
     lines = text.split("\n")
     assert lines[0] == "theta,phi,Q"
@@ -221,7 +218,7 @@ def test_parse_hamiltonian_errors(rng):
 
 
 def test_trajectory_jsonl(rng):
-    st = _random_state(rng, 2)
+    st = random_state(rng, 2)
     traj = evolve(st, builtin_hamiltonian(2, "Sz", 1.0), 0.05)
     text = emit_trajectory(traj)
     lines = text.split("\n")

@@ -15,10 +15,7 @@ from majorana import stellar
 from majorana.errors import LabelMismatch, NonConvergence
 from majorana.rootfinding import _root_coefficients, find_roots, find_roots_batch
 
-
-def _random_state(rng, twoS):
-    amps = rng.normal(size=twoS + 1) + 1j * rng.normal(size=twoS + 1)
-    return mj.SpinState(twoS, amps)
+from samples import random_state
 
 
 def test_spin_label_basics():
@@ -237,7 +234,7 @@ def test_coherent_state_is_rotated_pole_state(rng):
 
 
 def test_rotation_about_z_spins_stars(rng):
-    st = _random_state(rng, 4)
+    st = random_state(rng, 4)
     alpha = 0.813
     before = mj.constellation_from_state(st).finite_roots
     after = mj.constellation_from_state(mj.rotate(st, 0.0, alpha)).finite_roots
@@ -248,7 +245,7 @@ def test_rotation_about_z_spins_stars(rng):
 def test_rotation_preserves_star_geometry(rng):
     # Rotations are rigid: the multiset of pairwise chordal distances of
     # the constellation is invariant.
-    st = _random_state(rng, 6)
+    st = random_state(rng, 6)
 
     def chords(state):
         pts = mj.constellation_from_state(state).finite_roots
@@ -311,7 +308,7 @@ def test_constellation_points_place_infinity_at_pole():
 def test_round_trip_random_states(rng):
     for twoS in (1, 2, 3, 5, 8):
         for _ in range(20):
-            st = _random_state(rng, twoS)
+            st = random_state(rng, twoS)
             back = mj.state_from_constellation(mj.constellation_from_state(st))
             assert abs(mj.overlap(st, back)) >= 1.0 - 1e-12
 
@@ -361,11 +358,11 @@ def test_double_star_recovered_as_exact_pair():
 
 
 def test_bulk_conversion_matches_scalar(rng):
-    states = [_random_state(rng, 5) for _ in range(30)]
+    states = [random_state(rng, 5) for _ in range(30)]
     states.append(mj.coherent_state(5, 0.7 - 0.4j))   # multiple root in batch
     states.append(mj.basis_state(5, -5))              # all stars at the pole
     states.append(mj.basis_state(5, 1))               # mixed pole/origin
-    states.append(_random_state(rng, 2))              # second degree group
+    states.append(random_state(rng, 2))              # second degree group
     bulk = mj.constellations_from_states(states)
     for st, got in zip(states, bulk):
         ref = mj.constellation_from_state(st)
@@ -392,7 +389,7 @@ def _unrepaired_misses(monkeypatch, degree):
     # by 1e-7 relative, and the Newton repair on f leaves them there.
     monkeypatch.setattr(
         stellar, "find_roots_batch",
-        lambda stack, tol: find_roots_batch(stack, tol=tol)
+        lambda stack: find_roots_batch(stack)
         * (1 + 1e-7 * (stack.shape[1] == degree + 1)))
     monkeypatch.setattr(stellar, "newton_polish", lambda f, z: (z, None))
 
@@ -455,7 +452,7 @@ def test_trimmed_spread_state_meets_the_contract_on_f():
     back = mj.state_from_constellation(c)
     assert abs(mj.overlap(state, back)) >= 1.0 - 1e-10
     # In a batch it costs no other state its result.
-    others = [_random_state(np.random.default_rng(k), 20) for k in range(3)]
+    others = [random_state(np.random.default_rng(k), 20) for k in range(3)]
     bulk = mj.constellations_from_states(others + [state])
     assert bulk[3].finite_roots.tobytes() == c.finite_roots.tobytes()
 
@@ -463,8 +460,8 @@ def test_trimmed_spread_state_meets_the_contract_on_f():
 def test_failing_batch_names_its_states(monkeypatch, rng):
     # States 1 and 3 are trimmed to core degree 19 and miss; state 4, an
     # untrimmed 2S = 20 state, and the 2S = 6 states meet the contract.
-    states = [_random_state(rng, 6), _trimmed_state(rng, 20), _random_state(rng, 6),
-              _trimmed_state(rng, 20), _random_state(rng, 20)]
+    states = [random_state(rng, 6), _trimmed_state(rng, 20), random_state(rng, 6),
+              _trimmed_state(rng, 20), random_state(rng, 20)]
     _unrepaired_misses(monkeypatch, 19)
     with pytest.raises(NonConvergence, match=r"^states \[1, 3\]: .* at 2S=20$"):
         mj.constellations_from_states(states)
@@ -496,6 +493,6 @@ def test_far_star_at_high_spin_round_trips(twoS, far):
 def test_unevaluable_residual_misses_the_contract():
     f = np.array([[1.0, 2.0, 1.0]], dtype=complex)
     roots = np.array([[-1.0, np.nan]], dtype=complex)
-    miss, ratio = stellar._contract_misses(f, roots, 1e-10, np.array([2.0]))
+    miss, ratio = stellar._contract_misses(f, roots, np.array([2.0]))
     assert miss.tolist() == [[False, True]]
     assert ratio[0] == np.inf
