@@ -1,29 +1,33 @@
 """Search for maximally unpolarized pure states.
 
 A state is unpolarized to order M when its cumulative multipole strength
-A_M vanishes.  The search space is the constellation itself: each of the 2S
-stars is a spinor pair (alpha_j, beta_j), the star sits at the root
--beta_j / alpha_j of its factor of the stellar polynomial
-
-    f(w) = prod_j (alpha_j w + beta_j),
-
-and alpha_j = 0 puts it at the theta = pi pole.  A_M does not change when a
-pair is scaled, so the pairs need no chart: the parametrization is smooth
-everywhere on the sphere, poles included.  Optimizing star positions rather
-than amplitudes keeps the iterate exactly on the pure-state manifold.
+A_M vanishes.  The search space is the state itself: a unit amplitude
+vector psi in C^(2S + 1), rescaled to unit length after every step, so the
+iterate stays exactly on the pure-state manifold.  A_M sees neither the
+length nor the phase of psi, so psi needs no chart, and the poles of the
+sphere are not special.  The stars are solved for once per restart, from
+the final psi (constellation_from_state), and then turned into a canonical
+gauge.
 
 A_M is a sum of squares, A_M = |r|^2, of M(M + 2) real residuals: the
 components rho_Kq with 1 <= K <= M and q >= 0 (those with q < 0 repeat
-them), each the expectation of a Hermitian operator.  It vanishes at a king.
+them), each the expectation r_j = psi^dag H_j psi of a Hermitian operator.
+It vanishes at a king.  On the unit sphere the gradient of r_j is
+2 (H_j psi - r_j psi), so one gather of the vectors H_j psi
+(multipoles._hermitian_terms, two shifted copies of psi per operator)
+gives the residuals and their Jacobian together.  The gather is used
+rather than applying all the operators as one dense matrix product: that
+product is faster in the median but takes OpenBLAS's threaded path, whose
+slow tail costs more than the median saves.
+
 On such a zero-residual problem Gauss-Newton converges quadratically, so
-each restart screens random constellations in one stacked evaluation and
+each restart screens random states in one stacked evaluation of A_M and
 polishes the best of them by a damped Gauss-Newton method: Levenberg-
 Marquardt steps under Nielsen's damping rule, with the Gauss-Newton matrix
 J^T J swapped for a BFGS model after steps that cut A_M by less than a
 fifth, so that minima with A_M > 0 still converge superlinearly (the hybrid
-of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987) 371).  Each step moves
-every star along its pair's tangent, two real directions per star, and
-rescales the pairs to unit length.
+of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987) 371).  Each step s moves psi
+to (psi + s) / |psi + s|.
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
@@ -34,17 +38,23 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonConvergence
-from .multipoles import _hermitian_terms, cumulative_quantumness, multipoles
+from .multipoles import (
+    _hermitian_terms,
+    _stacked_quantumness,
+    cumulative_quantumness,
+    multipoles,
+)
 from .stellar import (
     Constellation,
     SpinLabel,
+    SpinState,
     _as_label,
-    _binom_sqrt,
+    _spinors,
+    constellation_from_state,
     state_from_constellation,
 )
 
@@ -74,12 +84,14 @@ _F_TOL = 1e-9
 # Nielsen's starting damping, and the least damping, relative to the largest
 # diagonal entry of the first Gauss-Newton matrix.  Madsen, Nielsen &
 # Tingleff (sec. 3.2) start at 1e-3 only when the start is believed close to
-# the minimiser; a screened random constellation is not (A_M ~ 0.1-0.3).
-# From 1e-3, 84% of the trials of a start's first two rounds were rejected
-# (200 single-restart searches of the benchmark's configurations), their
-# median largest star move 80 degrees; from 3e-2, 13%, and the benchmark's
-# searches took 18% fewer evaluations.  A_M is invariant under rotations, so
-# B is singular along them; the floor keeps the rounding of the gradient from
+# the minimiser; a screened random start is not (A_M ~ 0.1-0.3).  The value
+# was chosen when the search moved stars: there, from 1e-3, 84% of the
+# trials of a start's first two rounds were rejected (200 single-restart
+# searches of the benchmark's configurations), from 3e-2 13%, and the
+# searches took 18% fewer evaluations.  In amplitudes the two starts are
+# within 4% of each other (1210 against 1251 evaluations, seeds 0-39).  A_M
+# is invariant under rotations and under the length and phase of psi, so B
+# is singular along them; the floor keeps the rounding of the gradient from
 # stepping far along them, and keeps the damping from underflowing to zero,
 # where a rejection could no longer raise it.
 _DAMPING = 3e-2
@@ -151,126 +163,51 @@ def objective(constellation: Constellation, M: int) -> float:
     return cumulative_quantumness(multipoles(state), M)
 
 
-# -- residuals and their Jacobian in the spinor pairs ------------------------------
+# -- residuals and their Jacobian in the amplitudes ---------------------------------
 
 
-def _unit_pairs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs rescaled to unit length.  A_M does not see the scale, but
-    a tangent step z lengthens a pair by sqrt(1 + |z|^2), and products of
-    ever longer factors would overflow."""
-    scale = np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
-    return alpha / scale, beta / scale
+def _residuals(psi: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real residuals r of A_M = |r|^2 at the unit state psi,
+    r_j = psi^dag H_j psi for the Hermitian H_j of _hermitian_terms, and
+    their Jacobian J, of shape (len(r), 2d), in the real steps
+    s = (Re s_0, Im s_0, Re s_1, ...) that move psi to (psi + s) / |psi + s|.
 
-
-def _moved(
-    alpha: np.ndarray, beta: np.ndarray, step: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs moved by tangent steps (Re z_1, Im z_1, Re z_2, ...) of
-    shape (..., 2n), rescaled to unit length.  Star j moves along
-    z_j (-conj(beta_j), conj(alpha_j)), orthogonal to its pair: the pair's
-    own direction only rescales a factor, which leaves A_M alone."""
-    z = np.ascontiguousarray(step).view(complex)
-    return _unit_pairs(alpha - z * beta.conj(), beta + z * alpha.conj())
-
-
-@lru_cache(maxsize=None)
-def _unit_roots(n: int) -> np.ndarray:
-    """The n + 1 points w_m = exp(2 pi i m / (n + 1)).  A polynomial of
-    degree <= n is fixed by its values there."""
-    out = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _amplitude_map(n: int) -> np.ndarray:
-    """The matrix that takes the values of a stellar polynomial of degree
-    <= n at the unit roots to its amplitudes c_k / b_k, times n + 1 (A_M
-    ignores that factor): the discrete Fourier transform, as one product."""
-    out = _unit_roots(n)[:, None] ** -np.arange(n + 1) / _binom_sqrt(n)
-    out.flags.writeable = False
-    return out
-
-
-def _factor_values(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """alpha_j w + beta_j at the unit roots w, shape (..., n, n + 1)."""
-    return alpha[..., None] * _unit_roots(alpha.shape[-1]) + beta[..., None]
-
-
-def _screen_values(alpha: np.ndarray, beta: np.ndarray, M: int) -> np.ndarray:
-    """A_M at stacked pairs (alpha, beta) of shape (count, n)."""
-    a = np.prod(_factor_values(alpha, beta), axis=-2) @ _amplitude_map(alpha.shape[-1])
-    psi = a / np.linalg.norm(a, axis=-1, keepdims=True)
-    r = np.matmul(_hermitian_terms(psi, M), psi.conj()[..., None]).real
-    return np.sum(r * r, axis=(-2, -1))
-
-
-def _residuals(
-    alpha: np.ndarray, beta: np.ndarray, M: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The real residuals r of A_M = |r|^2 at the pairs (alpha, beta) of
-    shape (..., n), and their Jacobian J in the tangent steps, of shape
-    (..., len(r), 2n), whose columns are the steps Re z_1, Im z_1, Re z_2, ...
-    r_j = psi^dag H_j psi for the Hermitian H_j of _hermitian_terms.
-
-    The stellar polynomial with factor j deleted is prefix_j * suffix_{j+1},
-    the products of the factors before and after j; both are taken as
-    cumulative products of the factor values at the unit roots w_m.  A
-    tangent step z_j changes f(w_m) by z_j (conj(alpha_j) - conj(beta_j) w_m)
-    times that product, and the amplitudes a by its transform da_j.  With
-    psi = a / |a| the step moves psi by dpsi = (da - psi Re(psi^dag da)) / |a|
-    and r_j by 2 Re(dpsi^dag H_j psi); the step i z_j moves a by i da_j.
+    To first order such a step moves r_j by 2 Re(s^dag (H_j psi - r_j psi)),
+    so row j of J is 2 (H_j psi - r_j psi) read as interleaved reals: one
+    gather of the vectors H_j psi gives both r and J.
     """
-    n = alpha.shape[-1]
-    lead = alpha.shape[:-1]
-    values = _factor_values(alpha, beta)
-    ends = np.ones(lead + (2, n, n + 1), dtype=complex)
-    ends[..., 0, 1:, :] = values[..., :-1, :]
-    ends[..., 1, 1:, :] = values[..., :0:-1, :]
-    np.cumprod(ends, axis=-2, out=ends)
-    deleted = ends[..., 0, :, :] * ends[..., 1, ::-1, :]
-    tangent = alpha.conj()[..., None] - beta.conj()[..., None] * _unit_roots(n)
-    grid = np.concatenate([deleted[..., :1, :] * values[..., :1, :], deleted * tangent], axis=-2)
-    grid = grid @ _amplitude_map(n)
-    grid /= np.linalg.norm(grid[..., :1, :], axis=-1, keepdims=True)
-    psi, da = grid[..., :1, :], grid[..., 1:, :]
-    terms = _hermitian_terms(psi[..., 0, :], M)
-    r = np.matmul(terms, psi.conj().swapaxes(-1, -2)).real
-    # Viewed as reals, the complex columns conj(da_j)^T H psi interleave the
-    # steps z_j and i z_j.
-    moves = np.matmul(terms, da.conj().swapaxes(-1, -2)).view(float)
-    along = np.matmul(psi.conj(), da.swapaxes(-1, -2)).conj().view(float)
-    return r[..., 0], 2.0 * (moves - r * along)
+    terms = _hermitian_terms(psi, M)
+    r = (terms @ psi.conj()).real
+    return r, 2.0 * (terms - r[:, None] * psi).view(float)
 
 
-def _gauss_newton(r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f = |r|^2, its gradient 2 J^T r and the Gauss-Newton matrix 2 J^T J,
-    for stacked residuals r and Jacobians J."""
-    f = (r * r).sum(axis=-1)
-    g = 2.0 * np.matmul(r[..., None, :], jac)[..., 0, :]
-    return f, g, 2.0 * np.matmul(jac.swapaxes(-1, -2), jac)
+def _moved(psi: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """psi moved by the real step (Re s_0, Im s_0, ...) of length 2d and
+    rescaled to unit length.  A_M sees neither the length nor the phase of
+    psi, so the search needs no chart."""
+    moved = psi + step.view(complex)
+    return moved / np.linalg.norm(moved)
 
 
-def _random_pairs(
-    rng: np.random.Generator, n_stars: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """count rows of pairs of shape (count, n_stars), stars uniform on the
-    sphere; a star at angles (theta, phi) is alpha = cos(theta/2),
-    beta = -sin(theta/2) e^{-i phi}."""
-    theta = np.arccos(rng.uniform(-1.0, 1.0, size=(count, n_stars)))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=(count, n_stars))
-    return np.cos(theta / 2.0).astype(complex), -np.sin(theta / 2.0) * np.exp(-1j * phi)
+def _gauss_newton(r: np.ndarray, jac: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """f = |r|^2, its gradient 2 J^T r and the Gauss-Newton matrix 2 J^T J."""
+    return float(r @ r), 2.0 * (r @ jac), 2.0 * (jac.T @ jac)
 
 
-def _polish(
-    alpha: np.ndarray, beta: np.ndarray, M: int
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, int, int, str]:
-    """Damped Gauss-Newton from the pairs (alpha, beta) of shape (n,).
+def _random_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """count Haar-random unit states of dimension dim, shape (count, dim):
+    complex Gaussian rows, normalized."""
+    psi = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int, int, str]:
+    """Damped Gauss-Newton from the unit state psi of shape (d,).
 
     Each round makes one residual-and-Jacobian call at the trial point.  The
-    polish keeps a model B of the Hessian of f = A_M in the tangent steps
-    (d = 2n, 40 at 2S = 20) and a damping lambda, and its trial step s
-    solves (B + lambda I) s = -g.  The trial is taken when f falls by at
+    polish keeps a model B of the Hessian of f = A_M in the 2d real steps
+    of _residuals (42 at 2S = 20) and a damping lambda, and its trial step
+    s solves (B + lambda I) s = -g.  The trial is taken when f falls by at
     least _ARMIJO times the decrease the damped model predicts.  lambda then
     shrinks by max(1/3, 1 - (2 rho - 1)^3), rho the ratio of the two
     decreases; a rejected trial multiplies lambda by nu and doubles nu
@@ -287,15 +224,13 @@ def _polish(
     lambda starts at _DAMPING = 3e-2 times the largest diagonal entry of
     the first B, above the 1e-3 that sec. 3.2 gives for a start near the
     minimiser: a screened random start is far from it, and from 1e-3 most
-    starts spent their first rounds rejecting steps that moved stars by tens
-    of degrees, only to raise lambda.
+    starts spent their first rounds rejecting long steps, only to raise
+    lambda.
 
-    Returns the final unit pairs, f and g there, evaluations, steps taken
+    Returns the final unit state, f and g there, evaluations, steps taken
     and the stop reason.
     """
-    alpha, beta = _unit_pairs(alpha, beta)
-    f, g, hess = _gauss_newton(*_residuals(alpha, beta, M))
-    f = float(f)
+    f, g, hess = _gauss_newton(*_residuals(psi, M))
     diagonal = float(np.diagonal(hess).max())
     damping, floor = _DAMPING * diagonal, _DAMPING_FLOOR * diagonal
     growth = 2.0
@@ -309,9 +244,9 @@ def _polish(
         # whose promise (model = inf) cannot stop the polish by f_tol.
         ft = model = math.inf
         if math.isfinite(ss):
-            ta, tb = _moved(alpha, beta, s)
-            ft, gt, gauss = _gauss_newton(*_residuals(ta, tb, M))
-            ft, gs = float(ft), float(g @ s)
+            trial = _moved(psi, s)
+            ft, gt, gauss = _gauss_newton(*_residuals(trial, M))
+            gs = float(g @ s)
             evaluations += 1
             model = 0.5 * (damping * ss - gs)
         # An Armijo test, so that a step that leaves f unchanged at its
@@ -346,7 +281,7 @@ def _polish(
         damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor)
         growth = 2.0
         scale = max(abs(f), abs(ft), 1.0)
-        alpha, beta, f, g = ta, tb, ft, gt
+        psi, f, g = trial, ft, gt
         steps += 1
         backtracks = 0
         if np.abs(gt).max() <= _GRAD_TOL:
@@ -355,7 +290,7 @@ def _polish(
             reason = "f_tol"
         elif steps >= _MAX_ITERS:
             reason = "max_iters"
-    return alpha, beta, f, g, evaluations, steps, reason
+    return psi, f, g, evaluations, steps, reason
 
 
 def _run_restart(
@@ -363,9 +298,10 @@ def _run_restart(
 ) -> tuple[float, Constellation, RestartRecord]:
     start = time.perf_counter()
     rng = np.random.default_rng([config.seed % (2 ** 64), index])
-    alpha, beta = _random_pairs(rng, label.twoS, _SCREEN_SAMPLES)
-    best = int(np.argmin(_screen_values(alpha, beta, config.M)))
-    alpha, beta, f, g, evaluations, steps, reason = _polish(alpha[best], beta[best], config.M)
+    psi = _random_states(rng, label.dim, _SCREEN_SAMPLES)
+    best = int(np.argmin(_stacked_quantumness(psi, config.M)))
+    psi, f, g, evaluations, steps, reason = _polish(psi[best], config.M)
+    constellation = _gauge_fix(constellation_from_state(SpinState(label, psi)))
     record = RestartRecord(
         evaluations=evaluations,
         iterations=steps,
@@ -375,40 +311,41 @@ def _run_restart(
         converged=reason in _CONVERGED or float(np.abs(g).max()) <= 1e-6,
         seconds=time.perf_counter() - start,
     )
-    return f, _gauge_fix(label, alpha, beta), record
+    return f, constellation, record
 
 
 # -- gauge fixing ----------------------------------------------------------------
 
 
-def _gauge_fix(label: SpinLabel, alpha: np.ndarray, beta: np.ndarray) -> Constellation:
-    """The constellation of the unit pairs (alpha, beta), rotated so the
-    first star sits at theta = 0 and the next off-axis star has phi = 0.
+def _gauge_fix(c: Constellation) -> Constellation:
+    """The constellation rotated so its first star (the first of
+    Constellation.points) sits at theta = 0 and the next off-axis star has
+    phi = 0.
 
-    Star j is the unit spinor (u_j, v_j) = (alpha_j, -beta_j), at z = v / u.
+    Star j is the unit spinor (u_j, v_j) of stellar._spinors, at z = v / u.
     The SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes the first
     star to (1, 0), z = 0, and turns the others rigidly with it; its v_0 =
     u_0 v_0 - v_0 u_0 is set to 0, as rounding need not cancel it.  A turned
     star with |z| > 1e8, within about 1e-8 chordal of the pole, is snapped
     there, which keeps the output canonical.
     """
-    u0, v0 = alpha[:1], -beta[:1]
-    u = u0.conj() * alpha - v0.conj() * beta
-    v = -v0 * alpha - u0 * beta
+    u, v = _spinors(np.concatenate([c.finite_roots, np.full(c.infinity_count, np.inf)]))
+    u0, v0 = u[:1], v[:1]
+    u, v = u0.conj() * u + v0.conj() * v, u0 * v - v0 * u
     v[0] = 0.0
     pole = np.abs(v) > 1e8 * np.abs(u)
     z = v[~pole] / u[~pole]
     off = np.flatnonzero(np.abs(z) > 1e-12)
     if len(off):
         z = z * np.exp(-1j * np.angle(z[off[0]]))
-    return Constellation(label, z, int(pole.sum()))
+    return Constellation(c.label, z, int(pole.sum()))
 
 
 # -- public search ------------------------------------------------------------------
 
 
 def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
-    """Best-of-restarts local minimization of A_M over star positions.
+    """Best-of-restarts local minimization of A_M over pure states.
 
     Deterministic for a fixed (label, config).  Of the restarts within a
     few rounding units eps * max(A_M, 1) of the least A_M, the first is

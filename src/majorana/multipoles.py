@@ -157,6 +157,19 @@ def _hermitian_terms(psi: np.ndarray, M: int) -> np.ndarray:
     return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
+def _stacked_quantumness(psi: np.ndarray, M: int) -> np.ndarray:
+    """A_M of the unit states psi, shape (count, 2S + 1), as multipoles()
+    reads it: rho_Kq from the q-th diagonal psi_{k+q} conj(psi_k) for
+    q = 0..M, with rho_K,-q = (-1)^q conj(rho_Kq) counted by doubling."""
+    twoS = psi.shape[-1] - 1
+    padded = np.concatenate([psi, np.zeros((len(psi), 1))], axis=-1)
+    diagonals = padded[:, _shift_index(twoS + 1, M)[M:]] * psi.conj()[:, None, :]
+    table = _tensor_table(twoS)[1 : M + 1, twoS : twoS + M + 1]
+    rho = np.einsum("Kqk,cqk->cKq", table, diagonals)
+    weight = np.abs(rho) ** 2
+    return 2.0 * weight.sum(axis=(1, 2)) - weight[:, :, 0].sum(axis=1)
+
+
 # -- multipole spectrum ---------------------------------------------------------
 
 

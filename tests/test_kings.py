@@ -150,44 +150,43 @@ def test_repeated_search_is_bitwise_identical():
     assert base.objective == same.objective
 
 
-# -- the search in spinor pairs -------------------------------------------------------
+# -- the search in amplitudes ----------------------------------------------------------
 
 
-# An exact octahedron with a star at each pole, the south one as alpha = 0.
-_OCTAHEDRON = (
-    np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0], dtype=complex),
-    np.array([0.0, 1.0, -1.0, 1.0, -1j, 1j]),
-)
+# An exact octahedron with a star at each pole: the stellar polynomial
+# w^5 - w has the stars 0, +-1, +-i and, one degree short, one at infinity.
+_OCTAHEDRON = np.array([0.0, -1.0, 0.0, 0.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-def _rebuilt(twoS, alpha, beta):
-    """The constellation of the pairs, built straight from -beta/alpha."""
-    finite = alpha != 0
-    return mj.Constellation(twoS, -beta[finite] / alpha[finite], int(np.sum(~finite)))
+def _amplitudes(constellation):
+    return mj.state_from_constellation(constellation).amplitudes
 
 
 @pytest.mark.parametrize("twoS", [1, 4, 12, 20])
 def test_search_gradient_matches_central_differences(twoS):
+    # The state of a constellation with a star at the theta = pi pole, one at
+    # the theta = 0 pole and a coincident pair.
     rng = np.random.default_rng(twoS)
-    alpha = rng.normal(size=twoS) + 1j * rng.normal(size=twoS)
-    beta = rng.normal(size=twoS) + 1j * rng.normal(size=twoS)
-    alpha[0] = 0.0  # a star at the theta = pi pole
+    roots = rng.normal(size=twoS - 1) + 1j * rng.normal(size=twoS - 1)
     if twoS > 1:
-        beta[1] = 0.0  # a star at the theta = 0 pole
+        roots[0] = 0.0
     if twoS > 3:
-        alpha[3], beta[3] = 0.7j * alpha[2], 0.7j * beta[2]  # a coincident pair
+        roots[2] = roots[1]
+    c = mj.Constellation(twoS, roots, 1)
+    psi = _amplitudes(c)
     M = (twoS + 1) // 2
 
     def residuals(step):
-        return kings._residuals(*kings._moved(alpha, beta, step), M)
+        return kings._residuals(kings._moved(psi, step), M)
 
-    r, jac = residuals(np.zeros(2 * twoS))
+    d = 2 * (twoS + 1)
+    r, jac = residuals(np.zeros(d))
     value = float(r @ r)
     grad = 2.0 * jac.T @ r
-    assert value == pytest.approx(objective(_rebuilt(twoS, alpha, beta), M), abs=1e-14)
-    # Each tangent step moves a pair off unit length, which r does not see.
+    assert value == pytest.approx(objective(c, M), abs=1e-14)
+    # Each step moves psi off unit length, which r does not see.
     h = 1e-6
-    steps = h * np.eye(2 * twoS)
+    steps = h * np.eye(d)
     central_r = np.array([(residuals(e)[0] - residuals(-e)[0]) / (2.0 * h) for e in steps]).T
     central_f = np.array([
         (np.sum(residuals(e)[0] ** 2) - np.sum(residuals(-e)[0] ** 2)) / (2.0 * h)
@@ -199,9 +198,10 @@ def test_search_gradient_matches_central_differences(twoS):
 
 
 def test_screening_matches_single_evaluations(rng):
-    alpha, beta = kings._random_pairs(rng, 10, 8)
-    stacked = kings._screen_values(alpha, beta, 3)
-    single = [np.sum(kings._residuals(a, b, 3)[0] ** 2) for a, b in zip(alpha, beta)]
+    psi = kings._random_states(rng, 11, 8)
+    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    stacked = kings._stacked_quantumness(psi, 3)
+    single = [np.sum(kings._residuals(p, 3)[0] ** 2) for p in psi]
     assert np.allclose(stacked, single, rtol=1e-12, atol=1e-15)
 
 
@@ -232,14 +232,14 @@ def test_searches_reach_the_nonzero_optima(twoS, M, restarts, optimum, evaluatio
 
 def test_king_polish_evaluations():
     # One restart at each of the benchmark's configurations and seeds 0-19
-    # took 1172 evaluations in all; polishing the two best screened starts
-    # of each restart in lockstep, they took 2036.
+    # took 624 evaluations in all, searching amplitudes; moving the stars as
+    # spinor pairs, they took 1172.
     total = 0
     for twoS, M in ((4, 2), (6, 3), (10, 3), (12, 5), (20, 2)):
         for seed in range(20):
             (record,) = minimize(twoS, SearchConfig(M=M, restarts=1, seed=seed)).restart_records
             total += record.evaluations
-    assert total <= 1230 and total < 2036, total
+    assert total <= 655, total
 
 
 def test_near_tie_winner_is_stable_under_one_ulp(monkeypatch):
@@ -286,8 +286,7 @@ def test_twelve_stars_form_icosahedron():
 
 def test_restart_ending_at_south_pole(monkeypatch):
     monkeypatch.setattr(
-        kings, "_random_pairs",
-        lambda rng, n, count: tuple(np.tile(p, (count, 1)) for p in _OCTAHEDRON),
+        kings, "_random_states", lambda rng, dim, count: np.tile(_OCTAHEDRON, (count, 1))
     )
     result = minimize(6, SearchConfig(M=3, restarts=1))
     assert result.constellation.infinity_count == 1
@@ -306,14 +305,14 @@ def test_start_stationary_at_a_king_ends_the_restart(monkeypatch):
     # One screening candidate is an exact octahedron, a king at M = 3; the
     # others are random.  It ranks first and meets grad_tol at its first
     # evaluation, before any round.
-    draw = kings._random_pairs
+    draw = kings._random_states
 
-    def with_king(rng, n, count):
-        alpha, beta = draw(rng, n, count)
-        alpha[count // 2], beta[count // 2] = _OCTAHEDRON
-        return alpha, beta
+    def with_king(rng, dim, count):
+        psi = draw(rng, dim, count)
+        psi[count // 2] = _OCTAHEDRON
+        return psi
 
-    monkeypatch.setattr(kings, "_random_pairs", with_king)
+    monkeypatch.setattr(kings, "_random_states", with_king)
     config = SearchConfig(M=3, restarts=1)
     result = minimize(6, config)
     (record,) = result.restart_records
@@ -322,13 +321,14 @@ def test_start_stationary_at_a_king_ends_the_restart(monkeypatch):
     assert record.stop_reason == "grad_tol"
     assert record.converged
     assert result.objective <= 1e-20
+    assert result.constellation.infinity_count == 1
 
 
 def test_polish_stops_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(kings, "_MAX_ITERS", 1)
     config = SearchConfig(M=2, restarts=1)
-    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 1)
-    *_, evaluations, steps, reason = kings._polish(alpha[0], beta[0], 2)
+    (psi,) = kings._random_states(np.random.default_rng(5), 5, 1)
+    *_, evaluations, steps, reason = kings._polish(psi, 2)
     assert steps == 1
     assert reason == "max_iters"
     assert evaluations >= 2
@@ -349,8 +349,8 @@ def test_polish_stops_when_every_damped_trial_is_rejected(monkeypatch):
         return float(next(calls)), np.full(d, 1e16), np.eye(d)
 
     monkeypatch.setattr(kings, "_gauss_newton", rising)
-    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 1)
-    *_, evaluations, steps, reason = kings._polish(alpha[0], beta[0], 2)
+    (psi,) = kings._random_states(np.random.default_rng(5), 5, 1)
+    *_, evaluations, steps, reason = kings._polish(psi, 2)
     assert reason == "line_search"
     assert steps == 0
     assert evaluations == 1 + kings._BACKTRACKS == 21
@@ -361,7 +361,7 @@ def test_polish_rejects_trials_that_are_not_finite(monkeypatch, finite_calls):
     # f and g are NaN from the given call on.  From the start, every trial
     # step is NaN; from the first trial, every trial's f is (a steep finite
     # start keeps the damped model's promise above the rounding of f, as in
-    # the test above).  Each counts as a rejected trial, no pair is moved by
+    # the test above).  Each counts as a rejected trial, psi is not moved by
     # it, and the backtrack count ends the polish with no RuntimeWarning
     # (the suite makes one an error).
     calls = itertools.count()
@@ -373,12 +373,11 @@ def test_polish_rejects_trials_that_are_not_finite(monkeypatch, finite_calls):
         return np.nan, np.full(d, np.nan), np.eye(d)
 
     monkeypatch.setattr(kings, "_gauss_newton", undefined)
-    alpha, beta = kings._random_pairs(np.random.default_rng(5), 4, 1)
-    ta, tb, f, g, evaluations, steps, reason = kings._polish(alpha[0], beta[0], 2)
+    (psi,) = kings._random_states(np.random.default_rng(5), 5, 1)
+    end, f, g, evaluations, steps, reason = kings._polish(psi, 2)
     assert reason == "line_search"
     assert (evaluations, steps) == (1 + finite_calls * kings._BACKTRACKS, 0)
-    start = kings._unit_pairs(alpha[0], beta[0])
-    assert np.array_equal(ta, start[0]) and np.array_equal(tb, start[1])
+    assert np.array_equal(end, psi)
 
 
 def test_order_scan_raises_when_no_restart_converges(monkeypatch):
@@ -394,15 +393,19 @@ def test_order_scan_raises_when_no_restart_converges(monkeypatch):
         max_unpolarized_order(4, SearchConfig(M=1, restarts=1))
 
 
-def _solid_pairs(vertices):
-    """Unit spinor pairs of the stars at the given vertices, exact at the
-    poles: (1 + z, -(x - iy)) on the northern half and the same pair times
-    (x + iy) / (1 + z) on the southern, so a south pole is alpha = 0."""
-    x, y, z = (np.array(vertices, dtype=float) / np.linalg.norm(vertices, axis=1)[:, None]).T
-    north = z >= 0.0
-    alpha = np.where(north, 1.0 + z, x + 1j * y)
-    beta = np.where(north, -(x - 1j * y), -(1.0 - z))
-    return kings._unit_pairs(alpha, beta)
+def _solid(vertices):
+    """The constellation of stars at the given vertices, exact at the poles:
+    the unit vertex (x, y, z) is the star (x - iy) / (1 + z) on the northern
+    half, and the same point (1 - z) / (x + iy) on the southern, where the
+    south pole is a star at infinity."""
+    unit = np.array(vertices, dtype=float) / np.linalg.norm(vertices, axis=1)[:, None]
+    stars = []
+    for x, y, z in unit:
+        if z >= 0.0:
+            stars.append(complex(x, -y) / (1.0 + z))
+        elif x or y:
+            stars.append((1.0 - z) / complex(x, y))
+    return mj.Constellation(len(unit), stars, len(unit) - len(stars))
 
 
 def _signs(v):
@@ -435,14 +438,13 @@ def test_platonic_solids_are_exact_kings(vertices, M, next_order):
     # Each solid's vertices suppress every multipole through order M and
     # not the next: exact oracles for the objective, the residuals and the
     # screening.
-    alpha, beta = _solid_pairs(vertices)
-    twoS = len(alpha)
-    c = _rebuilt(twoS, alpha, beta)
+    c = _solid(vertices)
     assert objective(c, M) <= 1e-27
     assert objective(c, M + 1) == next_order
-    r, _ = kings._residuals(alpha, beta, M)
+    psi = _amplitudes(c)
+    r, _ = kings._residuals(psi, M)
     assert float(r @ r) <= 1e-26
-    assert kings._screen_values(alpha[None], beta[None], M)[0] <= 1e-26
+    assert kings._stacked_quantumness(psi[None], M)[0] <= 1e-26
 
 
 def test_restart_records():
