@@ -5,9 +5,9 @@ A_M vanishes.  The search space is the state itself: a unit amplitude
 vector psi in C^(2S + 1), rescaled to unit length after every step, so the
 iterate stays exactly on the pure-state manifold.  A_M sees neither the
 length nor the phase of psi, so psi needs no chart, and the poles of the
-sphere are not special.  The stars are solved for once per restart, from
-the final psi (constellation_from_state), and then turned into a canonical
-gauge.
+sphere are not special.  The stars are solved for once per search, from
+the winning restart's final psi (constellation_from_state), and then
+turned into a canonical gauge.
 
 A_M is a sum of squares, A_M = |r|^2, of M(M + 2) real residuals: the
 components rho_Kq with 1 <= K <= M and q >= 0 (those with q < 0 repeat
@@ -23,11 +23,19 @@ slow tail costs more than the median saves.
 On such a zero-residual problem Gauss-Newton converges quadratically, so
 each restart screens random states in one stacked evaluation of A_M and
 polishes the best of them by a damped Gauss-Newton method: Levenberg-
-Marquardt steps under Nielsen's damping rule, with the Gauss-Newton matrix
-J^T J swapped for a BFGS model after steps that cut A_M by less than a
-fifth, so that minima with A_M > 0 still converge superlinearly (the hybrid
-of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987) 371).  Each step s moves psi
-to (psi + s) / |psi + s|.
+Marquardt steps whose damping is mu |r|, mu under Nielsen's rule, with the
+Gauss-Newton matrix J^T J swapped for a BFGS model after steps that cut A_M
+by less than a fifth, so that minima with A_M > 0 still converge
+superlinearly (the hybrid of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987)
+371).  Each step s moves psi to (psi + s) / |psi + s|.  A_M does not
+change along rotations, phase and length, so its Jacobian is singular;
+damping in proportion to the residual keeps quadratic convergence
+regardless (Yamashita & Fukushima, Computing Suppl. 15 (2001) 239; Fan &
+Yuan, Computing 74 (2005) 23).
+
+A restart's objective is the polish's final A_M, at its polished psi; the
+search rescores nothing.  The unpolarized order is read from A_1 .. A_M+1
+of the winning psi, and from every order only when A_M+1 vanishes too.
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
@@ -43,8 +51,8 @@ import numpy as np
 
 from .errors import NonConvergence
 from .multipoles import (
+    _cumulative_strengths,
     _hermitian_terms,
-    _stacked_quantumness,
     cumulative_quantumness,
     multipoles,
 )
@@ -81,19 +89,22 @@ _BACKTRACKS = 20
 _MAX_ITERS = 2000
 _GRAD_TOL = 1e-9
 _F_TOL = 1e-9
-# Nielsen's starting damping, and the least damping, relative to the largest
-# diagonal entry of the first Gauss-Newton matrix.  Madsen, Nielsen &
-# Tingleff (sec. 3.2) start at 1e-3 only when the start is believed close to
-# the minimiser; a screened random start is not (A_M ~ 0.1-0.3).  The value
-# was chosen when the search moved stars: there, from 1e-3, 84% of the
-# trials of a start's first two rounds were rejected (200 single-restart
-# searches of the benchmark's configurations), from 3e-2 13%, and the
-# searches took 18% fewer evaluations.  In amplitudes the two starts are
-# within 4% of each other (1210 against 1251 evaluations, seeds 0-39).  A_M
+# The polish damps by lambda = mu |r|.  _DAMPING is Nielsen's starting
+# lambda and _DAMPING_FLOOR the least mu, both in units of the largest
+# diagonal entry of the first Gauss-Newton matrix over the first |r|.
+# Madsen, Nielsen & Tingleff (sec. 3.2) start at 1e-3 only when the start
+# is believed close to the minimiser; a screened random start is not
+# (A_M ~ 0.1-0.3).  The value was chosen when the search moved stars:
+# there, from 1e-3, 84% of the trials of a start's first two rounds were
+# rejected (200 single-restart searches of the benchmark's configurations),
+# from 3e-2 13%, and the searches took 18% fewer evaluations.  In
+# amplitudes the two starts are within 4% of each other (1210 against 1251
+# evaluations, seeds 0-39, with damping that did not scale with |r|).  A_M
 # is invariant under rotations and under the length and phase of psi, so B
-# is singular along them; the floor keeps the rounding of the gradient from
-# stepping far along them, and keeps the damping from underflowing to zero,
-# where a rejection could no longer raise it.
+# is singular along them; the floor keeps the rounding of the gradient,
+# which shrinks with |r| as lambda does, from stepping far along them, and
+# keeps mu from underflowing to zero, where a rejection could no longer
+# raise it.
 _DAMPING = 3e-2
 _DAMPING_FLOOR = math.sqrt(_EPS)
 # The stop reasons of a polish that converged.
@@ -120,7 +131,7 @@ class SearchConfig:
 class RestartRecord:
     """What one restart did: residual-and-Jacobian evaluations and steps
     taken by its polish, the stop reason, whether the polish converged, and
-    the restart's wall time.
+    the restart's wall time (draw, screening and polish).
 
     stop_reason names the first rule that ended the polish:
 
@@ -186,7 +197,7 @@ def _moved(psi: np.ndarray, step: np.ndarray) -> np.ndarray:
     rescaled to unit length.  A_M sees neither the length nor the phase of
     psi, so the search needs no chart."""
     moved = psi + step.view(complex)
-    return moved / np.linalg.norm(moved)
+    return moved / math.sqrt(np.vdot(moved, moved).real)
 
 
 def _gauss_newton(r: np.ndarray, jac: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -196,9 +207,10 @@ def _gauss_newton(r: np.ndarray, jac: np.ndarray) -> tuple[float, np.ndarray, np
 
 def _random_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """count Haar-random unit states of dimension dim, shape (count, dim):
-    complex Gaussian rows, normalized."""
-    psi = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    complex Gaussian rows, normalized, from one draw of real pairs."""
+    pairs = rng.standard_normal((count, dim, 2))
+    norms = np.sqrt(np.square(pairs).sum(axis=(1, 2)))
+    return pairs.view(complex)[..., 0] / norms[:, None]
 
 
 def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int, int, str]:
@@ -206,38 +218,46 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
 
     Each round makes one residual-and-Jacobian call at the trial point.  The
     polish keeps a model B of the Hessian of f = A_M in the 2d real steps
-    of _residuals (42 at 2S = 20) and a damping lambda, and its trial step
-    s solves (B + lambda I) s = -g.  The trial is taken when f falls by at
-    least _ARMIJO times the decrease the damped model predicts.  lambda then
+    of _residuals (42 at 2S = 20) and a damping lambda = mu |r|, |r| =
+    sqrt(f) at the current psi, and its trial step s solves
+    (B + lambda I) s = -g.  Damping in proportion to the residual is the
+    Levenberg-Marquardt rule that converges quadratically on a zero-residual
+    problem whose Jacobian is singular, as here along rotations, phase and
+    length (Yamashita & Fukushima, Computing Suppl. 15 (2001) 239; Fan &
+    Yuan, Computing 74 (2005) 23).  The trial is taken when f falls by at
+    least _ARMIJO times the decrease the damped model predicts.  mu then
     shrinks by max(1/3, 1 - (2 rho - 1)^3), rho the ratio of the two
-    decreases; a rejected trial multiplies lambda by nu and doubles nu
-    (H. B. Nielsen, Damping Parameter in Marquardt's Method, IMM-REP-1999-05;
-    Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
-    Problems (2004), sec. 3.2).  After a step that cuts f by at least a
-    fifth, B is the Gauss-Newton matrix 2 J^T J, exact at a king (r = 0);
-    after a smaller cut B takes a BFGS update, which learns the curvature
-    the residuals add where A_M > 0 (Fletcher & Xu, IMA J. Numer. Anal. 7
-    (1987) 371), or is 2 J^T J again where the step shows no usable
-    curvature.  The polish ends by the first of the stop rules that
-    RestartRecord lists.
+    decreases, to no less than _DAMPING_FLOOR; a rejected trial multiplies
+    mu by nu and doubles nu (H. B. Nielsen, Damping Parameter in Marquardt's
+    Method, IMM-REP-1999-05; Madsen, Nielsen & Tingleff, Methods for
+    Non-Linear Least Squares Problems (2004), sec. 3.2).  After a step that
+    cuts f by at least a fifth, B is the Gauss-Newton matrix 2 J^T J, exact
+    at a king (r = 0); after a smaller cut B takes a BFGS update, which
+    learns the curvature the residuals add where A_M > 0 (Fletcher & Xu,
+    IMA J. Numer. Anal. 7 (1987) 371), or is 2 J^T J again where the step
+    shows no usable curvature.  The polish ends by the first of the stop
+    rules that RestartRecord lists.
 
-    lambda starts at _DAMPING = 3e-2 times the largest diagonal entry of
-    the first B, above the 1e-3 that sec. 3.2 gives for a start near the
+    mu and its floor are in units of the largest diagonal entry of the first
+    B over the first |r|, so lambda starts at _DAMPING = 3e-2 times that
+    entry, above the 1e-3 that sec. 3.2 gives for a start near the
     minimiser: a screened random start is far from it, and from 1e-3 most
     starts spent their first rounds rejecting long steps, only to raise
     lambda.
 
-    Returns the final unit state, f and g there, evaluations, steps taken
-    and the stop reason.
+    Returns the final unit state, f (the restart's objective: A_M at that
+    state) and g there, evaluations, steps taken and the stop reason.
     """
     f, g, hess = _gauss_newton(*_residuals(psi, M))
     diagonal = float(np.diagonal(hess).max())
-    damping, floor = _DAMPING * diagonal, _DAMPING_FLOOR * diagonal
+    mu, floor = _DAMPING * diagonal, _DAMPING_FLOOR * diagonal
+    f0 = f  # f = 0 has g = 0, so it takes no round
     growth = 2.0
     evaluations, steps, backtracks = 1, 0, 0
     reason = "grad_tol" if np.abs(g).max() <= _GRAD_TOL else ""
     eye = np.eye(len(g))
     while not reason:
+        damping = mu * math.sqrt(f / f0)  # mu |r|, with mu in units of 1 / |r_0|
         s = np.linalg.solve(hess + damping * eye, -g)
         ss = float(s @ s)
         # A step that is not finite is not tried: a rejected trial (ft = inf)
@@ -253,7 +273,7 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
         # rounding floor is taken, and then stops the polish by f_tol.  An
         # ft that is not finite fails it.
         if not ft <= f - _ARMIJO * model:
-            damping *= growth
+            mu *= growth
             growth *= 2.0
             backtracks += 1
             # A rejected trial that promised no more than the rounding of
@@ -278,7 +298,7 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
         else:
             hess = gauss
         ratio = min(max(drop / model, 0.0), 1.0)
-        damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor)
+        mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor)
         growth = 2.0
         scale = max(abs(f), abs(ft), 1.0)
         psi, f, g = trial, ft, gt
@@ -295,13 +315,12 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
 
 def _run_restart(
     label: SpinLabel, config: SearchConfig, index: int
-) -> tuple[float, Constellation, RestartRecord]:
+) -> tuple[np.ndarray, float, RestartRecord]:
     start = time.perf_counter()
     rng = np.random.default_rng([config.seed % (2 ** 64), index])
     psi = _random_states(rng, label.dim, _SCREEN_SAMPLES)
-    best = int(np.argmin(_stacked_quantumness(psi, config.M)))
+    best = int(np.argmin(_cumulative_strengths(psi, config.M)[:, -1]))
     psi, f, g, evaluations, steps, reason = _polish(psi[best], config.M)
-    constellation = _gauge_fix(constellation_from_state(SpinState(label, psi)))
     record = RestartRecord(
         evaluations=evaluations,
         iterations=steps,
@@ -311,7 +330,18 @@ def _run_restart(
         converged=reason in _CONVERGED or float(np.abs(g).max()) <= 1e-6,
         seconds=time.perf_counter() - start,
     )
-    return f, constellation, record
+    return psi, f, record
+
+
+def _unpolarized_order(psi: np.ndarray, M: int) -> int:
+    """The largest K with A_K <= ZERO_TOL at the unit state psi, or 0: A_K
+    grows with K, so it is the count of such K.  Orders above M + 1 are
+    read only when A_M+1 is below ZERO_TOL too."""
+    twoS = len(psi) - 1
+    A = _cumulative_strengths(psi[None], min(M + 1, twoS))[0]
+    if A[-1] <= ZERO_TOL and M + 1 < twoS:
+        A = _cumulative_strengths(psi[None], twoS)[0]
+    return int(np.count_nonzero(A <= ZERO_TOL))
 
 
 # -- gauge fixing ----------------------------------------------------------------
@@ -322,19 +352,20 @@ def _gauge_fix(c: Constellation) -> Constellation:
     Constellation.points) sits at theta = 0 and the next off-axis star has
     phi = 0.
 
-    Star j is the unit spinor (u_j, v_j) of stellar._spinors, at z = v / u.
-    The SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes the first
-    star to (1, 0), z = 0, and turns the others rigidly with it; its v_0 =
-    u_0 v_0 - v_0 u_0 is set to 0, as rounding need not cancel it.  A turned
-    star with |z| > 1e8, within about 1e-8 chordal of the pole, is snapped
-    there, which keeps the output canonical.
+    Star j is the unit spinor (u_j, v_j) of stellar._spinors, at z = v / u:
+    those of the finite stars, then (0, 1) for each star at the pole.  The
+    SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes the first star to
+    (1, 0), z = 0, where it is placed, and turns the others rigidly with it.
+    A turned star with |z| > 1e8, within about 1e-8 chordal of the pole, is
+    snapped there, which keeps the output canonical.
     """
-    u, v = _spinors(np.concatenate([c.finite_roots, np.full(c.infinity_count, np.inf)]))
-    u0, v0 = u[:1], v[:1]
-    u, v = u0.conj() * u + v0.conj() * v, u0 * v - v0 * u
-    v[0] = 0.0
+    u, v = _spinors(c.finite_roots)
+    u = np.concatenate([u, np.zeros(c.infinity_count)])
+    v = np.concatenate([v, np.ones(c.infinity_count)])
+    u0, v0 = u[0], v[0]
+    u, v = np.conj(u0) * u[1:] + np.conj(v0) * v[1:], u0 * v[1:] - v0 * u[1:]
     pole = np.abs(v) > 1e8 * np.abs(u)
-    z = v[~pole] / u[~pole]
+    z = np.concatenate([[0.0], v[~pole] / u[~pole]])
     off = np.flatnonzero(np.abs(z) > 1e-12)
     if len(off):
         z = z * np.exp(-1j * np.angle(z[off[0]]))
@@ -347,44 +378,35 @@ def _gauge_fix(c: Constellation) -> Constellation:
 def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     """Best-of-restarts local minimization of A_M over pure states.
 
-    Deterministic for a fixed (label, config).  Of the restarts within a
-    few rounding units eps * max(A_M, 1) of the least A_M, the first is
-    reported.  If no restart converges the best iterate is still returned
-    with restarts_converged = 0; callers that need a hard failure can check
-    that field.
+    Deterministic for a fixed (label, config).  Each restart's objective is
+    its polish's final A_M.  Of the restarts within a few rounding units
+    eps * max(A_M, 1) of the least A_M, the first is reported, and only its
+    stars are solved for.  If no restart converges the best iterate is
+    still returned with restarts_converged = 0; callers that need a hard
+    failure can check that field.
     """
     label = _as_label(label)
     if not (1 <= config.M <= label.twoS):
         raise ValueError(f"M={config.M} outside 1..{label.twoS}")
 
     outcomes = [_run_restart(label, config, i) for i in range(config.restarts)]
-
-    # Report the exact pipeline objective of each gauge-fixed candidate so
-    # the stated optimum is reproducible from the constellation alone.
-    spectra = [multipoles(state_from_constellation(c)) for _, c, _ in outcomes]
-    values = [cumulative_quantumness(spec, config.M) for spec in spectra]
+    values = [value for _, value, _ in outcomes]
     # Restarts that reach the same optimum differ there only by rounding, so
     # the lowest restart index within a few units of that rounding of the
     # least A_M wins: which gauge is reported must not hinge on an ulp.
     least = min(values)
     best = next(i for i, v in enumerate(values) if v <= least + 4.0 * _EPS * max(least, 1.0))
-
-    order = 0
-    for m in range(1, label.twoS + 1):
-        if spectra[best].A[m] <= ZERO_TOL:
-            order = m
-        else:
-            break
+    psi = outcomes[best][0]
 
     records = tuple(record for _, _, record in outcomes)
     return KingResult(
         label=label,
         M=config.M,
-        constellation=outcomes[best][1],
+        constellation=_gauge_fix(constellation_from_state(SpinState(label, psi))),
         objective=values[best],
-        unpolarized_order=order,
+        unpolarized_order=_unpolarized_order(psi, config.M),
         restarts_converged=sum(1 for r in records if r.converged),
-        history=tuple(value for value, _, _ in outcomes),
+        history=tuple(values),
         restart_records=records,
     )
 

@@ -109,7 +109,9 @@ def tensor_operator(label: SpinLabel | int, K: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _shift_index(d: int, Q: int) -> np.ndarray:
     """index[q + Q, k] = k + q for |q| <= Q, or d where k + q is outside
-    0..d-1; an index into a vector (or matrix) padded with a trailing zero."""
+    0..d-1: an index into a vector (or matrix) padded with a trailing zero,
+    or, clipped to d - 1, into the vector itself where the tensor table is
+    0."""
     index = np.arange(-Q, Q + 1)[:, None] + np.arange(d)
     index = np.where((index >= 0) & (index < d), index, d)
     index.flags.writeable = False
@@ -118,10 +120,11 @@ def _shift_index(d: int, Q: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _hermitian_table(twoS: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and indices of _hermitian_terms: with psi padded by a
-    trailing zero, H_j psi = coeffs[0, j] * psi[index[0, j]]
-    + coeffs[1, j] * psi[index[1, j]].  (T_Kq^dag psi)_k = t[K, q + 2S, k] psi_{k+q}
-    and (T_Kq psi)_k = (-1)^q t[K, -q + 2S, k] psi_{k-q}."""
+    """Coefficients and indices of _hermitian_terms: H_j psi =
+    coeffs[0, j] * psi[index[0, j]] + coeffs[1, j] * psi[index[1, j]], each
+    index clipped to 0..2S, where its coefficient is 0.
+    (T_Kq^dag psi)_k = t[K, q + 2S, k] psi_{k+q} and
+    (T_Kq psi)_k = (-1)^q t[K, -q + 2S, k] psi_{k-q}."""
     d = twoS + 1
     t = _tensor_table(twoS)
     shift = _shift_index(d, M)
@@ -152,22 +155,22 @@ def _hermitian_terms(psi: np.ndarray, M: int) -> np.ndarray:
     sqrt 2 Im c_Kq; the c_K,-q = (-1)^q conj(c_Kq) repeat them, so the squares
     of the expectations sum to A_M."""
     coeffs, index = _hermitian_table(psi.shape[-1] - 1, M)
-    padded = np.concatenate([psi, np.zeros(psi.shape[:-1] + (1,))], axis=-1)
-    terms = coeffs * np.take(padded, index, axis=-1)
-    return terms[..., 0, :, :] + terms[..., 1, :, :]
+    return (coeffs * np.take(psi, index, axis=-1, mode="clip")).sum(axis=-3)
 
 
-def _stacked_quantumness(psi: np.ndarray, M: int) -> np.ndarray:
-    """A_M of the unit states psi, shape (count, 2S + 1), as multipoles()
-    reads it: rho_Kq from the q-th diagonal psi_{k+q} conj(psi_k) for
-    q = 0..M, with rho_K,-q = (-1)^q conj(rho_Kq) counted by doubling."""
+def _cumulative_strengths(psi: np.ndarray, M: int) -> np.ndarray:
+    """A_1 .. A_M of the unit states psi, shape (count, 2S + 1), as
+    multipoles() reads them: rho_Kq from the q-th diagonal
+    psi_{k+q} conj(psi_k) for q = 0..M, one stacked matrix product against
+    the tensor table, with rho_K,-q = (-1)^q conj(rho_Kq) counted by
+    doubling.  Shape (count, M); column K - 1 is A_K."""
     twoS = psi.shape[-1] - 1
-    padded = np.concatenate([psi, np.zeros((len(psi), 1))], axis=-1)
-    diagonals = padded[:, _shift_index(twoS + 1, M)[M:]] * psi.conj()[:, None, :]
+    index = _shift_index(twoS + 1, M)[M:]  # clipped where the table is 0
+    diagonals = np.take(psi, index, axis=-1, mode="clip") * psi.conj()[:, None, :]
     table = _tensor_table(twoS)[1 : M + 1, twoS : twoS + M + 1]
-    rho = np.einsum("Kqk,cqk->cKq", table, diagonals)
+    rho = np.matmul(diagonals.transpose(1, 0, 2), table.transpose(1, 2, 0))  # [q, c, K]
     weight = np.abs(rho) ** 2
-    return 2.0 * weight.sum(axis=(1, 2)) - weight[:, :, 0].sum(axis=1)
+    return np.cumsum(2.0 * weight.sum(axis=0) - weight[0], axis=-1)
 
 
 # -- multipole spectrum ---------------------------------------------------------

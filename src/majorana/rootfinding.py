@@ -39,7 +39,9 @@ products against the table, so no stage loops over coefficients in Python.
    polynomial, still rebuild.  Each connected component of m > 1 discs
    becomes m copies of its estimates' mean if the mean meets the residual
    contract and the merged roots' Vieta coefficients stay within TOL of the
-   row's own; if not, the component keeps its m estimates.
+   row's own; if not, the component keeps its m estimates.  In a row with
+   real coefficients a component and its mirror image are one decision, so
+   the roots stay in exact conjugate pairs.
 
 Every row is returned sorted by (real, imag), in one sort over the stack.
 A degree-1 row takes the same steps: its companion eigenvalue is -c0/c1.
@@ -78,8 +80,11 @@ def _table(z: np.ndarray, n: int) -> np.ndarray:
     two such values is the ratio of the polynomial values, and no entry
     exceeds 1 in modulus, so a far point at high degree cannot overflow.
     """
+    z = np.asarray(z, dtype=complex)
     big = np.abs(z) > 1.0
-    t = _powers(np.divide(1.0, z, out=np.array(z, dtype=complex), where=big), n)
+    if not big.any():
+        return _powers(z, n)
+    t = _powers(np.divide(1.0, z, out=z.copy(), where=big), n)
     return np.where(big[..., None], t[..., ::-1], t)
 
 
@@ -108,27 +113,33 @@ def residual_ratios(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _contract_ratios((table @ coeffs[..., None])[..., 0])
 
 
-def _rounding_floor(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """2 (n + 1) eps sum_k |c_k| |z|**k for row b's polynomial at each point
-    of table[..., b, :, :], charted like the table: a bound on the rounding
-    error of p read from it."""
-    n = coeffs.shape[-1] - 1
-    return 2.0 * (n + 1) * _EPS * (np.abs(table) @ np.abs(coeffs)[..., None])[..., 0]
+def _rounding_floor(table: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """2 (n + 1) eps sum_k |c_k| |z|**k for row b's polynomial, of
+    coefficient moduli mag[..., b, :], at each point of table[..., b, :, :],
+    charted like the table: a bound on the rounding error of p read from
+    it."""
+    n = mag.shape[-1] - 1
+    return 2.0 * (n + 1) * _EPS * (np.abs(table) @ mag[..., None])[..., 0]
 
 
 def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
     """Eigenvalues of every row's companion matrix, one LAPACK call per
     coefficient type: a row with real coefficients gets a real matrix
     (dgeev), so its eigenvalues come in exact conjugate pairs."""
-    rows, n = coeffs.shape[0], coeffs.shape[1] - 1
-    out = np.empty((rows, n), dtype=complex)
+    n = coeffs.shape[1] - 1
+
+    def eigvals(c):
+        comp = np.zeros((len(c), n, n), dtype=c.dtype)
+        comp[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
+        comp.reshape(len(c), n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
+        return np.linalg.eigvals(comp)
+
     real = (coeffs.imag == 0).all(axis=1)
-    for mask, c in ((real, coeffs.real[real]), (~real, coeffs[~real])):
-        if len(c):
-            comp = np.zeros((len(c), n, n), dtype=c.dtype)
-            comp[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
-            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            out[mask] = np.linalg.eigvals(comp)
+    if real.all() or not real.any():
+        return eigvals(coeffs.real if real[0] else coeffs).astype(complex, copy=False)
+    out = np.empty((len(coeffs), n), dtype=complex)
+    out[real] = eigvals(coeffs.real[real])
+    out[~real] = eigvals(coeffs[~real])
     return out
 
 
@@ -156,7 +167,7 @@ def newton_polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nda
     table = _table(z, n)
     v = table @ cols
     p, dp = v[..., 0], v[..., 1]
-    floor = _rounding_floor(table, coeffs)
+    floor = _rounding_floor(table, np.abs(coeffs))
     for _ in range(_POLISH_STEPS):
         step = p / np.where(dp == 0, np.inf, dp)
         znew = z - step
@@ -172,11 +183,10 @@ def newton_polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return z, p
 
 
-def _disc_overlaps(
-    c: np.ndarray, z: np.ndarray, p: np.ndarray, floor: np.ndarray
-) -> np.ndarray:
+def _disc_overlaps(lead: np.ndarray, z: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """overlap[b, i, j]: the Weierstrass inclusion discs of estimates i and
-    j of row b meet (i == j included).
+    j of row b meet (i == j included); lead[b] is |c_n| of row b and
+    bound[b, i] is |p(z_i)| + floor_i.
 
     The disc of z_i has radius n (|p(z_i)| + floor_i) / |c_n prod_{j != i}
     (z_i - z_j)|: n |W_i|, with the rounding floor of reading p added so
@@ -187,14 +197,12 @@ def _disc_overlaps(
     overflow it.  Estimates that coincide get infinite discs.
     """
     n = z.shape[-1]
-    bound = np.abs(p) + floor
     gap = np.abs(z[:, :, None] - z[:, None, :])
     s = np.maximum(1.0, np.abs(z))
-    diag = np.arange(n)
     with np.errstate(divide="ignore", over="ignore"):
         logs = np.log(gap / s[:, :, None])
-        logs[:, diag, diag] = 0.0
-        log_r = np.log(n * bound * s / np.abs(c[:, -1:])) - logs.sum(axis=-1)
+        logs.reshape(len(z), n * n)[:, :: n + 1] = 0.0  # the diagonal
+        log_r = np.log(n * bound * s / lead[:, None]) - logs.sum(axis=-1)
         radius = np.exp(log_r)
     return gap <= radius[:, :, None] + radius[:, None, :]
 
@@ -244,20 +252,35 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray) -> np.ndarray:
     merged roots' Vieta coefficients, scaled to c's leading one, stay within
     TOL of c; otherwise it keeps its m estimates.  A coherent row, whose n
     estimates ring one root, is one component of n discs and merges here
-    into n copies.  In a row with real coefficients a component closed
-    under conjugation has a real mean.  Every root returned meets the
-    contract: an eigenvalue find_roots_batch checked, or a mean checked here.
+    into n copies.  In a row with real coefficients z comes in exact
+    conjugate pairs, and two discs count as meeting when their mirror
+    images do, so the mirror image of a component is a component: the same
+    one, whose mean is taken as real, or another, and then the two merge
+    (into conjugate means) or stay as one decision, with one Vieta check.
+    Every root returned meets the contract: an eigenvalue find_roots_batch
+    checked, or a mean checked here.
     """
+    real = not c.imag.any()
+    if real:
+        # z[partner] == z.conj(): both orders sort the same multiset.
+        partner = np.empty(len(z), dtype=int)
+        partner[np.lexsort((-z.imag, z.real))] = np.lexsort((z.imag, z.real))
+        overlap = overlap | overlap[partner][:, partner]
     label = _components(overlap)
     out = z
     for k in np.flatnonzero(np.bincount(label) > 1):
         idx = np.flatnonzero(label == k)
+        mirror = label[partner[idx[0]]] if real else k
+        if mirror < k:
+            continue  # decided with its mirror image
         center = z[idx].mean()
-        if not c.imag.any() and (z[idx].conj()[:, None] == z[idx]).any(axis=1).all():
+        merged = out.copy()
+        if mirror != k:
+            merged[partner[idx]] = center.conjugate()
+        elif real:
             center = center.real
         if residual_ratios(c, np.array([center]))[0] > TOL:
             continue
-        merged = out.copy()
         merged[idx] = center
         a = _root_coefficients(merged, len(z))
         if np.abs(c[-1] * a / a[-1] - c).max() <= TOL:
@@ -286,26 +309,32 @@ def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     n = c.shape[1] - 1
     if n < 1:
         return np.zeros((c.shape[0], 0), dtype=complex)
-    scale = np.abs(c).max(axis=1, keepdims=True)
-    if (scale == 0).any() or (c[:, 0] == 0).any() or (c[:, -1] == 0).any():
+    mag = np.abs(c)
+    scale = mag.max(axis=1, keepdims=True)
+    if not (c[:, ::n] != 0).all():  # both ends; an all-zero row has a zero end
         raise ValueError("coefficients must be trimmed and nonzero")
     c = c / scale
+    mag /= scale
     z = _companion_eigvals(c)
     table = _table(z, n)
     p = (table @ c[..., None])[..., 0]
-    floor = _rounding_floor(table, c)
-    overlap = _disc_overlaps(c, z, p, floor)
+    size = np.abs(p)
+    floor = _rounding_floor(table, mag)
+    overlap = _disc_overlaps(mag[:, -1], z, size + floor)
     isolated = overlap.sum(axis=(1, 2)) == n
-    rows, cols = np.nonzero(isolated[:, None] & (np.abs(p) > floor))
+    rows, cols = np.nonzero(isolated[:, None] & (size > floor))
     if len(rows):
         zp, pp = newton_polish(c[rows], z[rows, cols][:, None])
         z[rows, cols], p[rows, cols] = zp[:, 0], pp[:, 0]
-    worst = _contract_ratios(p).max(axis=1, initial=0.0)
-    miss = np.flatnonzero(worst > TOL)
-    if len(miss):
+        size[rows, cols] = np.abs(pp[:, 0])
+    miss = ~(size <= TOL)  # a value that is not finite misses too
+    if miss.any():
+        worst = _contract_ratios(p[miss.any(axis=1)][0]).max()
         raise NonConvergence(
-            f"root residual {worst[miss[0]]:.3e} exceeds tolerance {TOL:.3e} for degree {n}"
+            f"root residual {worst:.3e} exceeds tolerance {TOL:.3e} for degree {n}"
         )
     for b in np.flatnonzero(~isolated):
         z[b] = _finish(c[b], z[b], overlap[b])
-    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
+    # numpy orders complex values by (real, imag); a stable sort keeps equal
+    # values in order, as a lexsort on the two parts would.
+    return np.sort(z, axis=-1, kind="stable")

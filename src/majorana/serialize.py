@@ -163,11 +163,13 @@ def emit_multipoles(spectrum: MultipoleSpectrum, upto: int | None = None) -> str
 
 
 def emit_qgrid(grid: QGrid) -> str:
+    """CSV rows theta,phi,Q over the grid, theta outermost; each angle is
+    formatted once."""
+    phis = [_f(phi) for phi in grid.phi_nodes]
     lines = ["theta,phi,Q"]
-    for i, theta in enumerate(grid.theta_nodes):
+    for theta, row in zip(grid.theta_nodes, grid.values.tolist()):
         ts = _f(theta)
-        for j, phi in enumerate(grid.phi_nodes):
-            lines.append(f"{ts},{_f(phi)},{_f(grid.values[i, j])}")
+        lines.extend(f"{ts},{ps},{value:.17g}" for ps, value in zip(phis, row))
     return "\n".join(lines)
 
 

@@ -375,30 +375,35 @@ def constellations_from_states(states) -> list[Constellation]:
         groups.setdefault(state.label.twoS, []).append(i)
     for twoS, members in groups.items():
         f = _binom_sqrt(twoS) * np.array([states[i].amplitudes for i in members])
-        scale = np.abs(f).max(axis=1)
-        keep = np.abs(f) > TOL * scale[:, None]
+        size = np.abs(f)
+        scale = size.max(axis=1)
+        keep = size > TOL * scale[:, None]
         lead = np.argmax(keep, axis=1)
         tail = np.argmax(keep[:, ::-1], axis=1)
         degree = twoS - lead - tail
-        # Row r holds lead[r] zeros, then its core's roots; the last tail[r]
-        # entries (the stars at infinity) are unused.
-        roots = np.zeros((len(members), twoS), dtype=complex)
-        for n in np.flatnonzero(np.bincount(degree)):
-            rows = np.flatnonzero(degree == n)
-            core = lead[rows, None] + np.arange(n + 1)
-            z = find_roots_batch(f[rows[:, None], core])
-            if n < twoS:
-                redo = np.nonzero(_contract_misses(f[rows], z, scale[rows])[0])
-                if len(redo[0]):
-                    z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
-                    miss, ratio = _contract_misses(f[rows], z, scale[rows])
-                    if miss.any():
-                        bad = [members[r] for r in rows[miss.any(axis=1)]]
-                        raise NonConvergence(
-                            f"states {bad}: stellar root residual exceeds the contract "
-                            f"by a factor {ratio.max():.4g} at 2S={twoS}"
-                        )
-            roots[rows[:, None], core[:, :-1]] = z
+        if (degree == twoS).all():
+            # No trimmed row: one solve, which checks every root on f / max|f|.
+            roots = find_roots_batch(f)
+        else:
+            # Row r holds lead[r] zeros, then its core's roots; the last tail[r]
+            # entries (the stars at infinity) are unused.
+            roots = np.zeros((len(members), twoS), dtype=complex)
+            for n in np.flatnonzero(np.bincount(degree)):
+                rows = np.flatnonzero(degree == n)
+                core = lead[rows, None] + np.arange(n + 1)
+                z = find_roots_batch(f[rows[:, None], core])
+                if n < twoS:
+                    redo = np.nonzero(_contract_misses(f[rows], z, scale[rows])[0])
+                    if len(redo[0]):
+                        z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
+                        miss, ratio = _contract_misses(f[rows], z, scale[rows])
+                        if miss.any():
+                            bad = [members[r] for r in rows[miss.any(axis=1)]]
+                            raise NonConvergence(
+                                f"states {bad}: stellar root residual exceeds the contract "
+                                f"by a factor {ratio.max():.4g} at 2S={twoS}"
+                            )
+                roots[rows[:, None], core[:, :-1]] = z
         label = states[members[0]].label
         for r, i in enumerate(members):
             results[i] = Constellation(label, roots[r, : twoS - tail[r]], int(tail[r]))

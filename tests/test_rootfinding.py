@@ -379,10 +379,16 @@ def _real_rows(draw):
     else:
         real = draw(st.integers(2, degree))
         pair = draw(st.integers(0, (degree - real) // 2))
-        w = complex(rng.normal(), rng.normal())
-        stars = np.r_[np.full(real, rng.normal()), np.full(pair, w), np.full(pair, w.conjugate()),
-                      rng.normal(size=degree - real - 2 * pair)]
+        stars = _multiple_real_stars(degree, real, pair, rng)
     return np.poly(stars).real[::-1].astype(complex), kind == "pairs"
+
+
+def _multiple_real_stars(degree, real, pair, rng):
+    """A real star repeated real times, a conjugate pair repeated pair times,
+    and simple real stars."""
+    w = complex(rng.normal(), rng.normal())
+    return np.r_[np.full(real, rng.normal()), np.full(pair, w), np.full(pair, w.conjugate()),
+                 rng.normal(size=degree - real - 2 * pair)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -400,6 +406,17 @@ def test_real_rows_give_exact_conjugate_pairs(row):
     if simple:
         near_axis = np.abs(roots.imag) <= 1e-8 * np.abs(roots)
         assert np.all(roots.imag[near_axis] == 0.0)
+
+
+def test_mirror_components_merge_as_one():
+    # A triple real star and a double conjugate pair at degree 14: the
+    # pair's two mirror components once merged one at a time, each checked
+    # against the running roots, and only one of them passed.  They are one
+    # decision now, so the roots stay closed under conjugation.
+    stars = _multiple_real_stars(14, 3, 2, np.random.default_rng([14, 3, 2, 0]))
+    roots = find_roots(np.poly(stars).real[::-1].astype(complex))
+    mirror = roots.conj()
+    assert np.array_equal(mirror[np.lexsort((mirror.imag, mirror.real))], roots)
 
 
 def test_wide_cluster_roots_rebuild_the_polynomial():
@@ -461,7 +478,8 @@ def test_single_linkage_is_scipys(n):
         c, z = core[None], estimates[None]
         table = _table(z, z.shape[-1])
         p = (table @ c[..., None])[..., 0]
-        overlap = _disc_overlaps(c, z, p, _rounding_floor(table, c))[0]
+        mag = np.abs(c)
+        overlap = _disc_overlaps(mag[:, -1], z, np.abs(p) + _rounding_floor(table, mag))[0]
         far = (~overlap).astype(float)[np.triu_indices(len(estimates), 1)]
         want = fcluster(linkage(far, method="single"), 0.5, criterion="distance")
         assert _partition(_components(overlap)) == _partition(want)

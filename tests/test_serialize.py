@@ -155,6 +155,17 @@ def test_qgrid_csv_shape(rng):
     assert float(second[1]) == pytest.approx(grid.phi_nodes[1])
 
 
+def test_qgrid_csv_matches_one_format_per_cell(rng):
+    # Byte for byte what formatting every cell's theta, phi and Q on its own
+    # gives, at the CLI's default grid.
+    grid = q_grid(random_state(rng, 7), 64, 128)
+    want = ["theta,phi,Q"]
+    for i, theta in enumerate(grid.theta_nodes):
+        for j, phi in enumerate(grid.phi_nodes):
+            want.append(",".join(format(float(x), ".17g") for x in (theta, phi, grid.values[i, j])))
+    assert emit_qgrid(grid) == "\n".join(want)
+
+
 # -- kings ---------------------------------------------------------------------------
 
 
