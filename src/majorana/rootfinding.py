@@ -43,6 +43,16 @@ products against the table, so no stage loops over coefficients in Python.
    real coefficients a component and its mirror image are one decision, so
    the roots stay in exact conjugate pairs.
 
+A row whose top coefficient is below 1e-3 of its constant one takes every
+step in the 1/z chart: reversed, so that its far stars are small roots of
+a row with a large leading coefficient, whose companion eigenvalues stay
+accurate.  Its roots are inverted at the end; an estimate at exactly 0
+becomes inf, where the contract reads |c_n| <= TOL * max|c_k|.  The
+contract ratio |p(z)| / max(1, |z|)**n of p at z is that of the reversed
+row at 1/z, so the check holds in either chart.  Only the Vieta check of
+a merge is made against the original row: scaled to its leading
+coefficient, the reversed row's constant one.
+
 Every row is returned sorted by (real, imag), in one sort over the stack.
 A degree-1 row takes the same steps: its companion eigenvalue is -c0/c1.
 
@@ -153,8 +163,8 @@ def newton_polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Where |p| at the starting estimate is already down to the rounding
     floor of evaluating it there, the step is driven by that noise.  Such a
-    point takes only steps of rounding size: in an ill-conditioned set (a
-    coherent state's ring of roots after trimming, say) larger noise-driven
+    point takes only steps of rounding size: in an ill-conditioned set (the
+    companion eigenvalues about a coherent block, say) larger noise-driven
     steps move each estimate on its own and the set stops reproducing the
     polynomial.  A point that rejects a step keeps z, p and p', so it would
     reject every later step too: the loop ends once no point moves, with the
@@ -242,17 +252,20 @@ def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, flipped: bool) -> np.ndarray:
     """Per-row path: multiplicity from the overlapping discs; the roots keep
     z's order.  c has max modulus 1; z are the row's companion eigenvalues,
     unpolished, and overlap is _disc_overlaps of z.
 
     Each connected component of m > 1 overlapping discs becomes m copies of
     its estimates' mean if the mean meets the residual contract and the
-    merged roots' Vieta coefficients, scaled to c's leading one, stay within
-    TOL of c; otherwise it keeps its m estimates.  A coherent row, whose n
-    estimates ring one root, is one component of n discs and merges here
-    into n copies.  In a row with real coefficients z comes in exact
+    merged roots' Vieta coefficients, scaled to the original row's leading
+    coefficient, stay within TOL of c; otherwise it keeps its m estimates.
+    Where flipped, c is the row reversed and that coefficient is c[0]; if a
+    root there is exactly 0, a pole of the original row, the scale is c's
+    own leading coefficient instead.  A coherent row, whose n estimates
+    ring one root, is one component of n discs and merges here into n
+    copies.  In a row with real coefficients z comes in exact
     conjugate pairs, and two discs count as meeting when their mirror
     images do, so the mirror image of a component is a component: the same
     one, whose mean is taken as real, or another, and then the two merge
@@ -283,7 +296,8 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray) -> np.ndarray:
             continue
         merged[idx] = center
         a = _root_coefficients(merged, len(z))
-        if np.abs(c[-1] * a / a[-1] - c).max() <= TOL:
+        lead = 0 if flipped and a[0] != 0 else -1
+        if np.abs(c[lead] * a / a[lead] - c).max() <= TOL:
             out = merged
     return out
 
@@ -293,7 +307,8 @@ def find_roots(coeffs: np.ndarray) -> np.ndarray:
 
     coeffs must have nonzero first and last entries (no roots at zero or
     infinity; the caller strips those).  Raises NonConvergence when the
-    roots miss the residual contract TOL.
+    roots miss the residual contract TOL.  A root is inf only where a row
+    solved in the 1/z chart has an estimate at exactly 0.
     """
     return find_roots_batch(np.asarray(coeffs, dtype=complex)[None])[0]
 
@@ -315,6 +330,11 @@ def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
         raise ValueError("coefficients must be trimmed and nonzero")
     c = c / scale
     mag /= scale
+    flip = mag[:, -1] < 1e-3 * mag[:, 0]
+    flipped = flip.any()
+    if flipped:
+        c[flip] = c[flip, ::-1]
+        mag[flip] = mag[flip, ::-1]
     z = _companion_eigvals(c)
     table = _table(z, n)
     p = (table @ c[..., None])[..., 0]
@@ -334,7 +354,10 @@ def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
             f"root residual {worst:.3e} exceeds tolerance {TOL:.3e} for degree {n}"
         )
     for b in np.flatnonzero(~isolated):
-        z[b] = _finish(c[b], z[b], overlap[b])
+        z[b] = _finish(c[b], z[b], overlap[b], flip[b])
+    if flipped:
+        w = z[flip]
+        z[flip] = np.divide(1.0, w, out=np.full_like(w, np.inf), where=w != 0)
     # numpy orders complex values by (real, imag); a stable sort keeps equal
     # values in order, as a lexsort on the two parts would.
     return np.sort(z, axis=-1, kind="stable")

@@ -9,7 +9,8 @@ whose root multiset on the Riemann sphere determines the state up to global
 phase.  Degree deficiency counts as roots at infinity; under the chart used
 here (z = tan(theta/2) exp(-i phi)) infinity is the theta = pi pole.  All
 conversions in this module are exact in that correspondence; the only
-numerics live in the root solver.
+numerics are the root solver and the rule that puts a root within about
+its tolerance of a pole onto that pole.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LabelMismatch, NonConvergence
-from .rootfinding import (
-    TOL,
-    _EPS,
-    _powers,
-    _root_coefficients,
-    find_roots_batch,
-    newton_polish,
-    residual_ratios,
-)
+from .errors import LabelMismatch
+from .rootfinding import TOL, _EPS, _powers, _root_coefficients, find_roots_batch
 
 __all__ = [
     "SpinLabel",
@@ -324,25 +317,12 @@ def stellar_polynomial(state: SpinState) -> np.ndarray:
     return coeffs
 
 
-def _contract_misses(
-    f: np.ndarray, roots: np.ndarray, scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack of rows, which roots miss the residual contract on f, and
-    by what factor each row's worst root misses it.  A residual that cannot
-    be evaluated (not finite) misses."""
-    ratio = residual_ratios(f, roots)
-    bound = TOL * scale[:, None]
-    miss = ~(ratio <= bound)
-    return miss, np.where(miss, ratio / bound, 0.0).max(axis=1, initial=0.0)
-
-
 def constellation_from_state(state: SpinState) -> Constellation:
     """Solve for the star multiset of the state.
 
-    The residual contract rootfinding.TOL is both the relative coefficient
-    size trimmed as zero at the ends of f and the backward-error bound on
-    every root: |f(z)| <= TOL * max|f_k| * max(1, |z|)**2S.  Raises
-    NonConvergence if the solver cannot meet that bound.
+    The solver meets the residual contract rootfinding.TOL at every root,
+    |f(z)| <= TOL * max|f_k| * max(1, |z|)**2S, or raises NonConvergence;
+    a root within about TOL chord of a pole is then put on it.
     """
     return constellations_from_states([state])[0]
 
@@ -350,23 +330,17 @@ def constellation_from_state(state: SpinState) -> Constellation:
 def constellations_from_states(states) -> list[Constellation]:
     """constellation_from_state over a whole sequence of states.
 
-    States of one 2S are trimmed and checked as one stack, and those whose
-    trimmed root polynomials share a degree are solved as one batch, which
-    is far faster than looping; every result satisfies the same residual
-    contract as the scalar routine.  Raises NonConvergence, naming the
-    failing positions in the sequence, if any state's roots miss it on the
-    state's own f.  A core whose roots miss it on the core itself raises
-    find_roots_batch's NonConvergence first, which names the core degree but
-    no state.
+    States of one 2S are solved as one stack, which is far faster than
+    looping.  Only exactly zero end coefficients are trimmed: lead zeros at
+    the low end are stars at z = 0, and tail zeros at the high end stars at
+    infinity.  States of one trimmed degree are solved as one batch; a 2S
+    with no trimmed state is one solve.  The solver checks every root of a
+    core against the contract on the core, and that is the contract on f:
+    |f(z)| = |z|**lead |core(z)| and max|f| = max|core|.
 
-    Each core degree of a 2S is one pass: solve, check, place.  An untrimmed
-    core is f / max|f|, which the solver has just checked.  In a trimmed
-    group (core degree below 2S) the cut-off ends can push a root past the
-    contract on f; each such miss gets up to three guarded Newton steps on
-    f before a second check decides.  The other roots stay as solved:
-    moving them towards the roots of f would no longer rebuild the state,
-    whose trimmed coefficients are 0.  Stars pinned at z = 0 need no check:
-    |f(0)| is trimmed.
+    A star within about TOL chord of a pole is that pole: one with |z| >
+    2 / TOL joins the stars at infinity, and one with |z| < TOL / 2 is set
+    to 0.
     """
     states = list(states)
     results: list[Constellation | None] = [None] * len(states)
@@ -375,38 +349,28 @@ def constellations_from_states(states) -> list[Constellation]:
         groups.setdefault(state.label.twoS, []).append(i)
     for twoS, members in groups.items():
         f = _binom_sqrt(twoS) * np.array([states[i].amplitudes for i in members])
-        size = np.abs(f)
-        scale = size.max(axis=1)
-        keep = size > TOL * scale[:, None]
+        keep = f != 0
         lead = np.argmax(keep, axis=1)
-        tail = np.argmax(keep[:, ::-1], axis=1)
-        degree = twoS - lead - tail
+        degree = twoS - lead - np.argmax(keep[:, ::-1], axis=1)
         if (degree == twoS).all():
-            # No trimmed row: one solve, which checks every root on f / max|f|.
             roots = find_roots_batch(f)
         else:
-            # Row r holds lead[r] zeros, then its core's roots; the last tail[r]
-            # entries (the stars at infinity) are unused.
-            roots = np.zeros((len(members), twoS), dtype=complex)
+            # Row r holds lead[r] zeros, then its core's roots, then infinity.
+            roots = np.where(np.arange(twoS) < lead[:, None], 0j, INFINITY)
             for n in np.flatnonzero(np.bincount(degree)):
                 rows = np.flatnonzero(degree == n)
                 core = lead[rows, None] + np.arange(n + 1)
-                z = find_roots_batch(f[rows[:, None], core])
-                if n < twoS:
-                    redo = np.nonzero(_contract_misses(f[rows], z, scale[rows])[0])
-                    if len(redo[0]):
-                        z[redo] = newton_polish(f[rows[redo[0]]], z[redo][:, None])[0][:, 0]
-                        miss, ratio = _contract_misses(f[rows], z, scale[rows])
-                        if miss.any():
-                            bad = [members[r] for r in rows[miss.any(axis=1)]]
-                            raise NonConvergence(
-                                f"states {bad}: stellar root residual exceeds the contract "
-                                f"by a factor {ratio.max():.4g} at 2S={twoS}"
-                            )
-                roots[rows[:, None], core[:, :-1]] = z
+                roots[rows[:, None], core[:, :-1]] = find_roots_batch(f[rows[:, None], core])
+        size = np.abs(roots)
+        far = size > 2.0 / TOL
+        roots[far] = INFINITY
+        roots[size < 0.5 * TOL] = 0.0
+        poles = far.sum(axis=1)
+        if poles.any():
+            roots.sort(axis=1)  # (real, imag) order puts infinity last
         label = states[members[0]].label
         for r, i in enumerate(members):
-            results[i] = Constellation(label, roots[r, : twoS - tail[r]], int(tail[r]))
+            results[i] = Constellation(label, roots[r, : twoS - poles[r]], int(poles[r]))
     return results
 
 

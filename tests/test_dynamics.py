@@ -372,6 +372,56 @@ def test_linear_evolution_preserves_chords(rng):
     assert np.allclose(d0, d1, atol=1e-9)
 
 
+# Pauli matrices in the ascending-m order of SpinState: (m = -1/2, m = +1/2).
+_SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, 1j], [-1j, 0]]),
+    np.array([[-1, 0], [0, 1]], dtype=complex),
+)
+
+
+def _mobius_images(c, axis, t):
+    """c's stars carried by U = exp(-i t n.sigma / 2): each star z is the
+    root of a + b z with spinor (a, b) = (-z, 1), or (1, 0) at infinity,
+    and lands at the root -a'/b' of (a', b') = U (a, b), that is at
+    (U00 z - U01) / (-U10 z + U11)."""
+    n_sigma = sum(n * s for n, s in zip(axis, _SIGMA))
+    u = math.cos(t / 2) * np.eye(2) - 1j * math.sin(t / 2) * n_sigma
+    spinors = np.r_[np.c_[-c.finite_roots, np.ones(len(c.finite_roots))],
+                    np.tile([1.0, 0.0], (c.infinity_count, 1))]
+    a, b = u @ spinors.T
+    pole = b == 0
+    return mj.Constellation(c.label, -a[~pole] / b[~pole], int(pole.sum()))
+
+
+@pytest.mark.parametrize("twoS", [1, 12, 20, 40])
+def test_rigid_rotation_matches_the_mobius_map(twoS):
+    # Under H = n.S every star moves as a spin-1/2 spinor under
+    # exp(-i t n.sigma / 2), built here from the Pauli matrices and not from
+    # the propagator evolve uses.  Over one full turn the 13 snapshots must
+    # sit on the Mobius images of the initial stars.  The starts are random
+    # amplitudes and, from 2S = 2 on, random amplitudes with both end ones
+    # zeroed, whose stars start exactly on both poles; the axes are random
+    # and equatorial, whose orbits pass through the pole.
+    rng = np.random.default_rng(17000 + twoS)
+    sx, sy, sz = mj.spin_matrices(twoS)
+    times = np.linspace(0.0, 2.0 * math.pi, 13)
+    starts = [random_state(rng, twoS)]
+    if twoS >= 2:
+        amps = random_state(rng, twoS).amplitudes.copy()
+        amps[[0, -1]] = 0.0
+        starts.append(mj.SpinState(twoS, amps))
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    axes = [rng.normal(size=3), np.array([math.cos(phi), math.sin(phi), 0.0])]
+    for st, axis in itertools.product(starts, axes):
+        axis = axis / np.linalg.norm(axis)
+        h = hamiltonian(twoS, axis[0] * sx + axis[1] * sy + axis[2] * sz)
+        traj = evolve(st, h, times[-1], times[-1] / 12, checkpoints=times)
+        c0 = mj.constellation_from_state(st)
+        for t in times:
+            assert matched_distance(traj.at(t), _mobius_images(c0, axis, t)) <= 1e-9, t
+
+
 def test_eigenstate_stays_put(rng):
     twoS = 3
     h = hamiltonian(twoS, _random_hermitian(rng, twoS + 1))

@@ -138,14 +138,11 @@ def test_coherent_multiplicity_matches_mpmath(degree):
     assert abs(roots[0] - center) <= 1e-8 * abs(center)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: the trim pins 3-19 spread stars at the poles "
-    "(worst chord 9e-3 to 0.11); find_roots on the untrimmed f is within 2.5e-14"))
 @pytest.mark.parametrize("twoS", [20, 30, 40])
 @pytest.mark.parametrize("seed", range(4))
 def test_spread_stars_survive_the_round_trip(twoS, seed):
-    # Stars spread over |z| in [e^-7, e^7] give end coefficients below
-    # tol * max|f|; every planted star must still come back where it was.
+    # Stars spread over |z| in [e^-7, e^7] give end coefficients far below
+    # TOL * max|f|; every planted star must still come back where it was.
     planted = mj.Constellation(twoS, _stars("spread", twoS, np.random.default_rng(seed)))
     got = constellation_from_state(_state("spread", twoS, seed))
     assert mj.matched_distance(planted, got) <= 1e-8
@@ -163,12 +160,10 @@ def _far_star_polynomial(twoS):
             return mj.stellar_polynomial(mj.SpinState(twoS, amps))
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergence, reason=(
-    "CHANGES.md FOUND line on find_roots_batch and a tiny top coefficient: "
-    "worst residual ratio 0.528 / 9.78e-4 / 3.07e-5 against the 1e-10 contract, "
-    "while the reversed f meets it; ROADMAP item 2 needs this solve"))
 @pytest.mark.parametrize("twoS", [5, 20, 40])
 def test_untrimmed_far_star_meets_the_contract(twoS):
+    # Solved in the z chart, these rows missed the contract (worst ratio
+    # 0.528 / 9.78e-4 / 3.07e-5); the solver takes them in the 1/z chart.
     f = _far_star_polynomial(twoS)
     roots = find_roots(f)
     # The mirror solve, the same stars in the 1/z chart, places the far star.
@@ -177,9 +172,9 @@ def test_untrimmed_far_star_meets_the_contract(twoS):
 
 
 def test_coherent_states_at_2s40_round_trip():
-    # At 2S = 40 a coherent state's end coefficients fall below the trimming
-    # threshold and its remaining roots form an ill-conditioned ring; the
-    # rebuilt state must still reach fidelity 1 - 1e-10.
+    # At 2S = 40 a coherent state's end coefficients span many decades and
+    # its companion eigenvalues form an ill-conditioned ring; the rebuilt
+    # state must reach fidelity 1 - 1e-10.
     for seed in range(20):
         state = _state("coherent", 40, seed)
         back = mj.state_from_constellation(constellation_from_state(state))
