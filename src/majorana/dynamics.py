@@ -224,7 +224,7 @@ class StarTrajectory:
     Every snapshot is the re-rooted exact state at its time, so no window
     of the trajectory is computed any other way: fallback_intervals is
     always () and fallback_flags is all False.  The fields keep the
-    trajectory's shape, and the JSONL "fallback" key, stable for readers.
+    trajectory's shape stable for readers.
     """
 
     label: SpinLabel

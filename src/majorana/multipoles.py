@@ -17,7 +17,6 @@ and quadrupole of Q are closed forms in <S_i> and <S_i S_j>.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -297,37 +296,17 @@ def q_grid(state: SpinState, n_theta: int, n_phi: int) -> QGrid:
 # -- spherical harmonics ----------------------------------------------------------
 
 
-def _legendre_table(top: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """p[K, m, i] = orthonormal associated Legendre bar-P_{K,m} at x[i] =
-    cos(theta_i), s[i] = sin(theta_i) for 0 <= m <= K <= top (0 for m > K),
-    with the Condon-Shortley sign and the 1/sqrt(4 pi): one sweep down the
-    diagonal m = K, then the three-term recurrence in K for all m at once."""
-    p = np.zeros((top + 1, top + 1, len(x)))
-    p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for i in range(1, top + 1):
-        p[i, i] = -math.sqrt((2 * i + 1) / (2.0 * i)) * s * p[i - 1, i - 1]
-    m = np.arange(top)
-    p[m + 1, m] = np.sqrt(2 * m + 3.0)[:, None] * x * p[m, m]
-    for ell in range(2, top + 1):
-        m = np.arange(ell - 1)
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[:, None]
-        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))[:, None]
-        p[ell, m] = a * (x * p[ell - 1, m] - b * p[ell - 2, m])
-    return p
-
-
 def spherical_harmonic(K: int, q: int, p: SpherePoint | tuple[float, float]) -> complex:
-    """Orthonormalized Y_Kq at the given sphere point."""
+    """Orthonormalized Y_Kq at the given sphere point, with the
+    Condon-Shortley phase: scipy.special.sph_harm_y, imported here so that
+    importing the package does not load scipy."""
+    from scipy.special import sph_harm_y
+
     if K < 0 or abs(q) > K:
         raise ValueError(f"(K={K}, q={q}) out of range")
     if not isinstance(p, SpherePoint):
         p = SpherePoint(*p)
-    x = np.array([math.cos(p.theta)])
-    s = np.array([math.sin(p.theta)])
-    base = float(_legendre_table(K, x, s)[K, abs(q), 0])
-    if q < 0:
-        base *= (-1.0) ** (abs(q) % 2)
-    return base * cmath.exp(1j * q * p.phi)
+    return complex(sph_harm_y(K, q, p.theta, p.phi))
 
 
 # -- integral route for the multipoles ---------------------------------------------
@@ -351,7 +330,8 @@ def multipoles_integral(state: SpinState) -> MultipoleSpectrum:
     Q Y_Kq^* has degree 2S + K <= 4S in cos(theta) and Fourier modes up to
     4S in phi, so one grid of 2S + 1 Gauss-Legendre nodes by 4S + 1 equal
     phi steps integrates every order exactly: one Husimi grid, its Fourier
-    coefficients q = -2S..2S, and one contraction with the Legendre table.
+    coefficients q = -2S..2S, and one contraction with the orthonormal
+    associated Legendre functions of scipy.special.sph_legendre_p.
     The quadrature is exact, but the constant of order K (see
     _integral_inverse_kernel) multiplies its rounding, so the (K, q)
     components agree with multipoles() only to about
@@ -361,6 +341,8 @@ def multipoles_integral(state: SpinState) -> MultipoleSpectrum:
     peaked at a pole: about 4 times that at 2S = 40); at 2S = 60 no digit is
     left.  Above 2S = 30 it raises ValueError.
     """
+    from scipy.special import sph_legendre_p
+
     twoS = state.label.twoS
     if twoS > 30:
         raise ValueError(
@@ -371,13 +353,15 @@ def multipoles_integral(state: SpinState) -> MultipoleSpectrum:
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     qs = np.arange(-twoS, twoS + 1)
     # fourier[i, q + 2S] = sum_j Q(theta_i, phi_j) e^{-i q phi_j} dphi
-    q_vals = _husimi_grid(state, np.arccos(x), phis)
+    thetas = np.arccos(x)
+    q_vals = _husimi_grid(state, thetas, phis)
     fourier = q_vals @ np.exp(-1j * np.outer(phis, qs)) * (2.0 * np.pi / n_phi)
-    legendre = _legendre_table(twoS, x, np.sqrt(1.0 - x * x))[:, np.abs(qs)]
+    Ks = np.arange(twoS + 1)
+    # legendre[K, q + 2S, i], 0 where |q| > K ([0]: no derivatives)
+    legendre = sph_legendre_p(Ks[:, None, None], qs[:, None], thetas)[0]
     raw = np.einsum("Kqi,iq->Kq", legendre, wx[:, None] * fourier)
-    kernel = np.array([_integral_inverse_kernel(twoS, K) for K in range(twoS + 1)])
-    # The (-1)^(K+q) signature, times bar-P_{K,-m} = (-1)^m bar-P_{K,m} for q < 0.
-    signs = (-1.0) ** np.add.outer(np.arange(twoS + 1), np.maximum(qs, 0))
+    kernel = np.array([_integral_inverse_kernel(twoS, K) for K in Ks])
+    signs = (-1.0) ** np.add.outer(Ks, qs)  # the (-1)^(K+q) signature
     return _spectrum(state.label, kernel[:, None] * signs * raw)
 
 

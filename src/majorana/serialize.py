@@ -1,9 +1,13 @@
 """JSON, JSONL, and CSV forms for the public value types.
 
-Floats are written with 17 significant digits so that emit/parse round
-trips are bit-faithful.  Emitters return text without a trailing newline;
-parsers accept anything json.loads does and validate shape, raising
-ValueError (or json.JSONDecodeError, its subclass) on malformed input.
+Every payload is strict JSON from one json.dumps call: floats are spelled
+as Python's shortest exact repr (0.1, 0.0, -0.0), so emit/parse round trips
+are bit-faithful, sign of zero included, and NaN or Infinity raises
+ValueError instead of being written.  Complex numbers are [re, im] pairs.
+The trajectory JSONL has no "fallback" key.  Emitters return text without a
+trailing newline; parsers accept anything json.loads does and validate
+shape, raising ValueError (or json.JSONDecodeError, its subclass) on
+malformed input.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ __all__ = [
 ]
 
 
-def _f(x: float) -> str:
-    return format(float(x), ".17g")
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
-def _pair(z: complex) -> str:
-    return f"[{_f(z.real)},{_f(z.imag)}]"
+def _pairs(values: np.ndarray) -> list[list[float]]:
+    """[re, im] pairs of a complex array, as Python floats."""
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _require(obj, key: str, kind: type):
@@ -82,8 +87,7 @@ def _complex_item(item) -> complex:
 
 
 def emit_state(state: SpinState) -> str:
-    amps = ",".join(_pair(a) for a in state.amplitudes)
-    return f'{{"twoS":{state.label.twoS},"amplitudes":[{amps}]}}'
+    return _dumps(dict(twoS=state.label.twoS, amplitudes=_pairs(state.amplitudes)))
 
 
 def parse_state(text: str) -> SpinState:
@@ -99,15 +103,15 @@ def parse_state(text: str) -> SpinState:
 # -- constellations -------------------------------------------------------------
 
 
+def _constellation(c: Constellation) -> dict:
+    return dict(twoS=c.label.twoS, roots=_pairs(c.finite_roots), infinity_count=c.infinity_count)
+
+
 def emit_constellation(c: Constellation, angles: bool = False) -> str:
     if angles:
-        stars = ",".join(f"[{_f(p.theta)},{_f(p.phi)}]" for p in c.points())
-        return f'{{"twoS":{c.label.twoS},"stars":[{stars}]}}'
-    roots = ",".join(_pair(z) for z in c.finite_roots)
-    return (
-        f'{{"twoS":{c.label.twoS},"roots":[{roots}],'
-        f'"infinity_count":{c.infinity_count}}}'
-    )
+        stars = [[p.theta, p.phi] for p in c.points()]
+        return _dumps(dict(twoS=c.label.twoS, stars=stars))
+    return _dumps(_constellation(c))
 
 
 def parse_constellation(text: str) -> Constellation:
@@ -148,28 +152,22 @@ def emit_multipoles(spectrum: MultipoleSpectrum, upto: int | None = None) -> str
     top = twoS if upto is None else int(upto)
     if not 0 <= top <= twoS:
         raise ValueError("upto must lie in [0, 2S]")
-    items = []
-    for k, q, value in spectrum.items():
-        if k <= top:
-            items.append(f'{{"K":{k},"q":{q},"re":{_f(value.real)},"im":{_f(value.imag)}}}')
-    w = ",".join(_f(x) for x in spectrum.w[: top + 1])
-    a = ",".join(_f(x) for x in spectrum.A[: top + 1])
-    return (
-        f'{{"twoS":{twoS},"rho":[{",".join(items)}],"w":[{w}],"A":[{a}]}}'
-    )
+    rho = [dict(K=k, q=q, re=v.real, im=v.imag) for k, q, v in spectrum.items() if k <= top]
+    w, A = (x[: top + 1].tolist() for x in (spectrum.w, spectrum.A))
+    return _dumps(dict(twoS=twoS, rho=rho, w=w, A=A))
 
 
 # -- Husimi grids ----------------------------------------------------------------
 
 
 def emit_qgrid(grid: QGrid) -> str:
-    """CSV rows theta,phi,Q over the grid, theta outermost; each angle is
-    formatted once."""
-    phis = [_f(phi) for phi in grid.phi_nodes]
+    """CSV rows theta,phi,Q over the grid, theta outermost, each number
+    the repr of its float; each angle is formatted once."""
+    phis = [repr(phi) for phi in grid.phi_nodes.tolist()]
     lines = ["theta,phi,Q"]
-    for theta, row in zip(grid.theta_nodes, grid.values.tolist()):
-        ts = _f(theta)
-        lines.extend(f"{ts},{ps},{value:.17g}" for ps, value in zip(phis, row))
+    for theta, row in zip(grid.theta_nodes.tolist(), grid.values.tolist()):
+        ts = repr(theta)
+        lines.extend(f"{ts},{ps},{value!r}" for ps, value in zip(phis, row))
     return "\n".join(lines)
 
 
@@ -177,12 +175,15 @@ def emit_qgrid(grid: QGrid) -> str:
 
 
 def emit_kings(result: KingResult) -> str:
-    return (
-        f'{{"twoS":{result.label.twoS},"M":{result.M},'
-        f'"objective":{_f(result.objective)},'
-        f'"unpolarized_order":{result.unpolarized_order},'
-        f'"constellation":{emit_constellation(result.constellation)},'
-        f'"restarts_converged":{result.restarts_converged}}}'
+    return _dumps(
+        dict(
+            twoS=result.label.twoS,
+            M=result.M,
+            objective=result.objective,
+            unpolarized_order=result.unpolarized_order,
+            constellation=_constellation(result.constellation),
+            restarts_converged=result.restarts_converged,
+        )
     )
 
 
@@ -225,13 +226,8 @@ def parse_hamiltonian(text: str, label: SpinLabel | int | None = None) -> Hamilt
 
 
 def emit_trajectory(traj: StarTrajectory) -> str:
-    """One JSON line per snapshot: t, roots, infinity_count, fallback."""
-    lines = []
-    for t, snap, flagged in zip(traj.times, traj.snapshots, traj.fallback_flags):
-        roots = ",".join(_pair(z) for z in snap.finite_roots)
-        flag = "true" if flagged else "false"
-        lines.append(
-            f'{{"t":{_f(t)},"roots":[{roots}],'
-            f'"infinity_count":{snap.infinity_count},"fallback":{flag}}}'
-        )
-    return "\n".join(lines)
+    """One JSON line per snapshot: t, roots, infinity_count."""
+    return "\n".join(
+        _dumps(dict(t=t, roots=_pairs(s.finite_roots), infinity_count=s.infinity_count))
+        for t, s in zip(traj.times, traj.snapshots)
+    )

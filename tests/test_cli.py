@@ -208,7 +208,7 @@ def test_evolve_jsonl(runner, tmp_path, rng):
     last = json.loads(lines[-1])
     assert first["t"] == 0.0
     assert last["t"] == pytest.approx(0.05)
-    assert all(not json.loads(line)["fallback"] for line in lines)
+    assert all(sorted(json.loads(line)) == ["infinity_count", "roots", "t"] for line in lines)
 
 
 def test_evolve_time_zero_and_negative(runner, tmp_path, rng):

@@ -255,6 +255,19 @@ def test_equilibrium_residual_groups_stars_on_the_sphere():
         equilibrium_residual(mj.Constellation(4, [1e300, -1e300] + others), h)
 
 
+@pytest.mark.xfail(raises=DegenerateConstellation, strict=True)
+def test_equilibrium_residual_of_a_far_double_star():
+    # 1e200 and 1e201 group as one double star, whose own velocity under Sz
+    # is finite: the 1e150 pair reads 5.5e150.  Each other cluster's reduced
+    # constellation keeps the pair twice, where _root_coefficients
+    # underflows, so every velocity comes out non-finite and the call raises.
+    h = builtin_hamiltonian(4, "Sz")
+    others = [0.3 + 0.2j, -0.7 + 1j]
+    for R in (1e150, 1e200):
+        got = equilibrium_residual(mj.Constellation(4, [R, 10.0 * R] + others), h)
+        assert got == pytest.approx(5.5 * R, rel=1e-9)
+
+
 def test_eigenstate_is_equilibrium(rng):
     twoS = 3
     h = hamiltonian(twoS, _random_hermitian(rng, twoS + 1))
@@ -420,6 +433,31 @@ def test_rigid_rotation_matches_the_mobius_map(twoS):
         c0 = mj.constellation_from_state(st)
         for t in times:
             assert matched_distance(traj.at(t), _mobius_images(c0, axis, t)) <= 1e-9, t
+
+
+@pytest.mark.parametrize("twoS", [12, 20, 21, 39, 40])
+def test_kerr_matches_the_closed_form_phases(twoS):
+    # Under Sz^2 each amplitude only turns, psi_m -> psi_m e^{-i t m^2}, a
+    # closed form that shares no code with the propagator evolve uses.  At
+    # t = pi the phases are (-1)^m for integer S, so every star goes to -z,
+    # and one global phase for half-integer S; at t = 2pi they are one global
+    # phase for every S.  At t = pi/2 a random state and a coherent one (the
+    # Kerr cat) must match the stars of their closed-form amplitudes.  The
+    # default dt_max would refuse even a half period at 2S = 40.
+    rng = np.random.default_rng(17100 + twoS)
+    h = builtin_hamiltonian(twoS, "Sz2")
+    m = np.arange(twoS + 1) - twoS / 2.0
+    st = random_state(rng, twoS)
+    c0 = mj.constellation_from_state(st)
+    traj = evolve(st, h, 2.0 * math.pi, math.pi / 2.0, checkpoints=[math.pi / 2.0, math.pi])
+    turned = mj.Constellation(twoS, -c0.finite_roots, c0.infinity_count)
+    assert matched_distance(traj.at(math.pi), c0 if twoS % 2 else turned) <= 1e-9
+    assert matched_distance(traj.at(2.0 * math.pi), c0) <= 1e-9
+    cat = mj.coherent_state(twoS, 0.6 + 0.2j)
+    halfway = evolve(cat, h, math.pi / 2.0, math.pi / 2.0).snapshots[-1]
+    for start, c in ((st, traj.at(math.pi / 2.0)), (cat, halfway)):
+        amps = start.amplitudes * np.exp(-0.5j * math.pi * m**2)
+        assert matched_distance(c, mj.constellation_from_state(mj.SpinState(twoS, amps))) <= 1e-9
 
 
 def test_eigenstate_stays_put(rng):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from samples import random_state
 def test_state_emission_frozen():
     got = emit_state(mj.noon_state(2))
     want = (
-        '{"twoS":2,"amplitudes":[[-0.70710678118654746,0],'
-        "[0,0],[0.70710678118654746,0]]}"
+        '{"twoS":2,"amplitudes":[[-0.7071067811865475,0.0],'
+        "[0.0,0.0],[0.7071067811865475,0.0]]}"
     )
     assert got == want
 
@@ -43,7 +44,7 @@ def test_state_round_trip_is_bit_exact(rng):
         st = random_state(rng, twoS)
         back = parse_state(emit_state(st))
         assert back.label == st.label
-        assert np.array_equal(back.amplitudes, st.amplitudes)
+        assert back.amplitudes.tobytes() == st.amplitudes.tobytes()
 
 
 def test_state_accepts_plain_numbers():
@@ -156,13 +157,13 @@ def test_qgrid_csv_shape(rng):
 
 
 def test_qgrid_csv_matches_one_format_per_cell(rng):
-    # Byte for byte what formatting every cell's theta, phi and Q on its own
-    # gives, at the CLI's default grid.
+    # Byte for byte the repr of every cell's theta, phi and Q on its own, at
+    # the CLI's default grid.
     grid = q_grid(random_state(rng, 7), 64, 128)
     want = ["theta,phi,Q"]
     for i, theta in enumerate(grid.theta_nodes):
         for j, phi in enumerate(grid.phi_nodes):
-            want.append(",".join(format(float(x), ".17g") for x in (theta, phi, grid.values[i, j])))
+            want.append(",".join(repr(float(x)) for x in (theta, phi, grid.values[i, j])))
     assert emit_qgrid(grid) == "\n".join(want)
 
 
@@ -234,9 +235,71 @@ def test_trajectory_jsonl(rng):
     text = emit_trajectory(traj)
     lines = text.split("\n")
     assert len(lines) == len(traj.times)
-    for line, t, snap, flag in zip(lines, traj.times, traj.snapshots, traj.fallback_flags):
+    for line, t, snap in zip(lines, traj.times, traj.snapshots):
         obj = json.loads(line)
         assert obj["t"] == pytest.approx(t)
         assert obj["infinity_count"] == snap.infinity_count
-        assert obj["fallback"] is flag
         assert len(obj["roots"]) == len(snap.finite_roots)
+
+
+# -- strict JSON, bit for bit -------------------------------------------------------------
+
+
+def _strict(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _bits(values):
+    """The bytes of a float or complex array, or of a list of floats or of
+    [re, im] pairs; a parsed integer makes an integer array, which differs."""
+    return np.array(values).tobytes()
+
+
+def test_every_payload_is_strict_json_and_keeps_every_bit(rng):
+    # Each input has -0.0 parts, which a writer spelling them "-0" loses:
+    # json reads that as the integer 0.
+    st = mj.SpinState(3, [1.0, complex(0.5, -0.0), complex(-0.0, 0.25), -0.0])
+    obj = _strict(emit_state(st))
+    assert _bits(obj["amplitudes"]) == _bits(st.amplitudes)
+    assert parse_state(emit_state(st)).amplitudes.tobytes() == st.amplitudes.tobytes()
+
+    c = mj.Constellation(4, [complex(-0.0, 0.5), complex(1.5, -0.0), -0.0], 1)
+    obj = _strict(emit_constellation(c))
+    assert _bits(obj["roots"]) == _bits(c.finite_roots)
+    assert parse_constellation(emit_constellation(c)).finite_roots.tobytes() == _bits(c.finite_roots)
+    stars = _strict(emit_constellation(c, angles=True))["stars"]
+    assert _bits(stars) == _bits([[p.theta, p.phi] for p in c.points()])
+
+    spec = multipoles(st)
+    obj = _strict(emit_multipoles(spec))
+    assert _bits([[d["re"], d["im"]] for d in obj["rho"]]) == _bits(
+        [[v.real, v.imag] for _, _, v in spec.items()]
+    )
+    assert _bits(obj["w"]) == _bits(spec.w)
+    assert _bits(obj["A"]) == _bits(spec.A)
+
+    result = replace(minimize(4, SearchConfig(M=1, restarts=2)), constellation=c, objective=-0.0)
+    obj = _strict(emit_kings(result))
+    assert _bits([obj["objective"]]) == _bits([-0.0])
+    assert _bits(obj["constellation"]["roots"]) == _bits(c.finite_roots)
+
+    traj = evolve(random_state(rng, 4), builtin_hamiltonian(4, "Sz"), 0.05)
+    traj = replace(traj, snapshots=(c,) + traj.snapshots[1:])
+    lines = emit_trajectory(traj).split("\n")
+    assert len(lines) == len(traj.times)
+    for line, t, snap in zip(lines, traj.times, traj.snapshots):
+        obj = _strict(line)
+        assert sorted(obj) == ["infinity_count", "roots", "t"]
+        assert _bits([obj["t"]]) == _bits([t])
+        assert _bits(obj["roots"]) == _bits(snap.finite_roots)
+        assert obj["infinity_count"] == snap.infinity_count
+
+
+def test_non_finite_values_are_not_written():
+    spec = multipoles(mj.coherent_state(2, 0.3))
+    bad = replace(spec, w=np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        emit_multipoles(bad)
