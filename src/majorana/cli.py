@@ -7,6 +7,7 @@ whose output matches the library's serialized result byte for byte.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -36,6 +37,7 @@ def _emit(ctx: click.Context, text: str) -> None:
 def _guard(fn):
     """Map library exceptions onto the exit-code contract."""
 
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -49,8 +51,6 @@ def _guard(fn):
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(4)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 

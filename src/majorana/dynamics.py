@@ -50,6 +50,8 @@ __all__ = [
 
 # Chord below which star_velocities treats two stars as coincident.
 _MIN_VELOCITY_CHORD = 1e-9
+# Chord within which equilibrium_residual chains stars into one cluster.
+_CLUSTER_CHORD = 1e-7
 
 #: Most equal steps evolve builds; a finer dt_max is refused before any
 #: sample is allocated.
@@ -119,11 +121,11 @@ def _raw_velocities(
     finite roots w of f, the missing 2S - len(w) roots sitting at infinity.
     Those roots must be simple; no validation.
 
-    A star with |z_k| > 1 is evaluated in the reciprocal chart, as
-    (Hf)(z_k) / z_k**2S (read from the charted power table) and
-    f'(z_k) / z_k**(r-1), so huge stars cannot overflow the powers.  A
-    velocity that still is not finite, as for a star near the pole under a
-    generator that moves the pole, raises DegenerateConstellation.
+    Each star is read in its own chart (see rootfinding._table), t = (1, z)
+    or, where |z| > 1, (1/z, 1): (Hf)(z) / z**2S and f'(z) / z**(r-1) there,
+    so huge stars cannot overflow the powers.  A velocity that still is not
+    finite, as for a star near the pole under a generator that moves the
+    pole, raises DegenerateConstellation.
     """
     twoS = h.label.twoS
     r = len(w)
@@ -133,13 +135,11 @@ def _raw_velocities(
         b = _binom_sqrt(twoS)
         g = b * (h.matrix @ (c / b))         # stellar polynomial of H|psi>
         gval = _table(at, twoS) @ g
-        big = np.abs(at) > 1.0
-        inv = np.divide(1.0, at, out=np.ones_like(at), where=big)
-        sep = (at[:, None] - w) * inv[:, None]
+        t = _table(at, 1)
+        sep = t[:, 1, None] - w * t[:, 0, None]
         own = np.arange(len(at))
         sep[own, own] = c[r]                 # leading coefficient of f
-        scale = np.where(big, at ** (twoS - r + 1), 1.0)
-        v = 1j * gval / np.prod(sep, axis=1) * scale
+        v = 1j * gval / np.prod(sep, axis=1) / t[:, 0] ** (twoS - r + 1)
     if not np.isfinite(v).all():
         raise DegenerateConstellation("a star too near the pole has no finite chart velocity")
     return v
@@ -163,7 +163,7 @@ def _centroid(cluster: np.ndarray) -> complex:
     cluster: the mean of +1e300 and -1e300 is 0, on the far side of the
     sphere, while the mean of their reciprocals puts it at the pole."""
     center = complex(cluster.mean())
-    if _chord_matrix([center], cluster).min() > 1e-7:
+    if _chord_matrix([center], cluster).min() > _CLUSTER_CHORD:
         with np.errstate(divide="ignore", invalid="ignore"):
             center = complex(1.0 / (1.0 / cluster).mean())
     return center
@@ -188,7 +188,7 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     roots = c.finite_roots
     if len(roots) == 0:
         return 0.0
-    label = _components(_chord_matrix(roots, roots) <= 1e-7)
+    label = _components(_chord_matrix(roots, roots) <= _CLUSTER_CHORD)
     groups = [roots[label == k] for k in np.flatnonzero(np.bincount(label))]
     centers = [_centroid(g) for g in groups]
     counts = [len(g) for g in groups]

@@ -27,10 +27,10 @@ products against the table, so no stage loops over coefficients in Python.
    discs that meets no other disc holds exactly m roots (Carstensen,
    Numer. Math. 59 (1991) 349; Bini & Fiorentino, Numer. Algorithms 23
    (2000) 127).  In a row of pairwise disjoint discs, each point whose |p|
-   is above the floor, the only points a Newton step can improve, gets
-   newton_polish in a row of its own.  Then the worst residual is checked
-   against the contract; a row of disjoint discs is final, and every
-   other row takes the per-row path.
+   is above the floor, the only points a Newton step can improve, takes
+   one Newton step (newton_polish) in a row of its own.  Then the worst
+   residual is checked against the contract; a row of disjoint discs is
+   final, and every other row takes the per-row path.
 3. Per-row path: an m-fold root scatters its eigenvalues over a circle of
    radius about eps**(1/m), and their discs overlap; a coherent state, one
    root repeated to full degree, is the case m = n.  Its eigenvalues are
@@ -70,7 +70,6 @@ from .errors import NonConvergence
 TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
-_POLISH_STEPS = 3
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -154,43 +153,22 @@ def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
 
 
 def newton_polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Up to _POLISH_STEPS guarded Newton steps on the estimates z[..., b, :]
-    of row b's roots; a point only moves if its residual drops.
+    """One Newton step on the estimates z[..., b, :] of row b's roots; a
+    point only moves if its residual drops, and a point where p' = 0 stays.
 
     p and p' are read from each point's charted table (see _table): their
     ratio, the Newton step, is that of the true values, and the residual
     compared is |p(z)| / max(1, |z|)**n, the contract's ratio.
 
-    Where |p| at the starting estimate is already down to the rounding
-    floor of evaluating it there, the step is driven by that noise.  Such a
-    point takes only steps of rounding size: in an ill-conditioned set (the
-    companion eigenvalues about a coherent block, say) larger noise-driven
-    steps move each estimate on its own and the set stops reproducing the
-    polynomial.  A point that rejects a step keeps z, p and p', so it would
-    reject every later step too: the loop ends once no point moves, with the
-    same result as running all steps.
-
     Returns the points and the charted values of p there.
     """
     n = coeffs.shape[-1] - 1
     cols = _with_derivative(coeffs)
-    table = _table(z, n)
-    v = table @ cols
-    p, dp = v[..., 0], v[..., 1]
-    floor = _rounding_floor(table, np.abs(coeffs))
-    for _ in range(_POLISH_STEPS):
-        step = p / np.where(dp == 0, np.inf, dp)
-        znew = z - step
-        v = _table(znew, n) @ cols
-        pnew, dpnew = v[..., 0], v[..., 1]
-        tiny = np.abs(step) <= 10.0 * _EPS * np.abs(z)
-        take = (np.abs(pnew) < np.abs(p)) & ((np.abs(p) > floor) | tiny)
-        if not take.any():
-            break
-        z = np.where(take, znew, z)
-        p = np.where(take, pnew, p)
-        dp = np.where(take, dpnew, dp)
-    return z, p
+    p, dp = np.moveaxis(_table(z, n) @ cols, -1, 0)
+    znew = z - p / np.where(dp == 0, np.inf, dp)
+    pnew = (_table(znew, n) @ cols)[..., 0]
+    take = np.abs(pnew) < np.abs(p)
+    return np.where(take, znew, z), np.where(take, pnew, p)
 
 
 def _disc_overlaps(lead: np.ndarray, z: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -342,6 +320,7 @@ def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     floor = _rounding_floor(table, mag)
     overlap = _disc_overlaps(mag[:, -1], z, size + floor)
     isolated = overlap.sum(axis=(1, 2)) == n
+    # One Newton step for each separated root above the rounding floor.
     rows, cols = np.nonzero(isolated[:, None] & (size > floor))
     if len(rows):
         zp, pp = newton_polish(c[rows], z[rows, cols][:, None])

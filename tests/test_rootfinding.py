@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -179,25 +179,6 @@ def test_power_shortcut_needs_the_power_up_to_rounding():
             assert abs(roots[0] - w) <= 1e-13 * abs(w), (w, n)
 
 
-def _polish_fixed_reference(coeffs, z, iters=3):
-    """Reference: the guarded polish run for all iters, no early exit."""
-    n = coeffs.shape[-1] - 1
-    cols = _with_derivative(coeffs)
-    table = _table(z, n)
-    p, dp = np.moveaxis(table @ cols, -1, 0)
-    floor = 2.0 * (n + 1) * _EPS * (np.abs(table) @ np.abs(coeffs)[..., None])[..., 0]
-    for _ in range(iters):
-        step = p / np.where(dp == 0, np.inf, dp)
-        znew = z - step
-        pnew, dpnew = np.moveaxis(_table(znew, n) @ cols, -1, 0)
-        tiny = np.abs(step) <= 10.0 * _EPS * np.abs(z)
-        take = (np.abs(pnew) < np.abs(p)) & ((np.abs(p) > floor) | tiny)
-        z = np.where(take, znew, z)
-        p = np.where(take, pnew, p)
-        dp = np.where(take, dpnew, dp)
-    return z, p
-
-
 def _stars_polynomial(stars):
     """Coefficients (low to high, max modulus 1) with the given roots."""
     c = np.poly(stars)[::-1]
@@ -205,23 +186,40 @@ def _stars_polynomial(stars):
 
 
 @pytest.mark.parametrize("degree", [2, 5, 10, 20, 40])
-def test_early_exit_polish_is_bitwise_the_fixed_polish(degree):
-    # A point that rejects a step keeps its inputs and rejects it again, so
-    # stopping once no point moves changes no bit.  Rows: random
-    # coefficients, a coherent power, a double star and a near-pole star.
+def test_one_newton_step(degree):
+    # Rows: random coefficients, a coherent power, a double star and a
+    # near-pole star.  At their companion eigenvalues and at their simple
+    # roots moved 1e-8 relative off the 50-digit value, the step never
+    # raises |p|, and each moved root comes back to the rounding floor.  At
+    # z = 0, with c_1 set to 0 so that p'(0) = 0, no point moves.
     rng = np.random.default_rng(degree)
     w = complex(rng.normal() + 1j * rng.normal())
-    rows = [rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1),
-            _stars_polynomial(np.full(degree, w)),
-            _stars_polynomial(np.r_[rng.normal(size=degree - 2), w, w]),
-            _stars_polynomial(np.r_[rng.normal(size=degree - 1), 1.5e6j])]
+    gauss = lambda k: rng.normal(size=k) + 1j * rng.normal(size=k)
+    simple = [None, [], gauss(degree - 2), np.r_[gauss(degree - 1), 1.5e6j]]
+    rows = [gauss(degree + 1), _stars_polynomial(np.full(degree, w)),
+            _stars_polynomial(np.r_[simple[2], w, w]), _stars_polynomial(simple[3])]
     c = np.array(rows)
     c /= np.abs(c).max(axis=1, keepdims=True)
     seeds = _companion_eigvals(c)
-    got = newton_polish(c, seeds)
-    want = _polish_fixed_reference(c, seeds)
-    for g, w_ in zip(got, want):
-        assert g.tobytes() == w_.tobytes()
+    simple[0] = seeds[0]
+    moved = np.zeros_like(seeds)
+    for b, stars in enumerate(simple):
+        exact = np.array([complex(r) for r in _mp_newton(c[b], stars, 50)[0]])
+        kick = 1e-8 * np.exp(2j * np.pi * rng.uniform(size=len(exact)))
+        moved[b, : len(exact)] = exact * (1 + kick)
+    z = np.concatenate([seeds, moved], axis=1)
+    p = (_table(z, degree) @ _with_derivative(c))[..., 0]
+    zp, pp = newton_polish(c, z)
+    assert np.all(np.abs(pp) <= np.abs(p))
+    assert np.array_equal(pp, (_table(zp, degree) @ _with_derivative(c))[..., 0])
+    for b, stars in enumerate(simple):
+        back = zp[b, degree : degree + len(stars)]
+        floor = _rounding_floor(_table(back, degree), np.abs(c[b]))
+        assert np.all(np.abs(pp[b, degree : degree + len(stars)]) <= floor), b
+    flat = c.copy()
+    flat[:, 1] = 0.0
+    zp, pp = newton_polish(flat, np.zeros((4, 1), dtype=complex))
+    assert np.all(zp == 0) and np.array_equal(pp[:, 0], flat[:, 0])
 
 
 @pytest.mark.parametrize("n, far", [(40, 2e6), (60, 1e7)])
@@ -415,11 +413,17 @@ def _multiple_real_stars(degree, real, pair, rng):
                  rng.normal(size=degree - real - 2 * pair)]
 
 
+_NINEFOLD_REAL = np.poly(np.r_[np.full(9, -3.0), 3.0]).real[::-1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_real_rows())
+@example((_NINEFOLD_REAL / np.abs(_NINEFOLD_REAL).max() + 0j, False))
 def test_real_rows_give_exact_conjugate_pairs(row):
     # Real coefficients take the real companion matrix: the roots are
     # closed under conjugation bit for bit, merged multiple stars included.
+    # The example (z + 3)^9 (z - 3) merges a ring that is its own mirror
+    # image, whose mean is then taken as real.
     # Where the roots are simple, a real root (one within 1e-8 relative of
     # the axis, far below any pair of these draws) has imaginary part
     # exactly 0; a multiple real star may split into a pair of float roots.

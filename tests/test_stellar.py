@@ -362,6 +362,17 @@ def test_far_flung_stars_round_trip():
     assert abs(mj.overlap(st, mj.state_from_constellation(back))) >= 1.0 - 1e-10
 
 
+def test_star_within_half_tol_of_the_origin_is_the_origin():
+    # A star at 1e-12, below TOL / 2, is the origin: it comes back as an
+    # exact 0, while the others keep their places.
+    stars = np.array([1e-12, 0.5, -0.3j, 2.0])
+    st = mj.state_from_constellation(mj.Constellation(4, stars))
+    (back,) = mj.constellations_from_states([st])
+    r = back.finite_roots
+    assert back.infinity_count == 0 and np.count_nonzero(r == 0) == 1
+    assert np.allclose(np.sort_complex(r[r != 0]), np.sort_complex(stars[1:]), atol=1e-12)
+
+
 def test_double_star_recovered_as_exact_pair():
     c = mj.Constellation(3, np.array([0.3 + 0.1j, 0.3 + 0.1j, -1.2 + 0j]), 0)
     st = mj.state_from_constellation(c)
