@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConstellation, LabelMismatch
+from .errors import DegenerateConstellation
 from .rootfinding import _components, _root_coefficients, _table
 from .stellar import (
     INFINITY,
@@ -31,6 +31,7 @@ from .stellar import (
     _as_label,
     _binom_sqrt,
     _chord_matrix,
+    _require_same_label,
     constellations_from_states,
     spin_matrices,
 )
@@ -89,26 +90,27 @@ def hamiltonian(label: SpinLabel | int, matrix: np.ndarray) -> HamiltonianSpec:
     return HamiltonianSpec(label, m, evals, evecs)
 
 
-_BUILTIN_NAMES = ("Sz", "Sz2", "Sx", "Sy")
+#: Each builtin generator, built from the spin matrices (Sx, Sy, Sz).
+_BUILTINS = {
+    "Sz": lambda sx, sy, sz: sz,
+    "Sz2": lambda sx, sy, sz: sz @ sz,
+    "Sx": lambda sx, sy, sz: sx,
+    "Sy": lambda sx, sy, sz: sy,
+}
 
 
 def builtin_hamiltonian(
     label: SpinLabel | int, name: str, coupling: float = 1.0
 ) -> HamiltonianSpec:
-    """Named single-axis generators: coupling * {Sz, Sz^2, Sx, Sy}."""
+    """Named single-axis generators: coupling * {Sz, Sz^2, Sx, Sy}, with a
+    finite coupling."""
     label = _as_label(label)
-    sx, sy, sz = spin_matrices(label.twoS)
-    if name == "Sz":
-        base = sz
-    elif name == "Sz2":
-        base = sz @ sz
-    elif name == "Sx":
-        base = sx
-    elif name == "Sy":
-        base = sy
-    else:
-        raise ValueError(f"unknown builtin {name!r}; expected one of {_BUILTIN_NAMES}")
-    return hamiltonian(label, float(coupling) * base)
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; expected one of {tuple(_BUILTINS)}")
+    coupling = float(coupling)
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
+    return hamiltonian(label, coupling * _BUILTINS[name](*spin_matrices(label.twoS)))
 
 
 # -- velocity field ---------------------------------------------------------------
@@ -147,8 +149,7 @@ def _raw_velocities(
 
 def star_velocities(c: Constellation, h: HamiltonianSpec) -> np.ndarray:
     """Root velocities, aligned with c.finite_roots order."""
-    if c.label != h.label:
-        raise LabelMismatch("constellation and Hamiltonian labels differ")
+    _require_same_label(c.label, h.label)
     if c.infinity_count > 0:
         raise DegenerateConstellation("a star at infinity has no chart velocity")
     chord = _chord_matrix(c.finite_roots, c.finite_roots)
@@ -181,8 +182,7 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     mean of the cluster's z, or of its 1/z where that mean leaves the
     cluster, as it does about the pole.
     """
-    if c.label != h.label:
-        raise LabelMismatch("constellation and Hamiltonian labels differ")
+    _require_same_label(c.label, h.label)
     if c.infinity_count > 0:
         raise DegenerateConstellation("a star at infinity has no chart velocity")
     roots = c.finite_roots
@@ -207,8 +207,7 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
 
 def evolve_exact(state: SpinState, h: HamiltonianSpec, t: float) -> SpinState:
     """exp(-i H t) applied through the cached eigendecomposition."""
-    if state.label != h.label:
-        raise LabelMismatch("state and Hamiltonian labels differ")
+    _require_same_label(state.label, h.label)
     phases = np.exp(-1j * h.evals * float(t))
     amps = h.evecs @ (phases * (h.evecs.conj().T @ state.amplitudes))
     return SpinState(state.label, amps)
@@ -257,8 +256,7 @@ def evolve(
     snapshot.  A dt_max that needs more than MAX_STEPS = 100 000 steps
     raises ValueError before anything is allocated.
     """
-    if state.label != h.label:
-        raise LabelMismatch("state and Hamiltonian labels differ")
+    _require_same_label(state.label, h.label)
     t_final = float(t_final)
     if not math.isfinite(t_final) or t_final < 0:
         raise ValueError("t_final must be finite and >= 0")
@@ -299,8 +297,7 @@ def _matching(a: Constellation, b: Constellation) -> tuple[np.ndarray, np.ndarra
     """The permutation of match_stars and the chord of each matched pair."""
     from scipy.optimize import linear_sum_assignment
 
-    if a.label != b.label:
-        raise LabelMismatch("constellations have different labels")
+    _require_same_label(a.label, b.label)
     pa, pb = (np.append(c.finite_roots, [INFINITY] * c.infinity_count) for c in (a, b))
     cost = _chord_matrix(pa, pb)
     rows, cols = linear_sum_assignment(cost)

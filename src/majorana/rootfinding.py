@@ -212,8 +212,10 @@ def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
     """Coefficients (low to high, length n + 1) of a positive multiple of
     prod_j (z - roots_j); the top n - len(roots) entries are 0.  A factor
     z - w grows max|c| at most (1 + |w|)-fold, so before a step that would
-    take that running bound past 1e200, c is scaled to max modulus 1: no
-    root, however large, overflows it."""
+    take that running bound past 1e200, c is scaled to max modulus 1, so no
+    root overflows it while |Re w| + |Im w| stays below the float limit
+    (about 1.8e308); past it, numpy's array complex product warns of
+    overflow where Python's scalar product does not."""
     roots = np.asarray(roots, dtype=complex).reshape(-1)
     r = len(roots)
     c = np.zeros(n + 1, dtype=complex)

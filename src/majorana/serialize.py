@@ -5,9 +5,10 @@ as Python's shortest exact repr (0.1, 0.0, -0.0), so emit/parse round trips
 are bit-faithful, sign of zero included, and NaN or Infinity raises
 ValueError instead of being written.  Complex numbers are [re, im] pairs.
 The trajectory JSONL has no "fallback" key.  Emitters return text without a
-trailing newline; parsers accept anything json.loads does and validate
-shape, raising ValueError (or json.JSONDecodeError, its subclass) on
-malformed input.
+trailing newline.  Parsers read each number by one rule, a JSON number that
+is not a bool, and leave non-finite values (1e999 reads as inf) and wrong
+shapes to the value types to reject; malformed input raises ValueError (or
+json.JSONDecodeError, its subclass).
 """
 
 from __future__ import annotations
@@ -52,35 +53,48 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
-def _require(obj, key: str, kind: type):
+_KINDS = {int: "an integer", list: "a list", str: "a string"}
+
+
+def _float(value, what: str) -> float:
+    """The one number rule: a JSON number that is not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ValueError(f"{what} is out of the float range") from None
+
+
+def _require(obj, key: str, kind: type, default=None):
+    """obj[key] as kind (float: a number, as a float); a missing key gives
+    default, or raises when default is None."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     if key not in obj:
-        raise ValueError(f"missing field {key!r}")
+        if default is None:
+            raise ValueError(f"missing field {key!r}")
+        return default
     value = obj[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"field {key!r} must be a number")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"field {key!r} must be an integer")
-        return value
-    if not isinstance(value, kind):
-        raise ValueError(f"field {key!r} has the wrong type")
+        return _float(value, f"field {key!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"field {key!r} must be {_KINDS[kind]}")
     return value
 
 
+def _pair(item, names: str) -> list[float]:
+    """A two-number list, such as [re, im] or [theta, phi]."""
+    if not (isinstance(item, list) and len(item) == 2):
+        raise ValueError(f"entries must be [{names}] pairs")
+    return [_float(v, f"a [{names}] entry") for v in item]
+
+
 def _complex_item(item) -> complex:
-    if isinstance(item, (int, float)) and not isinstance(item, bool):
-        return complex(float(item), 0.0)
-    if (
-        isinstance(item, list)
-        and len(item) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)
-    ):
-        return complex(float(item[0]), float(item[1]))
-    raise ValueError("complex entries must be [re, im] pairs")
+    """A number, or an [re, im] pair."""
+    if isinstance(item, list):
+        return complex(*_pair(item, "re, im"))
+    return complex(_float(item, "a complex entry"), 0.0)
 
 
 # -- spin states -----------------------------------------------------------------
@@ -93,10 +107,7 @@ def emit_state(state: SpinState) -> str:
 def parse_state(text: str) -> SpinState:
     obj = json.loads(text)
     twoS = _require(obj, "twoS", int)
-    raw = _require(obj, "amplitudes", list)
-    amps = [_complex_item(a) for a in raw]
-    if len(amps) != twoS + 1:
-        raise ValueError(f"expected {twoS + 1} amplitudes, got {len(amps)}")
+    amps = [_complex_item(a) for a in _require(obj, "amplitudes", list)]
     return SpinState(twoS, np.array(amps, dtype=complex))
 
 
@@ -118,28 +129,13 @@ def parse_constellation(text: str) -> Constellation:
     obj = json.loads(text)
     if isinstance(obj, dict) and "stars" in obj:
         raw = _require(obj, "stars", list)
-        finite: list[complex] = []
-        at_pole = 0
-        for item in raw:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise ValueError("stars entries must be [theta, phi] pairs")
-            theta, phi = (float(v) for v in item)
-            z = sphere_to_stereo(SpherePoint(theta, phi))
-            if is_infinite(z):
-                at_pole += 1
-            else:
-                finite.append(z)
-        twoS = obj.get("twoS", len(raw))
-        if isinstance(twoS, bool) or not isinstance(twoS, int):
-            raise ValueError("field 'twoS' must be an integer")
-        return Constellation(twoS, np.array(finite, dtype=complex), at_pole)
+        z = [sphere_to_stereo(SpherePoint(*_pair(item, "theta, phi"))) for item in raw]
+        finite = [w for w in z if not is_infinite(w)]
+        twoS = _require(obj, "twoS", int, len(raw))
+        return Constellation(twoS, np.array(finite, dtype=complex), len(z) - len(finite))
     twoS = _require(obj, "twoS", int)
-    raw = _require(obj, "roots", list)
-    roots = np.array([_complex_item(z) for z in raw], dtype=complex)
-    infinity = obj.get("infinity_count", 0)
-    if isinstance(infinity, bool) or not isinstance(infinity, int):
-        raise ValueError("field 'infinity_count' must be an integer")
-    return Constellation(twoS, roots, infinity)
+    roots = np.array([_complex_item(w) for w in _require(obj, "roots", list)], dtype=complex)
+    return Constellation(twoS, roots, _require(obj, "infinity_count", int, 0))
 
 
 # -- multipole spectra ----------------------------------------------------------
@@ -198,27 +194,18 @@ def parse_hamiltonian(text: str, label: SpinLabel | int | None = None) -> Hamilt
     twoS field wins if both are present and must agree with label.
     """
     obj = json.loads(text)
-    if isinstance(obj, dict) and "builtin" in obj:
-        name = _require(obj, "builtin", str)
-        coupling = _require(obj, "coupling", float) if "coupling" in obj else 1.0
-        if "twoS" in obj:
-            twoS = _require(obj, "twoS", int)
-            if label is not None and _as_label(label).twoS != twoS:
-                raise LabelMismatch("Hamiltonian twoS disagrees with the state")
-        elif label is not None:
-            twoS = _as_label(label).twoS
-        else:
-            raise ValueError("builtin Hamiltonian needs a twoS field or a label")
-        return builtin_hamiltonian(twoS, name, coupling)
-    twoS = _require(obj, "twoS", int)
-    if label is not None and _as_label(label).twoS != twoS:
+    builtin = isinstance(obj, dict) and "builtin" in obj
+    given = None if label is None else _as_label(label).twoS
+    twoS = _require(obj, "twoS", int, given if builtin else None)
+    if given is not None and given != twoS:
         raise LabelMismatch("Hamiltonian twoS disagrees with the state")
-    raw = _require(obj, "matrix", list)
-    if len(raw) != twoS + 1 or any(
-        not isinstance(row, list) or len(row) != twoS + 1 for row in raw
-    ):
+    if builtin:
+        name = _require(obj, "builtin", str)
+        return builtin_hamiltonian(twoS, name, _require(obj, "coupling", float, 1.0))
+    rows = _require(obj, "matrix", list)
+    if not all(isinstance(row, list) for row in rows):
         raise ValueError(f"matrix must be {twoS + 1}x{twoS + 1}")
-    m = np.array([[_complex_item(v) for v in row] for row in raw], dtype=complex)
+    m = np.array([[_complex_item(v) for v in row] for row in rows], dtype=complex)
     return hamiltonian(twoS, m)
 
 

@@ -165,6 +165,8 @@ class SpherePoint:
     def __post_init__(self) -> None:
         if not (-1e-12 <= self.theta <= math.pi + 1e-12):
             raise ValueError(f"theta out of [0, pi]: {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite: {self.phi}")
         theta = min(max(self.theta, 0.0), math.pi)
         phi = float(self.phi) % (2.0 * math.pi)
         object.__setattr__(self, "theta", theta)

@@ -232,7 +232,7 @@ def test_evolve_label_mismatch_exits_2(runner, tmp_path, rng):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("coupling", ["[1]", "null", "true"])
+@pytest.mark.parametrize("coupling", ["[1]", "null", "true", "1e999", "-1e999", "NaN"])
 def test_evolve_non_number_coupling_exits_2(runner, tmp_path, rng, coupling):
     st = mj.SpinState(2, rng.normal(size=3) + 1j * rng.normal(size=3))
     spath = _write_state(tmp_path, st)
@@ -240,6 +240,26 @@ def test_evolve_non_number_coupling_exits_2(runner, tmp_path, rng, coupling):
     hpath.write_text(f'{{"builtin":"Sz","coupling":{coupling}}}')
     result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "0.05"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"stars": [[null, 0.5]]}',
+        '{"stars": [[[1], 0.5]]}',
+        '{"stars": [[true, 0.5]]}',
+        '{"stars": [["0.5", 0.5]]}',
+        '{"stars": [[0.5, 1e999]]}',
+    ],
+)
+def test_state_malformed_star_angle_exits_2(runner, tmp_path, payload):
+    path = tmp_path / "c.json"
+    path.write_text(payload)
+    result = runner.invoke(main, ["state", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not an escaped TypeError
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("dtmax", ["1e-320", "nan", "1e-12"])

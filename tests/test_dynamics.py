@@ -112,6 +112,9 @@ def test_hamiltonian_validation(rng):
         hamiltonian(2, np.full((3, 3), np.nan))
     with pytest.raises(ValueError):
         builtin_hamiltonian(2, "Sq")
+    for coupling in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            builtin_hamiltonian(2, "Sz", coupling)
 
 
 def test_builtin_matrices_match_spin_operators():

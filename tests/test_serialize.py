@@ -105,6 +105,22 @@ def test_constellation_rejects_malformed():
         parse_constellation('{"twoS":1,"stars":[[0.1]]}')
     with pytest.raises(ValueError, match="'twoS' must be an integer"):
         parse_constellation('{"twoS":1.0,"stars":[[0.1,0.2]]}')
+    # Each angle is a finite JSON number: not null, a list, a bool or a string.
+    for star in ("[null,0.5]", "[[1],0.5]", "[true,0.5]", '["0.5",0.5]', "[0.5,1e999]"):
+        with pytest.raises(ValueError):
+            parse_constellation(f'{{"stars":[{star}]}}')
+
+
+def test_integers_past_the_float_range_are_rejected():
+    huge = "1" + "0" * 400
+    with pytest.raises(ValueError, match="out of the float range"):
+        parse_state(f'{{"twoS":1,"amplitudes":[{huge},[0,1]]}}')
+    with pytest.raises(ValueError, match="out of the float range"):
+        parse_constellation(f'{{"twoS":1,"roots":[[{huge},0]]}}')
+    with pytest.raises(ValueError, match="out of the float range"):
+        parse_constellation(f'{{"stars":[[0.5,{huge}]]}}')
+    with pytest.raises(ValueError, match="out of the float range"):
+        parse_hamiltonian(f'{{"builtin":"Sz","coupling":{huge},"twoS":2}}')
 
 
 # -- multipole spectra ---------------------------------------------------------------

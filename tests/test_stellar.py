@@ -144,6 +144,9 @@ def test_stereo_projection_frozen_points():
     for theta in (-1e-9, math.pi + 1e-9):
         with pytest.raises(ValueError, match="theta out of"):
             mj.SpherePoint(theta, 0.0)
+    for phi in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            mj.SpherePoint(0.5, phi)
 
 
 def test_stereo_round_trip(rng):
