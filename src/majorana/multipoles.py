@@ -8,11 +8,8 @@ t[K, q + 2S, k], filled once per spin from one tridiagonal eigenproblem of
 the Casimir superoperator per q (the tests check it against exact
 Clebsch-Gordan values), and rho_Kq = sum_k t[K, q + 2S, k] rho[k + q, k]
 reads only the q-th diagonal of the density matrix.  Only this module knows
-that layout.  The same components can be recovered by quadrature of the
-Husimi function against spherical harmonics; the proportionality constant of
-that route is a closed form in 2S and K, and one sphere grid is exact for
-every order K, so the two evaluations are directly comparable.  The dipole
-and quadrupole of Q are closed forms in <S_i> and <S_i S_j>.
+that layout.  The dipole and quadrupole of Q are closed forms in <S_i> and
+<S_i S_j>.
 """
 
 from __future__ import annotations
@@ -38,13 +35,11 @@ __all__ = [
     "QGrid",
     "tensor_operator",
     "multipoles",
-    "multipoles_integral",
     "cumulative_quantumness",
     "husimi_q",
     "q_grid",
     "dipole",
     "quadrupole",
-    "spherical_harmonic",
 ]
 
 
@@ -211,6 +206,8 @@ def _density_matrix(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarra
     dm = np.asarray(state, dtype=complex)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape[0] < 1:
         raise ValueError("density matrix must be square")
+    if not np.all(np.isfinite(dm)):
+        raise ValueError("density matrix entries must be finite")
     scale = max(1.0, float(np.abs(dm).max()))
     if float(np.abs(dm - dm.conj().T).max()) > 1e-10 * scale:
         raise ValueError("density matrix must be Hermitian")
@@ -291,78 +288,6 @@ def q_grid(state: SpinState, n_theta: int, n_phi: int) -> QGrid:
     for a in (thetas, weights, phis, values):
         a.flags.writeable = False
     return QGrid(state.label, thetas, phis, values, weights, 2.0 * np.pi / n_phi)
-
-
-# -- spherical harmonics ----------------------------------------------------------
-
-
-def spherical_harmonic(K: int, q: int, p: SpherePoint | tuple[float, float]) -> complex:
-    """Orthonormalized Y_Kq at the given sphere point, with the
-    Condon-Shortley phase: scipy.special.sph_harm_y, imported here so that
-    importing the package does not load scipy."""
-    from scipy.special import sph_harm_y
-
-    if K < 0 or abs(q) > K:
-        raise ValueError(f"(K={K}, q={q}) out of range")
-    if not isinstance(p, SpherePoint):
-        p = SpherePoint(*p)
-    return complex(sph_harm_y(K, q, p.theta, p.phi))
-
-
-# -- integral route for the multipoles ---------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _integral_inverse_kernel(twoS: int, K: int) -> float:
-    """Constant turning the Q-against-Y_Kq quadrature back into a multipole
-    component: sqrt((2S-K)! (2S+K+1)!) / (sqrt(4 pi) (2S)!)."""
-    log = 0.5 * (math.lgamma(twoS - K + 1) + math.lgamma(twoS + K + 2))
-    log -= math.lgamma(twoS + 1)
-    return math.exp(log) / math.sqrt(4.0 * math.pi)
-
-
-def multipoles_integral(state: SpinState) -> MultipoleSpectrum:
-    """Multipole spectrum from sphere quadrature of the Husimi function.
-
-    The overlap of Q with Y_Kq is proportional to the (K, q) component with
-    a closed-form constant; a (-1)^(K+q) signature enters because theta is
-    measured from the lowest-weight pole and phi winds as exp(-i phi).
-    Q Y_Kq^* has degree 2S + K <= 4S in cos(theta) and Fourier modes up to
-    4S in phi, so one grid of 2S + 1 Gauss-Legendre nodes by 4S + 1 equal
-    phi steps integrates every order exactly: one Husimi grid, its Fourier
-    coefficients q = -2S..2S, and one contraction with the orthonormal
-    associated Legendre functions of scipy.special.sph_legendre_p.
-    The quadrature is exact, but the constant of order K (see
-    _integral_inverse_kernel) multiplies its rounding, so the (K, q)
-    components agree with multipoles() only to about
-    eps * max(1, kernel(2S, K)) times a factor of a few hundred at most.
-    The kernel peaks at K = 2S.  For random states the worst deviation is
-    about 1e-12 at 2S = 12, 2e-10 at 20, 1e-7 at 30 and 3e-4 at 40 (a state
-    peaked at a pole: about 4 times that at 2S = 40); at 2S = 60 no digit is
-    left.  Above 2S = 30 it raises ValueError.
-    """
-    from scipy.special import sph_legendre_p
-
-    twoS = state.label.twoS
-    if twoS > 30:
-        raise ValueError(
-            f"multipoles_integral has no reliable digits at 2S={twoS} > 30; use multipoles()"
-        )
-    x, wx = np.polynomial.legendre.leggauss(twoS + 1)
-    n_phi = 4 * twoS + 1
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    qs = np.arange(-twoS, twoS + 1)
-    # fourier[i, q + 2S] = sum_j Q(theta_i, phi_j) e^{-i q phi_j} dphi
-    thetas = np.arccos(x)
-    q_vals = _husimi_grid(state, thetas, phis)
-    fourier = q_vals @ np.exp(-1j * np.outer(phis, qs)) * (2.0 * np.pi / n_phi)
-    Ks = np.arange(twoS + 1)
-    # legendre[K, q + 2S, i], 0 where |q| > K ([0]: no derivatives)
-    legendre = sph_legendre_p(Ks[:, None, None], qs[:, None], thetas)[0]
-    raw = np.einsum("Kqi,iq->Kq", legendre, wx[:, None] * fourier)
-    kernel = np.array([_integral_inverse_kernel(twoS, K) for K in Ks])
-    signs = (-1.0) ** np.add.outer(Ks, qs)  # the (-1)^(K+q) signature
-    return _spectrum(state.label, kernel[:, None] * signs * raw)
 
 
 # -- Cartesian moments ---------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Exact reference values the tests check the package against."""
+"""Exact reference values and independent routes the tests check the
+package against."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from majorana.multipoles import q_grid
 
 
 def clebsch_gordan(
@@ -69,3 +72,40 @@ def clebsch_gordan(
     )
     value_sq = pref * total * total
     return math.copysign(math.sqrt(float(value_sq)), float(total))
+
+
+def quadrature_kernel(twoS: int, K: int) -> float:
+    """Constant turning the Q-against-Y_Kq quadrature back into a multipole
+    component: sqrt((2S-K)! (2S+K+1)!) / (sqrt(4 pi) (2S)!)."""
+    log = 0.5 * (math.lgamma(twoS - K + 1) + math.lgamma(twoS + K + 2))
+    log -= math.lgamma(twoS + 1)
+    return math.exp(log) / math.sqrt(4.0 * math.pi)
+
+
+def multipoles_by_quadrature(state) -> np.ndarray:
+    """rho[K, q + 2S] of a state with 2S >= 1 from sphere quadrature of its
+    Husimi function against the orthonormal spherical harmonics
+    (Condon-Shortley phase), independent of the tensor table.
+
+    The overlap of Q with Y_Kq is quadrature_kernel(2S, K) times the (K, q)
+    component up to a (-1)^(K+q) signature, which enters because theta is
+    measured from the lowest-weight pole and phi winds as exp(-i phi).
+    Q Y_Kq^* has degree 2S + K <= 4S in cos(theta) and Fourier modes up to
+    4S in phi, so the q_grid of 2S + 1 Gauss-Legendre nodes by 4S + 1 equal
+    phi steps integrates every order exactly.  The kernel, which peaks at
+    K = 2S, multiplies the rounding: for random states the route agrees with
+    multipoles() to about 1e-12 at 2S = 12, 1e-10 at 20 and 1e-7 at 30.
+    """
+    from scipy.special import sph_legendre_p
+
+    twoS = state.label.twoS
+    grid = q_grid(state, twoS + 1, 4 * twoS + 1)
+    Ks = np.arange(twoS + 1)
+    qs = np.arange(-twoS, twoS + 1)
+    # fourier[i, q + 2S] = sum_j Q(theta_i, phi_j) e^{-i q phi_j} dphi
+    fourier = grid.values @ np.exp(-1j * np.outer(grid.phi_nodes, qs)) * grid.phi_weight
+    # legendre[K, q + 2S, i], 0 where |q| > K ([0]: no derivatives)
+    legendre = sph_legendre_p(Ks[:, None, None], qs[:, None], grid.theta_nodes)[0]
+    raw = np.einsum("Kqi,iq->Kq", legendre, grid.theta_weights[:, None] * fourier)
+    kernel = np.array([quadrature_kernel(twoS, K) for K in Ks])
+    return kernel[:, None] * (-1.0) ** np.add.outer(Ks, qs) * raw

@@ -22,9 +22,11 @@ from majorana.dynamics import (
     matched_distance,
 )
 from majorana.kings import SearchConfig, minimize
-from majorana.multipoles import husimi_q, multipoles, multipoles_integral
+from majorana.multipoles import husimi_q, multipoles
 from majorana.serialize import emit_kings, parse_constellation
 from majorana.stellar import constellations_from_states
+
+from oracles import multipoles_by_quadrature
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
@@ -112,11 +114,7 @@ def test_criterion_04_spectrum_identities():
                 assert np.abs(w_rot - w).max() <= 1e-10
         # the sphere-quadrature route reproduces the trace route
         for st in states[:2]:
-            a = multipoles(st)
-            b = multipoles_integral(st)
-            diff = max(
-                abs(v1 - v2) for (_, _, v1), (_, _, v2) in zip(a.items(), b.items())
-            )
+            diff = np.abs(multipoles(st).rho - multipoles_by_quadrature(st)).max()
             assert diff <= 1e-9
 
 

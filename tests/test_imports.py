@@ -64,6 +64,34 @@ def test_import_and_main_paths_load_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _scipy_imports(node, scope):
+    """(scope, module) of each scipy import under node, where scope is the
+    module's name dotted with the enclosing function or class names."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            modules = [child.module]
+        else:
+            modules = []
+        yield from ((scope, m) for m in modules if m.split(".")[0] == "scipy")
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scipy_imports(child, f"{scope}.{child.name}")
+        else:
+            yield from _scipy_imports(child, scope)
+
+
+def test_the_package_imports_scipy_only_to_match_stars():
+    """scipy.optimize, imported inside dynamics._matching, is the only scipy
+    the package uses; everything else runs on numpy alone."""
+    found = [
+        hit
+        for path in sorted((SRC / "majorana").glob("*.py"))
+        for hit in _scipy_imports(ast.parse(path.read_text()), path.stem)
+    ]
+    assert found == [("dynamics._matching", "scipy.optimize")]
+
+
 def test_public_names_come_from_the_modules_lists():
     """Each module's __all__ is the one list of its public names: the lists
     are disjoint, the package re-exports each name as the same object, and
