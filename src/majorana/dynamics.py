@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DegenerateConstellation
 from .rootfinding import _components, _root_coefficients, _table
 from .stellar import (
-    INFINITY,
     Constellation,
     SpinLabel,
     SpinState,
@@ -32,6 +31,7 @@ from .stellar import (
     _binom_sqrt,
     _chord_matrix,
     _require_same_label,
+    _stars,
     constellations_from_states,
     spin_matrices,
 )
@@ -298,7 +298,7 @@ def _matching(a: Constellation, b: Constellation) -> tuple[np.ndarray, np.ndarra
     from scipy.optimize import linear_sum_assignment
 
     _require_same_label(a.label, b.label)
-    pa, pb = (np.append(c.finite_roots, [INFINITY] * c.infinity_count) for c in (a, b))
+    pa, pb = _stars(a), _stars(b)
     cost = _chord_matrix(pa, pb)
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(len(pa), dtype=int)

@@ -62,6 +62,7 @@ from .stellar import (
     SpinState,
     _as_label,
     _spinors,
+    _stars,
     constellation_from_state,
     state_from_constellation,
 )
@@ -168,8 +169,6 @@ class KingResult:
 
 def objective(constellation: Constellation, M: int) -> float:
     """A_M of the state rebuilt from the stars."""
-    if not (1 <= M <= constellation.label.twoS):
-        raise ValueError(f"M={M} outside 1..{constellation.label.twoS}")
     state = state_from_constellation(constellation)
     return cumulative_quantumness(multipoles(state), M)
 
@@ -352,16 +351,14 @@ def _gauge_fix(c: Constellation) -> Constellation:
     Constellation.points) sits at theta = 0 and the next off-axis star has
     phi = 0.
 
-    Star j is the unit spinor (u_j, v_j) of stellar._spinors, at z = v / u:
-    those of the finite stars, then (0, 1) for each star at the pole.  The
+    Star j is the unit spinor (u_j, v_j) of stellar._spinors at star j of
+    stellar._stars, so z = v / u, and a star at the pole is (0, 1).  The
     SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes the first star to
     (1, 0), z = 0, where it is placed, and turns the others rigidly with it.
     A turned star with |z| > 1e8, within about 1e-8 chordal of the pole, is
     snapped there, which keeps the output canonical.
     """
-    u, v = _spinors(c.finite_roots)
-    u = np.concatenate([u, np.zeros(c.infinity_count)])
-    v = np.concatenate([v, np.ones(c.infinity_count)])
+    u, v = _spinors(_stars(c))
     u0, v0 = u[0], v[0]
     u, v = np.conj(u0) * u[1:] + np.conj(v0) * v[1:], u0 * v[1:] - v0 * u[1:]
     pole = np.abs(v) > 1e8 * np.abs(u)

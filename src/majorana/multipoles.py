@@ -202,7 +202,7 @@ def _spectrum(label: SpinLabel, rho: np.ndarray) -> MultipoleSpectrum:
 
 def _density_matrix(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarray]:
     if isinstance(state, SpinState):
-        return state.label, np.outer(state.amplitudes, state.amplitudes.conj())
+        return state.label, state.density_matrix()
     dm = np.asarray(state, dtype=complex)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape[0] < 1:
         raise ValueError("density matrix must be square")

@@ -20,6 +20,9 @@ products against the table, so no stage loops over coefficients in Python.
    first).  They are backward stable (Edelman & Murakami, Math. Comp. 64
    (1995) 763), so they are final up to the polish and merges below.  A
    row with real coefficients gets a real matrix: exact conjugate pairs.
+   A row whose companion matrix overflows, its top coefficient below about
+   1e-308 of the largest and its constant one too small to flip it (see
+   below), raises NonConvergence.
 2. Gates, from one power table at the eigenvalues, which gives p and its
    rounding floor 2 (n + 1) eps sum_k |c_k| |z|**k: the Weierstrass
    inclusion discs |z - z_i| <= n |W_i|, W_i = p(z_i) / (c_n prod_{j != i}
@@ -134,12 +137,17 @@ def _rounding_floor(table: np.ndarray, mag: np.ndarray) -> np.ndarray:
 def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
     """Eigenvalues of every row's companion matrix, one LAPACK call per
     coefficient type: a row with real coefficients gets a real matrix
-    (dgeev), so its eigenvalues come in exact conjugate pairs."""
+    (dgeev), so its eigenvalues come in exact conjugate pairs.  Raises
+    NonConvergence, naming the degree, if a matrix entry c_k / c_n
+    overflows."""
     n = coeffs.shape[1] - 1
 
     def eigvals(c):
         comp = np.zeros((len(c), n, n), dtype=c.dtype)
-        comp[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            comp[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
+        if not np.isfinite(comp[:, 0]).all():
+            raise NonConvergence(f"companion matrix overflows for degree {n}")
         comp.reshape(len(c), n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
         return np.linalg.eigvals(comp)
 
@@ -212,22 +220,31 @@ def _root_coefficients(roots: np.ndarray, n: int) -> np.ndarray:
     """Coefficients (low to high, length n + 1) of a positive multiple of
     prod_j (z - roots_j); the top n - len(roots) entries are 0.  A factor
     z - w grows max|c| at most (1 + |w|)-fold, so before a step that would
-    take that running bound past 1e200, c is scaled to max modulus 1, so no
-    root overflows it while |Re w| + |Im w| stays below the float limit
-    (about 1.8e308); past it, numpy's array complex product warns of
-    overflow where Python's scalar product does not."""
+    take that running bound past 1e200, c is scaled to max modulus 1.  A
+    root with |Re w| + |Im w| past 1e300 enters as the factor 2**-16 (z -
+    w), whose bound 2**-16 + |2**-16 w| is finite: |w| itself can pass the
+    float limit (about 1.8e308), and numpy's product of an array and a
+    complex scalar overflows once |Re w| + |Im w| does.  So every finite
+    root is accepted, and none overflows c."""
     roots = np.asarray(roots, dtype=complex).reshape(-1)
     r = len(roots)
     c = np.zeros(n + 1, dtype=complex)
     c[r] = 1.0
     bound = 1.0  # a Python float: inf on overflow, never a warning
     for j, w in enumerate(roots.tolist()):
-        step = 1.0 + abs(w)
+        shrink = 1.0
+        if abs(w.real) + abs(w.imag) > 1e300:
+            shrink = 2.0**-16
+            w *= shrink  # a power of two: exact unless a part is subnormal
+        step = shrink + abs(w)
         if bound * step > 1e200:
             c /= np.abs(c).max()
             bound = 1.0
+        prod = w * c[r - j : r + 1]
+        if shrink != 1.0:
+            c *= shrink  # every entry outside c[r - j : r + 1] is 0
         head = c[r - j - 1 : r]
-        head -= w * c[r - j : r + 1]  # c[...] -= ... would also copy it back
+        head -= prod  # c[...] -= ... would also copy it back
         bound *= step
     return c
 
@@ -287,7 +304,8 @@ def find_roots(coeffs: np.ndarray) -> np.ndarray:
 
     coeffs must have nonzero first and last entries (no roots at zero or
     infinity; the caller strips those).  Raises NonConvergence when the
-    roots miss the residual contract TOL.  A root is inf only where a row
+    roots miss the residual contract TOL, or when the companion matrix
+    overflows (step 1 of the module docstring).  A root is inf only where a row
     solved in the 1/z chart has an estimate at exactly 0.
     """
     return find_roots_batch(np.asarray(coeffs, dtype=complex)[None])[0]

@@ -150,9 +150,13 @@ class Constellation:
 
     def points(self) -> list[SpherePoint]:
         """All 2S stars as sphere angles, infinity stars last."""
-        pts = [stereo_to_sphere(z) for z in self.finite_roots]
-        pts.extend(SpherePoint(math.pi, 0.0) for _ in range(self.infinity_count))
-        return pts
+        return [stereo_to_sphere(z) for z in _stars(self)]
+
+
+def _stars(c: Constellation) -> np.ndarray:
+    """All 2S stars of c as stereographic points: the finite roots, then
+    INFINITY once per star at the theta = pi pole."""
+    return np.append(c.finite_roots, [INFINITY] * c.infinity_count)
 
 
 @dataclass(frozen=True)
@@ -365,14 +369,10 @@ def constellations_from_states(states) -> list[Constellation]:
                 roots[rows[:, None], core[:, :-1]] = find_roots_batch(f[rows[:, None], core])
         size = np.abs(roots)
         far = size > 2.0 / TOL
-        roots[far] = INFINITY
         roots[size < 0.5 * TOL] = 0.0
-        poles = far.sum(axis=1)
-        if poles.any():
-            roots.sort(axis=1)  # (real, imag) order puts infinity last
         label = states[members[0]].label
         for r, i in enumerate(members):
-            results[i] = Constellation(label, roots[r, : twoS - poles[r]], int(poles[r]))
+            results[i] = Constellation(label, roots[r, ~far[r]], int(far[r].sum()))
     return results
 
 
@@ -383,7 +383,5 @@ def state_from_constellation(c: Constellation) -> SpinState:
     coefficient of the root polynomial is real and positive.
     """
     twoS = c.label.twoS
-    if twoS == 0:
-        return SpinState(c.label, np.ones(1, dtype=complex))
     amps = _root_coefficients(c.finite_roots, twoS) / _binom_sqrt(twoS)
     return SpinState(c.label, amps)

@@ -54,13 +54,16 @@ def test_stars_state_round_trip(runner, tmp_path, rng):
 
 
 def test_state_of_far_stars_whose_product_overflows(runner, tmp_path):
-    # Two stars whose product is beyond the largest double.
-    c = mj.Constellation(4, [1e160, 2e160, 0.5, 1j])
-    path = tmp_path / "c.json"
-    path.write_text(emit_constellation(c))
-    result = runner.invoke(main, ["state", str(path)])
-    assert result.exit_code == 0, result.output
-    assert result.output == emit_state(mj.state_from_constellation(c)) + "\n"
+    # Two stars whose product is beyond the largest double, and stars whose
+    # modulus, or the sum of whose parts, is.
+    for roots in ([1e160, 2e160, 0.5, 1j], [1.5e308 + 1.5e308j], [9e307 + 9e307j],
+                  [1e308 + 1e308j]):
+        c = mj.Constellation(len(roots), roots)
+        path = tmp_path / "c.json"
+        path.write_text(emit_constellation(c))
+        result = runner.invoke(main, ["state", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output == emit_state(mj.state_from_constellation(c)) + "\n"
 
 
 def test_stars_angles_flag(runner, tmp_path):
@@ -167,6 +170,14 @@ def test_kings_matches_library(runner):
     assert obj["constellation"]["infinity_count"] == 1
 
 
+def test_companion_that_overflows_exits_3(runner, tmp_path):
+    path = _write_state(tmp_path, mj.SpinState(2, [1e-320, 1, 1e-320]))
+    result = runner.invoke(main, ["stars", path])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: companion matrix overflows for degree 2\n"
+
+
 def test_kings_seed_changes_draws_not_result(runner):
     a = runner.invoke(main, ["--seed", "5", "kings", "--twoS", "4", "--M", "2",
                              "--restarts", "4"])
@@ -260,6 +271,15 @@ def test_state_malformed_star_angle_exits_2(runner, tmp_path, payload):
     assert isinstance(result.exception, SystemExit)  # not an escaped TypeError
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_evolve_matrix_row_not_a_list_exits_2(runner, tmp_path):
+    spath = _write_state(tmp_path, mj.basis_state(1, 1))
+    hpath = tmp_path / "h.json"
+    hpath.write_text('{"twoS": 1, "matrix": [1, 2]}')
+    result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "0.1"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: matrix must be 2x2\n"
 
 
 @pytest.mark.parametrize("dtmax", ["1e-320", "nan", "1e-12"])

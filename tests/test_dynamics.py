@@ -342,8 +342,10 @@ def test_evolve_time_zero(rng):
     traj = evolve(st, builtin_hamiltonian(2, "Sz"), 0.0)
     assert len(traj.times) == 1
     assert traj.times[0] == 0.0
-    assert traj.fallback_intervals == ()
     c0 = mj.constellation_from_state(st)
+    # The one snapshot is the state's own constellation, bit for bit.
+    assert np.array_equal(traj.snapshots[0].finite_roots, c0.finite_roots)
+    assert traj.snapshots[0].infinity_count == c0.infinity_count
     assert matched_distance(traj.at(0.0), c0) <= 1e-12
 
 
@@ -540,21 +542,24 @@ def test_high_spin_evolve_matches_exact(twoS):
     st = random_state(rng, twoS)
     checkpoints = np.linspace(0.1, 1.0, 10)
     traj = evolve(st, h, 1.0, checkpoints=checkpoints)
-    assert traj.fallback_intervals == ()
-    for t in checkpoints:
+    assert np.isin(checkpoints, traj.times).all()
+    # Every snapshot, not only the checkpoints, matches exact re-rooting.
+    for t, snap in zip(traj.times, traj.snapshots):
         want = mj.constellation_from_state(evolve_exact(st, h, t))
-        assert matched_distance(traj.at(t), want) <= 1e-6
+        assert matched_distance(snap, want) <= 1e-6
 
 
 def test_kerr_coherent_ignition():
-    # A coherent start is maximally degenerate; the trajectory must leave it
-    # without reporting a fallback window, then track the spreading stars.
+    # A coherent start is maximally degenerate; every snapshot that leaves
+    # it must match exact re-rooting, and the stars must then spread.
     chi = 0.7
     st = mj.coherent_state(4, 0.6 + 0.2j)
     h = builtin_hamiltonian(4, "Sz2", chi)
     t_final = 0.1 / chi
     traj = evolve(st, h, t_final)
-    assert traj.fallback_intervals == ()
+    for t, snap in zip(traj.times[:10], traj.snapshots[:10]):
+        want = mj.constellation_from_state(evolve_exact(st, h, t))
+        assert matched_distance(snap, want) <= 1e-6
     c0 = mj.constellation_from_state(st)
     spread0 = _spread(c0)
     spread1 = _spread(traj.snapshots[-1])
@@ -575,13 +580,16 @@ def _spread(c):
 def test_collision_flyby_stays_accurate():
     # psi = (1, sqrt(2) e^{-0.3 i}, 1)/norm under Sz^2: the two stars touch
     # exactly at t = 0.3 (the discriminant crosses zero there).  The
-    # contract is accuracy on the far side of the touch.
+    # contract is accuracy through the touch and on its far side.
     amps = np.array([1.0, math.sqrt(2.0) * np.exp(-0.3j), 1.0])
     st = mj.SpinState(2, amps)
     h = builtin_hamiltonian(2, "Sz2", 1.0)
     traj = evolve(st, h, 0.6)
-    for lo, hi in traj.fallback_intervals:
-        assert lo < 0.3 < hi
+    near = np.flatnonzero(np.abs(traj.times - 0.3) <= 0.05)
+    assert len(near) >= 5
+    for k in near:
+        want = mj.constellation_from_state(evolve_exact(st, h, traj.times[k]))
+        assert matched_distance(traj.snapshots[k], want) <= 1e-6
     want = mj.constellation_from_state(evolve_exact(st, h, 0.6))
     assert matched_distance(traj.snapshots[-1], want) <= 1e-6
 
@@ -604,7 +612,7 @@ def test_polar_eigenstate_under_sz(rng):
     # |S, -S> maps to all stars at infinity, where they stay.
     st = mj.basis_state(4, -4)
     traj = evolve(st, builtin_hamiltonian(4, "Sz"), 1.0)
-    assert traj.fallback_intervals == ()
+    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
     assert all(c.infinity_count == 4 for c in traj.snapshots)
 
 

@@ -84,6 +84,16 @@ def test_roots_missing_the_tolerance_raise(monkeypatch):
         find_roots(c)
 
 
+@pytest.mark.parametrize("amps", [[1e-320, 1, 1e-320], [1e-310, 1, 1, 1e-310]])
+def test_companion_that_overflows_raises(amps):
+    # Both end coefficients sit below 1e-308 of the largest, so the row
+    # does not flip to the 1/z chart and c_k / c_n overflows.  The suite
+    # makes a RuntimeWarning an error, so a warning on the way fails here.
+    n = len(amps) - 1
+    with pytest.raises(mj.NonConvergence, match=rf"^companion matrix overflows for degree {n}$"):
+        mj.constellation_from_state(mj.SpinState(n, amps))
+
+
 def _exact_linear_ratio(c, z):
     """|c0 + c1 z|**2 / max(1, |z|)**2 in exact rational arithmetic."""
     c0r, c0i, c1r, c1i, zr, zi = (Fraction(x) for x in (

@@ -240,6 +240,8 @@ def test_parse_hamiltonian_errors(rng):
         parse_hamiltonian('{"twoS":2,"matrix":[[0,0],[0,0]]}')  # wrong size
     with pytest.raises(ValueError):
         parse_hamiltonian('{"twoS":1,"matrix":[[0,[1,0]],[[2,0],0]]}')  # not Hermitian
+    with pytest.raises(ValueError, match=r"^matrix must be 2x2$"):
+        parse_hamiltonian('{"twoS": 1, "matrix": [1, 2]}')  # rows not lists
 
 
 # -- trajectories -----------------------------------------------------------------------

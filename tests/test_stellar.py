@@ -116,6 +116,10 @@ def test_scaled_vieta_matches_loop_reference(rng):
     [1e300, -1e300j, 0.5],
     [1.7e308, 2.0, 1j],
     [1e250, 3.0, -2j, 0.1],
+    # |w| past the float limit, and |Re w| + |Im w| past it.
+    [1.5e308 + 1.5e308j],
+    [9e307 + 9e307j],
+    [1e308 + 1e308j, 1j, 2.0],
 ])
 def test_vieta_scales_down_before_a_step_that_would_overflow(roots):
     # 1e160 * 2e160 is beyond the largest double, so the coefficients are
