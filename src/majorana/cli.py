@@ -116,7 +116,8 @@ def multipoles_cmd(ctx: click.Context, state_file: str, upto: int | None) -> Non
 @click.option("--twoS", "two_s", type=int, required=True, help="Doubled spin 2S.")
 @click.option("--M", "order", type=int, required=True,
               help="Highest multipole order to suppress.")
-@click.option("--restarts", type=int, default=16, show_default=True)
+@click.option("--restarts", type=int, default=kings.SearchConfig.restarts,
+              show_default=True)
 @click.pass_context
 @_guard
 def kings_cmd(ctx: click.Context, two_s: int, order: int, restarts: int) -> None:

@@ -78,12 +78,15 @@ def hamiltonian(label: SpinLabel | int, matrix: np.ndarray) -> HamiltonianSpec:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (label.dim, label.dim):
         raise ValueError(f"matrix must be {label.dim}x{label.dim}")
-    if not np.all(np.isfinite(m)):
+    peak = float(np.abs(m).max())  # not finite if an entry or its modulus is not
+    if not math.isfinite(peak):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
+    scale = max(1.0, peak)
+    # In halves, so that no sum or difference of two finite entries overflows.
+    half = 0.5 * m
+    if float(np.abs(half - half.conj().T).max()) > 0.5e-12 * scale:
         raise ValueError("matrix must be Hermitian")
-    m = (m + m.conj().T) / 2.0
+    m = half + half.conj().T
     evals, evecs = np.linalg.eigh(m)
     for a in (m, evals, evecs):
         a.flags.writeable = False
@@ -186,8 +189,6 @@ def equilibrium_residual(c: Constellation, h: HamiltonianSpec) -> float:
     if c.infinity_count > 0:
         raise DegenerateConstellation("a star at infinity has no chart velocity")
     roots = c.finite_roots
-    if len(roots) == 0:
-        return 0.0
     label = _components(_chord_matrix(roots, roots) <= _CLUSTER_CHORD)
     groups = [roots[label == k] for k in np.flatnonzero(np.bincount(label))]
     centers = [_centroid(g) for g in groups]

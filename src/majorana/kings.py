@@ -22,20 +22,16 @@ slow tail costs more than the median saves.
 
 On such a zero-residual problem Gauss-Newton converges quadratically, so
 each restart screens random states in one stacked evaluation of A_M and
-polishes the best of them by a damped Gauss-Newton method: Levenberg-
-Marquardt steps whose damping is mu |r|, mu under Nielsen's rule, with the
-Gauss-Newton matrix J^T J swapped for a BFGS model after steps that cut A_M
-by less than a fifth, so that minima with A_M > 0 still converge
-superlinearly (the hybrid of Fletcher & Xu, IMA J. Numer. Anal. 7 (1987)
-371).  Each step s moves psi to (psi + s) / |psi + s|.  A_M does not
-change along rotations, phase and length, so its Jacobian is singular;
-damping in proportion to the residual keeps quadratic convergence
-regardless (Yamashita & Fukushima, Computing Suppl. 15 (2001) 239; Fan &
-Yuan, Computing 74 (2005) 23).
+polishes the best of them by a damped Gauss-Newton method (_polish, which
+gives the reasons for its damping): Levenberg-Marquardt steps damped by
+mu |r|, with the Gauss-Newton matrix J^T J swapped for a BFGS model after
+steps that cut A_M by less than a fifth, so that minima with A_M > 0 still
+converge superlinearly (the hybrid of Fletcher & Xu, IMA J. Numer. Anal. 7
+(1987) 371).  Each step s moves psi to (psi + s) / |psi + s|.
 
 A restart's objective is the polish's final A_M, at its polished psi; the
-search rescores nothing.  The unpolarized order is read from A_1 .. A_M+1
-of the winning psi, and from every order only when A_M+1 vanishes too.
+search rescores nothing.  The unpolarized order is the count of orders K
+with A_K <= ZERO_TOL at the winning psi: A_K never decreases in K.
 
 Restarts draw independent random streams from (seed, restart_index), so the
 result is reproducible and independent of how restarts are scheduled.
@@ -56,6 +52,7 @@ from .multipoles import (
     cumulative_quantumness,
     multipoles,
 )
+from .rootfinding import _EPS
 from .stellar import (
     Constellation,
     SpinLabel,
@@ -79,7 +76,6 @@ __all__ = [
 #: A_M at or below this value counts as numerically unpolarized.
 ZERO_TOL = 1e-7
 
-_EPS = float(np.finfo(float).eps)
 _SCREEN_SAMPLES = 32
 # Polish: the share of its predicted decrease a trial step must deliver, the
 # most trial steps in a row the polish may reject, and the stop rules of
@@ -90,22 +86,10 @@ _BACKTRACKS = 20
 _MAX_ITERS = 2000
 _GRAD_TOL = 1e-9
 _F_TOL = 1e-9
-# The polish damps by lambda = mu |r|.  _DAMPING is Nielsen's starting
-# lambda and _DAMPING_FLOOR the least mu, both in units of the largest
-# diagonal entry of the first Gauss-Newton matrix over the first |r|.
-# Madsen, Nielsen & Tingleff (sec. 3.2) start at 1e-3 only when the start
-# is believed close to the minimiser; a screened random start is not
-# (A_M ~ 0.1-0.3).  The value was chosen when the search moved stars:
-# there, from 1e-3, 84% of the trials of a start's first two rounds were
-# rejected (200 single-restart searches of the benchmark's configurations),
-# from 3e-2 13%, and the searches took 18% fewer evaluations.  In
-# amplitudes the two starts are within 4% of each other (1210 against 1251
-# evaluations, seeds 0-39, with damping that did not scale with |r|).  A_M
-# is invariant under rotations and under the length and phase of psi, so B
-# is singular along them; the floor keeps the rounding of the gradient,
-# which shrinks with |r| as lambda does, from stepping far along them, and
-# keeps mu from underflowing to zero, where a rejection could no longer
-# raise it.
+# The polish damps by lambda = mu |r|: _DAMPING is the starting mu and
+# _DAMPING_FLOOR the least, both in units of the largest diagonal entry of
+# the first Gauss-Newton matrix over the first |r|.  _polish gives the
+# reasons for both.
 _DAMPING = 3e-2
 _DAMPING_FLOOR = math.sqrt(_EPS)
 # The stop reasons of a polish that converged.
@@ -240,9 +224,14 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
     mu and its floor are in units of the largest diagonal entry of the first
     B over the first |r|, so lambda starts at _DAMPING = 3e-2 times that
     entry, above the 1e-3 that sec. 3.2 gives for a start near the
-    minimiser: a screened random start is far from it, and from 1e-3 most
-    starts spent their first rounds rejecting long steps, only to raise
-    lambda.
+    minimiser: a screened random start is far from it (A_M ~ 0.1-0.3).
+    Over one restart at each of the benchmark's configurations, seeds 0-19,
+    a start at 1e-3 took 627 evaluations, 45 of them rejected trials,
+    against 567 and 16 from 3e-2.  B is singular along rotations, phase and
+    length; the floor, _DAMPING_FLOOR = sqrt(eps), keeps the rounding of the
+    gradient, which shrinks with |r| as lambda does, from stepping far
+    along them, and keeps mu from underflowing to zero, where a rejection
+    could no longer raise it.
 
     Returns the final unit state, f (the restart's objective: A_M at that
     state) and g there, evaluations, steps taken and the stop reason.
@@ -332,17 +321,6 @@ def _run_restart(
     return psi, f, record
 
 
-def _unpolarized_order(psi: np.ndarray, M: int) -> int:
-    """The largest K with A_K <= ZERO_TOL at the unit state psi, or 0: A_K
-    grows with K, so it is the count of such K.  Orders above M + 1 are
-    read only when A_M+1 is below ZERO_TOL too."""
-    twoS = len(psi) - 1
-    A = _cumulative_strengths(psi[None], min(M + 1, twoS))[0]
-    if A[-1] <= ZERO_TOL and M + 1 < twoS:
-        A = _cumulative_strengths(psi[None], twoS)[0]
-    return int(np.count_nonzero(A <= ZERO_TOL))
-
-
 # -- gauge fixing ----------------------------------------------------------------
 
 
@@ -383,7 +361,7 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     failure can check that field.
     """
     label = _as_label(label)
-    if not (1 <= config.M <= label.twoS):
+    if config.M > label.twoS:
         raise ValueError(f"M={config.M} outside 1..{label.twoS}")
 
     outcomes = [_run_restart(label, config, i) for i in range(config.restarts)]
@@ -396,12 +374,13 @@ def minimize(label: SpinLabel | int, config: SearchConfig) -> KingResult:
     psi = outcomes[best][0]
 
     records = tuple(record for _, _, record in outcomes)
+    strengths = _cumulative_strengths(psi[None], label.twoS)  # A_1 .. A_2S
     return KingResult(
         label=label,
         M=config.M,
         constellation=_gauge_fix(constellation_from_state(SpinState(label, psi))),
         objective=values[best],
-        unpolarized_order=_unpolarized_order(psi, config.M),
+        unpolarized_order=int(np.count_nonzero(strengths <= ZERO_TOL)),
         restarts_converged=sum(1 for r in records if r.converged),
         history=tuple(values),
         restart_records=records,

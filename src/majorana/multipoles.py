@@ -206,12 +206,15 @@ def _density_matrix(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarra
     dm = np.asarray(state, dtype=complex)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape[0] < 1:
         raise ValueError("density matrix must be square")
-    if not np.all(np.isfinite(dm)):
+    peak = float(np.abs(dm).max())  # not finite if an entry or its modulus is not
+    if not math.isfinite(peak):
         raise ValueError("density matrix entries must be finite")
-    scale = max(1.0, float(np.abs(dm).max()))
-    if float(np.abs(dm - dm.conj().T).max()) > 1e-10 * scale:
+    scale = max(1.0, peak)
+    # In halves and in units of scale, so that no sum of entries overflows.
+    half = 0.5 * dm
+    if float(np.abs(half - half.conj().T).max()) > 0.5e-10 * scale:
         raise ValueError("density matrix must be Hermitian")
-    if abs(complex(np.trace(dm)) - 1.0) > 1e-10:
+    if abs(complex(np.trace(dm / scale)) - 1.0 / scale) > 1e-10 / scale:
         raise ValueError("density matrix trace must be 1")
     return SpinLabel(dm.shape[0] - 1), dm
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LabelMismatch
+from .errors import LabelMismatch, NonConvergence
 from .rootfinding import TOL, _EPS, _powers, _root_coefficients, find_roots_batch
 
 __all__ = [
@@ -347,33 +347,57 @@ def constellations_from_states(states) -> list[Constellation]:
     A star within about TOL chord of a pole is that pole: one with |z| >
     2 / TOL joins the stars at infinity, and one with |z| < TOL / 2 is set
     to 0.
+
+    If a stack fails, each of its states is solved alone, and the
+    NonConvergence raised names the index in states and the 2S of every
+    state that fails alone, with the solver's message for each.  A row's
+    roots do not depend on the rest of its stack, so those are the states
+    that failed it.
     """
     states = list(states)
     results: list[Constellation | None] = [None] * len(states)
+    failed: list[tuple[int, str]] = []
     groups: dict[int, list[int]] = {}
     for i, state in enumerate(states):
         groups.setdefault(state.label.twoS, []).append(i)
     for twoS, members in groups.items():
         f = _binom_sqrt(twoS) * np.array([states[i].amplitudes for i in members])
-        keep = f != 0
-        lead = np.argmax(keep, axis=1)
-        degree = twoS - lead - np.argmax(keep[:, ::-1], axis=1)
-        if (degree == twoS).all():
-            roots = find_roots_batch(f)
-        else:
-            # Row r holds lead[r] zeros, then its core's roots, then infinity.
-            roots = np.where(np.arange(twoS) < lead[:, None], 0j, INFINITY)
-            for n in np.flatnonzero(np.bincount(degree)):
-                rows = np.flatnonzero(degree == n)
-                core = lead[rows, None] + np.arange(n + 1)
-                roots[rows[:, None], core[:, :-1]] = find_roots_batch(f[rows[:, None], core])
+        try:
+            roots = _trimmed_roots(f)
+        except NonConvergence:
+            for r, i in enumerate(members):
+                try:
+                    _trimmed_roots(f[r : r + 1])
+                except NonConvergence as exc:
+                    failed.append((i, f"state {i} (2S = {twoS}): {exc}"))
+            continue
         size = np.abs(roots)
         far = size > 2.0 / TOL
         roots[size < 0.5 * TOL] = 0.0
         label = states[members[0]].label
         for r, i in enumerate(members):
             results[i] = Constellation(label, roots[r, ~far[r]], int(far[r].sum()))
+    if failed:
+        raise NonConvergence("; ".join(message for _, message in sorted(failed)))
     return results
+
+
+def _trimmed_roots(f: np.ndarray) -> np.ndarray:
+    """The 2S stars of each row of the (N, 2S + 1) stack f of stellar
+    coefficients, trimmed as constellations_from_states describes: row r
+    holds its lead zeros, then its core's roots, then infinity."""
+    twoS = f.shape[1] - 1
+    keep = f != 0
+    lead = np.argmax(keep, axis=1)
+    degree = twoS - lead - np.argmax(keep[:, ::-1], axis=1)
+    if (degree == twoS).all():
+        return find_roots_batch(f)
+    roots = np.where(np.arange(twoS) < lead[:, None], 0j, INFINITY)
+    for n in np.flatnonzero(np.bincount(degree)):
+        rows = np.flatnonzero(degree == n)
+        core = lead[rows, None] + np.arange(n + 1)
+        roots[rows[:, None], core[:, :-1]] = find_roots_batch(f[rows[:, None], core])
+    return roots
 
 
 def state_from_constellation(c: Constellation) -> SpinState:

@@ -109,3 +109,109 @@ def multipoles_by_quadrature(state) -> np.ndarray:
     raw = np.einsum("Kqi,iq->Kq", legendre, grid.theta_weights[:, None] * fourier)
     kernel = np.array([quadrature_kernel(twoS, K) for K in Ks])
     return kernel[:, None] * (-1.0) ** np.add.outer(Ks, qs) * raw
+
+
+def _ladder_tensors(twoS: int, M: int) -> dict:
+    """x[K, q] for 1 <= K <= M and 0 <= q <= K: the one nonzero diagonal of
+    the orthonormal tensor T_Kq, entry (k + q, k) at index k, in mpmath
+    numbers at the working precision.
+
+    Built by the ladder alone from the exact entries u_k = <k + 1|S+|k> =
+    sqrt((k + 1)(2S - k)): T_KK is (-1)^K (S+)^K scaled to unit Frobenius
+    norm, and T_K,q-1 = [S-, T_Kq] / sqrt((K + q)(K - q + 1)), whose
+    entry (k + q - 1, k) is u_{k+q-1} x_k - u_{k-1} x_{k-1}.  No
+    eigenproblem, so it is independent of the package's tensor table.
+    """
+    import mpmath
+
+    d = twoS + 1
+    u = [mpmath.sqrt((k + 1) * (twoS - k)) for k in range(d)]
+    out = {}
+    for K in range(1, M + 1):
+        x = [(-1) ** K * mpmath.fprod(u[k : k + K]) for k in range(d - K)]
+        norm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
+        out[K, K] = x = [v / norm for v in x]
+        for q in range(K, 0, -1):
+            step = mpmath.sqrt((K + q) * (K - q + 1))
+            x = [((u[k + q - 1] * x[k] if k < d - q else 0) - (u[k - 1] * x[k - 1] if k else 0))
+                 / step for k in range(d - q + 1)]
+            out[K, q - 1] = x
+    return out
+
+
+def _king_residuals(psi: list, M: int, tensors: dict) -> list:
+    """The M(M + 2) real residuals of A_M at the state psi (any length):
+    c_K0, sqrt 2 Re c_Kq and sqrt 2 Im c_Kq for 1 <= q <= K <= M, with
+    c_Kq = psi^dag T_Kq psi / psi^dag psi, so that their squares sum to
+    A_M = sum over every (K, q) of |c_Kq|^2."""
+    import mpmath
+
+    norm = mpmath.fsum(abs(p) ** 2 for p in psi)
+    root2 = mpmath.sqrt(2)
+    r = []
+    for K in range(1, M + 1):
+        for q in range(K + 1):
+            x = tensors[K, q]
+            c = mpmath.fsum(mpmath.conj(psi[k + q]) * x[k] * psi[k] for k in range(len(x))) / norm
+            r += [c.real] if q == 0 else [root2 * c.real, root2 * c.imag]
+    return r
+
+
+def refine_king(psi, M: int):
+    """Refine the float state psi toward a zero of the king residuals of
+    order M (A_M = |r|^2) at 50 digits.
+
+    r is evaluated at 50 digits from _ladder_tensors.  Every step is
+    psi <- (psi - P r(psi)) / |psi - P r(psi)|, with P the float
+    pseudo-inverse, singular values below 1e-10 of the largest cut, of the
+    Jacobian of r at the starting psi in the real steps (Re s_0, Im s_0,
+    Re s_1, ...).  The Jacobian is read from forward differences at 50
+    digits with step 1e-25.  A_M does not change along rotations, phase
+    and length, so the cut drops those directions.  The steps stop when |r|
+    falls below 1e-45, fails to fall, or after 12 steps.  Near a regular
+    zero (modulo those directions) each step multiplies |r| by about the
+    distance to it.
+
+    Returns the refined state (mpmath numbers), the history of |r| from
+    the start, and the largest chord between a star of psi and its match
+    among the stars of the refined state (solved in float).
+    """
+    import mpmath
+    from scipy.optimize import linear_sum_assignment
+
+    import majorana as mj
+
+    psi = np.asarray(psi, dtype=complex)
+    twoS = len(psi) - 1
+    with mpmath.workdps(50):
+        tensors = _ladder_tensors(twoS, M)
+        x = [mpmath.mpc(p.real, p.imag) for p in psi]
+        r = _king_residuals(x, M, tensors)
+        h = mpmath.mpf("1e-25")
+        jac = np.empty((len(r), 2 * len(x)))
+        for j in range(2 * len(x)):
+            moved = list(x)
+            moved[j // 2] += h if j % 2 == 0 else 1j * h
+            jac[:, j] = [float((a - b) / h) for a, b in zip(_king_residuals(moved, M, tensors), r)]
+        pinv = np.linalg.pinv(jac, rcond=1e-10)
+        history = [mpmath.sqrt(mpmath.fsum(v * v for v in r))]
+        while len(history) <= 12 and history[-1] > mpmath.mpf("1e-45"):
+            s = [mpmath.fsum(float(w) * v for w, v in zip(row, r)) for row in pinv]
+            x = [p - mpmath.mpc(s[2 * k], s[2 * k + 1]) for k, p in enumerate(x)]
+            norm = mpmath.sqrt(mpmath.fsum(abs(p) ** 2 for p in x))
+            x = [p / norm for p in x]
+            r = _king_residuals(x, M, tensors)
+            history.append(mpmath.sqrt(mpmath.fsum(v * v for v in r)))
+            if history[-1] >= history[-2]:
+                break
+        refined = np.array([complex(p) for p in x])
+
+    def embedded(state):
+        points = mj.constellation_from_state(mj.SpinState(twoS, state)).points()
+        return np.array([[math.sin(p.theta) * math.cos(p.phi), math.sin(p.theta) * math.sin(p.phi),
+                          math.cos(p.theta)] for p in points])
+
+    a, b = embedded(psi), embedded(refined)
+    chords = np.linalg.norm(a[:, None] - b[None], axis=-1)
+    rows, cols = linear_sum_assignment(chords)
+    return x, history, float(chords[rows, cols].max())

@@ -122,7 +122,7 @@ def test_roots_missing_the_tolerance_exit_3(monkeypatch, runner, tmp_path, rng):
     result = runner.invoke(main, ["stars", path])
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert result.stderr.startswith("error: root residual ")
+    assert result.stderr.startswith("error: state 0 (2S = 4): root residual ")
     assert result.stderr.endswith(" exceeds tolerance 1.000e-300 for degree 4\n")
 
 
@@ -175,7 +175,7 @@ def test_companion_that_overflows_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["stars", path])
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert result.stderr == "error: companion matrix overflows for degree 2\n"
+    assert result.stderr == "error: state 0 (2S = 2): companion matrix overflows for degree 2\n"
 
 
 def test_kings_seed_changes_draws_not_result(runner):
@@ -280,6 +280,17 @@ def test_evolve_matrix_row_not_a_list_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "0.1"])
     assert result.exit_code == 2
     assert result.stderr == "error: matrix must be 2x2\n"
+
+
+def test_evolve_under_a_hamiltonian_near_the_float_limit(runner, tmp_path):
+    # (m + m^dag) / 2 of this finite Hermitian matrix overflows; the
+    # suite makes a RuntimeWarning an error.
+    spath = _write_state(tmp_path, mj.SpinState(1, [0.6, 0.8]))
+    hpath = tmp_path / "h.json"
+    hpath.write_text('{"twoS": 1, "matrix": [[1e308, 0], [0, -1e308]]}')
+    result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "1", "--dtmax", "0.5"])
+    assert result.exit_code == 0, result.output
+    assert [json.loads(line)["t"] for line in result.stdout.splitlines()] == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("dtmax", ["1e-320", "nan", "1e-12"])

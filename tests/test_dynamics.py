@@ -110,11 +110,25 @@ def test_hamiltonian_validation(rng):
         hamiltonian(2, bad)
     with pytest.raises(ValueError):
         hamiltonian(2, np.full((3, 3), np.nan))
+    # Finite entries whose difference m - m^dag overflows; the suite makes a
+    # RuntimeWarning an error, so it must be refused without one.
+    with pytest.raises(ValueError, match="Hermitian"):
+        hamiltonian(1, [[0, 1e308], [-1e308, 0]])
+    # Finite parts, but a modulus past the largest double.
+    with pytest.raises(ValueError, match="must be finite"):
+        hamiltonian(1, [[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]])
     with pytest.raises(ValueError):
         builtin_hamiltonian(2, "Sq")
     for coupling in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="coupling must be finite"):
             builtin_hamiltonian(2, "Sz", coupling)
+
+
+def test_hermitian_matrix_near_the_float_limit():
+    # (m + m^dag) / 2 overflows here; its halves do not, and they are m.
+    h = hamiltonian(1, [[1e308, 0], [0, -1e308]])
+    assert np.array_equal(h.matrix, [[1e308, 0], [0, -1e308]])
+    assert np.array_equal(h.evals, [-1e308, 1e308])
 
 
 def test_builtin_matrices_match_spin_operators():

@@ -1,8 +1,10 @@
 """Searches for spin states with vanishing low-order multipoles."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ import majorana as mj
 from majorana import kings
 from majorana.kings import KingResult, SearchConfig, max_unpolarized_order, minimize, objective
 from majorana.multipoles import cumulative_quantumness, multipoles
-from majorana.serialize import emit_kings
+from majorana.serialize import emit_kings, parse_constellation
 
+from oracles import refine_king
+
+_ARTIFACTS = Path(__file__).resolve().parent / "artifacts"
 # The (2S, M) of the benchmark's king searches.
 _BENCHMARK_CONFIGS = ((4, 2), (6, 3), (10, 3), (12, 5), (20, 2))
 
@@ -487,3 +492,31 @@ def test_restart_records():
         assert r.seconds > 0.0
     # The records are not part of the serialized result.
     assert "evaluations" not in emit_kings(result)
+
+
+@pytest.mark.parametrize("name", ["kings_S5", "kings_S6", "kings_S10"])
+def test_committed_kings_are_certified_zeros(name):
+    # 50-digit residuals from the exact ladder, each step from the float
+    # pseudo-inverse of the starting Jacobian: the refinement must contract
+    # at every step to below 1e-40, so a true zero of A_M lies next to the
+    # committed stars: 3.6e-8, 1.3e-8 and 1.1e-6 chord from them (2S = 10,
+    # 12 and 20; the 2S = 20 king is ill-conditioned).
+    record = json.loads((_ARTIFACTS / f"{name}.json").read_text(encoding="utf-8"))
+    stars = parse_constellation(json.dumps(record["constellation"]))
+    psi = mj.state_from_constellation(stars).amplitudes
+    M = record["M"]
+    _, history, chord = refine_king(psi, M)
+    assert float(history[0]) ** 2 == pytest.approx(multipoles(mj.SpinState(stars.label, psi)).A[M],
+                                                   rel=1e-6)
+    assert history[-1] < 1e-40
+    assert all(b < a for a, b in zip(history, history[1:]))
+    assert chord <= 1e-5
+
+
+def test_nonzero_optimum_does_not_certify():
+    # At (2S, M) = (4, 3) the least A_3 is 2/7, not 0: the residuals have no
+    # zero there, and the refinement stalls at |r| = sqrt(2/7).
+    result = minimize(4, SearchConfig(M=3, restarts=4))
+    assert result.objective == pytest.approx(2 / 7, rel=1e-9)
+    _, history, _ = refine_king(mj.state_from_constellation(result.constellation).amplitudes, 3)
+    assert float(history[-1]) == pytest.approx(math.sqrt(2 / 7), rel=1e-6)

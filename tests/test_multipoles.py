@@ -229,6 +229,11 @@ def test_spectrum_from_density_matrix(rng):
         (inf, "finite"),
         (rho + skew, "Hermitian"),
         (2.0 * rho, "trace"),
+        # Finite, but rho - rho^dag or the trace overflows.
+        (np.array([[0, 1e308], [-1e308, 0]]), "Hermitian"),
+        (np.array([[1e308, 0], [0, 1e308]]), "trace"),
+        # Finite parts, but a modulus past the largest double.
+        (np.array([[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]]), "finite"),
     ):
         with pytest.raises(ValueError, match=why):
             multipoles(bad)

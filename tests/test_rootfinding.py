@@ -90,7 +90,8 @@ def test_companion_that_overflows_raises(amps):
     # does not flip to the 1/z chart and c_k / c_n overflows.  The suite
     # makes a RuntimeWarning an error, so a warning on the way fails here.
     n = len(amps) - 1
-    with pytest.raises(mj.NonConvergence, match=rf"^companion matrix overflows for degree {n}$"):
+    want = rf"^state 0 \(2S = {n}\): companion matrix overflows for degree {n}$"
+    with pytest.raises(mj.NonConvergence, match=want):
         mj.constellation_from_state(mj.SpinState(n, amps))
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -432,6 +433,39 @@ def test_contract_error_reports_ratio_and_spin(monkeypatch):
     got = float(str(err.value).split("residual ")[1].split()[0])
     assert want > 1e-10
     assert got == pytest.approx(want, rel=1e-3)
+
+
+def test_failing_batch_names_its_states():
+    # States 1 and 3 overflow their companion matrices; states 0 and 2 are
+    # solvable, and state 0 shares state 1's stack.
+    states = [mj.SpinState(2, [0.3, 1, 0.2j]), mj.SpinState(2, [1e-320, 1, 1e-320]),
+              mj.SpinState(1, [1, 1]), mj.SpinState(3, [1e-310, 1, 1, 1e-310])]
+    with pytest.raises(NonConvergence) as err:
+        mj.constellations_from_states(states)
+    assert str(err.value) == (
+        "state 1 (2S = 2): companion matrix overflows for degree 2; "
+        "state 3 (2S = 3): companion matrix overflows for degree 3")
+    with pytest.raises(NonConvergence, match=r"^state 1 \(2S = 2\): companion") as err:
+        mj.constellations_from_states(states[:2])
+    assert "state 0" not in str(err.value)
+
+
+def test_contract_miss_names_its_state(monkeypatch):
+    # As in test_contract_error_reports_ratio_and_spin: every eigenvalue is
+    # moved by 1e-5 relative and no Newton step repairs it.  State 0 is a
+    # basis state, whose stars are all at 0 and need no solve, in the same
+    # 2S = 20 stack as the spread state 1.
+    rng = np.random.default_rng(5)
+    ring = np.exp(2j * np.pi * rng.uniform(size=10))
+    spread = mj.state_from_constellation(mj.Constellation(20, np.r_[3 * ring, ring / 3]))
+    eigvals = rootfinding._companion_eigvals
+    monkeypatch.setattr(rootfinding, "_companion_eigvals", lambda c: eigvals(c) * (1 + 1e-5))
+    monkeypatch.setattr(rootfinding, "newton_polish",
+                        lambda c, z: (z, rootfinding.residual_ratios(c, z)))
+    with pytest.raises(NonConvergence) as err:
+        mj.constellations_from_states([mj.basis_state(20, 20), spread])
+    assert re.fullmatch(r"state 1 \(2S = 20\): root residual \S+ exceeds tolerance "
+                        r"1\.000e-10 for degree 20", str(err.value))
 
 
 # A 2S = 20 state with stars spread over |z| in [e^-7, e^7] (the roundtrip
