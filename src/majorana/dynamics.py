@@ -30,6 +30,7 @@ from .stellar import (
     _as_label,
     _binom_sqrt,
     _chord_matrix,
+    _hermitian_scale,
     _require_same_label,
     _stars,
     constellations_from_states,
@@ -78,15 +79,8 @@ def hamiltonian(label: SpinLabel | int, matrix: np.ndarray) -> HamiltonianSpec:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (label.dim, label.dim):
         raise ValueError(f"matrix must be {label.dim}x{label.dim}")
-    peak = float(np.abs(m).max())  # not finite if an entry or its modulus is not
-    if not math.isfinite(peak):
-        raise ValueError("matrix entries must be finite")
-    scale = max(1.0, peak)
-    # In halves, so that no sum or difference of two finite entries overflows.
-    half = 0.5 * m
-    if float(np.abs(half - half.conj().T).max()) > 0.5e-12 * scale:
-        raise ValueError("matrix must be Hermitian")
-    m = half + half.conj().T
+    _hermitian_scale(m, 1e-12, "matrix")
+    m = 0.5 * m + (0.5 * m).conj().T  # in halves, so that no sum of entries overflows
     evals, evecs = np.linalg.eigh(m)
     for a in (m, evals, evecs):
         a.flags.writeable = False

@@ -92,8 +92,6 @@ _F_TOL = 1e-9
 # reasons for both.
 _DAMPING = 3e-2
 _DAMPING_FLOOR = math.sqrt(_EPS)
-# The stop reasons of a polish that converged.
-_CONVERGED = ("grad_tol", "f_tol")
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class RestartRecord:
     """What one restart did: residual-and-Jacobian evaluations and steps
-    taken by its polish, the stop reason, whether the polish converged, and
-    the restart's wall time (draw, screening and polish).
+    taken by its polish, the stop reason, and the restart's wall time
+    (draw, screening and polish).
 
     stop_reason names the first rule that ended the polish:
 
@@ -129,14 +127,16 @@ class RestartRecord:
     * "line_search": 20 damped trial steps in a row were rejected, each
       promising more than that.
 
-    The first two count as converged, and so does any polish whose largest
-    gradient component ends at most 1e-6."""
+    The first two count as converged."""
 
     evaluations: int
     iterations: int
     stop_reason: str
-    converged: bool
     seconds: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("grad_tol", "f_tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +196,7 @@ def _random_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray
     return pairs.view(complex)[..., 0] / norms[:, None]
 
 
-def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int, int, str]:
+def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, int, int, str]:
     """Damped Gauss-Newton from the unit state psi of shape (d,).
 
     Each round makes one residual-and-Jacobian call at the trial point.  The
@@ -234,7 +234,7 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
     could no longer raise it.
 
     Returns the final unit state, f (the restart's objective: A_M at that
-    state) and g there, evaluations, steps taken and the stop reason.
+    state), evaluations, steps taken and the stop reason.
     """
     f, g, hess = _gauss_newton(*_residuals(psi, M))
     diagonal = float(np.diagonal(hess).max())
@@ -246,6 +246,7 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
     eye = np.eye(len(g))
     while not reason:
         damping = mu * math.sqrt(f / f0)  # mu |r|, with mu in units of 1 / |r_0|
+        rounding = _F_TOL * _EPS * max(f, 1.0)  # f = |r|^2; a taken step has ft <= f
         s = np.linalg.solve(hess + damping * eye, -g)
         ss = float(s @ s)
         # A step that is not finite is not tried: a rejected trial (ft = inf)
@@ -266,7 +267,7 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
             backtracks += 1
             # A rejected trial that promised no more than the rounding of
             # f: more damping only shrinks the promise.
-            if model <= _F_TOL * _EPS * max(abs(f), 1.0):
+            if model <= rounding:
                 reason = "f_tol"
             elif backtracks >= _BACKTRACKS:
                 reason = "line_search"
@@ -288,17 +289,16 @@ def _polish(psi: np.ndarray, M: int) -> tuple[np.ndarray, float, np.ndarray, int
         ratio = min(max(drop / model, 0.0), 1.0)
         mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor)
         growth = 2.0
-        scale = max(abs(f), abs(ft), 1.0)
         psi, f, g = trial, ft, gt
         steps += 1
         backtracks = 0
         if np.abs(gt).max() <= _GRAD_TOL:
             reason = "grad_tol"
-        elif drop <= _F_TOL * _EPS * scale:
+        elif drop <= rounding:
             reason = "f_tol"
         elif steps >= _MAX_ITERS:
             reason = "max_iters"
-    return psi, f, g, evaluations, steps, reason
+    return psi, f, evaluations, steps, reason
 
 
 def _run_restart(
@@ -308,14 +308,11 @@ def _run_restart(
     rng = np.random.default_rng([config.seed % (2 ** 64), index])
     psi = _random_states(rng, label.dim, _SCREEN_SAMPLES)
     best = int(np.argmin(_cumulative_strengths(psi, config.M)[:, -1]))
-    psi, f, g, evaluations, steps, reason = _polish(psi[best], config.M)
+    psi, f, evaluations, steps, reason = _polish(psi[best], config.M)
     record = RestartRecord(
         evaluations=evaluations,
         iterations=steps,
         stop_reason=reason,
-        # A small final gradient is a converged polish even when rejected
-        # steps end it at the rounding floor.
-        converged=reason in _CONVERGED or float(np.abs(g).max()) <= 1e-6,
         seconds=time.perf_counter() - start,
     )
     return psi, f, record

@@ -27,6 +27,7 @@ from .stellar import (
     SpherePoint,
     _as_label,
     _binom_sqrt,
+    _hermitian_scale,
     spin_matrices,
 )
 
@@ -192,28 +193,14 @@ class MultipoleSpectrum:
                 yield K, q, complex(self.rho[K, q + self.label.twoS])
 
 
-def _spectrum(label: SpinLabel, rho: np.ndarray) -> MultipoleSpectrum:
-    w = np.sum(np.abs(rho) ** 2, axis=1)
-    A = np.concatenate([[0.0], np.cumsum(w[1:])])
-    for a in (rho, w, A):
-        a.flags.writeable = False
-    return MultipoleSpectrum(label, rho, w, A)
-
-
 def _density_matrix(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarray]:
     if isinstance(state, SpinState):
         return state.label, state.density_matrix()
     dm = np.asarray(state, dtype=complex)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape[0] < 1:
         raise ValueError("density matrix must be square")
-    peak = float(np.abs(dm).max())  # not finite if an entry or its modulus is not
-    if not math.isfinite(peak):
-        raise ValueError("density matrix entries must be finite")
-    scale = max(1.0, peak)
-    # In halves and in units of scale, so that no sum of entries overflows.
-    half = 0.5 * dm
-    if float(np.abs(half - half.conj().T).max()) > 0.5e-10 * scale:
-        raise ValueError("density matrix must be Hermitian")
+    scale = _hermitian_scale(dm, 1e-10, "density matrix")
+    # In units of scale, so that no sum of entries overflows.
     if abs(complex(np.trace(dm / scale)) - 1.0 / scale) > 1e-10 / scale:
         raise ValueError("density matrix trace must be 1")
     return SpinLabel(dm.shape[0] - 1), dm
@@ -226,7 +213,12 @@ def multipoles(state: SpinState | np.ndarray) -> MultipoleSpectrum:
     twoS = label.twoS
     padded = np.concatenate([dm, np.zeros((1, twoS + 1))])
     diagonals = padded[_shift_index(twoS + 1, twoS), np.arange(twoS + 1)]  # rho[k + q, k]
-    return _spectrum(label, np.einsum("Kqk,qk->Kq", _tensor_table(twoS), diagonals))
+    rho = np.einsum("Kqk,qk->Kq", _tensor_table(twoS), diagonals)
+    w = np.sum(np.abs(rho) ** 2, axis=1)
+    A = np.concatenate([[0.0], np.cumsum(w[1:])])
+    for a in (rho, w, A):
+        a.flags.writeable = False
+    return MultipoleSpectrum(label, rho, w, A)
 
 
 def cumulative_quantumness(spec: MultipoleSpectrum, M: int) -> float:

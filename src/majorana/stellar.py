@@ -239,6 +239,19 @@ def _binom_sqrt(twoS: int) -> np.ndarray:
     return out
 
 
+def _hermitian_scale(m: np.ndarray, tol: float, noun: str) -> float:
+    """max(1, max |m_ij|) of the square matrix m, refused unless its entries are
+    finite and it is Hermitian within tol times that, tested in halves."""
+    peak = float(np.abs(m).max())  # not finite if an entry or its modulus is not
+    if not math.isfinite(peak):
+        raise ValueError(f"{noun} entries must be finite")
+    scale = max(1.0, peak)
+    half = 0.5 * m
+    if float(np.abs(half - half.conj().T).max()) > 0.5 * tol * scale:
+        raise ValueError(f"{noun} must be Hermitian")
+    return scale
+
+
 @lru_cache(maxsize=None)
 def spin_matrices(twoS: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Sx, Sy, Sz) in the amplitude ordering used by SpinState."""

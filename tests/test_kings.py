@@ -408,7 +408,7 @@ def test_polish_rejects_trials_that_are_not_finite(monkeypatch, finite_calls):
 
     monkeypatch.setattr(kings, "_gauss_newton", undefined)
     (psi,) = kings._random_states(np.random.default_rng(5), 5, 1)
-    end, f, g, evaluations, steps, reason = kings._polish(psi, 2)
+    end, f, evaluations, steps, reason = kings._polish(psi, 2)
     assert reason == "line_search"
     assert (evaluations, steps) == (1 + finite_calls * kings._BACKTRACKS, 0)
     assert np.array_equal(end, psi)
