@@ -82,6 +82,9 @@ def hamiltonian(label: SpinLabel | int, matrix: np.ndarray) -> HamiltonianSpec:
     _hermitian_scale(m, 1e-12, "matrix")
     m = 0.5 * m + (0.5 * m).conj().T  # in halves, so that no sum of entries overflows
     evals, evecs = np.linalg.eigh(m)
+    # LAPACK overflows silently where the spectrum of a finite m does not fit.
+    if not (np.isfinite(evals).all() and np.isfinite(evecs).all()):
+        raise ValueError("matrix spectrum must be finite")
     for a in (m, evals, evecs):
         a.flags.writeable = False
     return HamiltonianSpec(label, m, evals, evecs)

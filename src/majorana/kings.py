@@ -58,6 +58,7 @@ from .stellar import (
     SpinLabel,
     SpinState,
     _as_label,
+    _is_integer,
     _spinors,
     _stars,
     constellation_from_state,
@@ -96,14 +97,20 @@ _DAMPING_FLOOR = math.sqrt(_EPS)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Target order M, restart count and seed.  Each polish stops by the
-    fixed rules that RestartRecord lists."""
+    """Target order M, restart count and seed, each a Python or numpy
+    integer (not a bool).  Each polish stops by the fixed rules that
+    RestartRecord lists."""
 
     M: int
     restarts: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("M", "restarts", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.restarts < 1:

@@ -57,6 +57,11 @@ def is_infinite(z: complex) -> bool:
     return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, order=True)
 class SpinLabel:
     """Spin quantum number, stored as the integer 2S."""
@@ -64,7 +69,7 @@ class SpinLabel:
     twoS: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twoS, (int, np.integer)) or self.twoS < 0:
+        if not _is_integer(self.twoS) or self.twoS < 0:
             raise ValueError(f"twoS must be a nonnegative integer, got {self.twoS!r}")
         object.__setattr__(self, "twoS", int(self.twoS))
 

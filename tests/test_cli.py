@@ -293,6 +293,18 @@ def test_evolve_under_a_hamiltonian_near_the_float_limit(runner, tmp_path):
     assert [json.loads(line)["t"] for line in result.stdout.splitlines()] == [0.0, 0.5, 1.0]
 
 
+def test_evolve_under_a_hamiltonian_whose_spectrum_overflows_exits_2(runner, tmp_path):
+    # The entries are finite and Hermitian, but one eigenvalue is 3.4e308;
+    # the suite makes a RuntimeWarning an error, so the refusal comes first.
+    spath = _write_state(tmp_path, mj.SpinState(1, [0.6, 0.8]))
+    hpath = tmp_path / "h.json"
+    hpath.write_text('{"twoS": 1, "matrix": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]}')
+    result = runner.invoke(main, ["evolve", spath, str(hpath), "--t", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: matrix spectrum must be finite\n"
+
+
 @pytest.mark.parametrize("dtmax", ["1e-320", "nan", "1e-12"])
 def test_evolve_unbuildable_dtmax_exits_2(runner, tmp_path, rng, dtmax):
     st = mj.SpinState(2, rng.normal(size=3) + 1j * rng.normal(size=3))

@@ -117,6 +117,10 @@ def test_hamiltonian_validation(rng):
     # Finite parts, but a modulus past the largest double.
     with pytest.raises(ValueError, match="must be finite"):
         hamiltonian(1, [[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]])
+    # Finite and Hermitian, but an eigenvalue (2 * 1.7e308) overflows, which
+    # LAPACK does without a warning.
+    with pytest.raises(ValueError, match="spectrum must be finite"):
+        hamiltonian(1, [[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
     with pytest.raises(ValueError):
         builtin_hamiltonian(2, "Sq")
     for coupling in (math.inf, -math.inf, math.nan):

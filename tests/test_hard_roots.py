@@ -179,3 +179,34 @@ def test_coherent_states_at_2s40_round_trip():
         state = _state("coherent", 40, seed)
         back = mj.state_from_constellation(constellation_from_state(state))
         assert abs(np.vdot(state.amplitudes, back.amplitudes)) >= 1.0 - 1e-10, seed
+
+
+# The (2S, M) = (12, 5) king of one restart at seed 2, refined to |r| =
+# 4.5e-50 at 50 digits by tests/oracles.py::refine_king and rounded to
+# doubles: the icosahedron with one star 1.5e-15 from z = 0 and one at |z| ~
+# 6.8e14, so both end coefficients are 1.3e-16 of the largest.
+_REFINED_ICOSAHEDRON = [
+    1.5007387173189377e-15 - 2.2441761105496404e-15j,
+    -0.5291502622129182 - 1.3725812573606661e-15j,
+    -2.0320098291371776e-15 - 3.0386288181453163e-15j,
+    5.632070163503193e-30 - 1.3626167649728148e-29j,
+    -1.126414032700602e-29 - 2.7252335299456403e-29j,
+    -3.5195442655449743e-15 + 5.263059498370639e-15j,
+    0.6633249580710799 + 1.9847643488912737e-15j,
+    3.5195442655449428e-15 + 5.26305949837066e-15j,
+    -1.1264140327006184e-29 + 2.7252335299456336e-29j,
+    -5.632070163503111e-30 - 1.3626167649728182e-29j,
+    -2.0320098291371957e-15 + 3.038628818145304e-15j,
+    0.5291502622129182 + 1.7940071933459593e-15j,
+    1.5007387173189243e-15 + 2.244176110549649e-15j,
+]
+
+
+@pytest.mark.xfail(raises=NonConvergence, strict=True)
+def test_refined_icosahedron_round_trips():
+    # A row with both ends small (ROADMAP item 15): the solver reads a root
+    # residual of 2.000e-10 against its tolerance 1e-10 at degree 12 and
+    # raises, so `majorana stars` exits 3 on this state.
+    state = mj.SpinState(12, _REFINED_ICOSAHEDRON)
+    back = mj.state_from_constellation(constellation_from_state(state))
+    assert abs(mj.overlap(back, state)) == pytest.approx(1.0, abs=1e-12)

@@ -65,6 +65,16 @@ def test_search_config_validation():
         SearchConfig(M=1, restarts=0)
     with pytest.raises(ValueError):
         minimize(4, SearchConfig(M=5))
+    # One integer rule for every field, as for SpinLabel: Python and numpy
+    # integers, never a bool, each refused by name.
+    for field in ("M", "restarts", "seed"):
+        for bad in (2.5, 1.5, True, np.True_, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SearchConfig(**{"M": 1, field: bad})
+    config = SearchConfig(M=np.int64(2), restarts=np.int32(1), seed=np.int64(3))
+    assert all(type(v) is int for v in (config.M, config.restarts, config.seed))
+    same = SearchConfig(M=2, restarts=1, seed=3)
+    assert minimize(4, config).history == minimize(4, same).history
 
 
 def test_qubit_pair_is_antipodal():
@@ -511,6 +521,63 @@ def test_committed_kings_are_certified_zeros(name):
     assert history[-1] < 1e-40
     assert all(b < a for a, b in zip(history, history[1:]))
     assert chord <= 1e-5
+
+
+def _certificate(psi, M):
+    """What refine_king reads of the float state psi: its starting |r|,
+    whether the refinement contracts at every step to below 1e-40, and the
+    chord from its stars to the refined zero's."""
+    _, history, chord = refine_king(psi, M)
+    contracts = history[-1] < 1e-40 and all(b < a for a, b in zip(history, history[1:]))
+    return float(history[0]), contracts, chord
+
+
+def _fresh_king(twoS, M, seed):
+    result = minimize(twoS, SearchConfig(M=M, restarts=1, seed=seed))
+    return mj.state_from_constellation(result.constellation).amplitudes
+
+
+# (12, 5) seed 2 refines to |r| = 4.5e-50, but the refined state, rounded to
+# doubles, is the icosahedron with one star 1.5e-15 from z = 0 and one at
+# |z| ~ 6.8e14: both end coefficients are 1.3e-16 of the largest, and the
+# root solver misses its contract there (ROADMAP item 15;
+# tests/test_hard_roots.py::test_refined_icosahedron_round_trips).
+_UNSOLVED_REFINED_KING = (12, 5, 2)
+
+
+@pytest.mark.parametrize(
+    "twoS, M, seed",
+    [
+        pytest.param(
+            *config, seed,
+            marks=pytest.mark.xfail(raises=mj.NonConvergence, strict=True)
+            if (*config, seed) == _UNSOLVED_REFINED_KING else (),
+        )
+        for config in _BENCHMARK_CONFIGS
+        for seed in range(3)
+    ],
+)
+def test_fresh_kings_are_certified_zeros(twoS, M, seed):
+    # One restart at each of the benchmark's configurations: its king lies
+    # within 1e-7 chord of a true zero of A_M.  The worst start read 2.0e-9
+    # and the worst chord 4.4e-9.
+    start, contracts, chord = _certificate(_fresh_king(twoS, M, seed), M)
+    assert start <= 1e-8
+    assert contracts
+    assert chord <= 1e-7
+
+
+@pytest.mark.parametrize("twoS, M", [(4, 2), (12, 5)])
+def test_moved_kings_do_not_certify(twoS, M):
+    # Negative control for the test above: the seed-0 king moved by a seeded
+    # complex step of length 1e-6 misses its start and chord bounds (they
+    # read |r| = 8.2e-7 and 6.0e-7, chord 1.7e-6 and 4.8e-7).
+    psi = _fresh_king(twoS, M, 0)
+    step = np.random.default_rng(0).standard_normal((twoS + 1, 2)).view(complex)[:, 0]
+    moved = psi + 1e-6 * step / np.linalg.norm(step)
+    start, _, chord = _certificate(moved / np.linalg.norm(moved), M)
+    assert start > 1e-8
+    assert chord > 1e-7
 
 
 def test_nonzero_optimum_does_not_certify():

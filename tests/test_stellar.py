@@ -25,6 +25,11 @@ def test_spin_label_basics():
     assert lab.dim == 6
     with pytest.raises(ValueError):
         mj.SpinLabel(-1)
+    # One integer rule: Python and numpy integers, never a bool of either kind.
+    assert mj.SpinLabel(np.int64(5)) == lab and type(mj.SpinLabel(np.int64(5)).twoS) is int
+    for bad in (True, False, np.True_, 2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="twoS must be a nonnegative integer"):
+            mj.SpinLabel(bad)
 
 
 def test_spin_state_normalizes_and_is_immutable():

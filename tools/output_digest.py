@@ -10,7 +10,14 @@ input order:
   the amplitudes rebuilt from its stars, or the message of the error the
   batch raised;
 * kings: per search, the gauge-fixed stars and pole-star count, the
-  objective, the unpolarized order and the restart history.
+  objective, the unpolarized order and the restart history;
+* dynamics: per input, evolved with its ten checkpoints as the benchmark
+  evolves it, the snapshot times and every snapshot's finite roots and
+  pole-star count, or the message of the error evolve raised;
+* cli: the expected() text of each of the seven commands of Cli.commands,
+  the library's own serialization of the call, whose payload files go to
+  a temporary directory.  The benchmark checks that the majorana command
+  prints that text byte for byte, so this digest stands for its stdout.
 
 Two checkouts whose code gives the same bits print the same digest, so a
 change that claims to keep every output's bits can show it:
@@ -29,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +74,41 @@ def kings_outputs(wl, mj, rng, k: int):
         yield klass, np.array(result.history, dtype=float).tobytes()
 
 
-OUTPUTS = {"roundtrip": roundtrip_outputs, "kings": kings_outputs}
+def dynamics_outputs(wl, mj, rng, k: int):
+    """(class, bytes) of every output of dynamics cycle k."""
+    from tracing import NullTracer
+
+    for item in wl.Dynamics().inputs(rng, k):
+        state = mj.SpinState(item["twoS"], item["amps"])
+        h = wl.Dynamics.generator(item, NullTracer())
+        t_final = item["t"]
+        checkpoints = np.linspace(t_final / 10.0, t_final, 10)
+        try:
+            traj = mj.evolve(state, h, t_final, checkpoints=checkpoints)
+        except mj.MajoranaError as exc:
+            yield item["klass"], f"{type(exc).__name__}: {exc}".encode()
+            continue
+        yield item["klass"], traj.times.tobytes()
+        for c in traj.snapshots:
+            yield item["klass"], c.finite_roots.tobytes()
+            yield item["klass"], c.infinity_count.to_bytes(8, "little")
+
+
+def cli_outputs(wl, mj, rng, k: int):
+    """(class, bytes) of every output of cli cycle k."""
+    with tempfile.TemporaryDirectory() as workdir:
+        cli = wl.Cli(src=str(Path(mj.__file__).parents[1]), workdir=workdir)
+        for item in cli.inputs(rng, k):
+            for name, _, expected in cli.commands(item):
+                yield name, expected().encode()
+
+
+OUTPUTS = {
+    "roundtrip": roundtrip_outputs,
+    "kings": kings_outputs,
+    "dynamics": dynamics_outputs,
+    "cli": cli_outputs,
+}
 
 
 def load(src: Path):
