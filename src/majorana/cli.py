@@ -7,7 +7,6 @@ whose output matches the library's serialized result byte for byte.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import click
@@ -34,13 +33,12 @@ def _emit(ctx: click.Context, text: str) -> None:
             fh.write(text + "\n")
 
 
-def _guard(fn):
-    """Map library exceptions onto the exit-code contract."""
+class _ExitCodes(click.Group):
+    """Map every subcommand's library exceptions onto the exit-code contract."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (NonConvergence, DegenerateConstellation) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(3)
@@ -51,10 +49,8 @@ def _guard(fn):
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(4)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_ExitCodes)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for randomized subcommands.")
 @click.option("--output", type=click.Path(dir_okay=False, writable=True),
@@ -70,7 +66,6 @@ def main(ctx: click.Context, seed: int, output: str | None) -> None:
 @click.argument("state_file")
 @click.option("--angles", is_flag=True, help="Emit (theta, phi) pairs instead of roots.")
 @click.pass_context
-@_guard
 def stars(ctx: click.Context, state_file: str, angles: bool) -> None:
     """Solve a state's root polynomial and print the constellation."""
     state = serialize.parse_state(_read(state_file))
@@ -81,7 +76,6 @@ def stars(ctx: click.Context, state_file: str, angles: bool) -> None:
 @main.command()
 @click.argument("constellation_file")
 @click.pass_context
-@_guard
 def state(ctx: click.Context, constellation_file: str) -> None:
     """Rebuild the normalized state that owns a constellation."""
     c = serialize.parse_constellation(_read(constellation_file))
@@ -93,7 +87,6 @@ def state(ctx: click.Context, constellation_file: str) -> None:
 @click.option("--ntheta", type=int, default=64, show_default=True)
 @click.option("--nphi", type=int, default=128, show_default=True)
 @click.pass_context
-@_guard
 def qgrid(ctx: click.Context, state_file: str, ntheta: int, nphi: int) -> None:
     """Sample the Husimi field on a sphere grid and print it as CSV."""
     st = serialize.parse_state(_read(state_file))
@@ -105,7 +98,6 @@ def qgrid(ctx: click.Context, state_file: str, ntheta: int, nphi: int) -> None:
 @click.option("--upto", type=int, default=None,
               help="Truncate the emitted spectrum at this order.")
 @click.pass_context
-@_guard
 def multipoles_cmd(ctx: click.Context, state_file: str, upto: int | None) -> None:
     """Print the state multipoles and cumulative quantumness."""
     st = serialize.parse_state(_read(state_file))
@@ -119,15 +111,13 @@ def multipoles_cmd(ctx: click.Context, state_file: str, upto: int | None) -> Non
 @click.option("--restarts", type=int, default=kings.SearchConfig.restarts,
               show_default=True)
 @click.pass_context
-@_guard
 def kings_cmd(ctx: click.Context, two_s: int, order: int, restarts: int) -> None:
     """Search for the most unpolarized constellation at order M."""
     config = kings.SearchConfig(M=order, restarts=restarts, seed=ctx.obj["seed"])
     result = kings.minimize(two_s, config)
     _emit(ctx, serialize.emit_kings(result))
     if result.restarts_converged == 0:
-        click.echo("error: no restart converged", err=True)
-        raise SystemExit(3)
+        raise NonConvergence("no restart converged")
 
 
 @main.command()
@@ -136,7 +126,6 @@ def kings_cmd(ctx: click.Context, two_s: int, order: int, restarts: int) -> None
 @click.option("--t", "t_final", type=float, required=True, help="Final time.")
 @click.option("--dtmax", type=float, default=None, help="Largest time between snapshots.")
 @click.pass_context
-@_guard
 def evolve(
     ctx: click.Context,
     state_file: str,
