@@ -138,3 +138,7 @@ def evolve(
     ham = serialize.parse_hamiltonian(_read(hamiltonian_file), label=st.label)
     traj = dynamics.evolve(st, ham, t_final, dt_max=dtmax)
     _emit(ctx, serialize.emit_trajectory(traj))
+
+
+if __name__ == "__main__":
+    main()

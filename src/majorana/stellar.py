@@ -140,8 +140,10 @@ class Constellation:
         roots = np.asarray(self.finite_roots, dtype=complex).reshape(-1)
         if not np.isfinite(roots).all():
             raise ValueError("finite_roots must be finite; use infinity_count")
-        if self.infinity_count < 0:
-            raise ValueError("infinity_count must be nonnegative")
+        if not _is_integer(self.infinity_count) or self.infinity_count < 0:
+            raise ValueError(
+                f"infinity_count must be a nonnegative integer, got {self.infinity_count!r}"
+            )
         if len(roots) + self.infinity_count != label.twoS:
             raise ValueError(
                 f"need exactly 2S={label.twoS} stars, got {len(roots)} finite "
@@ -276,6 +278,8 @@ def spin_matrices(twoS: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def basis_state(label: SpinLabel | int, two_m: int) -> SpinState:
     """The eigenstate |S, m> given as the integer 2m."""
     label = _as_label(label)
+    if not _is_integer(two_m):
+        raise ValueError(f"two_m must be an integer, got {two_m!r}")
     if (two_m + label.twoS) % 2 != 0 or abs(two_m) > label.twoS:
         raise ValueError(f"2m={two_m} invalid for 2S={label.twoS}")
     amps = np.zeros(label.dim, dtype=complex)

@@ -1,6 +1,8 @@
 """End-to-end command-line checks via click's test runner."""
 
 import json
+import runpy
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +40,22 @@ def test_stars_matches_library_byte_for_byte(runner, tmp_path, rng):
     assert result.exit_code == 0, result.output
     want = emit_constellation(mj.constellation_from_state(st)) + "\n"
     assert result.output == want
+
+
+@pytest.mark.parametrize("module", ["majorana", "majorana.cli"])
+def test_module_entry_points_run_the_command(module, monkeypatch, capsys, tmp_path, rng):
+    # python -m majorana and python -m majorana.cli, run in this process so
+    # that tools/untraced_statements.py sees the entry statements run.
+    st = mj.SpinState(3, rng.normal(size=4) + 1j * rng.normal(size=4))
+    path = _write_state(tmp_path, st)
+    monkeypatch.setattr(sys, "argv", ["majorana", "stars", path])
+    if module == "majorana.cli":
+        # runpy warns when the module it runs as __main__ is already imported.
+        monkeypatch.delitem(sys.modules, module)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module(module, run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == emit_constellation(mj.constellation_from_state(st)) + "\n"
 
 
 def test_stars_state_round_trip(runner, tmp_path, rng):

@@ -541,8 +541,10 @@ def _fresh_king(twoS, M, seed):
 # doubles, is the icosahedron with one star 1.5e-15 from z = 0 and one at
 # |z| ~ 6.8e14: both end coefficients are 1.3e-16 of the largest, and the
 # root solver misses its contract there (ROADMAP item 15;
-# tests/test_hard_roots.py::test_refined_icosahedron_round_trips).
-_UNSOLVED_REFINED_KING = (12, 5, 2)
+# tests/test_hard_roots.py::test_refined_icosahedron_round_trips).  Seeds 5,
+# 6, 8 and 18 fail the same way, with root residuals 2.9e-9, 1.3e-10, 1.7e-9
+# and 2.5e-9 against 1e-10.
+_UNSOLVED_REFINED_KINGS = {(12, 5, seed) for seed in (2, 5, 6, 8, 18)}
 
 
 @pytest.mark.parametrize(
@@ -551,16 +553,16 @@ _UNSOLVED_REFINED_KING = (12, 5, 2)
         pytest.param(
             *config, seed,
             marks=pytest.mark.xfail(raises=mj.NonConvergence, strict=True)
-            if (*config, seed) == _UNSOLVED_REFINED_KING else (),
+            if (*config, seed) in _UNSOLVED_REFINED_KINGS else (),
         )
         for config in _BENCHMARK_CONFIGS
-        for seed in range(3)
+        for seed in range(20)
     ],
 )
 def test_fresh_kings_are_certified_zeros(twoS, M, seed):
     # One restart at each of the benchmark's configurations: its king lies
-    # within 1e-7 chord of a true zero of A_M.  The worst start read 2.0e-9
-    # and the worst chord 4.4e-9.
+    # within 1e-7 chord of a true zero of A_M.  Over seeds 0-19 the worst
+    # start read 2.4e-9 and the worst chord 4.8e-9.
     start, contracts, chord = _certificate(_fresh_king(twoS, M, seed), M)
     assert start <= 1e-8
     assert contracts

@@ -225,6 +225,11 @@ def test_basis_state_validation():
         mj.basis_state(4, 3)  # parity mismatch with twoS
     with pytest.raises(ValueError):
         mj.basis_state(4, 6)
+    # 2m is an integer, as 2S is: a float or a bool is refused by name.
+    for two_m in (0.0, 2.0, True, np.float64(0.0)):
+        with pytest.raises(ValueError, match="two_m must be an integer"):
+            mj.basis_state(2, two_m)
+    assert mj.basis_state(2, np.int64(2)).amplitudes[-1] == 1.0
 
 
 def test_coherent_state_collapsed_star():
@@ -323,6 +328,12 @@ def test_constellation_validation():
         mj.Constellation(2, np.array([np.inf + 0j, 0j]), 0)
     with pytest.raises(ValueError):
         mj.Constellation(2, np.zeros(1, dtype=complex), -1)
+    # The pole count is an integer: a float or a bool is refused by name.
+    for roots, count in (([0.5], True), ([], 2.0), ([0.5], np.float64(1.0)), ([0.5, 1.0], False)):
+        with pytest.raises(ValueError, match="infinity_count must be a nonnegative integer"):
+            mj.Constellation(2, roots, count)
+    c = mj.Constellation(2, [0.5], np.int64(1))
+    assert c.infinity_count == 1 and type(c.infinity_count) is int
 
 
 def test_constellation_points_place_infinity_at_pole():
