@@ -54,7 +54,12 @@ becomes inf, where the contract reads |c_n| <= TOL * max|c_k|.  The
 contract ratio |p(z)| / max(1, |z|)**n of p at z is that of the reversed
 row at 1/z, so the check holds in either chart.  Only the Vieta check of
 a merge is made against the original row: scaled to its leading
-coefficient, the reversed row's constant one.
+coefficient, the reversed row's constant one.  The chart stays for three
+jobs: accurate companion eigenvalues of such rows; the Newton step of an
+estimate the reversed companion returns as exactly 0 (a star at 1e40, or
+1e-50 to 1e-300 of the largest coefficient); a far cluster's mean.  Seeded
+from the reversed companion but polished, gated and merged in the z
+chart, 2S = 40 coherent rows and the stars seeded at 0 failed.
 
 Every row is returned sorted by (real, imag), in one sort over the stack.
 A degree-1 row takes the same steps: its companion eigenvalue is -c0/c1.
@@ -144,7 +149,7 @@ def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
 
     def eigvals(c):
         comp = np.zeros((len(c), n, n), dtype=c.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             comp[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
         if not np.isfinite(comp[:, 0]).all():
             raise NonConvergence(f"companion matrix overflows for degree {n}")
@@ -258,7 +263,8 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, flipped: bool) ->
     Each connected component of m > 1 overlapping discs becomes m copies of
     its estimates' mean if the mean meets the residual contract and the
     merged roots' Vieta coefficients, scaled to the original row's leading
-    coefficient, stay within TOL of c; otherwise it keeps its m estimates.
+    coefficient, stay within TOL of c; otherwise, or where their leading
+    entry underflows (an inf or nan quotient), it keeps its m estimates.
     Where flipped, c is the row reversed and that coefficient is c[0]; if a
     root there is exactly 0, a pole of the original row, the scale is c's
     own leading coefficient instead.  The anchor is the original row's
@@ -302,8 +308,9 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, flipped: bool) ->
         merged[idx] = center
         a = _root_coefficients(merged, len(z))
         lead = 0 if flipped and a[0] != 0 else -1
-        if np.abs(c[lead] * a / a[lead] - c).max() <= TOL:
-            out = merged
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if np.abs(c[lead] * a / a[lead] - c).max() <= TOL:
+                out = merged
     return out
 
 

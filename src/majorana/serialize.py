@@ -13,6 +13,7 @@ json.JSONDecodeError, its subclass).
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -27,7 +28,6 @@ from .stellar import (
     SpinLabel,
     SpinState,
     _as_label,
-    is_infinite,
     sphere_to_stereo,
 )
 
@@ -130,7 +130,7 @@ def parse_constellation(text: str) -> Constellation:
     if isinstance(obj, dict) and "stars" in obj:
         raw = _require(obj, "stars", list)
         z = [sphere_to_stereo(SpherePoint(*_pair(item, "theta, phi"))) for item in raw]
-        finite = [w for w in z if not is_infinite(w)]
+        finite = [w for w in z if cmath.isfinite(w)]
         twoS = _require(obj, "twoS", int, len(raw))
         return Constellation(twoS, np.array(finite, dtype=complex), len(z) - len(finite))
     twoS = _require(obj, "twoS", int)

@@ -31,7 +31,6 @@ __all__ = [
     "Constellation",
     "SpherePoint",
     "INFINITY",
-    "is_infinite",
     "spin_matrices",
     "basis_state",
     "coherent_state",
@@ -49,12 +48,6 @@ __all__ = [
 
 #: Stereographic image of the theta = pi pole.
 INFINITY = complex(math.inf, 0.0)
-
-
-def is_infinite(z: complex) -> bool:
-    """True if z stands for the point at infinity (any non-finite value)."""
-    z = complex(z)
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
 def _is_integer(value) -> bool:
@@ -188,9 +181,9 @@ class SpherePoint:
 
 
 def stereo_to_sphere(z: complex) -> SpherePoint:
-    if is_infinite(z):
-        return SpherePoint(math.pi, 0.0)
     z = complex(z)
+    if not cmath.isfinite(z):
+        return SpherePoint(math.pi, 0.0)
     theta = 2.0 * math.atan(abs(z))
     phi = -cmath.phase(z) if z != 0 else 0.0
     return SpherePoint(theta, phi)
@@ -205,8 +198,8 @@ def sphere_to_stereo(p: SpherePoint) -> complex:
 def _spinors(z) -> tuple[np.ndarray, np.ndarray]:
     """The unit spinor pair (u, v) = (1, z) / sqrt(1 + |z|^2) of each point
     z, so that z = v / u.  Where |z| > 1 it is taken as (1/|z|, z/|z|) /
-    sqrt(1 + 1/|z|^2), so no square overflows.  A non-finite z (see
-    is_infinite) is the theta = pi pole, (0, 1)."""
+    sqrt(1 + 1/|z|^2), so no square overflows.  Any non-finite z is the
+    theta = pi pole, (0, 1)."""
     z = np.asarray(z, dtype=complex)
     pole = ~np.isfinite(z)
     z = np.where(pole, 0.0, z)

@@ -1,6 +1,6 @@
 """The package imports and runs its main paths without loading scipy, or
 numpy.ma, which NumPy's set routines (np.unique, np.isin, ...) import lazily
-at about 12 ms a process."""
+at about 12 ms a process, and runs as python -m in a fresh process."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import majorana as mj
+from majorana.serialize import emit_constellation, emit_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,14 +55,40 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split("."
 """
 
 
-def test_import_and_main_paths_load_no_scipy():
+def _fresh_python(*args):
+    """Run python with args in a fresh process that imports the package
+    from SRC and makes a RuntimeWarning an error, as the suite does."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+def test_import_and_main_paths_load_no_scipy():
+    proc = _fresh_python("-c", SCRIPT)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.strip() == b"[]"
+
+
+def test_module_entry_points_run_the_command(tmp_path):
+    """No majorana script need be installed: python -m majorana and python
+    -m majorana.cli each print the library's constellation text for a
+    state, byte for byte.  The second state's merge check meets a Vieta
+    coefficient that underflows to 0 and still exits 0; a state whose
+    companion matrix overflows exits 3."""
+    states = [mj.SpinState(3, [0.3, 0.5j, -0.6, 0.2 + 0.1j]),
+              mj.SpinState(12, [1e-300, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1e-300])]
+    for i, st in enumerate(states):
+        path = tmp_path / f"state{i}.json"
+        path.write_text(emit_state(st))
+        want = emit_constellation(mj.constellation_from_state(st)) + "\n"
+        for module in ("majorana", "majorana.cli"):
+            proc = _fresh_python("-m", module, "stars", str(path))
+            assert (proc.returncode, proc.stdout) == (0, want.encode()), proc.stderr.decode()
+    path = tmp_path / "overflow.json"
+    path.write_text(emit_state(mj.SpinState(2, [1e-320, 1, 1e-320])))
+    proc = _fresh_python("-m", "majorana", "stars", str(path))
+    assert (proc.returncode, proc.stdout) == (3, b""), proc.stderr.decode()
 
 
 def _scipy_imports(node, scope):

@@ -84,15 +84,29 @@ def test_roots_missing_the_tolerance_raise(monkeypatch):
         find_roots(c)
 
 
-@pytest.mark.parametrize("amps", [[1e-320, 1, 1e-320], [1e-310, 1, 1, 1e-310]])
+@pytest.mark.parametrize("amps", [[1e-320, 1, 1e-320], [1e-310, 1, 1, 1e-310],
+                                  [5e-324, 0, 1, 0, 5e-324]])
 def test_companion_that_overflows_raises(amps):
     # Both end coefficients sit below 1e-308 of the largest, so the row
-    # does not flip to the 1/z chart and c_k / c_n overflows.  The suite
-    # makes a RuntimeWarning an error, so a warning on the way fails here.
+    # does not flip to the 1/z chart and c_k / c_n overflows.  In the 2S = 4
+    # row both ends underflow to 0 when the row is scaled to max modulus 1,
+    # and c_k / c_n divides by zero.  The suite makes a RuntimeWarning an
+    # error, so a warning on the way fails here.
     n = len(amps) - 1
     want = rf"^state 0 \(2S = {n}\): companion matrix overflows for degree {n}$"
     with pytest.raises(mj.NonConvergence, match=want):
         mj.constellation_from_state(mj.SpinState(n, amps))
+
+
+def test_merge_whose_vieta_lead_underflows_keeps_its_estimates():
+    # The disc overlaps make the whole row one 12-fold candidate at |w| about
+    # 1.5e34; its Vieta coefficients' leading entry underflows to 0, so the
+    # merge check fails and the row keeps its estimates.  Under the suite's
+    # warning filter a division by that 0 would fail here.
+    st = mj.SpinState(12, [1e-300, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1e-300])
+    c = mj.constellation_from_state(st)
+    assert c.infinity_count == 6 and np.all(c.finite_roots == 0)
+    assert abs(mj.overlap(mj.state_from_constellation(c), st)) == 1.0
 
 
 def _exact_linear_ratio(c, z):
@@ -360,6 +374,36 @@ def test_clustered_roots_match_the_oracle(stars):
             near = oracle[np.argsort(np.abs(oracle - v))[:m]]
             center = near.mean()
             assert abs(v - center) <= np.abs(near - center).max(), (v, m)
+
+
+def _scaled_clustered_row(seed):
+    """A row like _clustered_rows' scaled half, every draw taken in the
+    strategy's order from one np.random.default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    degree = rng.integers(5, 41)
+    doubles = rng.integers(0, min(3, degree // 2) + 1)
+    triples = rng.integers(0, min(2, (degree - 2 * doubles) // 3) + 1)
+    room = degree - 2 * doubles - 3 * triples
+    coherent = rng.choice([0, 0, min(4, room), room])
+    gauss = lambda k: rng.normal(size=k) + 1j * rng.normal(size=k)
+    stars = [np.repeat(gauss(doubles), 2), np.repeat(gauss(triples), 3),
+             np.full(coherent, gauss(1)[0])]
+    stars.append(gauss(degree - sum(len(s) for s in stars)))
+    stars = rng.permutation(np.concatenate(stars))
+    s = 10.0 ** rng.uniform(-12.0, -3.0)
+    stars /= np.exp(np.log(np.abs(stars)).mean())
+    return np.r_[stars, np.exp(2j * np.pi * rng.uniform()) / s]
+
+
+@pytest.mark.parametrize("seed", [137, 519, 680, 981, 1004, 1136, 1140, 1499])
+def test_far_star_rows_rebuild_in_the_reversed_chart(seed):
+    # Of seeds 0 to 1499, ten give rows that fail when solved in the z
+    # chart alone, and these eight fail by the widest margin: four raise
+    # NonConvergence (residuals 1.08e-10 to 1.76e-10) and four rebuild at
+    # 2.3e-10 to 4.2e-9 of max|c| (the other two at 1.01e-10 and
+    # 1.13e-10).  In the 1/z chart they rebuild at 5.9e-15 to 8.1e-12.
+    c = _stars_polynomial(_scaled_clustered_row(seed))
+    assert _rebuild_error(c, find_roots(c)) <= 1e-10 * np.abs(c).max()
 
 
 @pytest.mark.parametrize("shape", ["random", "spread"])
