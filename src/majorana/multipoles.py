@@ -28,6 +28,7 @@ from .stellar import (
     _as_label,
     _binom_sqrt,
     _hermitian_scale,
+    _is_integer,
     spin_matrices,
 )
 
@@ -89,14 +90,16 @@ def _tensor_table(twoS: int) -> np.ndarray:
     return table
 
 
+def _check_index(twoS: int, K: int, q: int) -> None:
+    """Refuse (K, q) unless both are integers with 0 <= K <= 2S and |q| <= K."""
+    if not (_is_integer(K) and _is_integer(q) and 0 <= K <= twoS and abs(q) <= K):
+        raise ValueError(f"(K, q) = ({K!r}, {q!r}) out of range for 2S = {twoS}")
+
+
 def tensor_operator(label: SpinLabel | int, K: int, q: int) -> np.ndarray:
     """Orthonormal irreducible tensor T_Kq as a (2S+1)x(2S+1) matrix."""
-    label = _as_label(label)
-    twoS = label.twoS
-    if not (0 <= K <= twoS):
-        raise ValueError(f"K={K} outside 0..{twoS}")
-    if abs(q) > K:
-        raise ValueError(f"|q|={abs(q)} exceeds K={K}")
+    twoS = _as_label(label).twoS
+    _check_index(twoS, K, q)
     diagonal = _tensor_table(twoS)[K, q + twoS, max(0, -q) : twoS + 1 - max(0, q)]
     return np.diag(diagonal.astype(complex), -q)
 
@@ -182,8 +185,7 @@ class MultipoleSpectrum:
     A: np.ndarray
 
     def component(self, K: int, q: int) -> complex:
-        if not (0 <= K <= self.label.twoS) or abs(q) > K:
-            raise ValueError(f"(K={K}, q={q}) out of range")
+        _check_index(self.label.twoS, K, q)
         return complex(self.rho[K, q + self.label.twoS])
 
     def items(self):
@@ -223,8 +225,8 @@ def multipoles(state: SpinState | np.ndarray) -> MultipoleSpectrum:
 
 def cumulative_quantumness(spec: MultipoleSpectrum, M: int) -> float:
     """A_M = sum of w_K for K = 1..M."""
-    if not (1 <= M <= spec.label.twoS):
-        raise ValueError(f"M={M} outside 1..{spec.label.twoS}")
+    if not (_is_integer(M) and 1 <= M <= spec.label.twoS):
+        raise ValueError(f"M={M!r} is not an integer or lies outside 1..{spec.label.twoS}")
     return float(spec.A[M])
 
 
@@ -273,8 +275,9 @@ class QGrid:
 
 
 def q_grid(state: SpinState, n_theta: int, n_phi: int) -> QGrid:
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError("grid needs n_theta >= 2 and n_phi >= 2")
+    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if not (_is_integer(n) and n >= 2):
+            raise ValueError(f"{name}={n!r} must be an integer >= 2")
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     thetas = np.arccos(x)[::-1].copy()
     weights = wx[::-1].copy()

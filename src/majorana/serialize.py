@@ -4,11 +4,10 @@ Every payload is strict JSON from one json.dumps call: floats are spelled
 as Python's shortest exact repr (0.1, 0.0, -0.0), so emit/parse round trips
 are bit-faithful, sign of zero included, and NaN or Infinity raises
 ValueError instead of being written.  Complex numbers are [re, im] pairs.
-The trajectory JSONL has no "fallback" key.  Emitters return text without a
-trailing newline.  Parsers read each number by one rule, a JSON number that
-is not a bool, and leave non-finite values (1e999 reads as inf) and wrong
-shapes to the value types to reject; malformed input raises ValueError (or
-json.JSONDecodeError, its subclass).
+Emitters return text without a trailing newline.  Parsers read each number
+by one rule, a JSON number that is not a bool, and leave non-finite values
+(1e999 reads as inf) and wrong shapes to the value types to reject;
+malformed input raises ValueError (or json.JSONDecodeError, its subclass).
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .stellar import (
     SpinLabel,
     SpinState,
     _as_label,
+    _is_integer,
     sphere_to_stereo,
 )
 
@@ -145,9 +145,9 @@ def emit_multipoles(spectrum: MultipoleSpectrum, upto: int | None = None) -> str
     """Spectrum JSON; A is indexed so that A[M] is the order-M quantumness
     (A[0] = 0).  upto truncates every section to K, M <= upto."""
     twoS = spectrum.label.twoS
-    top = twoS if upto is None else int(upto)
-    if not 0 <= top <= twoS:
-        raise ValueError("upto must lie in [0, 2S]")
+    top = twoS if upto is None else upto
+    if not (_is_integer(top) and 0 <= top <= twoS):
+        raise ValueError(f"upto={upto!r} is not an integer or lies outside 0..{twoS}")
     rho = [dict(K=k, q=q, re=v.real, im=v.imag) for k, q, v in spectrum.items() if k <= top]
     w, A = (x[: top + 1].tolist() for x in (spectrum.w, spectrum.A))
     return _dumps(dict(twoS=twoS, rho=rho, w=w, A=A))

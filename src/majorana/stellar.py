@@ -182,8 +182,10 @@ class SpherePoint:
 
 def stereo_to_sphere(z: complex) -> SpherePoint:
     z = complex(z)
-    if not cmath.isfinite(z):
+    if cmath.isinf(z):
         return SpherePoint(math.pi, 0.0)
+    if cmath.isnan(z):
+        raise ValueError("z is nan, which is no point on the sphere")
     theta = 2.0 * math.atan(abs(z))
     phi = -cmath.phase(z) if z != 0 else 0.0
     return SpherePoint(theta, phi)
@@ -198,10 +200,13 @@ def sphere_to_stereo(p: SpherePoint) -> complex:
 def _spinors(z) -> tuple[np.ndarray, np.ndarray]:
     """The unit spinor pair (u, v) = (1, z) / sqrt(1 + |z|^2) of each point
     z, so that z = v / u.  Where |z| > 1 it is taken as (1/|z|, z/|z|) /
-    sqrt(1 + 1/|z|^2), so no square overflows.  Any non-finite z is the
-    theta = pi pole, (0, 1)."""
+    sqrt(1 + 1/|z|^2), so no square overflows.  Any infinite z (a part is
+    infinite, as cmath.isinf reads it) is the theta = pi pole, (0, 1); any
+    other nan raises ValueError."""
     z = np.asarray(z, dtype=complex)
-    pole = ~np.isfinite(z)
+    pole = np.isinf(z)
+    if (np.isnan(z) & ~pole).any():
+        raise ValueError("z is nan, which is no point on the sphere")
     z = np.where(pole, 0.0, z)
     r = np.abs(z)
     big = r > 1.0
@@ -284,8 +289,9 @@ def coherent_state(label: SpinLabel | int, z0: complex) -> SpinState:
     """State whose overlap magnitude peaks at stereographic point z0.
 
     With (u, v) the unit spinor pair of z0, psi_k = sqrt(C(2S, k))
-    u**(2S - k) v**k: any non-finite z0 gives the theta = pi pole state
-    |S, S> and z0 = 0 gives |S, -S>, and no |z0| overflows.
+    u**(2S - k) v**k: any infinite z0 gives the theta = pi pole state
+    |S, S>, z0 = 0 gives |S, -S>, a nan raises ValueError, and no |z0|
+    overflows.
     """
     label = _as_label(label)
     twoS = label.twoS

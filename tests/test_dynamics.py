@@ -367,6 +367,38 @@ def test_evolve_time_zero(rng):
     assert matched_distance(traj.at(0.0), c0) <= 1e-12
 
 
+def test_default_spacing_ignores_the_energy_zero(rng):
+    # dt_max defaults to 0.01 over half the spread of the spectrum.  H + c I
+    # only turns the global phase, so it keeps every snapshot time.
+    st = random_state(rng, 4)
+    _, _, sz = mj.spin_matrices(4)
+    base = evolve(st, hamiltonian(4, sz), 10.0)
+    assert len(base.times) == 2001
+    for c in (10.0, 1000.0):
+        traj = evolve(st, hamiltonian(4, sz + c * np.eye(5)), 10.0)
+        assert np.array_equal(traj.times, base.times), c
+        for a, b in zip(traj.snapshots, base.snapshots):
+            assert matched_distance(a, b) <= 1e-9
+    # Sz^2 at 2S = 1 is I / 4: nothing moves, so only the two ends.
+    traj = evolve(mj.coherent_state(1, 0.3), builtin_hamiltonian(1, "Sz2"), 1.0)
+    assert traj.times.tolist() == [0.0, 1.0]
+    kerr = evolve(mj.coherent_state(4, 0.3), builtin_hamiltonian(4, "Sz2", 0.7), 0.5)
+    assert len(kerr.times) == 71
+
+
+@pytest.mark.parametrize("twoS", [1, 2, 3, 4, 7, 12, 20])
+def test_default_spacing_is_one_for_one_spectrum(twoS):
+    # Sx, Sy and Sz share the spectrum 0.7 m, which eigh rounds differently
+    # for each (at 2S = 12 its ends land on either side of +-4.2); the
+    # default times must not see the difference.
+    st = mj.coherent_state(twoS, 0.3)
+    hs = [builtin_hamiltonian(twoS, name, 0.7) for name in ("Sx", "Sy", "Sz")]
+    times = [evolve(st, h, 1.3).times for h in hs]
+    assert len(times[2]) == math.ceil(1.3 * 0.7 * twoS / 2 / 0.01 - 1e-9) + 1
+    for t in times[:2]:
+        assert np.array_equal(t, times[2])
+
+
 def test_linear_rotation_matches_phase_map(rng):
     omega = 1.1
     st = random_state(rng, 3)
@@ -465,8 +497,9 @@ def test_kerr_matches_the_closed_form_phases(twoS):
     # t = pi the phases are (-1)^m for integer S, so every star goes to -z,
     # and one global phase for half-integer S; at t = 2pi they are one global
     # phase for every S.  At t = pi/2 a random state and a coherent one (the
-    # Kerr cat) must match the stars of their closed-form amplitudes.  The
-    # default dt_max would refuse even a half period at 2S = 40.
+    # Kerr cat) must match the stars of their closed-form amplitudes.  At
+    # 2S = 40 the default dt_max reaches t = pi in 62 832 steps, but it
+    # refuses the full period 2 pi (125 664 steps, over MAX_STEPS).
     rng = np.random.default_rng(17100 + twoS)
     h = builtin_hamiltonian(twoS, "Sz2")
     m = np.arange(twoS + 1) - twoS / 2.0

@@ -105,8 +105,9 @@ def test_six_stars_form_octahedron():
     assert np.allclose(chords[12:], 2.0, atol=1e-4)
 
 
-def test_same_seed_is_bitwise_deterministic():
-    cfg = SearchConfig(M=2, restarts=6, seed=7)
+@pytest.mark.parametrize("restarts, seed", [(6, 7), (4, 3)])
+def test_same_seed_is_bitwise_deterministic(restarts, seed):
+    cfg = SearchConfig(M=2, restarts=restarts, seed=seed)
     a = minimize(4, cfg)
     b = minimize(4, cfg)
     assert a.objective == b.objective
@@ -179,14 +180,6 @@ def test_order_reads_every_order_when_the_next_vanishes(monkeypatch):
     assert minimize(6, SearchConfig(M=1, restarts=1)).unpolarized_order == 3
     # At M = 2, A_3 vanishes as well.
     assert minimize(6, SearchConfig(M=2, restarts=1)).unpolarized_order == 3
-
-
-def test_repeated_search_is_bitwise_identical():
-    cfg = SearchConfig(M=2, restarts=4, seed=3)
-    base = minimize(4, cfg)
-    same = minimize(4, cfg)
-    assert np.array_equal(base.constellation.finite_roots, same.constellation.finite_roots)
-    assert base.objective == same.objective
 
 
 # -- the search in amplitudes ----------------------------------------------------------

@@ -109,13 +109,16 @@ def test_tensor_operator_orthonormal():
                 assert np.trace(a.conj().T @ b) == pytest.approx(want, abs=1e-12)
 
 
+# Values the one integer rule refuses: floats, integral ones included, and bools.
+NOT_INDICES = (1.5, 2.0, True, np.True_)
+
+
 def test_tensor_operator_range_errors():
-    with pytest.raises(ValueError):
-        tensor_operator(2, 3, 0)
-    with pytest.raises(ValueError):
-        tensor_operator(2, 1, 2)
-    with pytest.raises(ValueError):
-        tensor_operator(2, -1, 0)
+    pairs = [(3, 0), (1, 2), (-1, 0)] + [(v, 0) for v in NOT_INDICES]
+    for K, q in pairs + [(2, v) for v in NOT_INDICES]:
+        with pytest.raises(ValueError, match="out of range"):
+            tensor_operator(2, K, q)
+    assert np.array_equal(tensor_operator(2, np.int64(2), np.int64(-1)), tensor_operator(2, 2, -1))
 
 
 def test_tensor_adjoint_symmetry():
@@ -288,10 +291,10 @@ def test_cumulative_quantumness_monotone(rng):
     values = [cumulative_quantumness(spec, M) for M in range(1, 7)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(spec.A[6])
-    with pytest.raises(ValueError):
-        cumulative_quantumness(spec, 0)
-    with pytest.raises(ValueError):
-        cumulative_quantumness(spec, 7)
+    for M in (0, 7) + NOT_INDICES:
+        with pytest.raises(ValueError, match=r"outside 1\.\.6"):
+            cumulative_quantumness(spec, M)
+    assert cumulative_quantumness(spec, np.int64(3)) == values[2]
 
 
 def test_spectrum_items_canonical_order(rng):
@@ -299,9 +302,11 @@ def test_spectrum_items_canonical_order(rng):
     keys = [(k, q) for k, q, _ in spec.items()]
     want = [(k, q) for k in range(4) for q in range(-k, k + 1)]
     assert keys == want
-    for K, q in ((4, 0), (-1, 0), (2, 3)):
+    pairs = [(4, 0), (-1, 0), (2, 3)] + [(v, 0) for v in NOT_INDICES]
+    for K, q in pairs + [(2, v) for v in NOT_INDICES]:
         with pytest.raises(ValueError, match="out of range"):
             spec.component(K, q)
+    assert spec.component(np.int64(2), np.int64(-1)) == spec.component(2, -1)
 
 
 # -- Husimi field -----------------------------------------------------------------
@@ -356,10 +361,13 @@ def test_husimi_at_pole():
 
 def test_q_grid_validation(rng):
     st = random_state(rng, 2)
-    with pytest.raises(ValueError):
-        q_grid(st, 1, 8)
-    with pytest.raises(ValueError):
-        q_grid(st, 8, 1)
+    for bad in (1, 2.5) + NOT_INDICES:
+        with pytest.raises(ValueError, match="n_theta"):
+            q_grid(st, bad, 8)
+        with pytest.raises(ValueError, match="n_phi"):
+            q_grid(st, 8, bad)
+    got = q_grid(st, np.int64(4), np.int64(5))
+    assert np.array_equal(got.values, q_grid(st, 4, 5).values)
 
 
 def test_q_grid_matches_pointwise(rng):

@@ -147,10 +147,10 @@ def test_multipole_emission_truncation(rng):
     assert len(obj["rho"]) == 9
     assert len(obj["w"]) == 3
     assert len(obj["A"]) == 3
-    with pytest.raises(ValueError):
-        emit_multipoles(spec, upto=5)
-    with pytest.raises(ValueError):
-        emit_multipoles(spec, upto=-1)
+    for upto in (5, -1, 1.5, 2.0, True, np.True_):
+        with pytest.raises(ValueError, match="upto"):
+            emit_multipoles(spec, upto=upto)
+    assert emit_multipoles(spec, upto=np.int64(2)) == emit_multipoles(spec, upto=2)
 
 
 # -- Husimi grid CSV -----------------------------------------------------------------

@@ -180,6 +180,22 @@ def test_chordal_distance_cases():
     assert mj.chordal_distance(1e300, -1e300) == pytest.approx(0.0, abs=1e-299)
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_nan_is_no_point_on_the_sphere(z):
+    # Only an infinite z is the pole, inf + nan i included (cmath.isinf);
+    # a nan is refused, not sent there.
+    with pytest.raises(ValueError, match="nan"):
+        mj.coherent_state(2, z)
+    with pytest.raises(ValueError, match="nan"):
+        mj.stereo_to_sphere(z)
+    with pytest.raises(ValueError, match="nan"):
+        mj.chordal_distance(z, 0.0)
+    for pole in (complex(math.inf, 1.0), complex(0.0, -math.inf), complex(-math.inf, math.nan)):
+        assert mj.stereo_to_sphere(pole).theta == math.pi
+        assert mj.chordal_distance(pole, mj.INFINITY) == 0.0
+        assert abs(mj.overlap(mj.coherent_state(2, pole), mj.basis_state(2, 2))) == 1.0
+
+
 _SPHERE_POINTS = hst.one_of(
     hst.just(mj.INFINITY),
     hst.just(0j),
