@@ -160,10 +160,11 @@ def star_velocities(c: Constellation, h: HamiltonianSpec) -> np.ndarray:
 
 
 def _centroid(cluster: np.ndarray) -> complex:
-    """The mean of a cluster of stars, in the chart that keeps it on the
-    cluster: the mean of +1e300 and -1e300 is 0, on the far side of the
-    sphere, while the mean of their reciprocals puts it at the pole."""
-    center = complex(cluster.mean())
+    """The mean of a cluster of stars, at an exact power-of-two scale, in
+    the chart that keeps it on the cluster: the mean of +-1e300 is 0, across
+    the sphere, while the mean of their reciprocals puts it at the pole."""
+    s = 2.0 ** max(0, math.frexp(np.abs(cluster).max())[1] - 2)
+    center = complex((cluster / s).mean() * s)
     if _chord_matrix([center], cluster).min() > _CLUSTER_CHORD:
         with np.errstate(divide="ignore", invalid="ignore"):
             center = complex(1.0 / (1.0 / cluster).mean())

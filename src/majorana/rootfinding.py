@@ -317,11 +317,12 @@ def _finish(c: np.ndarray, z: np.ndarray, overlap: np.ndarray, flipped: bool) ->
 def find_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of the polynomial, multiplicities expanded, sorted.
 
-    coeffs must have nonzero first and last entries (no roots at zero or
-    infinity; the caller strips those).  Raises NonConvergence when the
-    roots miss the residual contract TOL, or when the companion matrix
-    overflows (step 1 of the module docstring).  A root is inf only where a row
-    solved in the 1/z chart has an estimate at exactly 0.
+    Each zero entry below the first nonzero one is a root at exactly 0, and
+    each above the last nonzero one a root at inf; the core between them is
+    solved.  An all-zero row raises ValueError.  Raises NonConvergence when
+    the roots miss the residual contract TOL, or when the companion matrix
+    overflows (step 1 of the module docstring).  A root of a core is inf
+    only where it is solved in the 1/z chart and has an estimate at exactly 0.
     """
     return find_roots_batch(np.asarray(coeffs, dtype=complex)[None])[0]
 
@@ -330,17 +331,28 @@ def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """find_roots over an (N, n + 1) stack of same-degree coefficient rows,
     by the steps of the module docstring: an (N, n) array whose row b holds
     row b's roots, sorted.  A row's result does not depend on the other
-    rows of the stack."""
+    rows of the stack: the cores of rows with a zero end are solved in one
+    stack per core degree, whose ends are nonzero."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2:
         raise ValueError("expected a 2-d coefficient stack")
     n = c.shape[1] - 1
     if n < 1:
         return np.zeros((c.shape[0], 0), dtype=complex)
+    if not (c[:, ::n] != 0).all():  # a zero end: solve each row's core
+        keep = c != 0
+        if not keep.any(axis=1).all():
+            raise ValueError("an all-zero coefficient row has no roots")
+        lead = np.argmax(keep, axis=1)
+        degree = n - lead - np.argmax(keep[:, ::-1], axis=1)
+        z = np.where(np.arange(n) < lead[:, None], 0j, np.inf)
+        for d in np.flatnonzero(np.bincount(degree)):
+            rows = np.flatnonzero(degree == d)
+            core = lead[rows, None] + np.arange(d + 1)
+            z[rows[:, None], core[:, :-1]] = find_roots_batch(c[rows[:, None], core])
+        return np.sort(z, axis=-1, kind="stable")
     mag = np.abs(c)
     scale = mag.max(axis=1, keepdims=True)
-    if not (c[:, ::n] != 0).all():  # both ends; an all-zero row has a zero end
-        raise ValueError("coefficients must be trimmed and nonzero")
     c = c / scale
     mag /= scale
     flip = mag[:, -1] < 1e-3 * mag[:, 0]

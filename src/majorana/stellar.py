@@ -358,12 +358,11 @@ def constellations_from_states(states) -> list[Constellation]:
     """constellation_from_state over a whole sequence of states.
 
     States of one 2S are solved as one stack, which is far faster than
-    looping.  Only exactly zero end coefficients are trimmed: lead zeros at
-    the low end are stars at z = 0, and tail zeros at the high end stars at
-    infinity.  States of one trimmed degree are solved as one batch; a 2S
-    with no trimmed state is one solve.  The solver checks every root of a
-    core against the contract on the core, and that is the contract on f:
-    |f(z)| = |z|**lead |core(z)| and max|f| = max|core|.
+    looping.  find_roots_batch cuts only exactly zero end coefficients: lead
+    zeros at the low end are stars at z = 0, and tail zeros at the high end
+    stars at infinity.  It checks every root of a core against the contract
+    on the core, and that is the contract on f: |f(z)| = |z|**lead
+    |core(z)| and max|f| = max|core|.
 
     A star within about TOL chord of a pole is that pole: one with |z| >
     2 / TOL joins the stars at infinity, and one with |z| < TOL / 2 is set
@@ -384,11 +383,11 @@ def constellations_from_states(states) -> list[Constellation]:
     for twoS, members in groups.items():
         f = _binom_sqrt(twoS) * np.array([states[i].amplitudes for i in members])
         try:
-            roots = _trimmed_roots(f)
+            roots = find_roots_batch(f)
         except NonConvergence:
             for r, i in enumerate(members):
                 try:
-                    _trimmed_roots(f[r : r + 1])
+                    find_roots_batch(f[r : r + 1])
                 except NonConvergence as exc:
                     failed.append((i, f"state {i} (2S = {twoS}): {exc}"))
             continue
@@ -401,24 +400,6 @@ def constellations_from_states(states) -> list[Constellation]:
     if failed:
         raise NonConvergence("; ".join(message for _, message in sorted(failed)))
     return results
-
-
-def _trimmed_roots(f: np.ndarray) -> np.ndarray:
-    """The 2S stars of each row of the (N, 2S + 1) stack f of stellar
-    coefficients, trimmed as constellations_from_states describes: row r
-    holds its lead zeros, then its core's roots, then infinity."""
-    twoS = f.shape[1] - 1
-    keep = f != 0
-    lead = np.argmax(keep, axis=1)
-    degree = twoS - lead - np.argmax(keep[:, ::-1], axis=1)
-    if (degree == twoS).all():
-        return find_roots_batch(f)
-    roots = np.where(np.arange(twoS) < lead[:, None], 0j, INFINITY)
-    for n in np.flatnonzero(np.bincount(degree)):
-        rows = np.flatnonzero(degree == n)
-        core = lead[rows, None] + np.arange(n + 1)
-        roots[rows[:, None], core[:, :-1]] = find_roots_batch(f[rows[:, None], core])
-    return roots
 
 
 def state_from_constellation(c: Constellation) -> SpinState:

@@ -274,6 +274,12 @@ def test_equilibrium_residual_groups_stars_on_the_sphere():
     # is one double star at the pole: it has no chart velocity.
     with pytest.raises(DegenerateConstellation):
         equilibrium_residual(mj.Constellation(4, [1e300, -1e300] + others), h)
+    # Near the float limit the mean is taken at a power-of-two scale and
+    # does not overflow; the double stars at +-1e308 are too near the pole
+    # for a chart velocity.
+    with pytest.raises(DegenerateConstellation):
+        equilibrium_residual(mj.Constellation(4, [1e308, 1e308, -1e308, -1e308]),
+                             builtin_hamiltonian(4, "Sz"))
 
 
 @pytest.mark.xfail(raises=DegenerateConstellation, strict=True)

@@ -1,8 +1,9 @@
 """Root solver on the hard shapes of spin-state polynomials.
 
 Shapes: random amplitudes, a coherent state (one star repeated 2S times),
-a double star among random ones, one star near the pole (|z| ~ 1e6) and
-stars spread over |z| in [e^-7, e^7], at 2S up to 40.
+a double star among random ones, one star near the pole (|z| ~ 1e6),
+stars spread over |z| in [e^-7, e^7], and stars exactly at the poles among
+random ones, at 2S up to 40.
 """
 
 import math
@@ -18,7 +19,7 @@ from majorana.errors import NonConvergence
 from majorana.rootfinding import find_roots
 from majorana.stellar import constellation_from_state, constellations_from_states
 
-SHAPES = ("random", "coherent", "double", "near_pole", "spread")
+SHAPES = ("random", "coherent", "double", "near_pole", "spread", "poles")
 
 
 def _gaussian(rng, n):
@@ -26,7 +27,8 @@ def _gaussian(rng, n):
 
 
 def _stars(shape, twoS, rng):
-    """Finite stars of the shape; None for random amplitudes."""
+    """Finite stars of the shape, fewer than 2S where the rest are at
+    infinity; None for random amplitudes."""
     w = complex(_gaussian(rng, 1)[0])
     if shape == "random":
         return None
@@ -37,6 +39,10 @@ def _stars(shape, twoS, rng):
     if shape == "near_pole":
         far = 1e6 * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
         return np.concatenate([_gaussian(rng, twoS - 1), [far]])
+    if shape == "poles":  # k stars at 0, j at infinity: lead and tail zeros
+        k = rng.integers(0, twoS + 1)
+        j = rng.integers(0, twoS - k + 1)
+        return np.concatenate([np.zeros(k), _gaussian(rng, twoS - k - j)])
     return np.exp(rng.uniform(-7.0, 7.0, twoS) + 2j * np.pi * rng.uniform(size=twoS))
 
 
@@ -45,7 +51,8 @@ def _state(shape, twoS, seed):
     stars = _stars(shape, twoS, rng)
     if stars is None:
         return mj.SpinState(twoS, _gaussian(rng, twoS + 1))
-    coeffs = np.poly(stars)[::-1]  # Vieta by numpy, low to high
+    coeffs = np.atleast_1d(np.poly(stars))[::-1]  # Vieta by numpy, low to high
+    coeffs = np.pad(coeffs, (0, twoS - len(stars)))  # the stars at infinity
     binom = np.array([math.sqrt(math.comb(twoS, k)) for k in range(twoS + 1)])
     return mj.SpinState(twoS, coeffs / binom)
 

@@ -67,11 +67,13 @@ def test_conjugate_pair_ordering():
     assert np.allclose(roots, [-1j * np.sqrt(2), 1j * np.sqrt(2)], atol=1e-13)
 
 
-def test_untrimmed_coefficients_rejected():
-    with pytest.raises(ValueError):
-        find_roots(np.array([0.0, 1.0, 1.0], dtype=complex))
-    with pytest.raises(ValueError):
-        find_roots(np.array([1.0, 1.0, 0.0], dtype=complex))
+def test_zero_end_coefficients_are_roots_at_the_poles():
+    # A lead zero is a root at exactly 0 and a tail zero a root at inf; the
+    # core between them is solved.  Only an all-zero row has no roots.
+    assert find_roots(np.array([0.0, 1.0, 1.0], dtype=complex)).tolist() == [-1, 0]
+    assert find_roots(np.array([1.0, 1.0, 0.0], dtype=complex)).tolist() == [-1, np.inf]
+    with pytest.raises(ValueError, match="all-zero"):
+        find_roots_batch(np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError, match="2-d"):
         find_roots_batch(np.array([1.0, 1.0, 1.0], dtype=complex))
 

@@ -468,15 +468,19 @@ def test_contract_error_reports_ratio_and_spin(monkeypatch):
 
 
 def test_failing_batch_names_its_states():
-    # States 1 and 3 overflow their companion matrices; states 0 and 2 are
-    # solvable, and state 0 shares state 1's stack.
+    # States 1 and 3 overflow their companion matrices, and so does state
+    # 4's degree-2 core, once its lead zero is cut; states 0, 2 and 5 are
+    # solvable, state 5 trimmed too, and states 0 and 5 share state 1's
+    # stack.
     states = [mj.SpinState(2, [0.3, 1, 0.2j]), mj.SpinState(2, [1e-320, 1, 1e-320]),
-              mj.SpinState(1, [1, 1]), mj.SpinState(3, [1e-310, 1, 1, 1e-310])]
+              mj.SpinState(1, [1, 1]), mj.SpinState(3, [1e-310, 1, 1, 1e-310]),
+              mj.SpinState(3, [0, 1e-310, 1, 1e-310]), mj.SpinState(2, [0, 1, 1])]
     with pytest.raises(NonConvergence) as err:
         mj.constellations_from_states(states)
     assert str(err.value) == (
         "state 1 (2S = 2): companion matrix overflows for degree 2; "
-        "state 3 (2S = 3): companion matrix overflows for degree 3")
+        "state 3 (2S = 3): companion matrix overflows for degree 3; "
+        "state 4 (2S = 3): companion matrix overflows for degree 2")
     with pytest.raises(NonConvergence, match=r"^state 1 \(2S = 2\): companion") as err:
         mj.constellations_from_states(states[:2])
     assert "state 0" not in str(err.value)
