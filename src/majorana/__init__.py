@@ -9,6 +9,12 @@ cumulative quantumness hierarchy, searches for maximally unpolarized
 motion, under a Hermitian Hamiltonian.
 """
 
+import os
+
+# No BLAS call here is large enough to thread; a worker's start slows import.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 # Each module's __all__ is the one list of its public names.  The lists are
 # bound under private names: the function multipoles shadows its module here.
 from .errors import *

@@ -15,10 +15,9 @@ them), each the expectation r_j = psi^dag H_j psi of a Hermitian operator.
 It vanishes at a king.  On the unit sphere the gradient of r_j is
 2 (H_j psi - r_j psi), so one gather of the vectors H_j psi
 (multipoles._hermitian_terms, two shifted copies of psi per operator)
-gives the residuals and their Jacobian together.  The gather is used
-rather than applying all the operators as one dense matrix product: that
-product is faster in the median but takes OpenBLAS's threaded path, whose
-slow tail costs more than the median saves.
+gives the residuals and their Jacobian together.  One dense matrix product
+of all the operators would be faster, but it sums in another order, so it
+would move the bits of every king.
 
 On such a zero-residual problem Gauss-Newton converges quadratically, so
 each restart screens random states in one stacked evaluation of A_M and

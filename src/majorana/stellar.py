@@ -174,7 +174,8 @@ class SpherePoint:
         theta = min(max(self.theta, 0.0), math.pi)
         phi = float(self.phi) % (2.0 * math.pi)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        # A tiny negative phi wraps to a value that rounds to 2 pi.
+        object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
 
 
 # -- chart -------------------------------------------------------------------

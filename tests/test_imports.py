@@ -1,9 +1,11 @@
 """The package imports and runs its main paths without loading scipy, or
 numpy.ma, which NumPy's set routines (np.unique, np.isin, ...) import lazily
-at about 12 ms a process, and runs as python -m in a fresh process."""
+at about 12 ms a process, runs as python -m in a fresh process, and pins
+OpenBLAS to one thread unless the caller chose a thread count."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -55,10 +57,14 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split("."
 """
 
 
-def _fresh_python(*args):
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(*args, env=None):
     """Run python with args in a fresh process that imports the package
-    from SRC and makes a RuntimeWarning an error, as the suite does."""
-    env = dict(os.environ)
+    from SRC and makes a RuntimeWarning an error, as the suite does.  The
+    child's environment is env, by default this process's."""
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
@@ -89,6 +95,35 @@ def test_module_entry_points_run_the_command(tmp_path):
     path.write_text(emit_state(mj.SpinState(2, [1e-320, 1, 1e-320])))
     proc = _fresh_python("-m", "majorana", "stars", str(path))
     assert (proc.returncode, proc.stdout) == (3, b""), proc.stderr.decode()
+
+
+PIN_SCRIPT = """
+import json, os, sys
+
+import majorana
+
+variables = {k: os.environ.get(k) for k in %r}
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([variables, threads, "numpy" in sys.modules]))
+""" % (BLAS_THREAD_VARIABLES,)
+
+
+def test_import_pins_openblas_to_one_thread_unless_told():
+    """With none of OpenBLAS's thread variables set, import majorana sets
+    OPENBLAS_NUM_THREADS=1 before numpy loads, so the process holds one
+    thread.  A variable the caller set leaves the environment as given."""
+    bare = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    proc = _fresh_python("-c", PIN_SCRIPT, env=bare)
+    assert proc.returncode == 0, proc.stderr.decode()
+    variables, threads, numpy_loaded = json.loads(proc.stdout)
+    assert numpy_loaded
+    assert variables == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    assert threads in (None, 1)
+    for given in ({"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}):
+        proc = _fresh_python("-c", PIN_SCRIPT, env={**bare, **given})
+        assert proc.returncode == 0, proc.stderr.decode()
+        variables, _, _ = json.loads(proc.stdout)
+        assert variables == {k: given.get(k) for k in BLAS_THREAD_VARIABLES}
 
 
 def _scipy_imports(node, scope):

@@ -151,6 +151,9 @@ def test_stereo_projection_frozen_points():
     assert p.phi == pytest.approx(3 * math.pi / 2)
     assert mj.stereo_to_sphere(0).theta == 0.0
     assert mj.stereo_to_sphere(mj.INFINITY).theta == pytest.approx(math.pi)
+    # A phi just below 0 wraps to one that rounds to 2 pi, which is read as 0.
+    assert mj.SpherePoint(1.0, -1e-18).phi == 0.0
+    assert mj.stereo_to_sphere(1 + 1e-20j).phi == 0.0
     for theta in (-1e-9, math.pi + 1e-9):
         with pytest.raises(ValueError, match="theta out of"):
             mj.SpherePoint(theta, 0.0)
