@@ -13,11 +13,9 @@ A_M is a sum of squares, A_M = |r|^2, of M(M + 2) real residuals: the
 components rho_Kq with 1 <= K <= M and q >= 0 (those with q < 0 repeat
 them), each the expectation r_j = psi^dag H_j psi of a Hermitian operator.
 It vanishes at a king.  On the unit sphere the gradient of r_j is
-2 (H_j psi - r_j psi), so one gather of the vectors H_j psi
-(multipoles._hermitian_terms, two shifted copies of psi per operator)
-gives the residuals and their Jacobian together.  One dense matrix product
-of all the operators would be faster, but it sums in another order, so it
-would move the bits of every king.
+2 (H_j psi - r_j psi), so one product of the stacked operators with psi
+(_operator_stack, which states its cost) gives the vectors H_j psi, and
+with them the residuals and their Jacobian together.
 
 On such a zero-residual problem Gauss-Newton converges quadratically, so
 each restart screens random states in one stacked evaluation of A_M and
@@ -41,15 +39,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonConvergence
 from .multipoles import (
     _cumulative_strengths,
-    _hermitian_terms,
     cumulative_quantumness,
     multipoles,
+    tensor_operator,
 )
 from .rootfinding import _EPS
 from .stellar import (
@@ -60,6 +59,7 @@ from .stellar import (
     _is_integer,
     _spinors,
     _stars,
+    _turned,
     constellation_from_state,
     state_from_constellation,
 )
@@ -166,17 +166,43 @@ def objective(constellation: Constellation, M: int) -> float:
 # -- residuals and their Jacobian in the amplitudes ---------------------------------
 
 
+@lru_cache(maxsize=16)
+def _operator_stack(twoS: int, M: int) -> np.ndarray:
+    """The M(M + 2) Hermitian operators H_j stacked as one read-only
+    (M(M + 2)(2S + 1), 2S + 1) matrix: for K = 1..M, T_K0 and then, for
+    q = 1..K, (T_Kq^dag + T_Kq) / sqrt 2 and (T_Kq^dag - T_Kq) / (sqrt 2 i).
+    Their expectations psi^dag H_j psi are the real numbers rho_K0,
+    sqrt 2 Re rho_Kq and sqrt 2 Im rho_Kq; the rho_K,-q = (-1)^q conj(rho_Kq)
+    repeat them, so the squares of the expectations sum to A_M.
+
+    Each H_j has two nonzero diagonals, so the dense stack costs O(M^2 d^2)
+    work and memory, d = 2S + 1, against O(M^2 d) for a gather of shifted
+    copies of psi: faster up to about (2S, M) = (12, 6), slower beyond (11
+    against 9 us per evaluation at (20, 6), 70 against 28 at (40, 10)), and
+    0.34 MB at (20, 6), 45 MB at (40, 40).  No search of the benchmark or
+    the tests is larger than (20, 6)."""
+    ops = []
+    for K in range(1, M + 1):
+        ops.append(tensor_operator(twoS, K, 0))
+        for q in range(1, K + 1):
+            t = tensor_operator(twoS, K, q) / math.sqrt(2.0)
+            ops += [t.conj().T + t, 1j * (t - t.conj().T)]
+    stack = np.concatenate(ops)
+    stack.flags.writeable = False
+    return stack
+
+
 def _residuals(psi: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """The real residuals r of A_M = |r|^2 at the unit state psi,
-    r_j = psi^dag H_j psi for the Hermitian H_j of _hermitian_terms, and
+    r_j = psi^dag H_j psi for the Hermitian H_j of _operator_stack, and
     their Jacobian J, of shape (len(r), 2d), in the real steps
     s = (Re s_0, Im s_0, Re s_1, ...) that move psi to (psi + s) / |psi + s|.
 
     To first order such a step moves r_j by 2 Re(s^dag (H_j psi - r_j psi)),
     so row j of J is 2 (H_j psi - r_j psi) read as interleaved reals: one
-    gather of the vectors H_j psi gives both r and J.
+    product of the stack with psi gives both r and J.
     """
-    terms = _hermitian_terms(psi, M)
+    terms = (_operator_stack(len(psi) - 1, M) @ psi).reshape(-1, len(psi))
     r = (terms @ psi.conj()).real
     return r, 2.0 * (terms - r[:, None] * psi).view(float)
 
@@ -332,18 +358,16 @@ def _gauge_fix(c: Constellation) -> Constellation:
     Constellation.points) sits at theta = 0 and the next off-axis star has
     phi = 0.
 
-    Star j is the unit spinor (u_j, v_j) of stellar._spinors at star j of
-    stellar._stars, so z = v / u, and a star at the pole is (0, 1).  The
-    SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes the first star to
-    (1, 0), z = 0, where it is placed, and turns the others rigidly with it.
+    With (u_0, v_0) the unit spinor pair of the first star (stellar._spinors),
+    the SU(2) matrix [[conj u_0, conj v_0], [-v_0, u_0]] takes it to (1, 0),
+    z = 0 exactly, and turns the others rigidly with it (stellar._turned).
     A turned star with |z| > 1e8, within about 1e-8 chordal of the pole, is
     snapped there, which keeps the output canonical.
     """
     u, v = _spinors(_stars(c))
-    u0, v0 = u[0], v[0]
-    u, v = np.conj(u0) * u[1:] + np.conj(v0) * v[1:], u0 * v[1:] - v0 * u[1:]
-    pole = np.abs(v) > 1e8 * np.abs(u)
-    z = np.concatenate([[0.0], v[~pole] / u[~pole]])
+    z = _turned(np.array([[np.conj(u[0]), np.conj(v[0])], [-v[0], u[0]]]), u, v)
+    pole = np.abs(z) > 1e8
+    z = z[~pole]
     off = np.flatnonzero(np.abs(z) > 1e-12)
     if len(off):
         z = z * np.exp(-1j * np.angle(z[off[0]]))

@@ -14,7 +14,6 @@ that layout.  The dipole and quadrupole of Q are closed forms in <S_i> and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,53 +106,14 @@ def tensor_operator(label: SpinLabel | int, K: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _shift_index(d: int, Q: int) -> np.ndarray:
     """index[q + Q, k] = k + q for |q| <= Q, or d where k + q is outside
-    0..d-1: an index into a vector (or matrix) padded with a trailing zero,
-    or, clipped to d - 1, into the vector itself where the tensor table is
-    0."""
+    0..d-1.  multipoles reads the diagonals rho[k + q, k] through it from
+    the density matrix padded with a trailing zero row;
+    _cumulative_strengths clips it to d - 1 and reads psi itself, where
+    the tensor table is 0."""
     index = np.arange(-Q, Q + 1)[:, None] + np.arange(d)
     index = np.where((index >= 0) & (index < d), index, d)
     index.flags.writeable = False
     return index
-
-
-@lru_cache(maxsize=16)
-def _hermitian_table(twoS: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and indices of _hermitian_terms: H_j psi =
-    coeffs[0, j] * psi[index[0, j]] + coeffs[1, j] * psi[index[1, j]], each
-    index clipped to 0..2S, where its coefficient is 0.
-    (T_Kq^dag psi)_k = t[K, q + 2S, k] psi_{k+q} and
-    (T_Kq psi)_k = (-1)^q t[K, -q + 2S, k] psi_{k-q}."""
-    d = twoS + 1
-    t = _tensor_table(twoS)
-    shift = _shift_index(d, M)
-    up, down, up_index, down_index = [], [], [], []
-    for K in range(1, M + 1):
-        up.append(t[K, twoS])
-        down.append(np.zeros(d))
-        up_index.append(shift[M])
-        down_index.append(shift[M])
-        for q in range(1, K + 1):
-            raised = t[K, twoS + q] * math.sqrt(0.5)
-            lowered = (-1.0) ** q * t[K, twoS - q] * math.sqrt(0.5)
-            up += [raised, -1j * raised]
-            down += [lowered, 1j * lowered]
-            up_index += [shift[M + q]] * 2
-            down_index += [shift[M - q]] * 2
-    coeffs = np.array([up, down], dtype=complex)
-    index = np.array([up_index, down_index])
-    coeffs.flags.writeable = index.flags.writeable = False
-    return coeffs, index
-
-
-def _hermitian_terms(psi: np.ndarray, M: int) -> np.ndarray:
-    """For unit states psi (leading axes are batch axes): the vectors H_j psi
-    for the M(M + 2) Hermitian operators T_K0, (T_Kq^dag + T_Kq) / sqrt 2 and
-    (T_Kq^dag - T_Kq) / (sqrt 2 i), 1 <= q <= K <= M, as rows.  Their
-    expectations psi^dag H_j psi are the real numbers c_K0, sqrt 2 Re c_Kq and
-    sqrt 2 Im c_Kq; the c_K,-q = (-1)^q conj(c_Kq) repeat them, so the squares
-    of the expectations sum to A_M."""
-    coeffs, index = _hermitian_table(psi.shape[-1] - 1, M)
-    return (coeffs * np.take(psi, index, axis=-1, mode="clip")).sum(axis=-3)
 
 
 def _cumulative_strengths(psi: np.ndarray, M: int) -> np.ndarray:

@@ -23,7 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LabelMismatch, NonConvergence
-from .rootfinding import TOL, _EPS, _powers, _root_coefficients, find_roots_batch
+from .rootfinding import (
+    TOL,
+    _EPS,
+    _powers,
+    _root_coefficients,
+    find_roots_batch,
+    residual_ratios,
+)
 
 __all__ = [
     "SpinLabel",
@@ -216,6 +223,18 @@ def _spinors(z) -> tuple[np.ndarray, np.ndarray]:
     return np.where(pole, 0.0, inv / norm), np.where(pole, 1.0, z * (inv / norm))
 
 
+def _turned(matrix: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The points of unit spinor pairs (u, v) (see _spinors) turned by the
+    2 x 2 matrix: (u, v) -> matrix @ (u, v), read back as v / u.  A point
+    that lands on the pole, or so near it that v / u is not finite, is
+    INFINITY; the pole itself, (0, 1), needs no special case."""
+    (a, b), (c, d) = matrix
+    u, v = a * u + b * v, c * u + d * v
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = v / u
+    return np.where(np.isfinite(w), w, INFINITY)
+
+
 def _chord_matrix(a, b) -> np.ndarray:
     """chordal_distance between every point of a and every point of b,
     2 |u_a v_b - v_a u_b| over their unit spinor pairs."""
@@ -369,11 +388,12 @@ def constellations_from_states(states) -> list[Constellation]:
     2 / TOL joins the stars at infinity, and one with |z| < TOL / 2 is set
     to 0.
 
-    If a stack fails, each of its states is solved alone, and the
-    NonConvergence raised names the index in states and the 2S of every
-    state that fails alone, with the solver's message for each.  A row's
-    roots do not depend on the rest of its stack, so those are the states
-    that failed it.
+    If a stack fails, each of its states is solved alone (_solve_alone),
+    and a state that fails alone is solved once more in a rotated frame.
+    A row's roots do not depend on the rest of its stack, so the states
+    that fail in both frames are those that failed it.  The
+    NonConvergence raised names the index in states and the 2S of each
+    of them, with the solver's message for the state as given.
     """
     states = list(states)
     results: list[Constellation | None] = [None] * len(states)
@@ -386,12 +406,12 @@ def constellations_from_states(states) -> list[Constellation]:
         try:
             roots = find_roots_batch(f)
         except NonConvergence:
+            roots = np.zeros((len(members), twoS), dtype=complex)  # a failed row keeps these
             for r, i in enumerate(members):
                 try:
-                    find_roots_batch(f[r : r + 1])
+                    roots[r] = _solve_alone(states[i], f[r])
                 except NonConvergence as exc:
                     failed.append((i, f"state {i} (2S = {twoS}): {exc}"))
-            continue
         size = np.abs(roots)
         far = size > 2.0 / TOL
         roots[size < 0.5 * TOL] = 0.0
@@ -401,6 +421,47 @@ def constellations_from_states(states) -> list[Constellation]:
     if failed:
         raise NonConvergence("; ".join(message for _, message in sorted(failed)))
     return results
+
+
+#: The rotation (theta, phi) of the second frame in _solve_alone.
+_FRAME = (1.3, 2.1)
+
+
+def _solve_alone(state: SpinState, f: np.ndarray) -> np.ndarray:
+    """The roots of state's polynomial f, solved alone, or else in a
+    rotated frame: the stars of rotate(state, *_FRAME), turned back.
+
+    The solver raises on a row whose two end coefficients are both small,
+    stars near both poles: its companion matrix's entries c_k / c_n are
+    huge, or overflow, so the eigenvalues miss the contract.  Turned off
+    the poles, the same stars make a row it takes.  rotate turns each
+    star's spinor pair by conj(U), U the spin-1/2 matrix of the rotation,
+    so U^T, whose rows are the rotated basis states of spin 1/2, turns them
+    back.  The frame is fixed, so the result is deterministic; a tilt of
+    1.3 from the poles took every such row tried (the refined (12, 5)
+    kings, and random rows at 2S = 6 to 40 with both ends scaled by 1e-12
+    to 1e-300) to within 3.3e-16 of fidelity 1.  The rotated frame is a
+    fallback, not the first solve: the exact small coefficients of a
+    coherent state at 2S = 40 give one star, but rotated they scatter
+    into 40.
+
+    The stars turned back are certified by the contract on f itself, so
+    there is one certification, in one chart.  If they miss it, or the
+    rotated solve raises, the NonConvergence of the first solve is raised.
+    """
+    try:
+        return find_roots_batch(f[None])[0]
+    except NonConvergence as miss:
+        back = np.array([rotate(SpinState(1, e), *_FRAME).amplitudes for e in np.eye(2)])
+        try:
+            turned = find_roots_batch(stellar_polynomial(rotate(state, *_FRAME))[None])[0]
+            z = _turned(back, *_spinors(turned))
+            certified = residual_ratios(f, z).max() <= TOL * np.abs(f).max()
+        except NonConvergence:
+            certified = False
+        if not certified:
+            raise miss from None
+        return z
 
 
 def state_from_constellation(c: Constellation) -> SpinState:

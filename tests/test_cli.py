@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import majorana as mj
-from majorana import kings, rootfinding
+from majorana import kings, rootfinding, stellar
 from majorana.cli import main
 from majorana.kings import SearchConfig, minimize
 from majorana.serialize import (
@@ -188,8 +188,15 @@ def test_kings_matches_library(runner):
     assert obj["constellation"]["infinity_count"] == 1
 
 
-def test_companion_that_overflows_exits_3(runner, tmp_path):
-    path = _write_state(tmp_path, mj.SpinState(2, [1e-320, 1, 1e-320]))
+def test_companion_that_overflows_exits_3(runner, tmp_path, monkeypatch):
+    # The state's stars are solved in the rotated frame; stars exits 3 only
+    # when both frames miss, here with a second frame that is the first.
+    state = mj.SpinState(2, [1e-320, 1, 1e-320])
+    path = _write_state(tmp_path, state)
+    result = runner.invoke(main, ["stars", path])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == emit_constellation(mj.constellation_from_state(state)) + "\n"
+    monkeypatch.setattr(stellar, "rotate", lambda state, theta, phi: state)
     result = runner.invoke(main, ["stars", path])
     assert result.exit_code == 3
     assert result.stdout == ""

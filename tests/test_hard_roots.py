@@ -2,8 +2,9 @@
 
 Shapes: random amplitudes, a coherent state (one star repeated 2S times),
 a double star among random ones, one star near the pole (|z| ~ 1e6),
-stars spread over |z| in [e^-7, e^7], and stars exactly at the poles among
-random ones, at 2S up to 40.
+stars spread over |z| in [e^-7, e^7], stars exactly at the poles among
+random ones, and random rows whose two end coefficients are tiny, at 2S up
+to 40.
 """
 
 import math
@@ -209,11 +210,27 @@ _REFINED_ICOSAHEDRON = [
 ]
 
 
-@pytest.mark.xfail(raises=NonConvergence, strict=True)
 def test_refined_icosahedron_round_trips():
-    # A row with both ends small (ROADMAP item 15): the solver reads a root
-    # residual of 2.000e-10 against its tolerance 1e-10 at degree 12 and
-    # raises, so `majorana stars` exits 3 on this state.
+    # A row with both ends small: alone, the solver reads a root residual of
+    # 2.000e-10 against its tolerance 1e-10 at degree 12 and raises, so the
+    # stars are solved in the rotated frame.
     state = mj.SpinState(12, _REFINED_ICOSAHEDRON)
+    with pytest.raises(NonConvergence, match=r"^root residual 2\.000e-10 "):
+        find_roots(mj.stellar_polynomial(state))
     back = mj.state_from_constellation(constellation_from_state(state))
     assert abs(mj.overlap(back, state)) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.floats(12.0, 300.0), st.integers(0, 2**32 - 1))
+def test_rows_with_both_ends_small_round_trip(twoS, exponent, seed):
+    # Random amplitudes whose two end coefficients are scaled by 1e-12 to
+    # 1e-300: a star near z = 0 and one near the pole.  Below about 1e-50
+    # the companion matrix misses the contract on every such row, or
+    # overflows, and the stars are solved in the rotated frame.  The suite
+    # makes a RuntimeWarning an error, so a warning on the way fails here.
+    amps = _gaussian(np.random.default_rng(seed), twoS + 1)
+    amps[[0, -1]] *= 10.0 ** -exponent
+    state = mj.SpinState(twoS, amps)
+    back = mj.state_from_constellation(constellation_from_state(state))
+    assert abs(mj.overlap(back, state)) ** 2 >= 1.0 - 1e-10

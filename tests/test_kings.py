@@ -230,11 +230,15 @@ def test_search_gradient_matches_central_differences(twoS):
 
 
 def test_screening_matches_single_evaluations(rng):
-    psi = kings._random_states(rng, 11, 8)
-    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, rtol=0.0, atol=1e-15)
-    stacked = kings._cumulative_strengths(psi, 3)[:, -1]
-    single = [np.sum(kings._residuals(p, 3)[0] ** 2) for p in psi]
-    assert np.allclose(stacked, single, rtol=1e-12, atol=1e-15)
+    # The screen's tensor-table product against the polish's operator
+    # stack, at the benchmark's configurations and at (20, 6), the largest
+    # stack the suite searches.
+    for twoS, M in (*_BENCHMARK_CONFIGS, (20, 6)):
+        psi = kings._random_states(rng, twoS + 1, 8)
+        assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        stacked = kings._cumulative_strengths(psi, M)[:, -1]
+        single = [np.sum(kings._residuals(p, M)[0] ** 2) for p in psi]
+        assert np.allclose(stacked, single, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -530,32 +534,16 @@ def _fresh_king(twoS, M, seed):
     return mj.state_from_constellation(result.constellation).amplitudes
 
 
-# (12, 5) seed 2 refines to |r| = 4.5e-50, but the refined state, rounded to
-# doubles, is the icosahedron with one star 1.5e-15 from z = 0 and one at
-# |z| ~ 6.8e14: both end coefficients are 1.3e-16 of the largest, and the
-# root solver misses its contract there (ROADMAP item 15;
-# tests/test_hard_roots.py::test_refined_icosahedron_round_trips).  Seeds 5,
-# 6, 8 and 18 fail the same way, with root residuals 2.9e-9, 1.3e-10, 1.7e-9
-# and 2.5e-9 against 1e-10.
-_UNSOLVED_REFINED_KINGS = {(12, 5, seed) for seed in (2, 5, 6, 8, 18)}
-
-
 @pytest.mark.parametrize(
-    "twoS, M, seed",
-    [
-        pytest.param(
-            *config, seed,
-            marks=pytest.mark.xfail(raises=mj.NonConvergence, strict=True)
-            if (*config, seed) in _UNSOLVED_REFINED_KINGS else (),
-        )
-        for config in _BENCHMARK_CONFIGS
-        for seed in range(20)
-    ],
+    "twoS, M, seed", [(*config, seed) for config in _BENCHMARK_CONFIGS for seed in range(20)]
 )
 def test_fresh_kings_are_certified_zeros(twoS, M, seed):
     # One restart at each of the benchmark's configurations: its king lies
     # within 1e-7 chord of a true zero of A_M.  Over seeds 0-19 the worst
-    # start read 2.4e-9 and the worst chord 4.8e-9.
+    # start read 2.4e-9 and the worst chord 4.8e-9.  Seeds 2, 5, 6, 8 and 18
+    # at (12, 5) refine to the icosahedron with one star within 1e-14 of
+    # z = 0 and one beyond 1e14: both end coefficients are about 1e-16 of
+    # the largest, and its stars are solved in the rotated frame.
     start, contracts, chord = _certificate(_fresh_king(twoS, M, seed), M)
     assert start <= 1e-8
     assert contracts

@@ -93,11 +93,17 @@ def test_companion_that_overflows_raises(amps):
     # does not flip to the 1/z chart and c_k / c_n overflows.  In the 2S = 4
     # row both ends underflow to 0 when the row is scaled to max modulus 1,
     # and c_k / c_n divides by zero.  The suite makes a RuntimeWarning an
-    # error, so a warning on the way fails here.
+    # error, so a warning on the way fails here.  The state's stars are
+    # then solved in a rotated frame: one at the pole, one at 0, and the
+    # 2S = 3 row's third at -1.
     n = len(amps) - 1
-    want = rf"^state 0 \(2S = {n}\): companion matrix overflows for degree {n}$"
-    with pytest.raises(mj.NonConvergence, match=want):
-        mj.constellation_from_state(mj.SpinState(n, amps))
+    state = mj.SpinState(n, amps)
+    with pytest.raises(mj.NonConvergence, match=rf"^companion matrix overflows for degree {n}$"):
+        find_roots(mj.stellar_polynomial(state))
+    c = mj.constellation_from_state(state)
+    assert c.infinity_count == n // 2
+    assert np.count_nonzero(c.finite_roots == 0) == n // 2
+    assert abs(mj.overlap(mj.state_from_constellation(c), state)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_merge_whose_vieta_lead_underflows_keeps_its_estimates():

@@ -470,14 +470,21 @@ def test_contract_error_reports_ratio_and_spin(monkeypatch):
     assert got == pytest.approx(want, rel=1e-3)
 
 
-def test_failing_batch_names_its_states():
+def test_failing_batch_names_its_states(monkeypatch):
     # States 1 and 3 overflow their companion matrices, and so does state
     # 4's degree-2 core, once its lead zero is cut; states 0, 2 and 5 are
     # solvable, state 5 trimmed too, and states 0 and 5 share state 1's
-    # stack.
+    # stack.  Each state that fails alone is solved in the rotated frame,
+    # as constellation_from_state solves it.
     states = [mj.SpinState(2, [0.3, 1, 0.2j]), mj.SpinState(2, [1e-320, 1, 1e-320]),
               mj.SpinState(1, [1, 1]), mj.SpinState(3, [1e-310, 1, 1, 1e-310]),
               mj.SpinState(3, [0, 1e-310, 1, 1e-310]), mj.SpinState(2, [0, 1, 1])]
+    for got, state in zip(mj.constellations_from_states(states), states):
+        want = mj.constellation_from_state(state)
+        assert (got.infinity_count, got.finite_roots.tobytes()) == (
+            want.infinity_count, want.finite_roots.tobytes())
+    # With a second frame that is the first, states 1, 3 and 4 fail in both.
+    monkeypatch.setattr(stellar, "rotate", lambda state, theta, phi: state)
     with pytest.raises(NonConvergence) as err:
         mj.constellations_from_states(states)
     assert str(err.value) == (
@@ -487,6 +494,15 @@ def test_failing_batch_names_its_states():
     with pytest.raises(NonConvergence, match=r"^state 1 \(2S = 2\): companion") as err:
         mj.constellations_from_states(states[:2])
     assert "state 0" not in str(err.value)
+
+
+def test_rotated_stars_that_miss_the_contract_raise(monkeypatch):
+    # The stars turned back from the rotated frame are certified on the
+    # original row; read as missing it, the first frame's error is raised.
+    state = mj.SpinState(2, [1e-320, 1, 1e-320])
+    monkeypatch.setattr(stellar, "residual_ratios", lambda c, z: np.full(np.shape(z), np.inf))
+    with pytest.raises(NonConvergence, match=r"^state 0 \(2S = 2\): companion matrix overflows"):
+        mj.constellation_from_state(state)
 
 
 def test_contract_miss_names_its_state(monkeypatch):
