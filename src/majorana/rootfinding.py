@@ -22,7 +22,8 @@ products against the table, so no stage loops over coefficients in Python.
    row with real coefficients gets a real matrix: exact conjugate pairs.
    A row whose companion matrix overflows, its top coefficient below about
    1e-308 of the largest and its constant one too small to flip it (see
-   below), raises NonConvergence.
+   below), raises NonConvergence; so does one whose roots end with more
+   exact zeros than it vanishes to at 0, as both ends tiny can make them.
 2. Gates, from one power table at the eigenvalues, which gives p and its
    rounding floor 2 (n + 1) eps sum_k |c_k| |z|**k: the Weierstrass
    inclusion discs |z - z_i| <= n |W_i|, W_i = p(z_i) / (c_n prod_{j != i}
@@ -381,6 +382,16 @@ def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
         )
     for b in np.flatnonzero(~isolated):
         z[b] = _finish(c[b], z[b], overlap[b], flip[b])
+    # k roots at exactly 0 are a k-fold root only where c_0 .. c_(k-1) meet
+    # the contract.  The companion eigenvalues of a row with both ends tiny
+    # can collapse to zeros, each of which meets it alone.
+    zeros = (z == 0).sum(axis=1)
+    order = np.cumprod(mag <= TOL, axis=1).sum(axis=1)
+    if (zeros > order).any():
+        b = np.argmax(zeros > order)
+        raise NonConvergence(
+            f"{zeros[b]} roots at 0 where the row vanishes to order {order[b]}, for degree {n}"
+        )
     if flipped:
         w = z[flip]
         z[flip] = np.divide(1.0, w, out=np.full_like(w, np.inf), where=w != 0)

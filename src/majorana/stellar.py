@@ -194,7 +194,11 @@ def stereo_to_sphere(z: complex) -> SpherePoint:
         return SpherePoint(math.pi, 0.0)
     if cmath.isnan(z):
         raise ValueError("z is nan, which is no point on the sphere")
-    theta = 2.0 * math.atan(abs(z))
+    try:
+        r = abs(z)
+    except OverflowError:  # a finite z whose modulus is past the largest float
+        r = math.inf
+    theta = 2.0 * math.atan(r)
     phi = -cmath.phase(z) if z != 0 else 0.0
     return SpherePoint(theta, phi)
 
@@ -208,19 +212,26 @@ def sphere_to_stereo(p: SpherePoint) -> complex:
 def _spinors(z) -> tuple[np.ndarray, np.ndarray]:
     """The unit spinor pair (u, v) = (1, z) / sqrt(1 + |z|^2) of each point
     z, so that z = v / u.  Where |z| > 1 it is taken as (1/|z|, z/|z|) /
-    sqrt(1 + 1/|z|^2), so no square overflows.  Any infinite z (a part is
-    infinite, as cmath.isinf reads it) is the theta = pi pole, (0, 1); any
-    other nan raises ValueError."""
+    sqrt(1 + 1/|z|^2), so no square overflows, and where |z| itself
+    overflows, z is first divided by s = 2**512, an exact power of two, and
+    1/|z| read as (1/|z/s|) / s.  Any infinite z (a part is infinite, as
+    cmath.isinf reads it) is the theta = pi pole, (0, 1); any other nan
+    raises ValueError.  The points are taken as a 1-d array: a 0-d product
+    z * x flags an overflow when both parts of z are near 1e308."""
     z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
     pole = np.isinf(z)
     if (np.isnan(z) & ~pole).any():
         raise ValueError("z is nan, which is no point on the sphere")
     z = np.where(pole, 0.0, z)
+    s = np.where(np.isinf(np.abs(z)), 2.0**512, 1.0)
+    z = z / s
     r = np.abs(z)
     big = r > 1.0
     inv = np.divide(1.0, r, out=np.ones_like(r), where=big)
-    norm = np.sqrt(1.0 + np.where(big, inv, r) ** 2)
-    return np.where(pole, 0.0, inv / norm), np.where(pole, 1.0, z * (inv / norm))
+    norm = np.sqrt(1.0 + np.where(big, inv / s, r) ** 2)
+    u, v = np.where(pole, 0.0, inv / s / norm), np.where(pole, 1.0, z * (inv / norm))
+    return u.reshape(shape), v.reshape(shape)
 
 
 def _turned(matrix: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -433,8 +444,9 @@ def _solve_alone(state: SpinState, f: np.ndarray) -> np.ndarray:
 
     The solver raises on a row whose two end coefficients are both small,
     stars near both poles: its companion matrix's entries c_k / c_n are
-    huge, or overflow, so the eigenvalues miss the contract.  Turned off
-    the poles, the same stars make a row it takes.  rotate turns each
+    huge, or overflow, so the eigenvalues miss the contract, or collapse to
+    more exact zeros than the row vanishes to at 0.  Turned off the poles,
+    the same stars make a row it takes.  rotate turns each
     star's spinor pair by conj(U), U the spin-1/2 matrix of the rotation,
     so U^T, whose rows are the rotated basis states of spin 1/2, turns them
     back.  The frame is fixed, so the result is deterministic; a tilt of

@@ -4,9 +4,11 @@ package against."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from majorana.multipoles import q_grid
+from majorana.rootfinding import _companion_eigvals
 
 
 def clebsch_gordan(
@@ -122,8 +124,6 @@ def _ladder_tensors(twoS: int, M: int) -> dict:
     entry (k + q - 1, k) is u_{k+q-1} x_k - u_{k-1} x_{k-1}.  No
     eigenproblem, so it is independent of the package's tensor table.
     """
-    import mpmath
-
     d = twoS + 1
     u = [mpmath.sqrt((k + 1) * (twoS - k)) for k in range(d)]
     out = {}
@@ -144,8 +144,6 @@ def _king_residuals(psi: list, M: int, tensors: dict) -> list:
     c_K0, sqrt 2 Re c_Kq and sqrt 2 Im c_Kq for 1 <= q <= K <= M, with
     c_Kq = psi^dag T_Kq psi / psi^dag psi, so that their squares sum to
     A_M = sum over every (K, q) of |c_Kq|^2."""
-    import mpmath
-
     norm = mpmath.fsum(abs(p) ** 2 for p in psi)
     root2 = mpmath.sqrt(2)
     r = []
@@ -176,7 +174,6 @@ def refine_king(psi, M: int):
     the start, and the largest chord between a star of psi and its match
     among the stars of the refined state (solved in float).
     """
-    import mpmath
     from scipy.optimize import linear_sum_assignment
 
     import majorana as mj
@@ -215,3 +212,59 @@ def refine_king(psi, M: int):
     chords = np.linalg.norm(a[:, None] - b[None], axis=-1)
     rows, cols = linear_sum_assignment(chords)
     return x, history, float(chords[rows, cols].max())
+
+
+def vieta(roots, dps: int, lead=1) -> list:
+    """The coefficients of lead * prod (z - w) over the roots w, low to
+    high, at dps digits.  Float roots and lead are taken as exact."""
+    with mpmath.workdps(dps):
+        f = [mpmath.mpc(lead)]
+        for w in map(mpmath.mpc, roots):  # f <- f * (z - w)
+            f = [a - w * b for a, b in zip([0] + f, f + [0])]
+    return f
+
+
+def rebuild_error(coeffs, roots, dps: int = 50) -> float:
+    """max_k |c_n e_k - c_k|, with e the vieta coefficients of the roots.
+    A float rebuild can carry rounding errors near 1e-10 of max|c| at
+    degree 40 (1.0e-10 to 1.35e-10 where this reads 1e-14 to 1e-12), so it
+    cannot tell a wrong root set from its own rounding at that bound."""
+    with mpmath.workdps(dps):
+        rebuilt = vieta(roots, dps, coeffs[-1])
+        return float(max(abs(a - mpmath.mpc(c)) for a, c in zip(rebuilt, coeffs)))
+
+
+def mp_newton(coeffs, z, dps: int):
+    """Each z refined in turn by Newton's method at dps digits on the float
+    polynomial with the roots already found divided out (Maehly's implicit
+    deflation, so no two starts end on the same root), until a step below
+    10**(-dps / 2) relative, past which the quadratic convergence is at the
+    working precision; and whether the refined points are provably all of
+    its roots: their rebuild_error is within 10**(-dps / 2) of max|c|."""
+    with mpmath.workdps(dps):
+        high = [mpmath.mpc(x) for x in coeffs[::-1]]
+        small = mpmath.mpf(10) ** (-dps // 2)
+        roots = []
+        for w in map(mpmath.mpc, z):
+            for _ in range(100):
+                p, dp = mpmath.polyval(high, w, derivative=True)
+                step = p / (dp - p * sum(1 / (w - r) for r in roots))
+                w -= step
+                if abs(step) <= small * abs(w):
+                    break
+            roots.append(w)
+    return roots, rebuild_error(coeffs, roots, dps) <= float(small) * np.abs(coeffs).max()
+
+
+def oracle_roots(coeffs, seeds=None) -> np.ndarray:
+    """The roots of the float polynomial (coefficients low to high) at 50
+    digits, read back as floats: the seeds, by default its companion
+    eigenvalues, refined by mp_newton where their Vieta rebuild proves the
+    refined set complete, and mpmath's polyroots otherwise."""
+    if seeds is None:
+        seeds = _companion_eigvals(coeffs[None])[0]
+    roots, complete = mp_newton(coeffs, seeds, 50)
+    if not complete:
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots(coeffs[::-1].tolist(), maxsteps=400, extraprec=400)
+    return np.array([complex(r) for r in roots])

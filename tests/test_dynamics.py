@@ -24,6 +24,7 @@ from majorana.dynamics import (
 )
 from majorana.errors import DegenerateConstellation, LabelMismatch
 
+from oracles import vieta
 from samples import random_state
 
 
@@ -37,23 +38,15 @@ def _unit_hamiltonian(rng, twoS):
     return hamiltonian(twoS, m / np.abs(np.linalg.eigvalsh(m)).max())
 
 
-def _mp(z):
-    return mpmath.mpc(complex(z).real, complex(z).imag)
-
-
 def _mp_velocities(roots, h):
     """i (Hf)(z_k) / f'(z_k) at 50 digits, taking the float roots as exact."""
     twoS = h.label.twoS
     with mpmath.workdps(50):
-        zs = [_mp(z) for z in roots]
-        f = [mpmath.mpc(1)]  # prod (z - z_j), low to high
-        for z in zs:
-            f = [mpmath.mpc(0)] + f
-            for i in range(len(f) - 1):
-                f[i] -= z * f[i + 1]
+        zs = [mpmath.mpc(z) for z in roots]
+        f = vieta(zs, 50)  # prod (z - z_j), low to high
         b = [mpmath.sqrt(math.comb(twoS, k)) for k in range(twoS + 1)]
         g = [
-            b[i] * mpmath.fsum(_mp(h.matrix[i, j]) * f[j] / b[j] for j in range(twoS + 1))
+            b[i] * mpmath.fsum(mpmath.mpc(h.matrix[i, j]) * f[j] / b[j] for j in range(twoS + 1))
             for i in range(twoS + 1)
         ]
         out = []
@@ -76,7 +69,7 @@ def _mp_symbol_residual(centers, counts, h):
         symbol = []
         for n in range(twoS + 1):
             # H z^n = sum_{j<=n} h_j(z) n!/(n-j)! z^(n-j) fixes h_n.
-            acc = [b[i] / b[n] * _mp(h.matrix[i, n]) for i in range(twoS + 1)]
+            acc = [b[i] / b[n] * mpmath.mpc(h.matrix[i, n]) for i in range(twoS + 1)]
             acc += [mpmath.mpc(0)] * twoS
             for j, hj in enumerate(symbol):
                 lo = n - j
@@ -85,13 +78,11 @@ def _mp_symbol_residual(centers, counts, h):
             symbol.append([a / math.factorial(n) for a in acc])
         worst = mpmath.mpf(0)
         for k, z0 in enumerate(centers):
-            e = [mpmath.mpc(1)]
-            for j, zj in enumerate(centers):
-                for _ in range(counts[j] if j != k else 0):
-                    u = 1 / (_mp(z0) - _mp(zj))
-                    e = [e[0]] + [e[i] + u * e[i - 1] for i in range(1, len(e))] + [u * e[-1]]
+            u = [1 / (mpmath.mpc(z0) - mpmath.mpc(zj))
+                 for j, zj in enumerate(centers) if j != k for _ in range(counts[j])]
+            e = vieta([-x for x in u], 50)[::-1]  # e_i of the u: prod (z + u), high to low
             v = mpmath.fsum(
-                math.factorial(n) * mpmath.polyval(symbol[n][::-1], _mp(z0)) * e[n - 1]
+                math.factorial(n) * mpmath.polyval(symbol[n][::-1], mpmath.mpc(z0)) * e[n - 1]
                 for n in range(1, min(twoS, len(e)) + 1)
             )
             worst = max(worst, abs(v))
@@ -284,10 +275,11 @@ def test_equilibrium_residual_groups_stars_on_the_sphere():
 
 @pytest.mark.xfail(raises=DegenerateConstellation, strict=True)
 def test_equilibrium_residual_of_a_far_double_star():
-    # 1e200 and 1e201 group as one double star, whose own velocity under Sz
-    # is finite: the 1e150 pair reads 5.5e150.  Each other cluster's reduced
-    # constellation keeps the pair twice, where _root_coefficients
-    # underflows, so every velocity comes out non-finite and the call raises.
+    # 1e200 and 1e201 group as one double star; the 1e150 pair reads
+    # 5.5e150.  At 1e200 every reduced constellation raises.  Each other
+    # cluster's keeps the pair twice, where _root_coefficients underflows.
+    # The pair's own, [5.5e200, 0.3+0.2j, -0.7+1j], divides by its chart
+    # factor (1/5.5e200)**2, which underflows to 0.
     h = builtin_hamiltonian(4, "Sz")
     others = [0.3 + 0.2j, -0.7 + 1j]
     for R in (1e150, 1e200):

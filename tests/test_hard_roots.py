@@ -9,16 +9,17 @@ to 40.
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import majorana as mj
 from majorana.errors import NonConvergence
 from majorana.rootfinding import find_roots
 from majorana.stellar import constellation_from_state, constellations_from_states
+
+from oracles import oracle_roots
 
 SHAPES = ("random", "coherent", "double", "near_pole", "spread", "poles")
 
@@ -86,14 +87,6 @@ def test_batch_is_bitwise_the_scalar_path(members):
     assert [_bits(c) for c in bulk] == [_bits(c) for c in singles]
 
 
-def _oracle_roots(coeffs):
-    """Roots of the float polynomial at 50 digits."""
-    with mpmath.workdps(50):
-        mp = [mpmath.mpc(c.real, c.imag) for c in coeffs[::-1]]
-        roots = mpmath.polyroots(mp, maxsteps=400, extraprec=400)
-        return np.array([complex(r) for r in roots])
-
-
 def _match(got, want):
     """Pair each wanted root with the nearest unused found root."""
     got = list(got)
@@ -118,7 +111,7 @@ def _hard_polynomial(shape, degree):
 def test_separated_roots_match_mpmath(shape, degree):
     coeffs, stars = _hard_polynomial(shape, degree)
     got = find_roots(coeffs)
-    oracle = _oracle_roots(coeffs)
+    oracle = oracle_roots(coeffs)
     if shape == "double":
         # Rounding the coefficients splits the double star into a pair of
         # nearby roots; the solver certifies two equal entries inside it.
@@ -142,7 +135,7 @@ def test_coherent_multiplicity_matches_mpmath(degree):
     coeffs, _ = _hard_polynomial("coherent", degree)
     roots = find_roots(coeffs)
     assert len(roots) == degree and np.all(roots == roots[0])
-    center = _oracle_roots(coeffs).mean()
+    center = oracle_roots(coeffs).mean()
     assert abs(roots[0] - center) <= 1e-8 * abs(center)
 
 
@@ -223,12 +216,15 @@ def test_refined_icosahedron_round_trips():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 40), st.floats(12.0, 300.0), st.integers(0, 2**32 - 1))
+@example(37, 62.0, 134217727)
 def test_rows_with_both_ends_small_round_trip(twoS, exponent, seed):
     # Random amplitudes whose two end coefficients are scaled by 1e-12 to
     # 1e-300: a star near z = 0 and one near the pole.  Below about 1e-50
     # the companion matrix misses the contract on every such row, or
-    # overflows, and the stars are solved in the rotated frame.  The suite
-    # makes a RuntimeWarning an error, so a warning on the way fails here.
+    # overflows, and the stars are solved in the rotated frame.  In the
+    # example its eigenvalues collapse to 35 exact zeros, each of which
+    # meets the contract alone.  The suite makes a RuntimeWarning an error,
+    # so a warning on the way fails here.
     amps = _gaussian(np.random.default_rng(seed), twoS + 1)
     amps[[0, -1]] *= 10.0 ** -exponent
     state = mj.SpinState(twoS, amps)

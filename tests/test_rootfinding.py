@@ -27,6 +27,9 @@ from majorana.rootfinding import (
     newton_polish,
 )
 
+from oracles import mp_newton, oracle_roots, rebuild_error
+from test_hard_roots import _hard_polynomial
+
 
 def test_simple_cubic_roots():
     # (z - 1)(z - 2)(z - 3) = -6 + 11 z - 6 z^2 + z^3
@@ -237,7 +240,7 @@ def test_one_newton_step(degree):
     simple[0] = seeds[0]
     moved = np.zeros_like(seeds)
     for b, stars in enumerate(simple):
-        exact = np.array([complex(r) for r in _mp_newton(c[b], stars, 50)[0]])
+        exact = np.array([complex(r) for r in mp_newton(c[b], stars, 50)[0]])
         kick = 1e-8 * np.exp(2j * np.pi * rng.uniform(size=len(exact)))
         moved[b, : len(exact)] = exact * (1 + kick)
     z = np.concatenate([seeds, moved], axis=1)
@@ -309,63 +312,6 @@ def _clustered_rows(draw):
     return stars
 
 
-def _mp_newton(coeffs, z, dps):
-    """Each z refined in turn by Newton's method at dps digits on the float
-    polynomial with the roots already found divided out (Maehly's implicit
-    deflation, so no two starts end on the same root), and whether the
-    refined points are provably all of its roots: c_n times their Vieta
-    coefficients, also at dps digits, rebuilds the coefficients to
-    10**(-dps / 2) of the largest.  A start stops after a step below
-    10**(-dps / 2) relative; the convergence is quadratic, so the next step
-    would be at the working precision."""
-    with mpmath.workdps(dps):
-        high = [mpmath.mpc(x.real, x.imag) for x in coeffs[::-1]]
-        small = mpmath.mpf(10) ** (-dps // 2)
-        roots = []
-        for w in z:
-            w = mpmath.mpc(w.real, w.imag)
-            for _ in range(100):
-                p, dp = mpmath.polyval(high, w, derivative=True)
-                step = p / (dp - p * sum(1 / (w - r) for r in roots))
-                w -= step
-                if abs(step) <= small * abs(w):
-                    break
-            roots.append(w)
-        rebuilt = [high[0]]
-        for w in roots:
-            rebuilt = [a - w * b for a, b in zip(rebuilt + [0], [0] + rebuilt)]
-        miss = max(abs(a - b) for a, b in zip(rebuilt, high))
-        return roots, miss <= small * max(abs(x) for x in high)
-
-
-def _oracle_roots(coeffs):
-    """Roots of the float polynomial at 50 digits: the companion eigenvalues
-    refined by Newton's method where their Vieta rebuild proves the refined
-    set complete, mpmath's polyroots otherwise."""
-    roots, complete = _mp_newton(coeffs, _companion_eigvals(coeffs[None])[0], 50)
-    if not complete:
-        with mpmath.workdps(50):
-            mp = [mpmath.mpc(c.real, c.imag) for c in coeffs[::-1]]
-            roots = mpmath.polyroots(mp, maxsteps=400, extraprec=400)
-    return np.array([complex(r) for r in roots])
-
-
-def _rebuild_error(coeffs, roots):
-    """max_k |c_n e_k - c_k|, with e the Vieta coefficients of the roots,
-    at 50 digits.  In floats the product alone can carry rounding errors
-    near 1e-10 of max|c| at degree 40 (1.0e-10 to 1.35e-10 where this
-    reads 1e-14 to 1e-12), so a float rebuild cannot tell a wrong root set
-    from its own rounding at that bound."""
-    with mpmath.workdps(50):
-        e = [mpmath.mpc(1)]
-        for w in roots:
-            w = mpmath.mpc(w.real, w.imag)
-            e = [a - w * b for a, b in zip(e + [0], [0] + e)]
-        lead = mpmath.mpc(coeffs[-1].real, coeffs[-1].imag)
-        return float(max(abs(lead * a - mpmath.mpc(c.real, c.imag))
-                         for a, c in zip(e[::-1], coeffs)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(_clustered_rows())
 def test_clustered_roots_match_the_oracle(stars):
@@ -374,8 +320,8 @@ def test_clustered_roots_match_the_oracle(stars):
     # the m nearest 50-digit roots of the float polynomial about their mean.
     c = _stars_polynomial(stars)
     roots = find_roots(c)
-    assert _rebuild_error(c, roots) <= 1e-10 * np.abs(c).max()
-    oracle = _oracle_roots(c)
+    assert rebuild_error(c, roots) <= 1e-10 * np.abs(c).max()
+    oracle = oracle_roots(c)
     values, counts = np.unique(roots, return_counts=True)
     for v, m in zip(values, counts):
         if m > 1:
@@ -411,7 +357,7 @@ def test_far_star_rows_rebuild_in_the_reversed_chart(seed):
     # 2.3e-10 to 4.2e-9 of max|c| (the other two at 1.01e-10 and
     # 1.13e-10).  In the 1/z chart they rebuild at 5.9e-15 to 8.1e-12.
     c = _stars_polynomial(_scaled_clustered_row(seed))
-    assert _rebuild_error(c, find_roots(c)) <= 1e-10 * np.abs(c).max()
+    assert rebuild_error(c, find_roots(c)) <= 1e-10 * np.abs(c).max()
 
 
 @pytest.mark.parametrize("shape", ["random", "spread"])
@@ -431,13 +377,38 @@ def test_forward_error_matches_mpmath(shape, degree):
             c = _stars_polynomial(np.exp(rng.uniform(-7.0, 7.0, degree)
                                          + 2j * np.pi * rng.uniform(size=degree)))
         z = find_roots(c)
-        exact, complete = _mp_newton(c, z, 40)
+        exact, complete = mp_newton(c, z, 40)
         assert complete
         err = np.array([float(abs(zi - w) / abs(w)) for zi, w in zip(z, exact)])
         w = np.array([complex(x) for x in exact])
         dp = np.polyval(np.polyder(c[::-1]), w)
         kappa = np.polyval(np.abs(c[::-1]), np.abs(w)) / np.abs(w * dp)
         assert np.all(err <= np.maximum(1e-12, 4.0 * (degree + 1) * _EPS * kappa)), err.max()
+
+
+def test_the_oracle_certifies_no_wrong_root_set():
+    # On test_hard_roots' ("spread", 40) row, seeds with one companion
+    # eigenvalue moved 1e-6 relative converge back and certify the same
+    # float roots.  A duplicated seed does not certify, and the oracle falls
+    # back to polyroots, which gives those roots too.  One root moved 1e-6,
+    # with no Newton step, never rebuilds the row to the certifying 1e-25.
+    c, _ = _hard_polynomial("spread", 40)
+    seeds = _companion_eigvals(c[None])[0]
+    exact, complete = mp_newton(c, seeds, 50)
+    want = np.array([complex(w) for w in exact])
+    assert complete
+    for k in np.argsort(np.abs(seeds))[[0, 20, -1]]:
+        moved = seeds.copy()
+        moved[k] *= 1.0 + 1e-6
+        roots, complete = mp_newton(c, moved, 50)
+        assert complete and np.array_equal([complex(w) for w in roots], want), k
+    seeds[5] = seeds[6]
+    assert not mp_newton(c, seeds, 50)[1]
+    assert np.array_equal(np.sort_complex(oracle_roots(c, seeds)), np.sort_complex(want))
+    for k in range(40):
+        wrong = list(exact)
+        wrong[k] *= 1 + mpmath.mpf("1e-6")
+        assert rebuild_error(c, wrong) > 1e-25 * np.abs(c).max(), k
 
 
 @st.composite
@@ -482,11 +453,14 @@ _NINEFOLD_REAL = np.poly(np.r_[np.full(9, -3.0), 3.0]).real[::-1]
 @settings(max_examples=80, deadline=None)
 @given(_real_rows())
 @example((_NINEFOLD_REAL / np.abs(_NINEFOLD_REAL).max() + 0j, False))
+@example((np.poly(np.r_[np.full(6, 1.7), 0.7]).real[::-1] + 0j, False))
 def test_real_rows_give_exact_conjugate_pairs(row):
     # Real coefficients take the real companion matrix: the roots are
     # closed under conjugation bit for bit, merged multiple stars included.
     # The example (z + 3)^9 (z - 3) merges a ring that is its own mirror
-    # image, whose mean is then taken as real.
+    # image, whose mean is then taken as real.  In (z - 1.7)^6 (z - 0.7) a
+    # component's mean misses the residual contract, so its estimates stay;
+    # no other test reaches that branch on every run.
     # Where the roots are simple, a real root (one within 1e-8 relative of
     # the axis, far below any pair of these draws) has imaginary part
     # exactly 0; a multiple real star may split into a pair of float roots.

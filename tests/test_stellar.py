@@ -16,6 +16,7 @@ from majorana import rootfinding, stellar
 from majorana.errors import LabelMismatch, NonConvergence
 from majorana.rootfinding import _root_coefficients
 
+from oracles import vieta
 from samples import random_state
 
 
@@ -134,9 +135,7 @@ def test_vieta_scales_down_before_a_step_that_would_overflow(roots):
     n = len(roots)
     state = mj.state_from_constellation(mj.Constellation(n, roots))
     with mpmath.workdps(60):
-        f = [mpmath.mpc(1)]
-        for w in roots:  # f <- f * (z - w), low to high
-            f = [a - mpmath.mpc(w) * b for a, b in zip([0] + f, f + [0])]
+        f = vieta(roots, 60)
         amps = [f[k] / mpmath.sqrt(math.comb(n, k)) for k in range(n + 1)]
         norm = mpmath.sqrt(sum(abs(a) ** 2 for a in amps))
         want = np.array([complex(a / norm) for a in amps])
@@ -154,6 +153,10 @@ def test_stereo_projection_frozen_points():
     # A phi just below 0 wraps to one that rounds to 2 pi, which is read as 0.
     assert mj.SpherePoint(1.0, -1e-18).phi == 0.0
     assert mj.stereo_to_sphere(1 + 1e-20j).phi == 0.0
+    # A finite z whose modulus overflows is next to the pole.
+    far = 1.7e308 + 1.7e308j
+    assert mj.stereo_to_sphere(far) == mj.SpherePoint(math.pi, 7 * math.pi / 4)
+    assert mj.Constellation(2, [far, 1.0]).points()[1].theta == math.pi
     for theta in (-1e-9, math.pi + 1e-9):
         with pytest.raises(ValueError, match="theta out of"):
             mj.SpherePoint(theta, 0.0)
@@ -181,6 +184,8 @@ def test_chordal_distance_cases():
     assert mj.chordal_distance(1e200, 1.0) == pytest.approx(math.sqrt(2.0))
     assert mj.chordal_distance(1e200, mj.INFINITY) == pytest.approx(0.0, abs=1e-199)
     assert mj.chordal_distance(1e300, -1e300) == pytest.approx(0.0, abs=1e-299)
+    # |z| itself overflows.
+    assert mj.chordal_distance(1.7e308 + 1.7e308j, 1.0) == pytest.approx(math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
@@ -256,8 +261,11 @@ def test_coherent_state_collapsed_star():
     c = mj.constellation_from_state(mj.coherent_state(4, z0))
     assert c.infinity_count == 0
     assert np.allclose(c.finite_roots, -1.0 / z0, atol=1e-10)
-    # At the origin of the chart the coherent state is the extremal state.
+    # At the origin of the chart the coherent state is the extremal state,
+    # and next to the pole, where |z0| overflows or nearly does, the other one.
     assert abs(mj.overlap(mj.coherent_state(3, 0.0), mj.basis_state(3, -3))) == 1.0
+    for z in (1.7e308 + 1.7e308j, 1e308 + 1e308j):
+        assert abs(mj.overlap(mj.coherent_state(2, z), mj.basis_state(2, 2))) == pytest.approx(1.0)
     # f = (u + v z)**2S has the single root -1/z0, 2S times over.  Away from
     # |z0| = 1 one end of f falls many decades below the other; no end
     # coefficient may pin a star at a pole or split the star into a ring.
