@@ -105,13 +105,11 @@ def tensor_operator(label: SpinLabel | int, K: int, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _shift_index(d: int, Q: int) -> np.ndarray:
-    """index[q + Q, k] = k + q for |q| <= Q, or d where k + q is outside
-    0..d-1.  multipoles reads the diagonals rho[k + q, k] through it from
-    the density matrix padded with a trailing zero row;
-    _cumulative_strengths clips it to d - 1 and reads psi itself, where
-    the tensor table is 0."""
-    index = np.arange(-Q, Q + 1)[:, None] + np.arange(d)
-    index = np.where((index >= 0) & (index < d), index, d)
+    """index[q + Q, k] = k + q for |q| <= Q, clipped into 0..d-1: where k +
+    q is outside that range the tensor table is 0, so the entry read there
+    does not count.  multipoles reads the diagonals rho[k + q, k] through
+    it, and _cumulative_strengths the products psi_{k+q} conj(psi_k)."""
+    index = np.clip(np.arange(-Q, Q + 1)[:, None] + np.arange(d), 0, d - 1)
     index.flags.writeable = False
     return index
 
@@ -123,8 +121,7 @@ def _cumulative_strengths(psi: np.ndarray, M: int) -> np.ndarray:
     the tensor table, with rho_K,-q = (-1)^q conj(rho_Kq) counted by
     doubling.  Shape (count, M); column K - 1 is A_K."""
     twoS = psi.shape[-1] - 1
-    index = _shift_index(twoS + 1, M)[M:]  # clipped where the table is 0
-    diagonals = np.take(psi, index, axis=-1, mode="clip") * psi.conj()[:, None, :]
+    diagonals = psi[:, _shift_index(twoS + 1, M)[M:]] * psi.conj()[:, None, :]
     table = _tensor_table(twoS)[1 : M + 1, twoS : twoS + M + 1]
     rho = np.matmul(diagonals.transpose(1, 0, 2), table.transpose(1, 2, 0))  # [q, c, K]
     weight = np.abs(rho) ** 2
@@ -173,8 +170,7 @@ def multipoles(state: SpinState | np.ndarray) -> MultipoleSpectrum:
     use, a density matrix): rho_Kq = Tr(rho T_Kq^dag)."""
     label, dm = _density_matrix(state)
     twoS = label.twoS
-    padded = np.concatenate([dm, np.zeros((1, twoS + 1))])
-    diagonals = padded[_shift_index(twoS + 1, twoS), np.arange(twoS + 1)]  # rho[k + q, k]
+    diagonals = dm[_shift_index(twoS + 1, twoS), np.arange(twoS + 1)]  # rho[k + q, k]
     rho = np.einsum("Kqk,qk->Kq", _tensor_table(twoS), diagonals)
     w = np.sum(np.abs(rho) ** 2, axis=1)
     A = np.concatenate([[0.0], np.cumsum(w[1:])])

@@ -211,27 +211,20 @@ def sphere_to_stereo(p: SpherePoint) -> complex:
 
 def _spinors(z) -> tuple[np.ndarray, np.ndarray]:
     """The unit spinor pair (u, v) = (1, z) / sqrt(1 + |z|^2) of each point
-    z, so that z = v / u.  Where |z| > 1 it is taken as (1/|z|, z/|z|) /
-    sqrt(1 + 1/|z|^2), so no square overflows, and where |z| itself
-    overflows, z is first divided by s = 2**512, an exact power of two, and
-    1/|z| read as (1/|z/s|) / s.  Any infinite z (a part is infinite, as
-    cmath.isinf reads it) is the theta = pi pole, (0, 1); any other nan
-    raises ValueError.  The points are taken as a 1-d array: a 0-d product
-    z * x flags an overflow when both parts of z are near 1e308."""
+    z, so that z = v / u, taken as (1/s, z/s) / hypot(1/s, |z/s|): hypot
+    neither overflows nor underflows, and s = 2**512, an exact power of two,
+    where |z| itself overflows, else 1.  Any infinite z (a part is
+    infinite, as cmath.isinf reads it) is the theta = pi pole, (0, 1); any
+    other nan raises ValueError."""
     z = np.asarray(z, dtype=complex)
-    shape, z = z.shape, z.ravel()
     pole = np.isinf(z)
     if (np.isnan(z) & ~pole).any():
         raise ValueError("z is nan, which is no point on the sphere")
     z = np.where(pole, 0.0, z)
     s = np.where(np.isinf(np.abs(z)), 2.0**512, 1.0)
     z = z / s
-    r = np.abs(z)
-    big = r > 1.0
-    inv = np.divide(1.0, r, out=np.ones_like(r), where=big)
-    norm = np.sqrt(1.0 + np.where(big, inv / s, r) ** 2)
-    u, v = np.where(pole, 0.0, inv / s / norm), np.where(pole, 1.0, z * (inv / norm))
-    return u.reshape(shape), v.reshape(shape)
+    norm = np.hypot(1.0 / s, np.abs(z))
+    return np.where(pole, 0.0, 1.0 / s / norm), np.where(pole, 1.0, z / norm)
 
 
 def _turned(matrix: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

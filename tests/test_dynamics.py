@@ -271,6 +271,12 @@ def test_equilibrium_residual_groups_stars_on_the_sphere():
     with pytest.raises(DegenerateConstellation):
         equilibrium_residual(mj.Constellation(4, [1e308, 1e308, -1e308, -1e308]),
                              builtin_hamiltonian(4, "Sz"))
+    # So is a double star whose |z| overflows: its mean is taken at the
+    # scale of its larger part.
+    z = 1.7e308 + 1.7e308j
+    with pytest.raises(DegenerateConstellation):
+        equilibrium_residual(mj.Constellation(4, [z, z, 0.3, 0.5j]),
+                             builtin_hamiltonian(4, "Sz"))
 
 
 @pytest.mark.xfail(raises=DegenerateConstellation, strict=True)

@@ -330,9 +330,9 @@ def test_clustered_roots_match_the_oracle(stars):
             assert abs(v - center) <= np.abs(near - center).max(), (v, m)
 
 
-def _scaled_clustered_row(seed):
-    """A row like _clustered_rows' scaled half, every draw taken in the
-    strategy's order from one np.random.default_rng(seed)."""
+def _clustered_draw(seed):
+    """The generator, the stars and s of _clustered_rows' scaled half, every
+    draw taken in the strategy's order from one np.random.default_rng(seed)."""
     rng = np.random.default_rng(seed)
     degree = rng.integers(5, 41)
     doubles = rng.integers(0, min(3, degree // 2) + 1)
@@ -344,7 +344,12 @@ def _scaled_clustered_row(seed):
              np.full(coherent, gauss(1)[0])]
     stars.append(gauss(degree - sum(len(s) for s in stars)))
     stars = rng.permutation(np.concatenate(stars))
-    s = 10.0 ** rng.uniform(-12.0, -3.0)
+    return rng, stars, 10.0 ** rng.uniform(-12.0, -3.0)
+
+
+def _scaled_clustered_row(seed):
+    """A row like _clustered_rows' scaled half (see _clustered_draw)."""
+    rng, stars, s = _clustered_draw(seed)
     stars /= np.exp(np.log(np.abs(stars)).mean())
     return np.r_[stars, np.exp(2j * np.pi * rng.uniform()) / s]
 
@@ -357,6 +362,22 @@ def test_far_star_rows_rebuild_in_the_reversed_chart(seed):
     # 2.3e-10 to 4.2e-9 of max|c| (the other two at 1.01e-10 and
     # 1.13e-10).  In the 1/z chart they rebuild at 5.9e-15 to 8.1e-12.
     c = _stars_polynomial(_scaled_clustered_row(seed))
+    assert rebuild_error(c, find_roots(c)) <= 1e-10 * np.abs(c).max()
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+@pytest.mark.parametrize("seed", [306, 680, 1140])
+def test_polished_annulus_rows_rebuild(seed):
+    # _clustered_draw's stars scaled by (s prod |z_j|)**(-1/n), so that
+    # |c_n| = s |c_0| with both ends small: the stars lie on one annulus and
+    # the row is solved in the 1/z chart.  Of seeds 0 to 1999 these three
+    # (2S = 34, 39, 35) rebuild at 1.04e-10, 2.4e-9 and 4.7e-7 of max|c|.
+    # newton_polish causes it: it moves 4, 13 and 10 points of an
+    # ill-conditioned set by up to 1.9e-10, 5.7e-9 and 4.6e-7 relative,
+    # while |p| falls from about 1e-20 to 1e-23; without the polish they
+    # rebuild at 4.4e-15 to 1.5e-14.
+    _, stars, s = _clustered_draw(seed)
+    c = _stars_polynomial(stars * (s * np.prod(np.abs(stars))) ** (-1.0 / len(stars)))
     assert rebuild_error(c, find_roots(c)) <= 1e-10 * np.abs(c).max()
 
 

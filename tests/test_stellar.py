@@ -7,7 +7,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from numpy.polynomial.polynomial import polyval
 
@@ -230,6 +230,29 @@ def test_chordal_distance_is_the_embedded_chord(a, b):
     # Both routes round: each is up to 6 eps off a 40-digit chord near the
     # unit circle, so 1e-15 would fail about one pair in a thousand there.
     assert abs(d - np.linalg.norm(_embedded(a) - _embedded(b))) <= 16 * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPHERE_POINTS)
+@example(0j)
+@example(1e-320)
+@example(1.7e308 + 1.7e308j)  # |z| overflows
+@example(np.array(1e308 + 1e308j))  # 0-d
+def test_spinors_are_the_unit_pair(z):
+    # u and v lie within 4 eps relative of the 50-digit (1, z) / sqrt(1 +
+    # |z|^2), the pole is exactly (0, 1), and u^2 + |v|^2 = 1 within 4 eps.
+    eps = np.finfo(float).eps
+    u, v = (complex(x) for x in stellar._spinors(z))
+    z = complex(z)
+    if cmath.isinf(z):
+        assert (u, v) == (0.0, 1.0)
+    else:
+        with mpmath.workdps(50):
+            zm = mpmath.mpc(z)
+            norm = mpmath.sqrt(1 + abs(zm) ** 2)
+            for got, exact in ((u, 1 / norm), (v, zm / norm)):
+                assert abs(mpmath.mpc(got) - exact) <= 4 * eps * abs(exact), (z, got)
+    assert abs(u.real**2 + v.real**2 + v.imag**2 - 1.0) <= 4 * eps
 
 
 def test_spin_matrix_algebra():
