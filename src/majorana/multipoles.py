@@ -3,13 +3,13 @@
 The multipole components rho_Kq of a state are taken against an orthonormal
 tensor family (Condon-Shortley phases), so Tr(T_Kq T_K'q'^dag) is the
 identity pairing and sum |rho_Kq|^2 equals the purity.  T_Kq has one nonzero
-diagonal, entry (k + q, k), so the whole family is one real table
-t[K, q + 2S, k], filled once per spin from one tridiagonal eigenproblem of
-the Casimir superoperator per q (the tests check it against exact
-Clebsch-Gordan values), and rho_Kq = sum_k t[K, q + 2S, k] rho[k + q, k]
-reads only the q-th diagonal of the density matrix.  Only this module knows
-that layout.  The dipole and quadrupole of Q are closed forms in <S_i> and
-<S_i S_j>.
+diagonal, entry (k + q, k), and T_K,-q = (-1)^q T_Kq^dag, so the whole
+family is one real table t[K, q, k] over q >= 0, filled once per spin from
+one tridiagonal eigenproblem of the Casimir superoperator per q (the tests
+check it against exact Clebsch-Gordan values).  rho_Kq = sum_k t[K, q, k]
+rho[k + q, k] reads only the q-th diagonal of the density matrix, and
+rho_K,-q = (-1)^q conj(rho_Kq).  Only this module knows that layout.  The
+dipole and quadrupole of Q are closed forms in <S_i> and <S_i S_j>.
 """
 
 from __future__ import annotations
@@ -43,48 +43,49 @@ __all__ = [
     "quadrupole",
 ]
 
+#: Most nodes q_grid takes on either axis; more are refused before anything
+#: is allocated.  leggauss is cubic in n (on a Xeon: 0.1 s at 1024, 0.6 s at 2048).
+MAX_GRID_NODES = 1024
+
 
 # -- tensor operators ----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _tensor_table(twoS: int) -> np.ndarray:
-    """t[K, q + 2S, k] = entry (k + q, k) of T_Kq, the only nonzero diagonal;
-    zero where |q| > K or k + q falls outside 0..2S.
+    """t[K, q, k] = entry (k + q, k) of T_Kq, the only nonzero diagonal, for
+    q >= 0; zero where q > K or k + q > 2S.  T_K,-q = (-1)^q T_Kq^T.
 
     Each T_Kq is an eigenvector of the Casimir superoperator
     X -> sum_i [S_i, [S_i, X]] with eigenvalue K(K + 1).  On the q-th
     diagonal it is a symmetric tridiagonal with diagonal
     2S(S + 1) - 2 m_{k+q} m_k and off-diagonal -u_{k+q} u_k,
     u_j = <j + 1|S+|j>, whose unit eigenvectors in ascending order are the
-    rows K = |q|..2S.  It is at most (2S + 1) square, so numpy.linalg.eigh
+    rows K = q..2S.  It is at most (2S + 1) square, so numpy.linalg.eigh
     solves it as a dense matrix.  The rows' signs follow the lowering relation
     [S-, T_K,q+1] = sqrt((K + q + 1)(K - q)) T_Kq from the q + 1 rows, swept
-    down from q = 2S; a row K = q >= 0 starts its ladder as a positive
-    multiple of (-1)^q (S+)^q, whose entries all share one sign.  No entry's
-    sign is read on its own: at high spin the end entries of high-K rows fall
-    below the solver's absolute accuracy.
+    down from q = 2S; a row K = q starts its ladder as a positive multiple
+    of (-1)^q (S+)^q, whose entries all share one sign.  No entry's sign is
+    read on its own: at high spin the end entries of high-K rows fall below
+    the solver's absolute accuracy.
     """
     d = twoS + 1
     k = np.arange(d)
     m = k - twoS / 2.0
     u = np.sqrt((k + 1.0) * (twoS - k))  # u[2S] = 0, so u[-1] at k = 0 is 0 too
-    table = np.zeros((d, 2 * d - 1, d))
-    for q in range(twoS, -twoS - 1, -1):
-        cols = slice(max(0, -q), d - max(0, q))
-        ks = k[cols]
+    table = np.zeros((d, d + 1, d))  # q = 2S + 1 stays 0: the sweep lowers from it
+    for q in range(twoS, -1, -1):
+        ks = k[: d - q]
         casimir = np.diag(twoS * (twoS + 2) / 2.0 - 2.0 * m[ks + q] * m[ks])
         casimir += np.diag(-u[ks[:-1] + q] * u[ks[:-1]], -1)  # eigh reads the lower triangle
         _, vecs = np.linalg.eigh(casimir)
         rows = vecs.T
-        signs = np.ones(len(ks))
-        if q < twoS:
-            above = table[abs(q) :, q + 1 + twoS]
-            lowered = u[ks + q] * above[:, ks] - u[ks - 1] * above[:, ks - 1]
-            signs = np.sign(np.sum(rows * lowered, axis=1))
-        if q >= 0:
-            signs[0] = (-1.0) ** q * np.sign(rows[0, np.argmax(np.abs(rows[0]))])
-        table[abs(q) :, q + twoS, cols] = rows * signs[:, None]
+        above = table[q:, q + 1]  # its row K = q is 0
+        lowered = u[ks + q] * above[:, ks] - u[ks - 1] * above[:, ks - 1]
+        signs = np.sign(np.sum(rows * lowered, axis=1))
+        signs[0] = (-1.0) ** q * np.sign(rows[0, np.argmax(np.abs(rows[0]))])
+        table[q:, q, : d - q] = rows * signs[:, None]
+    table = table[:, :d].copy()
     table.flags.writeable = False
     return table
 
@@ -99,17 +100,16 @@ def tensor_operator(label: SpinLabel | int, K: int, q: int) -> np.ndarray:
     """Orthonormal irreducible tensor T_Kq as a (2S+1)x(2S+1) matrix."""
     twoS = _as_label(label).twoS
     _check_index(twoS, K, q)
-    diagonal = _tensor_table(twoS)[K, q + twoS, max(0, -q) : twoS + 1 - max(0, q)]
+    diagonal = (-1.0) ** min(q, 0) * _tensor_table(twoS)[K, abs(q), : twoS + 1 - abs(q)]
     return np.diag(diagonal.astype(complex), -q)
 
 
 @lru_cache(maxsize=None)
 def _shift_index(d: int, Q: int) -> np.ndarray:
-    """index[q + Q, k] = k + q for |q| <= Q, clipped into 0..d-1: where k +
-    q is outside that range the tensor table is 0, so the entry read there
-    does not count.  multipoles reads the diagonals rho[k + q, k] through
-    it, and _cumulative_strengths the products psi_{k+q} conj(psi_k)."""
-    index = np.clip(np.arange(-Q, Q + 1)[:, None] + np.arange(d), 0, d - 1)
+    """index[q, k] = k + q for q = 0..Q, clipped to d - 1, where the tensor
+    table is 0 and the entry read does not count: the diagonals rho[k + q, k]
+    of _diagonals, and the psi_{k+q} conj(psi_k) of _cumulative_strengths."""
+    index = np.minimum(np.arange(Q + 1)[:, None] + np.arange(d), d - 1)
     index.flags.writeable = False
     return index
 
@@ -121,8 +121,8 @@ def _cumulative_strengths(psi: np.ndarray, M: int) -> np.ndarray:
     the tensor table, with rho_K,-q = (-1)^q conj(rho_Kq) counted by
     doubling.  Shape (count, M); column K - 1 is A_K."""
     twoS = psi.shape[-1] - 1
-    diagonals = psi[:, _shift_index(twoS + 1, M)[M:]] * psi.conj()[:, None, :]
-    table = _tensor_table(twoS)[1 : M + 1, twoS : twoS + M + 1]
+    diagonals = psi[:, _shift_index(twoS + 1, M)] * psi.conj()[:, None, :]
+    table = _tensor_table(twoS)[1 : M + 1, : M + 1]
     rho = np.matmul(diagonals.transpose(1, 0, 2), table.transpose(1, 2, 0))  # [q, c, K]
     weight = np.abs(rho) ** 2
     return np.cumsum(2.0 * weight.sum(axis=0) - weight[0], axis=-1)
@@ -152,9 +152,11 @@ class MultipoleSpectrum:
                 yield K, q, complex(self.rho[K, q + self.label.twoS])
 
 
-def _density_matrix(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarray]:
+def _diagonals(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarray]:
+    """(label, diagonals rho[k + q, k] for q = 0..2S) of a state or a density matrix."""
     if isinstance(state, SpinState):
-        return state.label, state.density_matrix()
+        psi = state.amplitudes
+        return state.label, psi[_shift_index(len(psi), len(psi) - 1)] * psi.conj()
     dm = np.asarray(state, dtype=complex)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape[0] < 1:
         raise ValueError("density matrix must be square")
@@ -162,18 +164,20 @@ def _density_matrix(state: SpinState | np.ndarray) -> tuple[SpinLabel, np.ndarra
     # In units of scale, so that no sum of entries overflows.
     if abs(complex(np.trace(dm / scale)) - 1.0 / scale) > 1e-10 / scale:
         raise ValueError("density matrix trace must be 1")
-    return SpinLabel(dm.shape[0] - 1), dm
+    d = len(dm)
+    return SpinLabel(d - 1), dm[_shift_index(d, d - 1), np.arange(d)]
 
 
 def multipoles(state: SpinState | np.ndarray) -> MultipoleSpectrum:
     """Full tensor-component spectrum of a pure state (or, for diagnostic
     use, a density matrix): rho_Kq = Tr(rho T_Kq^dag)."""
-    label, dm = _density_matrix(state)
-    twoS = label.twoS
-    diagonals = dm[_shift_index(twoS + 1, twoS), np.arange(twoS + 1)]  # rho[k + q, k]
-    rho = np.einsum("Kqk,qk->Kq", _tensor_table(twoS), diagonals)
-    w = np.sum(np.abs(rho) ** 2, axis=1)
-    A = np.concatenate([[0.0], np.cumsum(w[1:])])
+    label, diagonals = _diagonals(state)
+    upper = np.einsum("Kqk,qk->Kq", _tensor_table(label.twoS), diagonals)  # q = 0..2S
+    lower = upper[:, :0:-1].conj()  # rho_K,-q = (-1)^q conj(rho_Kq), q = 2S..1
+    lower[:, ::-2] *= -1.0  # the odd q
+    rho = np.concatenate((lower + 0.0, upper), axis=1)  # + 0.0: a zero reads 0.0, not -0.0
+    w = (np.abs(rho) ** 2).sum(axis=1)
+    A = np.concatenate(([0.0], w[1:].cumsum()))
     for a in (rho, w, A):
         a.flags.writeable = False
     return MultipoleSpectrum(label, rho, w, A)
@@ -232,8 +236,8 @@ class QGrid:
 
 def q_grid(state: SpinState, n_theta: int, n_phi: int) -> QGrid:
     for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if not (_is_integer(n) and n >= 2):
-            raise ValueError(f"{name}={n!r} must be an integer >= 2")
+        if not (_is_integer(n) and 2 <= n <= MAX_GRID_NODES):
+            raise ValueError(f"{name}={n!r} must be an integer in 2..{MAX_GRID_NODES}")
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     thetas = np.arccos(x)[::-1].copy()
     weights = wx[::-1].copy()

@@ -159,7 +159,7 @@ def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
 
     real = (coeffs.imag == 0).all(axis=1)
     if real.all() or not real.any():
-        return eigvals(coeffs.real if real[0] else coeffs).astype(complex, copy=False)
+        return eigvals(coeffs.real if real.all() else coeffs).astype(complex, copy=False)
     out = np.empty((len(coeffs), n), dtype=complex)
     out[real] = eigvals(coeffs.real[real])
     out[~real] = eigvals(coeffs[~real])
@@ -320,7 +320,8 @@ def find_roots(coeffs: np.ndarray) -> np.ndarray:
 
     Each zero entry below the first nonzero one is a root at exactly 0, and
     each above the last nonzero one a root at inf; the core between them is
-    solved.  An all-zero row raises ValueError.  Raises NonConvergence when
+    solved.  An all-zero row, or an entry that is not finite (SpinState
+    refuses such amplitudes), raises ValueError.  Raises NonConvergence when
     the roots miss the residual contract TOL, or when the companion matrix
     overflows (step 1 of the module docstring).  A root of a core is inf
     only where it is solved in the 1/z chart and has an estimate at exactly 0.
@@ -337,6 +338,8 @@ def find_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2:
         raise ValueError("expected a 2-d coefficient stack")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
     n = c.shape[1] - 1
     if n < 1:
         return np.zeros((c.shape[0], 0), dtype=complex)

@@ -165,6 +165,21 @@ def test_qgrid_csv(runner, tmp_path, rng):
     assert result.exit_code == 2
 
 
+def test_qgrid_refuses_a_huge_grid(runner, tmp_path, rng, monkeypatch):
+    # Exit 2, the invalid-input code, before leggauss or any grid array runs.
+    path = _write_state(tmp_path, mj.SpinState(2, rng.normal(size=3)))
+
+    def no_nodes(n):
+        raise AssertionError(f"leggauss({n}) ran")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_nodes)
+    for option, value in (("--ntheta", "1000000"), ("--nphi", "1000000000")):
+        result = runner.invoke(main, ["qgrid", path, option, value])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert "must be an integer in 2..1024" in result.stderr
+
+
 def test_multipoles_upto(runner, tmp_path, rng):
     st = mj.SpinState(4, rng.normal(size=5) + 1j * rng.normal(size=5))
     path = _write_state(tmp_path, st)

@@ -7,6 +7,7 @@ import pytest
 
 import majorana as mj
 from majorana.multipoles import (
+    MAX_GRID_NODES,
     MultipoleSpectrum,
     cumulative_quantumness,
     dipole,
@@ -122,12 +123,14 @@ def test_tensor_operator_range_errors():
 
 
 def test_tensor_adjoint_symmetry():
-    # T_Kq^dag = (-1)^q T_K,-q
-    for K in range(1, 4):
-        for q in range(-K, K + 1):
-            a = tensor_operator(4, K, q).conj().T
-            b = (-1.0) ** q * tensor_operator(4, K, -q)
-            assert np.allclose(a, b, atol=1e-13)
+    # T_Kq^dag = (-1)^q T_K,-q exactly: the table holds q >= 0 only.  This
+    # held bit for bit when each q < 0 was solved as its own eigenproblem.
+    for twoS in (4, 12, 20, 40):
+        for K in range(twoS + 1):
+            for q in range(-K, K + 1):
+                a = tensor_operator(twoS, K, q).conj().T
+                b = (-1.0) ** q * tensor_operator(twoS, K, -q)
+                assert np.array_equal(a, b), (twoS, K, q)
 
 
 def _exact_entry(twoS, K, q, k):
@@ -199,6 +202,24 @@ def test_basis_state_spectrum_frozen():
     assert spec.A[1] == pytest.approx(0.0, abs=1e-14)
     assert spec.w[0] == pytest.approx(1 / 3)
     assert spec.A[2] == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("twoS", [3, 12, 20, 40])
+def test_negative_orders_mirror_the_positive_ones(rng, twoS):
+    # rho_K,-q = (-1)^q conj(rho_Kq) bit for bit, for pure and mixed states,
+    # and no component is written as -0.0: the zeros of basis and NOON
+    # states read 0.0 in both halves.
+    d = twoS + 1
+    q = np.arange(1, d)
+    states = [mj.basis_state(twoS, twoS - 2), mj.noon_state(twoS)]
+    for _ in range(4):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        states += [random_state(rng, twoS), a @ a.conj().T / np.trace(a @ a.conj().T).real]
+    for state in states:
+        rho = multipoles(state).rho
+        assert np.array_equal(rho[:, twoS - q], (-1.0) ** q * rho[:, twoS + q].conj())
+        parts = rho.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any()
 
 
 def test_purity_identity(rng):
@@ -368,6 +389,25 @@ def test_q_grid_validation(rng):
             q_grid(st, 8, bad)
     got = q_grid(st, np.int64(4), np.int64(5))
     assert np.array_equal(got.values, q_grid(st, 4, 5).values)
+
+
+def test_q_grid_refuses_more_nodes_than_the_cap(rng, monkeypatch):
+    # Either axis past MAX_GRID_NODES is refused before leggauss or any
+    # grid array runs: leggauss is cubic in n_theta, and a huge n_phi
+    # would allocate gigabytes.
+    st = random_state(rng, 2)
+    cap = MAX_GRID_NODES
+    assert q_grid(st, cap, 2).values.shape == (cap, 2)
+    assert q_grid(st, 2, cap).values.shape == (2, cap)
+
+    def no_nodes(n):
+        raise AssertionError(f"leggauss({n}) ran")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_nodes)
+    for n_theta, n_phi, name in ((cap + 1, 8, "n_theta"), (10**6, 8, "n_theta"),
+                                 (8, cap + 1, "n_phi"), (8, 10**9, "n_phi")):
+        with pytest.raises(ValueError, match=rf"{name}=\d+ must be an integer in 2\.\.{cap}"):
+            q_grid(st, n_theta, n_phi)
 
 
 def test_q_grid_matches_pointwise(rng):

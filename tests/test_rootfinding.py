@@ -81,6 +81,22 @@ def test_zero_end_coefficients_are_roots_at_the_poles():
         find_roots_batch(np.array([1.0, 1.0, 1.0], dtype=complex))
 
 
+def test_empty_stacks_have_no_roots():
+    for n in (4, 1):
+        got = find_roots_batch(np.zeros((0, n + 1), dtype=complex))
+        assert got.shape == (0, n) and got.dtype == complex
+
+
+@pytest.mark.parametrize("row", [[1, np.inf, 1], [1, np.nan, 1], [0, 1, np.nan]])
+def test_non_finite_coefficients_raise(row):
+    # Refused up front: scaling such a row divides inf by inf, and its
+    # companion matrix is not finite, which would read as an overflow.
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        find_roots(np.array(row, dtype=complex))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        find_roots_batch(np.array([[1, 2, 1], row], dtype=complex))
+
+
 def test_roots_missing_the_tolerance_raise(monkeypatch):
     c = np.array([0.3 - 1.1j, 0.7 + 0.2j, -1.3 + 0.4j, 0.9 - 0.5j, 1.0 + 0.0j])
     find_roots(c)
